@@ -8,6 +8,7 @@ energy delivered when discharging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,21 @@ class PsoParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.inertia < 1.0:
-            raise DomainError("inertia must lie in (0, 1)")
-        if self.particles < 2:
-            raise DomainError("at least 2 particles required")
+        rules = (
+            ("inertia", 0.0 < self.inertia < 1.0, "lie in (0, 1)"),
+            ("cognitive", self.cognitive >= 0.0, "be >= 0"),
+            ("social", self.social >= 0.0, "be >= 0"),
+            ("particles", self.particles >= 2, "be at least 2"),
+            ("max_iterations", self.max_iterations >= 0, "be >= 0"),
+            ("velocity_bound", self.velocity_bound > 0.0, "be > 0"),
+            ("init_spread", self.init_spread >= 0.0, "be >= 0"),
+            ("rng_seed", self.rng_seed >= 0, "be >= 0"),
+        )
+        for name, ok, rule in rules:
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise DomainError(f"{name} must {rule} and be finite, got {value!r}",
+                                  field=name)
 
 
 def balanced_allocation(blocked: np.ndarray) -> AllocationVector:
@@ -66,44 +78,52 @@ def repair(k_raw: np.ndarray, blocked: np.ndarray,
            max_share: np.ndarray | None = None) -> np.ndarray:
     """Project raw coefficients onto the feasible allocation set.
 
-    Clamp to [0,1], zero blocked entries, renormalize to sum 1; an all-zero
-    result falls back to the balanced split. When max_share (per-cluster
-    upper bound on k, from the power rating) is given, entries are capped
-    and the excess redistributed over uncapped clusters.
+    k_raw has shape (..., m): one row of m coefficients, or a stack of rows
+    (such as a whole swarm) projected at once; blocked (m,) and max_share
+    (m,) apply to every row, and each row gets the same result as it would
+    alone. Per row: clamp to [0,1], zero blocked entries, renormalize to
+    sum 1; an all-zero row falls back to the balanced split. When max_share
+    (per-cluster upper bound on k, from the power rating) is given, entries
+    are capped and the excess redistributed over uncapped clusters.
     """
     blocked = np.asarray(blocked, dtype=bool)
-    k = np.clip(np.asarray(k_raw, dtype=float), 0.0, 1.0)
-    k[blocked] = 0.0
-    total = k.sum()
-    if total <= 0.0:
-        k = balanced_allocation(blocked).k.copy()
-    else:
+    k = np.asarray(k_raw, dtype=float).clip(0.0, 1.0)
+    np.copyto(k, 0.0, where=blocked)
+    total = k.sum(axis=-1, keepdims=True)
+    # entries are non-negative, so a row sums to 0 exactly when it is all
+    # zero; count_nonzero is the cheapest test for the common single row
+    if np.count_nonzero(total) == total.size:
         k = k / total
+    else:
+        empty = total == 0.0
+        k = np.where(empty, balanced_allocation(blocked).k,
+                     k / np.where(empty, 1.0, total))
     if max_share is not None:
         cap = np.where(blocked, 0.0, np.asarray(max_share, dtype=float))
         if cap.sum() < 1.0 - 1e-9:
             raise NoCapacityError(
                 "per-cluster power limits cannot absorb the system power")
-        for _ in range(k.size):
-            over = k > cap + 1e-15
-            if not np.any(over):
+        cap_tol = cap + 1e-15
+        for _ in range(k.shape[-1]):
+            over = k > cap_tol
+            if not np.count_nonzero(over):
                 break
-            excess = float(np.sum(k[over] - cap[over]))
-            k[over] = cap[over]
-            room = (~over) & (~blocked) & (k < cap)
+            excess = np.where(over, k - cap, 0.0).sum(axis=-1, keepdims=True)
+            k = np.where(over, cap, k)
+            room = ~over & ~blocked & (k < cap)
+            # every cluster with room weighs at least 1e-12, so a row with
+            # no room left has weight sum 0 and keeps its capped values
             weights = np.where(room, np.maximum(k, 1e-12), 0.0)
-            wsum = weights.sum()
-            if wsum <= 0.0:
-                room_cap = np.where(room, cap - k, 0.0)
-                k = k + np.where(room, excess * room_cap / max(room_cap.sum(), 1e-30), 0.0)
-            else:
-                k = k + excess * weights / wsum
+            wsum = weights.sum(axis=-1, keepdims=True)
+            k = k + excess * weights / np.maximum(wsum, 1e-30)
         k = np.minimum(k, cap)
-        deficit = 1.0 - k.sum()
-        if abs(deficit) > 1e-12:
-            room = np.where(~blocked, cap - k, 0.0)
-            if room.sum() > 0 and deficit > 0:
-                k = k + deficit * room / room.sum()
+        deficit = 1.0 - k.sum(axis=-1, keepdims=True)
+        short = deficit > 1e-12
+        if np.count_nonzero(short):
+            room = np.where(blocked, 0.0, cap - k)
+            room_sum = room.sum(axis=-1, keepdims=True)
+            short &= room_sum > 0.0
+            k = np.where(short, k + deficit * room / np.where(short, room_sum, 1.0), k)
     return k
 
 
@@ -124,9 +144,9 @@ def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
 
     The swarm is anchored at the balanced allocation (particle 0 is exactly
     balanced, the rest are seeded perturbations of it), velocities are
-    clamped to +-velocity_bound, positions repaired to the feasible set
-    each iteration. Returns the global best and the per-iteration
-    best-fitness trace (non-decreasing).
+    clamped to +-velocity_bound, and the whole swarm is repaired to the
+    feasible set in one batched call each iteration. Returns the global
+    best and the per-iteration best-fitness trace (non-decreasing).
     """
     m = plant.n_clusters
     blocked = plant.blocked_mask(p_sys_w)
@@ -145,11 +165,10 @@ def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
 
     rng = np.random.default_rng(params.rng_seed)
     n = params.particles
+    s = params.init_spread
     pos = np.empty((n, m))
     pos[0] = base
-    for i in range(1, n):
-        raw = base + rng.uniform(-params.init_spread, params.init_spread, m)
-        pos[i] = repair(raw, blocked, max_share)
+    pos[1:] = repair(base + rng.uniform(-s, s, (n - 1, m)), blocked, max_share)
     vel = np.zeros((n, m))
 
     fit = plant.evaluate_allocations(p_sys_w, pos, dt)
@@ -169,9 +188,7 @@ def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
                + params.cognitive * r1 * (pbest - pos)
                + params.social * r2 * (gbest - pos))
         np.clip(vel, -vb, vb, out=vel)
-        pos = pos + vel
-        for i in range(n):
-            pos[i] = repair(pos[i], blocked, max_share)
+        pos = repair(pos + vel, blocked, max_share)
         fit = plant.evaluate_allocations(p_sys_w, pos, dt)
         better = fit > pbest_fit
         pbest[better] = pos[better]

@@ -9,10 +9,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .allocator import PsoParams
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .losses import CellParams, OcvCoeffs, PcsEfficiencyCoeffs, TransformerParams
 from .plant import ClusterParams, PlantConfig, uniform_plant_config
 from .profiles import SynthLoadSpec
@@ -100,6 +100,23 @@ def _get(d: dict, key: str, default):
     return d.get(key, default) if isinstance(d, dict) else default
 
 
+def _build_pso(d: dict) -> PsoParams:
+    """PsoParams from its config section; defaults and types come from the
+    dataclass, and every rejection names the dotted field."""
+    kwargs = {}
+    for f in fields(PsoParams):
+        raw = _get(d, f.name, f.default)
+        try:
+            kwargs[f.name] = type(f.default)(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"allocator.pso.{f.name}",
+                              f"must be a finite number, got {raw!r}") from None
+    try:
+        return PsoParams(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"allocator.pso.{exc.field}", str(exc)) from None
+
+
 def _build_cluster(d: dict) -> ClusterParams:
     cell_d = _get(d, "cell", {})
     cell = CellParams(
@@ -159,16 +176,7 @@ def parse_config(doc: dict) -> RunConfig:
     allocator = AllocatorConfig(
         mode=_get(alloc_d, "mode", "balanced"),
         cadence_s=float(_get(alloc_d, "cadence_s", 900.0)),
-        pso=PsoParams(
-            inertia=float(_get(pso_d, "inertia", 0.85)),
-            cognitive=float(_get(pso_d, "cognitive", 0.4)),
-            social=float(_get(pso_d, "social", 0.5)),
-            particles=int(_get(pso_d, "particles", 30)),
-            max_iterations=int(_get(pso_d, "max_iterations", 50)),
-            velocity_bound=float(_get(pso_d, "velocity_bound", 1.0)),
-            init_spread=float(_get(pso_d, "init_spread", 0.1)),
-            rng_seed=int(_get(pso_d, "rng_seed", 0)),
-        ),
+        pso=_build_pso(pso_d),
     )
     load_d = _get(doc, "load", {})
     synth_d = _get(load_d, "synth", {})

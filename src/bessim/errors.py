@@ -6,7 +6,14 @@ class BessimError(Exception):
 
 
 class DomainError(BessimError, ValueError):
-    """An input is outside the documented domain of an operation."""
+    """An input is outside the documented domain of an operation.
+
+    Carries the offending field name when the input is a named parameter.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class ConfigError(BessimError, ValueError):

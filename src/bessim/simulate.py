@@ -8,7 +8,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,7 +140,6 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     alloc_rows = np.zeros((n, m)) if record_alloc else None
 
     k_current: np.ndarray | None = None
-    seed_base = pso_params.rng_seed if pso_params is not None else 0
 
     # A balanced run over identical clusters keeps every cluster in the
     # same state, so one scalar evaluation per step stands for all of them.
@@ -213,13 +212,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
             k = repair(balanced_allocation(blocked).k, blocked, max_share)
         else:
             if k_current is None or i % cadence_steps == 0:
-                params = PsoParams(
-                    inertia=pso_params.inertia, cognitive=pso_params.cognitive,
-                    social=pso_params.social, particles=pso_params.particles,
-                    max_iterations=pso_params.max_iterations,
-                    velocity_bound=pso_params.velocity_bound,
-                    init_spread=pso_params.init_spread,
-                    rng_seed=seed_base + i)
+                params = replace(pso_params, rng_seed=pso_params.rng_seed + i)
                 best, _ = pso_allocate(p, plant, params)
                 k_current = best.k
             k = repair(k_current, blocked, max_share)

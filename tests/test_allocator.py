@@ -1,5 +1,11 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bessim.allocator import (
     AllocationVector,
@@ -71,6 +77,93 @@ class TestRepair:
                    max_share=np.array([0.3, 0.3]))
 
 
+def _repair_row_reference(k_raw, blocked, max_share=None):
+    """The one-row-at-a-time repair that the batched repair replaced, kept
+    verbatim as the reference for its arithmetic."""
+    blocked = np.asarray(blocked, dtype=bool)
+    k = np.clip(np.asarray(k_raw, dtype=float), 0.0, 1.0)
+    k[blocked] = 0.0
+    total = k.sum()
+    if total <= 0.0:
+        k = balanced_allocation(blocked).k.copy()
+    else:
+        k = k / total
+    if max_share is not None:
+        cap = np.where(blocked, 0.0, np.asarray(max_share, dtype=float))
+        if cap.sum() < 1.0 - 1e-9:
+            raise NoCapacityError("caps too small")
+        for _ in range(k.size):
+            over = k > cap + 1e-15
+            if not np.any(over):
+                break
+            excess = float(np.sum(k[over] - cap[over]))
+            k[over] = cap[over]
+            room = (~over) & (~blocked) & (k < cap)
+            weights = np.where(room, np.maximum(k, 1e-12), 0.0)
+            wsum = weights.sum()
+            if wsum <= 0.0:
+                room_cap = np.where(room, cap - k, 0.0)
+                k = k + np.where(room, excess * room_cap / max(room_cap.sum(), 1e-30), 0.0)
+            else:
+                k = k + excess * weights / wsum
+        k = np.minimum(k, cap)
+        deficit = 1.0 - k.sum()
+        if abs(deficit) > 1e-12:
+            room = np.where(~blocked, cap - k, 0.0)
+            if room.sum() > 0 and deficit > 0:
+                k = k + deficit * room / room.sum()
+    return k
+
+
+@st.composite
+def repair_batches(draw):
+    """A raw (n, m) batch, a blocked mask with at least one free cluster and,
+    unless None, caps whose sum over the free clusters is at least 1."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 8))
+    free_at = draw(st.integers(0, m - 1))
+    blocked = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    blocked[free_at] = False
+    entry = st.one_of(st.just(0.0), st.floats(-0.5, 1.5))
+    k_raw = np.array(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                   min_size=n, max_size=n)))
+    cap = None
+    if draw(st.booleans()):
+        raw_cap = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m,
+                                         max_size=m)))
+        slack = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+        cap = raw_cap * slack / raw_cap[~blocked].sum()
+    return k_raw, blocked, cap
+
+
+class TestRepairProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(repair_batches())
+    def test_rows_are_feasible_and_match_row_repair(self, batch):
+        k_raw, blocked, cap = batch
+        k = repair(k_raw, blocked, cap)
+        assert k.shape == k_raw.shape
+        upper = np.ones(k.shape[1]) if cap is None else cap
+        for row_raw, row in zip(k_raw, k):
+            assert np.all(row >= 0.0)
+            assert np.all(row <= upper + 1e-12)
+            assert np.all(row[blocked] == 0.0)
+            assert abs(row.sum() - 1.0) <= 1e-9
+            np.testing.assert_allclose(row, repair(row_raw, blocked, cap),
+                                       rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(
+                row, _repair_row_reference(row_raw, blocked, cap),
+                rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(repair_batches(), st.floats(0.5, 0.999999))
+    def test_insufficient_caps_raise(self, batch, shortfall):
+        k_raw, blocked, _ = batch
+        cap = np.where(blocked, 1.0, shortfall / np.sum(~blocked))
+        with pytest.raises(NoCapacityError):
+            repair(k_raw, blocked, cap)
+
+
 class TestFitness:
     def test_balanced_charge_fitness_positive(self):
         plant = build_plant(uniform_plant_config(2))
@@ -134,6 +227,44 @@ class TestPsoAllocate:
             PsoParams(inertia=1.5)
         with pytest.raises(DomainError):
             PsoParams(particles=1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iterations", -1), ("velocity_bound", 0.0),
+        ("velocity_bound", -1.0), ("init_spread", -0.1), ("cognitive", -0.4),
+        ("social", -0.5), ("rng_seed", -1), ("inertia", math.nan),
+        ("cognitive", math.inf), ("velocity_bound", math.nan),
+        ("init_spread", math.inf),
+    ])
+    def test_bad_params_name_the_field(self, field, value):
+        with pytest.raises(DomainError) as e:
+            PsoParams(**{field: value})
+        assert e.value.field == field
+        assert field in str(e.value)
+
+    def test_zero_iterations_returns_initial_best(self):
+        plant = build_plant(uniform_plant_config(3))
+        plant.soc = np.array([0.4, 0.5, 0.7])
+        _, trace = pso_allocate(90_000.0, plant,
+                                PsoParams(particles=4, max_iterations=0))
+        assert trace.size == 1
+
+
+PSO_REGRESSION = json.loads(
+    (Path(__file__).parent / "data" / "pso_regression.json").read_text())
+
+
+@pytest.mark.parametrize("case", PSO_REGRESSION,
+                         ids=lambda c: f"m{c['m']}_p{c['p_sys_w']:+.0f}")
+def test_pso_allocate_reproduces_per_row_repair_results(case):
+    """Best fitness and coefficients recorded from pso_allocate when it
+    repaired one particle at a time; the batched repair must reproduce them."""
+    m = case["m"]
+    plant = build_plant(uniform_plant_config(m))
+    plant.soc = np.random.default_rng(case["soc_seed"]).uniform(0.3, 0.7, m)
+    best, trace = pso_allocate(case["p_sys_w"], plant,
+                               PsoParams(rng_seed=case["pso_seed"]))
+    assert trace[-1] == pytest.approx(case["fitness_wh"], rel=1e-9)
+    np.testing.assert_allclose(best.k, case["k"], rtol=0.0, atol=1e-9)
 
 
 class TestGridSearch:

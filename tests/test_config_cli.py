@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from bessim.allocator import PsoParams
 from bessim.cli import main
 from bessim.config import load_config, parse_config
 from bessim.errors import ConfigError
@@ -45,6 +46,9 @@ class TestParseConfig:
         a = parse_config({"schedule": {"power_depth_w": 1e6}, "load": {"seed": 2}})
         b = parse_config({"load": {"seed": 2}, "schedule": {"power_depth_w": 1e6}})
         assert a.sha256() == b.sha256()
+
+    def test_pso_defaults_come_from_pso_params(self):
+        assert parse_config({}).allocator.pso == PsoParams()
 
     def test_bad_method_names_field(self):
         with pytest.raises(ConfigError) as e:
@@ -169,6 +173,24 @@ class TestOptimizeCommand:
         alloc = open(os.path.join(outdir, "allocation_matrix.csv")).read()
         header = alloc.split("\n")[0]
         assert header == "time_s,k_0,k_1,k_2,k_3"
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iterations", -1), ("velocity_bound", -1.0),
+        ("init_spread", -0.1), ("cognitive", -0.4), ("social", float("nan")),
+        ("max_iterations", float("inf")), ("particles", "many"),
+    ])
+    def test_bad_pso_param_exits_2_with_json_error(self, tmp_path, capsys,
+                                                   field, value):
+        doc = base_doc()
+        doc["allocator"]["pso"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == f"allocator.pso.{field}"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
