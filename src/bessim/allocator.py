@@ -117,13 +117,6 @@ def repair(k_raw: np.ndarray, blocked: np.ndarray,
             wsum = weights.sum(axis=-1, keepdims=True)
             k = k + excess * weights / np.maximum(wsum, 1e-30)
         k = np.minimum(k, cap)
-        deficit = 1.0 - k.sum(axis=-1, keepdims=True)
-        short = deficit > 1e-12
-        if np.count_nonzero(short):
-            room = np.where(blocked, 0.0, cap - k)
-            room_sum = room.sum(axis=-1, keepdims=True)
-            short &= room_sum > 0.0
-            k = np.where(short, k + deficit * room / np.where(short, room_sum, 1.0), k)
     return k
 
 

@@ -55,6 +55,8 @@ class LoadConfig:
     seed: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("load.seed", f"must be >= 0, got {self.seed}")
         if self.source not in ("synthetic", "csv"):
             raise ConfigError("load.source", "must be 'synthetic' or 'csv'")
         if self.source == "csv":
@@ -100,17 +102,33 @@ def _get(d: dict, key: str, default):
     return d.get(key, default) if isinstance(d, dict) else default
 
 
+def _get_int(d: dict, key: str, default: int, name: str) -> int:
+    """An integer field: a JSON integer, or a number with an integral value.
+
+    Strings, booleans and fractional values are rejected rather than
+    coerced or truncated; the error names the dotted field.
+    """
+    raw = _get(d, key, default)
+    if isinstance(raw, bool) or not (
+            isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
+        raise ConfigError(name, f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _build_pso(d: dict) -> PsoParams:
     """PsoParams from its config section; defaults and types come from the
     dataclass, and every rejection names the dotted field."""
     kwargs = {}
     for f in fields(PsoParams):
+        name = f"allocator.pso.{f.name}"
+        if isinstance(f.default, int):
+            kwargs[f.name] = _get_int(d, f.name, f.default, name)
+            continue
         raw = _get(d, f.name, f.default)
         try:
-            kwargs[f.name] = type(f.default)(raw)
+            kwargs[f.name] = float(raw)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"allocator.pso.{f.name}",
-                              f"must be a finite number, got {raw!r}") from None
+            raise ConfigError(name, f"must be a finite number, got {raw!r}") from None
     try:
         return PsoParams(**kwargs)
     except DomainError as exc:
@@ -129,8 +147,8 @@ def _build_cluster(d: dict) -> ClusterParams:
     )
     return ClusterParams(
         cell=cell,
-        n_series=_get(d, "n_series", 200),
-        n_parallel=_get(d, "n_parallel", 24),
+        n_series=_get_int(d, "n_series", 200, "plant.cluster.n_series"),
+        n_parallel=_get_int(d, "n_parallel", 24, "plant.cluster.n_parallel"),
         rated_power_w=_get(d, "rated_power_w", 50_000.0),
         rated_energy_wh=_get(d, "rated_energy_wh", 200_000.0),
         dc_bus_voltage_v=_get(d, "dc_bus_voltage_v", 700.0),
@@ -156,7 +174,7 @@ def parse_config(doc: dict) -> RunConfig:
         rated_power_w=_get(tf_d, "rated_power_w", 6_300_000.0),
     )
     plant = uniform_plant_config(
-        int(_get(plant_d, "n_clusters", 100)),
+        _get_int(plant_d, "n_clusters", 100, "plant.n_clusters"),
         _build_cluster(_get(plant_d, "cluster", {})),
         transformer=transformer,
         dt_s=float(_get(plant_d, "dt_s", 60.0)),
@@ -197,13 +215,13 @@ def parse_config(doc: dict) -> RunConfig:
         weekend_factor=float(_get(synth_d, "weekend_factor", 0.93)),
         seasonal_amplitude=float(_get(synth_d, "seasonal_amplitude", 0.05)),
         dt_s=float(_get(synth_d, "dt_s", _get(plant_d, "dt_s", 60.0))),
-        days=int(_get(synth_d, "days", 1)),
+        days=_get_int(synth_d, "days", 1, "load.synth.days"),
     )
     load = LoadConfig(
         source=_get(load_d, "source", "synthetic"),
         csv_path=_get(load_d, "csv_path", None),
         synth=synth,
-        seed=int(_get(load_d, "seed", 1)),
+        seed=_get_int(load_d, "seed", 1, "load.seed"),
     )
     out_d = _get(doc, "output", {})
     output = OutputConfig(

@@ -143,10 +143,6 @@ class LossBreakdown:
     def balance_residual_wh(self) -> float:
         return self.grid_wh - self.stored_wh - self.total_loss_wh
 
-    def __add__(self, other: "LossBreakdown") -> "LossBreakdown":
-        return LossBreakdown(*[a + b for a, b in
-                               zip(astuple(self), astuple(other))])
-
     def accumulate(self, other: "LossBreakdown") -> None:
         self.transformer_wh += other.transformer_wh
         self.acdc_wh += other.acdc_wh
@@ -157,13 +153,32 @@ class LossBreakdown:
         self.grid_wh += other.grid_wh
 
 
-def astuple(lb: LossBreakdown) -> tuple:
-    return (lb.transformer_wh, lb.acdc_wh, lb.dcdc_wh, lb.battery_ohmic_wh,
-            lb.battery_polarization_wh, lb.stored_wh, lb.grid_wh)
+# Rows of the energy stack returned by _step_arrays (all in Wh).
+E_AC, E_DC, STORED, ACDC, DCDC, OHMIC, POLARIZATION, SS, TS = range(9)
+
+
+def _shared(values: np.ndarray):
+    """Per-cluster values (clusters on the last axis) for the step kernel.
+
+    When every cluster has the same values they come back as a float, or
+    a list of floats for a coefficient table: a scalar broadcasts exactly
+    like the array of its copies, and spares numpy the per-cluster stride
+    in batch operations.
+    """
+    if (values == values[..., :1]).all():
+        return values[..., 0].tolist()
+    return values
 
 
 class _ParamArrays:
-    """Cluster parameters flattened to numpy arrays for vectorized stepping."""
+    """Cluster parameters flattened to numpy arrays for vectorized stepping.
+
+    rated_w is always an (m,) array; the constants only the step kernel
+    reads are shared scalars where every cluster agrees (see _shared).
+    Also holds the step constants: the dt-independent ones are built here,
+    the dt-dependent ones by at_dt, which keeps them until a step asks for
+    another dt.
+    """
 
     def __init__(self, clusters: tuple[ClusterParams, ...],
                  soc_min: float, soc_max: float):
@@ -171,30 +186,59 @@ class _ParamArrays:
         self.m = m
         self.soc_min = soc_min
         self.soc_max = soc_max
-        self.r_ohm = np.array([c.r_ohm_agg for c in clusters])
-        self.r_pol = np.array([c.r_pol_agg for c in clusters])
-        self.tau = np.array([c.time_constant_s for c in clusters])
-        self.cap_ah = np.array([c.capacity_agg_ah for c in clusters])
-        self.n_series = np.array([float(c.n_series) for c in clusters])
         self.rated_w = np.array([c.rated_power_w for c in clusters])
-        # coefficient matrices, shape (degree+1, m), low order first
-        self.ocv_b = np.array([c.cell.ocv.b for c in clusters]).T
-        self.acdc_a = np.array([c.acdc_coeffs.a for c in clusters]).T
-        self.dcdc_a = np.array([c.dcdc_coeffs.a for c in clusters]).T
         self.identical = all(c == clusters[0] for c in clusters[1:])
+        self.rated = _shared(self.rated_w)
+        self.r_ohm = _shared(np.array([c.r_ohm_agg for c in clusters]))
+        self.r_pol = _shared(np.array([c.r_pol_agg for c in clusters]))
+        self.tau = _shared(np.array([c.time_constant_s for c in clusters]))
+        self.cap_ah = _shared(np.array([c.capacity_agg_ah for c in clusters]))
+        self.n_series = _shared(np.array([float(c.n_series) for c in clusters]))
+        # coefficient tables, shape (degree+1, m), low order first
+        ocv_b = np.array([c.cell.ocv.b for c in clusters]).T
+        self.ocv_b = _shared(ocv_b)
+        # OCV antiderivative divided by soc: coefficients b_j / (j + 1)
+        self.ocv_anti = _shared(ocv_b / np.arange(1.0, 1.0 + len(ocv_b))[:, None])
+        self.acdc_a = _shared(np.array([c.acdc_coeffs.a for c in clusters]).T)
+        self.dcdc_a = _shared(np.array([c.dcdc_coeffs.a for c in clusters]).T)
+        self.same_pcs = bool(np.array_equal(self.acdc_a, self.dcdc_a))
+        self.r_sum = self.r_ohm + self.r_pol
+        self.r_ohm4 = 4.0 * self.r_ohm
+        self.rated_tol_w = self.rated * (1.0 + 1e-9)
+        self._dt = None
+        self._dt_consts = ()
+
+    def at_dt(self, dt: float) -> tuple:
+        """Step constants for dt: decay = exp(-dt/tau), coulomb (SoC change
+        per ampere), tau (1 - decay), tau/2 (1 - decay^2), and r_ohm dt,
+        r_pol dt, (r_ohm + r_pol) dt."""
+        if dt != self._dt:
+            decay = np.exp(-dt / self.tau)
+            self._dt_consts = (decay, dt / (3600.0 * self.cap_ah),
+                               self.tau * (1.0 - decay),
+                               (self.tau / 2.0) * (1.0 - decay * decay),
+                               self.r_ohm * dt, self.r_pol * dt,
+                               self.r_sum * dt)
+            self._dt = dt
+        return self._dt_consts
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate per-cluster polynomials; coeffs shape (deg+1, m), low first."""
-    y = np.broadcast_to(coeffs[-1], x.shape).copy()
-    for c in coeffs[-2::-1]:
-        y = y * x + c
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """Evaluate per-cluster polynomials; coeffs shape (deg+1, m) or a list
+    of deg+1 shared coefficients, low order first."""
+    y = x * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        y += c
+        y *= x
+    y += coeffs[0]
     return y
 
 
-def _ocv_antiderivative(coeffs: np.ndarray, soc: np.ndarray) -> np.ndarray:
-    b0, b1, b2, b3 = coeffs
-    return soc * (b0 + soc * (b1 / 2 + soc * (b2 / 3 + soc * b3 / 4)))
+def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
+    """Converter efficiency at load factor lam, kept in [floor, 1]."""
+    eta = _horner(coeffs, lam)
+    np.maximum(eta, PCS_EFFICIENCY_FLOOR, out=eta)
+    return np.minimum(eta, 1.0, out=eta)
 
 
 def _step_arrays(soc, ipol, p_ac_cmd_w, dt, pp: _ParamArrays):
@@ -203,101 +247,115 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, dt, pp: _ParamArrays):
     All inputs broadcast against each other along the last (cluster) axis,
     so a batch of candidate allocations can be evaluated in one call.
 
-    Returns a dict of arrays: next state, per-component energies (Wh),
-    steady/transient loss split, terminal current and a truncation flag.
+    Returns (soc, ipol, current, truncated, E): next state, terminal
+    current (A), the SoC-truncation flag, and the energy stack E of shape
+    (9,) + broadcast shape, in Wh. Its rows, indexed by the module
+    constants of the same names, are E_AC (grid side of the cluster),
+    E_DC (battery port), STORED, ACDC, DCDC, OHMIC, POLARIZATION, and the
+    steady/transient battery loss split SS and TS.
     """
     p_ac = np.asarray(p_ac_cmd_w, dtype=float)
     soc = np.asarray(soc, dtype=float)
     ipol = np.asarray(ipol, dtype=float)
+    (decay, coulomb, tau_1md, tau_half_1md2,
+     r_ohm_dt, r_pol_dt, r_sum_dt) = pp.at_dt(dt)
 
     charging = p_ac >= 0.0
-    lam = np.clip(np.abs(p_ac) / pp.rated_w, 0.0, 1.0)
-    eta_ac = np.clip(_horner(pp.acdc_a, lam), PCS_EFFICIENCY_FLOOR, 1.0)
-    eta_dc = np.clip(_horner(pp.dcdc_a, lam), PCS_EFFICIENCY_FLOOR, 1.0)
+    lam = np.abs(p_ac) / pp.rated
+    np.minimum(lam, 1.0, out=lam)
+    eta_ac = _efficiency(pp.acdc_a, lam)
+    eta_dc = eta_ac if pp.same_pcs else _efficiency(pp.dcdc_a, lam)
     eta2 = eta_ac * eta_dc
 
     # Commanded DC power: conversion losses come off the grid side when
     # charging and are supplied by the battery when discharging.
-    p_dc = np.where(charging, p_ac * eta2, p_ac / eta2)
+    p_dc = p_ac / eta2
+    np.multiply(p_ac, eta2, out=p_dc, where=charging)
 
     # Terminal current from the battery-side power balance
     #   r_ohm * I^2 + (V_oc + r_pol * i_pol) * I = P_dc
     # smaller-magnitude root, sign matching P_dc (stable quadratic form).
     v_oc = pp.n_series * _horner(pp.ocv_b, soc)
     b = v_oc + pp.r_pol * ipol
-    disc = b * b + 4.0 * pp.r_ohm * p_dc
-    if np.any(disc < 0.0):
+    disc = pp.r_ohm4 * p_dc + b * b     # full broadcast shape from here on
+    if disc.min() < 0.0:
         raise InfeasiblePowerError(
             "demanded power exceeds maximum deliverable battery power")
-    current = 2.0 * p_dc / (b + np.sqrt(disc))
+    np.sqrt(disc, out=disc)
+    disc += b
+    current = np.divide(2.0 * p_dc, disc, out=disc)
 
     # SoC bound truncation: largest feasible constant current for the full dt.
-    coulomb = dt / (3600.0 * pp.cap_ah)   # soc change per ampere
-    i_hi = (pp.soc_max - soc) / coulomb
-    i_lo = (pp.soc_min - soc) / coulomb
-    i_clamped = np.clip(current, np.minimum(i_lo, 0.0), np.maximum(i_hi, 0.0))
+    i_lo = np.minimum((pp.soc_min - soc) / coulomb, 0.0)
+    i_hi = np.maximum((pp.soc_max - soc) / coulomb, 0.0)
+    i_clamped = np.maximum(current, i_lo)
+    np.minimum(i_clamped, i_hi, out=i_clamped)
     truncated = i_clamped != current
     current = i_clamped
+    cur2 = current * current
+    cur_dt = current * dt
 
-    soc_new = soc + current * coulomb
+    soc_new = current * coulomb
+    soc_new += soc
 
     # Closed-form RC branch integrals for constant current over the step.
-    decay = np.exp(-dt / pp.tau)
     d0 = ipol - current
-    ipol_new = current + d0 * decay
-    j1 = current * dt + d0 * pp.tau * (1.0 - decay)                  # int i_pol
-    j2 = (current * current * dt
-          + 2.0 * current * d0 * pp.tau * (1.0 - decay)
-          + d0 * d0 * (pp.tau / 2.0) * (1.0 - decay * decay))        # int i_pol^2
+    ipol_new = d0 * decay
+    ipol_new += current
+    d0_tau = d0 * tau_1md
+    j1 = d0_tau + cur_dt                                         # int i_pol
+    j2 = d0 * d0
+    j2 *= tau_half_1md2
+    d0_tau *= current
+    d0_tau *= 2.0
+    j2 += d0_tau
+    j2 += cur2 * dt                                              # int i_pol^2
 
     # Mean OCV over the traversed SoC interval (exact for the cubic fit).
     dsoc = soc_new - soc
-    soc_c = np.clip(soc, 0.0, 1.0)
-    soc_n = np.clip(soc_new, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_mean = np.where(
-            np.abs(dsoc) > 1e-15,
-            pp.n_series * (_ocv_antiderivative(pp.ocv_b, soc_n)
-                           - _ocv_antiderivative(pp.ocv_b, soc_c)) / dsoc,
-            v_oc,
-        )
+    soc_c = np.minimum(np.maximum(soc, 0.0), 1.0)
+    soc_n = np.minimum(np.maximum(soc_new, 0.0), 1.0)
+    anti_n = _horner(pp.ocv_anti, soc_n)
+    anti_n *= soc_n
+    anti_c = _horner(pp.ocv_anti, soc_c)
+    anti_c *= soc_c
+    anti_n -= anti_c
+    anti_n *= pp.n_series
+    moved = np.abs(dsoc) > 1e-15
+    np.divide(anti_n, dsoc, out=anti_n, where=moved)
+    v_mean = np.where(moved, anti_n, v_oc)
 
-    # Energy pieces (J). stored is defined as the residual of the exact
-    # DC-side energy so the ledger closes bit-exactly; physically it equals
-    # chemical energy plus the polarization capacitor energy change.
-    e_ohm = current * current * pp.r_ohm * dt
-    e_pol = pp.r_pol * j2
-    e_rc_in = current * pp.r_pol * j1
-    e_chem = current * v_mean * dt
-    e_dc = e_chem + e_ohm + e_rc_in
-    e_stored = e_dc - e_ohm - e_pol
+    # Energy pieces (J), written straight into the stack. stored is defined
+    # as the residual of the exact DC-side energy so the ledger closes
+    # bit-exactly; physically it equals chemical energy plus the
+    # polarization capacitor energy change.
+    E = np.empty((9,) + current.shape)
+    e_ohm = np.multiply(cur2, r_ohm_dt, out=E[OHMIC])
+    e_pol = np.multiply(pp.r_pol, j2, out=E[POLARIZATION])
+    e_dc = np.multiply(cur_dt, v_mean, out=E[E_DC])
+    e_dc += e_ohm
+    j1 *= current
+    j1 *= pp.r_pol
+    e_dc += j1
+    e_stored = np.subtract(e_dc, e_ohm, out=E[STORED])
+    e_stored -= e_pol
 
     # Converter chain; with signed energies the stage losses are the
     # differences e_ac - e_mid and e_mid - e_dc in both directions, so the
     # ledger closes exactly.
-    e_mid = np.where(charging, e_dc / eta_dc, e_dc * eta_dc)
-    e_dcdc = e_mid - e_dc
-    e_ac = np.where(charging, e_mid / eta_ac, e_mid * eta_ac)
-    e_acdc = e_ac - e_mid
+    e_mid = e_dc * eta_dc
+    np.divide(e_dc, eta_dc, out=e_mid, where=charging)
+    np.subtract(e_mid, e_dc, out=E[DCDC])
+    e_ac = np.multiply(e_mid, eta_ac, out=E[E_AC])
+    np.divide(e_mid, eta_ac, out=e_ac, where=charging)
+    np.subtract(e_ac, e_mid, out=E[ACDC])
 
-    e_ss = current * current * (pp.r_ohm + pp.r_pol) * dt
-    e_ts = e_pol - current * current * pp.r_pol * dt
+    np.multiply(cur2, r_sum_dt, out=E[SS])
+    cur2 *= r_pol_dt
+    np.subtract(e_pol, cur2, out=E[TS])
 
-    return {
-        "soc": soc_new,
-        "ipol": ipol_new,
-        "current_a": current,
-        "truncated": truncated,
-        "e_ac_wh": e_ac * WH_PER_J,
-        "e_dc_wh": e_dc * WH_PER_J,
-        "stored_wh": e_stored * WH_PER_J,
-        "acdc_wh": e_acdc * WH_PER_J,
-        "dcdc_wh": e_dcdc * WH_PER_J,
-        "ohmic_wh": e_ohm * WH_PER_J,
-        "polarization_wh": e_pol * WH_PER_J,
-        "ss_wh": e_ss * WH_PER_J,
-        "ts_wh": e_ts * WH_PER_J,
-    }
+    E *= WH_PER_J
+    return soc_new, ipol_new, current, truncated, E
 
 
 def _step_scalar(soc: float, ipol: float, p_ac: float, dt: float,
@@ -411,23 +469,19 @@ def step_cluster(state: ClusterState, ac_side_power_w: float, dt: float,
     if dt < 0:
         raise DomainError("dt must be non-negative")
     pp = _ParamArrays((p,), soc_min, soc_max)
-    out = _step_arrays(np.array([state.soc]), np.array([state.rc.i_pol]),
-                       np.array([ac_side_power_w]), dt, pp)
+    soc, ipol, _, truncated, E = _step_arrays(
+        np.array([state.soc]), np.array([state.rc.i_pol]),
+        np.array([ac_side_power_w]), dt, pp)
     new_state = ClusterState(
-        soc=float(out["soc"][0]),
-        rc=RcState(i_pol=float(out["ipol"][0]),
-                   t_elapsed=state.rc.t_elapsed + dt),
+        soc=float(soc[0]),
+        rc=RcState(i_pol=float(ipol[0]), t_elapsed=state.rc.t_elapsed + dt),
     )
+    e = E[:, 0].tolist()
     ledger = LossBreakdown(
-        transformer_wh=0.0,
-        acdc_wh=float(out["acdc_wh"][0]),
-        dcdc_wh=float(out["dcdc_wh"][0]),
-        battery_ohmic_wh=float(out["ohmic_wh"][0]),
-        battery_polarization_wh=float(out["polarization_wh"][0]),
-        stored_wh=float(out["stored_wh"][0]),
-        grid_wh=float(out["e_ac_wh"][0]),
-    )
-    return new_state, ledger, bool(out["truncated"][0])
+        transformer_wh=0.0, acdc_wh=e[ACDC], dcdc_wh=e[DCDC],
+        battery_ohmic_wh=e[OHMIC], battery_polarization_wh=e[POLARIZATION],
+        stored_wh=e[STORED], grid_wh=e[E_AC])
+    return new_state, ledger, bool(truncated[0])
 
 
 class Plant:
@@ -493,8 +547,8 @@ class Plant:
         else:
             p_net = 0.0
         targets = k * p_net
-        over = np.abs(targets) > self.params.rated_w * (1.0 + 1e-9)
-        if np.any(over):
+        over = np.abs(targets) > self.params.rated_tol_w
+        if over.any():
             j = int(np.argmax(over))
             raise DomainError(
                 f"allocation infeasible: cluster {j} commanded "
@@ -502,23 +556,31 @@ class Plant:
         return targets, tf_w
 
     def step(self, p_sys_w: float, alloc, dt: float | None = None) -> LossBreakdown:
-        """Advance the whole plant one step and return the step ledger."""
+        """Advance the whole plant one step and return the step ledger.
+
+        Also publishes the step detail as self.last_step_detail, a tuple
+        (totals, cluster0_dc_wh, any_truncated): totals is the list of the
+        nine energy-stack rows of _step_arrays summed over clusters (Wh,
+        indexed by E_AC ... TS, no transformer), cluster0_dc_wh the battery
+        port energy of cluster 0, and any_truncated whether any cluster hit
+        a SoC bound.
+        """
         dt = self.cfg.dt_s if dt is None else dt
         targets, tf_w = self._cluster_targets(p_sys_w, alloc)
-        out = _step_arrays(self.soc, self.ipol, targets, dt, self.params)
-        self.soc = out["soc"]
-        self.ipol = out["ipol"]
+        self.soc, self.ipol, _, truncated, E = _step_arrays(
+            self.soc, self.ipol, targets, dt, self.params)
         self.t_elapsed += dt
-        self.last_truncated = out["truncated"]
+        self.last_truncated = truncated
         tf_wh = tf_w * dt * WH_PER_J
+        totals = E.sum(axis=-1).tolist()
         ledger = LossBreakdown(
             transformer_wh=tf_wh,
-            acdc_wh=float(np.sum(out["acdc_wh"])),
-            dcdc_wh=float(np.sum(out["dcdc_wh"])),
-            battery_ohmic_wh=float(np.sum(out["ohmic_wh"])),
-            battery_polarization_wh=float(np.sum(out["polarization_wh"])),
-            stored_wh=float(np.sum(out["stored_wh"])),
-            grid_wh=float(np.sum(out["e_ac_wh"])) + tf_wh,
+            acdc_wh=totals[ACDC],
+            dcdc_wh=totals[DCDC],
+            battery_ohmic_wh=totals[OHMIC],
+            battery_polarization_wh=totals[POLARIZATION],
+            stored_wh=totals[STORED],
+            grid_wh=totals[E_AC] + tf_wh,
         )
         self.cumulative.accumulate(ledger)
         scale = max(abs(ledger.grid_wh), abs(ledger.stored_wh),
@@ -526,7 +588,8 @@ class Plant:
         rel = abs(ledger.balance_residual_wh()) / scale
         if rel > self.max_balance_residual_rel:
             self.max_balance_residual_rel = rel
-        self._last_step_detail = out
+        self.last_step_detail = (totals, float(E[E_DC, 0]),
+                                 bool(truncated.any()))
         return ledger
 
     def is_uniform(self) -> bool:
@@ -601,18 +664,19 @@ class Plant:
         else:
             p_net = 0.0
         targets = K * p_net
-        infeasible = np.any(np.abs(targets) > self.params.rated_w * (1.0 + 1e-9),
-                            axis=-1)
-        safe_targets = np.where(np.abs(targets) > self.params.rated_w,
-                                np.sign(targets) * self.params.rated_w, targets)
-        out = _step_arrays(self.soc, self.ipol, safe_targets, dt, self.params)
+        rated = self.params.rated
+        infeasible = (np.abs(targets) > self.params.rated_tol_w).any(axis=-1)
+        # clamp to the rating so infeasible rows still step (scored -inf)
+        safe_targets = np.minimum(targets, rated)
+        np.maximum(safe_targets, -rated, out=safe_targets)
+        E = _step_arrays(self.soc, self.ipol, safe_targets, dt, self.params)[4]
         if p_sys_w >= 0:
-            fitness = np.sum(out["stored_wh"], axis=-1)
+            fitness = E[STORED].sum(axis=-1)
         else:
-            delivered = -np.sum(out["e_ac_wh"], axis=-1)
-            drawn = -np.sum(out["stored_wh"], axis=-1)
+            delivered = -E[E_AC].sum(axis=-1)
+            drawn = -E[STORED].sum(axis=-1)
             fitness = 2.0 * delivered - drawn
-        fitness = np.where(infeasible, -np.inf, fitness)
+        fitness[infeasible] = -np.inf
         return fitness
 
     def snapshot(self) -> dict:

@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocator import PsoParams, balanced_allocation, pso_allocate, repair
+from .allocator import PsoParams, pso_allocate, repair
 from .errors import DomainError
 from .losses import transformer_loss
-from .plant import Plant
+from .plant import E_AC, SS, TS, Plant
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
@@ -191,7 +191,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
                          trunc, alloc_rows, plant)
 
     for i in range(n):
-        mean_soc = float(plant.soc.mean())
+        mean_soc = float(plant.soc.sum()) / m
         p = 0.0
         if kinds[i] == 1 and mean_soc < soc_max:
             p = min(max(refs[i] - load[i], 0.0), power_depth_w)
@@ -200,16 +200,19 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         demand[i] = p
 
         blocked = plant.blocked_mask(p)
-        if bool(np.all(blocked)):
+        if blocked.all():
             p = 0.0
             blocked = plant.blocked_mask(p)
-        avail = float(np.sum(plant.params.rated_w[~blocked]))
+        avail = float(plant.params.rated_w[~blocked].sum())
         p = _cap_to_plant(p, avail)
         demand[i] = p
         p_net = plant.net_cluster_power(p)
         max_share = plant.params.rated_w / abs(p_net) if p_net != 0.0 else None
         if alloc_mode == "balanced" or p == 0.0:
-            k = repair(balanced_allocation(blocked).k, blocked, max_share)
+            # equal shares over the free clusters, as balanced_allocation
+            # gives them; repair renormalises and applies the caps
+            free = ~blocked
+            k = repair(free / np.count_nonzero(free), blocked, max_share)
         else:
             if k_current is None or i % cadence_steps == 0:
                 params = replace(pso_params, rng_seed=pso_params.rng_seed + i)
@@ -218,7 +221,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
             k = repair(k_current, blocked, max_share)
 
         ledger = plant.step(p, k, dt)
-        out = plant._last_step_detail
+        totals, e_dc0, trunc[i] = plant.last_step_detail
         grid[i] = ledger.grid_wh
         stored[i] = ledger.stored_wh
         tfmr[i] = ledger.transformer_wh
@@ -226,11 +229,10 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         dcdc[i] = ledger.dcdc_wh
         ohmic[i] = ledger.battery_ohmic_wh
         pol[i] = ledger.battery_polarization_wh
-        ss[i] = float(np.sum(out["ss_wh"]))
-        ts[i] = float(np.sum(out["ts_wh"]))
-        delivered[i] = float(np.sum(out["e_ac_wh"])) / step_h
-        clu0[i] = float(out["e_dc_wh"][0]) / step_h
-        trunc[i] = bool(np.any(out["truncated"]))
+        ss[i] = totals[SS]
+        ts[i] = totals[TS]
+        delivered[i] = totals[E_AC] / step_h
+        clu0[i] = e_dc0 / step_h
         if record_alloc:
             alloc_rows[i] = k
 

@@ -66,6 +66,31 @@ class TestParseConfig:
             parse_config({"load": {"source": "csv", "csv_path": "/nope.csv"}})
         assert e.value.field == "load.csv_path"
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("load", "seed", -1), ("load", "seed", "7"), ("load", "seed", 1.5),
+        ("allocator.pso", "particles", 2.9), ("allocator.pso", "particles", "7"),
+        ("allocator.pso", "rng_seed", True), ("plant", "n_clusters", "4"),
+        ("plant.cluster", "n_series", 200.5), ("load.synth", "days", 1.5),
+    ])
+    def test_bad_integer_field_rejected_with_its_name(self, section, key,
+                                                       value):
+        doc = base_doc()
+        node = doc
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert e.value.field == f"{section}.{key}"
+
+    def test_integral_float_accepted_for_integer_field(self):
+        doc = base_doc()
+        doc["allocator"]["pso"]["particles"] = 6.0
+        doc["load"]["seed"] = 3.0
+        cfg = parse_config(doc)
+        assert cfg.allocator.pso.particles == 6
+        assert type(cfg.load.seed) is int and cfg.load.seed == 3
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -120,6 +145,19 @@ class TestGenLoadCommand:
         assert a != b
         manifest = json.load(open(os.path.join(out_b, "manifest.json")))
         assert manifest["seed"] == 99
+
+    def test_negative_seed_exits_2_with_json_error(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["load"]["seed"] = -1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["gen-load", "--config", str(path),
+                     "--output", str(outdir)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "load.seed"
+        assert not outdir.exists()
 
     def test_env_var_output_dir(self, cfg_path, tmp_path, monkeypatch):
         outdir = str(tmp_path / "envout")

@@ -1,21 +1,36 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bessim.errors import ConfigError, DomainError, InfeasiblePowerError
-from bessim.losses import TransformerParams
+from bessim.losses import PcsEfficiencyCoeffs, TransformerParams
 from bessim.plant import (
+    ACDC,
+    DCDC,
+    E_AC,
+    OHMIC,
+    POLARIZATION,
+    STORED,
     ClusterParams,
     ClusterState,
     LossBreakdown,
     Plant,
+    PlantConfig,
     build_plant,
     cluster_current_from_power,
     step_cluster,
     step_plant,
     uniform_plant_config,
+    _ParamArrays,
+    _step_arrays,
+    _step_scalar,
 )
+from bessim.profiles import SynthLoadSpec, synth_load
+from bessim.simulate import run_simulation
 
 
 class TestClusterAggregates:
@@ -221,3 +236,155 @@ class TestPlant:
             assert lb.stored_wh == pytest.approx(la.stored_wh, rel=1e-12)
             assert lb.total_loss_wh == pytest.approx(la.total_loss_wh, rel=1e-12)
             assert np.allclose(a.soc, b.soc)
+
+
+class TestGeneralPathMatchesFastPath:
+    """A uniform plant runs the scalar fast path; changing only the metadata
+    field dc_bus_voltage_v on one cluster leaves the physics unchanged but
+    makes the plant non-identical, so the same run takes the general
+    per-cluster path. Both must produce the same per-step traces."""
+
+    TRACES_WH = ("grid_wh", "stored_wh", "transformer_wh", "acdc_wh",
+                 "dcdc_wh", "ohmic_wh", "polarization_wh", "ss_wh", "ts_wh")
+    TRACES_W = ("delivered_w", "cluster0_dc_w")
+
+    @pytest.mark.parametrize("initial_soc", [0.1, 0.9])
+    def test_multi_day_traces_agree(self, initial_soc):
+        spec = SynthLoadSpec(days=4, dt_s=300.0, base_w=1.2e6,
+                             valley_depth_w=0.3e6, valley_sigma_h=1.5,
+                             morning_peak_w=0.0, evening_peak_w=0.3e6,
+                             evening_sigma_h=0.8, noise_rel=0.003,
+                             day_jitter=0.02)
+        profile = synth_load(spec, 5)
+        c = ClusterParams()
+        relabelled = dataclasses.replace(
+            c, dc_bus_voltage_v=c.dc_bus_voltage_v + 1.0)
+        fast = Plant(PlantConfig(clusters=(c,) * 4, dt_s=300.0,
+                                 initial_soc=initial_soc))
+        general = Plant(PlantConfig(clusters=(c,) * 3 + (relabelled,),
+                                    dt_s=300.0, initial_soc=initial_soc))
+        assert fast.is_uniform() and not general.is_uniform()
+        rf = run_simulation(fast, profile, 200e3, 800e3)
+        rg = run_simulation(general, profile, 200e3, 800e3)
+
+        tol_wh = 1e-12 * np.abs(rf.grid_wh)
+        assert np.all(tol_wh > 0)
+        for name in self.TRACES_WH:
+            diff = np.abs(getattr(rf, name) - getattr(rg, name))
+            assert np.all(diff <= tol_wh), name
+        step_h = rf.dt_s / 3600.0
+        for name in self.TRACES_W:
+            diff = np.abs(getattr(rf, name) - getattr(rg, name)) * step_h
+            assert np.all(diff <= tol_wh), name
+        assert np.array_equal(rf.truncated, rg.truncated)
+        assert np.count_nonzero(rf.demand_w) > 0
+        assert np.array_equal(fast.soc, general.soc)
+
+
+def _hetero_plant():
+    plant = build_plant(uniform_plant_config(3))
+    plant.soc = np.array([0.4, 0.5, 0.6])
+    plant.ipol = np.array([1.0, -2.0, 0.5])
+    return plant
+
+
+class TestStepConstantsFollowDt:
+    """The dt-dependent step constants are cached per plant; a step at
+    another dt must recompute them, bit for bit as a fresh plant would."""
+
+    DTS = ((60.0, 90_000.0), (300.0, -60_000.0), (60.0, 40_000.0))
+
+    def test_step(self):
+        plant = _hetero_plant()
+        k = np.array([0.2, 0.3, 0.5])
+        for dt, p in self.DTS:
+            fresh = _hetero_plant()
+            fresh.soc, fresh.ipol = plant.soc.copy(), plant.ipol.copy()
+            expect = fresh.step(p, k, dt=dt)
+            assert plant.step(p, k, dt=dt) == expect
+            assert np.array_equal(plant.soc, fresh.soc)
+            assert np.array_equal(plant.ipol, fresh.ipol)
+            assert plant.last_step_detail == fresh.last_step_detail
+
+    def test_evaluate_allocations(self):
+        plant = _hetero_plant()
+        K = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5]])
+        for dt, p in self.DTS:
+            expect = _hetero_plant().evaluate_allocations(p, K, dt=dt)
+            assert np.array_equal(plant.evaluate_allocations(p, K, dt=dt),
+                                  expect)
+
+
+SOC_MIN, SOC_MAX = 0.03, 0.97
+# the third kind has its own DC/DC efficiency curve, so batches mixing it
+# in step the AC/DC and DC/DC stages with different coefficient tables
+CLUSTER_KINDS = (ClusterParams(),
+                 ClusterParams(n_parallel=20, rated_power_w=40_000.0),
+                 ClusterParams(dcdc_coeffs=PcsEfficiencyCoeffs(
+                     (0.80, 0.7955, -2.073, 2.137, -0.8137))))
+
+
+@st.composite
+def step_batches(draw):
+    """(n, m) batches of cluster states and commands within the ratings."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(CLUSTER_KINDS), min_size=m,
+                          max_size=m))
+    pp = _ParamArrays(tuple(kinds), SOC_MIN, SOC_MAX)
+
+    def grid(elements):
+        values = draw(st.lists(elements, min_size=n * m, max_size=n * m))
+        return np.array(values, dtype=float).reshape(n, m)
+
+    soc = grid(st.one_of(st.sampled_from([SOC_MIN, SOC_MAX]),
+                         st.floats(SOC_MIN, SOC_MAX)))
+    ipol = grid(st.floats(-150.0, 150.0))
+    p_ac = grid(st.floats(-1.0, 1.0)) * pp.rated_w
+    dt = draw(st.floats(1.0, 3600.0))
+    return soc, ipol, p_ac, dt, pp, kinds
+
+
+class TestStepArraysProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(step_batches())
+    def test_ledger_closes_and_rows_match_single_steps(self, batch):
+        soc, ipol, p_ac, dt, pp, _ = batch
+        soc_new, ipol_new, current, truncated, E = _step_arrays(
+            soc, ipol, p_ac, dt, pp)
+        assert E.shape == (9,) + soc.shape
+
+        losses = E[ACDC] + E[DCDC] + E[OHMIC] + E[POLARIZATION]
+        residual = E[E_AC] - E[STORED] - losses
+        scale = np.maximum.reduce([np.abs(E[E_AC]), np.abs(E[STORED]),
+                                   np.abs(losses), np.full(soc.shape, 1e-30)])
+        assert np.all(np.abs(residual) <= 1e-9 * scale)
+        assert np.all(soc_new >= SOC_MIN - 1e-12)
+        assert np.all(soc_new <= SOC_MAX + 1e-12)
+
+        for r in range(soc.shape[0]):
+            row = _step_arrays(soc[r], ipol[r], p_ac[r], dt, pp)
+            for got, want in zip((soc_new[r], ipol_new[r], current[r],
+                                  truncated[r], E[:, r]), row):
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_batches())
+    def test_matches_scalar_twin(self, batch):
+        soc, ipol, p_ac, dt, pp, kinds = batch
+        soc_new, ipol_new, current, truncated, E = _step_arrays(
+            soc, ipol, p_ac, dt, pp)
+        for (r, j), s0 in np.ndenumerate(soc):
+            want = _step_scalar(s0, ipol[r, j], p_ac[r, j], dt, kinds[j],
+                                SOC_MIN, SOC_MAX)
+            # same formulas and clamping order: the state update is exact
+            # up to exp(), the energies to rounding of the regrouped terms
+            assert soc_new[r, j] == want[0]
+            assert current[r, j] == want[2]
+            assert truncated[r, j] == want[3]
+            assert ipol_new[r, j] == pytest.approx(want[1], rel=1e-14,
+                                                   abs=1e-12)
+            energies = E[:, r, j]
+            scale = max(np.abs(energies).max(), 1e-30)
+            assert np.allclose(energies, want[4:], rtol=0.0,
+                               atol=1e-12 * scale)
