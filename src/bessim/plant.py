@@ -201,7 +201,6 @@ class _ParamArrays:
         self.ocv_anti = _shared(ocv_b / np.arange(1.0, 1.0 + len(ocv_b))[:, None])
         self.acdc_a = _shared(np.array([c.acdc_coeffs.a for c in clusters]).T)
         self.dcdc_a = _shared(np.array([c.dcdc_coeffs.a for c in clusters]).T)
-        self.same_pcs = bool(np.array_equal(self.acdc_a, self.dcdc_a))
         self.r_sum = self.r_ohm + self.r_pol
         self.r_ohm4 = 4.0 * self.r_ohm
         self.rated_tol_w = self.rated * (1.0 + 1e-9)
@@ -264,7 +263,7 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, dt, pp: _ParamArrays):
     lam = np.abs(p_ac) / pp.rated
     np.minimum(lam, 1.0, out=lam)
     eta_ac = _efficiency(pp.acdc_a, lam)
-    eta_dc = eta_ac if pp.same_pcs else _efficiency(pp.dcdc_a, lam)
+    eta_dc = _efficiency(pp.dcdc_a, lam)
     eta2 = eta_ac * eta_dc
 
     # Commanded DC power: conversion losses come off the grid side when
