@@ -37,10 +37,8 @@ from .plant import (
     LossBreakdown,
     Plant,
     PlantConfig,
-    build_plant,
     cluster_current_from_power,
     step_cluster,
-    step_plant,
     uniform_plant_config,
 )
 from .scheduler import (

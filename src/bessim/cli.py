@@ -10,8 +10,8 @@ Subcommands:
 
 Every output file is written atomically (temp file + rename) together
 with a run manifest carrying the configuration hash, seed and package
-version. Errors are emitted as one JSON object on stderr; configuration
-errors exit with status 2, runtime errors with 1.
+version. Every error, whatever its type, is emitted as one JSON object on
+stderr; configuration errors exit with status 2, all others with 1.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .allocator import allocation_matrix_csv
 from .config import RunConfig, load_config, parse_config
-from .errors import BessimError, ConfigError
+from .errors import ConfigError
 from .plant import Plant
 from .profiles import load_profile_from_csv, load_profile_to_csv, synth_load
 from .scheduler import (
@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BessimError as exc:
+    except Exception as exc:   # every failure leaves as one JSON error object
         return _emit_error(exc)
 
 

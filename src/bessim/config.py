@@ -8,12 +8,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 from .allocator import PsoParams
 from .errors import ConfigError, DomainError
-from .losses import CellParams, OcvCoeffs, PcsEfficiencyCoeffs, TransformerParams
+from .losses import (
+    DEFAULT_OCV_COEFFS,
+    DEFAULT_PCS_COEFFS,
+    CellParams,
+    OcvCoeffs,
+    PcsEfficiencyCoeffs,
+    TransformerParams,
+)
 from .plant import ClusterParams, PlantConfig, uniform_plant_config
 from .profiles import SynthLoadSpec
 
@@ -115,22 +123,55 @@ def _get_int(d: dict, key: str, default: int, name: str) -> int:
     return int(raw)
 
 
+def _finite(raw, name: str) -> float:
+    """raw as a float when it is a finite JSON number; otherwise a
+    ConfigError naming the dotted field. Strings and booleans are rejected
+    rather than coerced, and so are NaN and the infinities."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:           # an integer beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ConfigError(name, f"must be a finite number, got {raw!r}")
+
+
+def _get_float(d: dict, key: str, default: float, name: str) -> float:
+    """A float field: any finite JSON number (see _finite)."""
+    return _finite(_get(d, key, default), name)
+
+
+def _get_floats(d: dict, key: str, default: tuple, name: str) -> tuple:
+    """A coefficient list: a JSON array of finite numbers, each checked
+    like a float field and named by its index."""
+    raw = _get(d, key, default)
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(name, f"must be a list of numbers, got {raw!r}")
+    return tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(raw))
+
+
+def _numbers(cls, d: dict, prefix: str, **defaults) -> dict:
+    """Keyword arguments for the integer and float fields of dataclass cls
+    from its config section d. Defaults come from the dataclass unless
+    given here; integer fields go through _get_int, float fields through
+    _get_float, and each error names the field as prefix.name."""
+    kwargs = {}
+    for f in fields(cls):
+        default = defaults.get(f.name, f.default)
+        name = f"{prefix}.{f.name}"
+        if isinstance(default, bool) or not isinstance(default, (int, float)):
+            continue
+        get = _get_int if isinstance(default, int) else _get_float
+        kwargs[f.name] = get(d, f.name, default, name)
+    return kwargs
+
+
 def _build_pso(d: dict) -> PsoParams:
     """PsoParams from its config section; defaults and types come from the
     dataclass, and every rejection names the dotted field."""
-    kwargs = {}
-    for f in fields(PsoParams):
-        name = f"allocator.pso.{f.name}"
-        if isinstance(f.default, int):
-            kwargs[f.name] = _get_int(d, f.name, f.default, name)
-            continue
-        raw = _get(d, f.name, f.default)
-        try:
-            kwargs[f.name] = float(raw)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(name, f"must be a finite number, got {raw!r}") from None
     try:
-        return PsoParams(**kwargs)
+        return PsoParams(**_numbers(PsoParams, d, "allocator.pso"))
     except DomainError as exc:
         raise ConfigError(f"allocator.pso.{exc.field}", str(exc)) from None
 
@@ -138,25 +179,16 @@ def _build_pso(d: dict) -> PsoParams:
 def _build_cluster(d: dict) -> ClusterParams:
     cell_d = _get(d, "cell", {})
     cell = CellParams(
-        r_ohm=_get(cell_d, "r_ohm", 0.0232),
-        r_pol=_get(cell_d, "r_pol", 0.0185),
-        c_pol=_get(cell_d, "c_pol", 12091.0),
-        capacity_ah=_get(cell_d, "capacity_ah", 12.5),
-        ocv=OcvCoeffs(tuple(_get(cell_d, "ocv_coeffs",
-                                 (2.484, 2.608, -5.252, 3.603)))),
-    )
+        ocv=OcvCoeffs(_get_floats(cell_d, "ocv_coeffs", DEFAULT_OCV_COEFFS,
+                                  "plant.cluster.cell.ocv_coeffs")),
+        **_numbers(CellParams, cell_d, "plant.cluster.cell"))
     return ClusterParams(
         cell=cell,
-        n_series=_get_int(d, "n_series", 200, "plant.cluster.n_series"),
-        n_parallel=_get_int(d, "n_parallel", 24, "plant.cluster.n_parallel"),
-        rated_power_w=_get(d, "rated_power_w", 50_000.0),
-        rated_energy_wh=_get(d, "rated_energy_wh", 200_000.0),
-        dc_bus_voltage_v=_get(d, "dc_bus_voltage_v", 700.0),
-        dcdc_coeffs=PcsEfficiencyCoeffs(tuple(_get(
-            d, "dcdc_coeffs", (0.7868, 0.7955, -2.073, 2.137, -0.8137)))),
-        acdc_coeffs=PcsEfficiencyCoeffs(tuple(_get(
-            d, "acdc_coeffs", (0.7868, 0.7955, -2.073, 2.137, -0.8137)))),
-    )
+        dcdc_coeffs=PcsEfficiencyCoeffs(_get_floats(
+            d, "dcdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.dcdc_coeffs")),
+        acdc_coeffs=PcsEfficiencyCoeffs(_get_floats(
+            d, "acdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.acdc_coeffs")),
+        **_numbers(ClusterParams, d, "plant.cluster"))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -167,62 +199,32 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
     plant_d = _get(doc, "plant", {})
-    tf_d = _get(plant_d, "transformer", {})
-    transformer = TransformerParams(
-        no_load_loss_w=_get(tf_d, "no_load_loss_w", 5_000.0),
-        rated_load_loss_w=_get(tf_d, "rated_load_loss_w", 35_000.0),
-        rated_power_w=_get(tf_d, "rated_power_w", 6_300_000.0),
-    )
+    transformer = TransformerParams(**_numbers(
+        TransformerParams, _get(plant_d, "transformer", {}),
+        "plant.transformer"))
     plant = uniform_plant_config(
         _get_int(plant_d, "n_clusters", 100, "plant.n_clusters"),
         _build_cluster(_get(plant_d, "cluster", {})),
         transformer=transformer,
-        dt_s=float(_get(plant_d, "dt_s", 60.0)),
-        soc_min=float(_get(plant_d, "soc_min", 0.03)),
-        soc_max=float(_get(plant_d, "soc_max", 0.97)),
-        initial_soc=float(_get(plant_d, "initial_soc", 0.5)),
-    )
+        **_numbers(PlantConfig, plant_d, "plant"))
     sched_d = _get(doc, "schedule", {})
     schedule = ScheduleConfig(
-        power_depth_w=float(_get(sched_d, "power_depth_w", 5e6)),
-        rated_energy_wh=float(_get(sched_d, "rated_energy_wh", 10e6)),
         method=_get(sched_d, "method", "improved"),
-        initial_plan_energy_wh=float(_get(sched_d, "initial_plan_energy_wh", 0.0)),
-    )
+        **_numbers(ScheduleConfig, sched_d, "schedule"))
     alloc_d = _get(doc, "allocator", {})
-    pso_d = _get(alloc_d, "pso", {})
     allocator = AllocatorConfig(
         mode=_get(alloc_d, "mode", "balanced"),
-        cadence_s=float(_get(alloc_d, "cadence_s", 900.0)),
-        pso=_build_pso(pso_d),
-    )
+        pso=_build_pso(_get(alloc_d, "pso", {})),
+        **_numbers(AllocatorConfig, alloc_d, "allocator"))
     load_d = _get(doc, "load", {})
-    synth_d = _get(load_d, "synth", {})
-    synth = SynthLoadSpec(
-        base_w=float(_get(synth_d, "base_w", 30e6)),
-        valley_depth_w=float(_get(synth_d, "valley_depth_w", 9e6)),
-        valley_hour=float(_get(synth_d, "valley_hour", 3.5)),
-        valley_sigma_h=float(_get(synth_d, "valley_sigma_h", 3.0)),
-        morning_peak_w=float(_get(synth_d, "morning_peak_w", 2.5e6)),
-        morning_hour=float(_get(synth_d, "morning_hour", 10.5)),
-        morning_sigma_h=float(_get(synth_d, "morning_sigma_h", 1.5)),
-        evening_peak_w=float(_get(synth_d, "evening_peak_w", 6e6)),
-        evening_hour=float(_get(synth_d, "evening_hour", 19.5)),
-        evening_sigma_h=float(_get(synth_d, "evening_sigma_h", 1.2)),
-        noise_rel=float(_get(synth_d, "noise_rel", 0.01)),
-        noise_ar1=float(_get(synth_d, "noise_ar1", 0.8)),
-        day_jitter=float(_get(synth_d, "day_jitter", 0.08)),
-        weekend_factor=float(_get(synth_d, "weekend_factor", 0.93)),
-        seasonal_amplitude=float(_get(synth_d, "seasonal_amplitude", 0.05)),
-        dt_s=float(_get(synth_d, "dt_s", _get(plant_d, "dt_s", 60.0))),
-        days=_get_int(synth_d, "days", 1, "load.synth.days"),
-    )
+    synth = SynthLoadSpec(**_numbers(
+        SynthLoadSpec, _get(load_d, "synth", {}), "load.synth",
+        dt_s=plant.dt_s))
     load = LoadConfig(
         source=_get(load_d, "source", "synthetic"),
         csv_path=_get(load_d, "csv_path", None),
         synth=synth,
-        seed=_get_int(load_d, "seed", 1, "load.seed"),
-    )
+        **_numbers(LoadConfig, load_d, "load"))
     out_d = _get(doc, "output", {})
     output = OutputConfig(
         dir=_get(out_d, "dir", "out"),

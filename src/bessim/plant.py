@@ -177,7 +177,7 @@ class _ParamArrays:
     reads are shared scalars where every cluster agrees (see _shared).
     Also holds the step constants: the dt-independent ones are built here,
     the dt-dependent ones by at_dt, which keeps them until a step asks for
-    another dt.
+    another dt; scalar_at_dt does the same for the scalar kernel.
     """
 
     def __init__(self, clusters: tuple[ClusterParams, ...],
@@ -206,6 +206,8 @@ class _ParamArrays:
         self.rated_tol_w = self.rated * (1.0 + 1e-9)
         self._dt = None
         self._dt_consts = ()
+        self._scalar_dt = None
+        self._scalar_step = None
 
     def at_dt(self, dt: float) -> tuple:
         """Step constants for dt: decay = exp(-dt/tau), coulomb (SoC change
@@ -220,6 +222,14 @@ class _ParamArrays:
                                self.r_sum * dt)
             self._dt = dt
         return self._dt_consts
+
+    def scalar_at_dt(self, dt: float):
+        """The scalar step kernel for dt (see _scalar_kernel), kept until
+        another dt is asked for. Only for plants of identical clusters."""
+        if dt != self._scalar_dt:
+            self._scalar_step = _scalar_kernel(self, dt)
+            self._scalar_dt = dt
+        return self._scalar_step
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -357,85 +367,105 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, dt, pp: _ParamArrays):
     return soc_new, ipol_new, current, truncated, E
 
 
-def _step_scalar(soc: float, ipol: float, p_ac: float, dt: float,
-                 p: ClusterParams, soc_min: float, soc_max: float) -> tuple:
-    """Pure-scalar twin of _step_arrays for one cluster (hot-loop fast path).
+def _scalar_kernel(pp: _ParamArrays, dt: float):
+    """One-cluster step kernel on Python floats, for a plant whose clusters
+    all share their constants (pp.identical, or one cluster).
 
-    Same formulas and clamping order; used when every cluster of the plant
-    carries an identical share of an identical state, so one evaluation
-    stands for all of them.
-
-    Returns (soc', ipol', current, truncated, e_ac, e_dc, stored, acdc,
-    dcdc, ohmic, polarization, ss, ts) with energies in Wh.
+    Builds every constant that depends only on the cluster and dt once and
+    returns step(soc, ipol, p_ac) -> (soc', ipol', current, truncated,
+    e_ac, e_dc, stored, acdc, dcdc, ohmic, polarization, ss, ts), energies
+    in Wh. Same formulas and clamping order as _step_arrays; one call
+    stands for every cluster of a uniform plant under a balanced split.
     """
-    a0, a1, a2, a3, a4 = p.acdc_coeffs.a
-    d0_, d1, d2, d3, d4 = p.dcdc_coeffs.a
-    b0, b1, b2, b3 = p.cell.ocv.b
-    r_ohm, r_pol, tau = p.r_ohm_agg, p.r_pol_agg, p.time_constant_s
-
-    charging = p_ac >= 0.0
-    lam = abs(p_ac) / p.rated_power_w
-    if lam > 1.0:
-        lam = 1.0
-    eta_ac = a0 + lam * (a1 + lam * (a2 + lam * (a3 + lam * a4)))
-    eta_dc = d0_ + lam * (d1 + lam * (d2 + lam * (d3 + lam * d4)))
-    eta_ac = min(max(eta_ac, PCS_EFFICIENCY_FLOOR), 1.0)
-    eta_dc = min(max(eta_dc, PCS_EFFICIENCY_FLOOR), 1.0)
-    eta2 = eta_ac * eta_dc
-    p_dc = p_ac * eta2 if charging else p_ac / eta2
-
-    v_oc = p.n_series * (b0 + soc * (b1 + soc * (b2 + soc * b3)))
-    b = v_oc + r_pol * ipol
-    disc = b * b + 4.0 * r_ohm * p_dc
-    if disc < 0.0:
-        raise InfeasiblePowerError(
-            "demanded power exceeds maximum deliverable battery power")
-    current = 2.0 * p_dc / (b + math.sqrt(disc))
-
-    coulomb = dt / (3600.0 * p.capacity_agg_ah)
-    i_hi = (soc_max - soc) / coulomb
-    i_lo = (soc_min - soc) / coulomb
-    i_clamped = min(max(current, min(i_lo, 0.0)), max(i_hi, 0.0))
-    truncated = i_clamped != current
-    current = i_clamped
-
-    soc_new = soc + current * coulomb
+    a0, a1, a2, a3, a4 = pp.acdc_a
+    c0, c1, c2, c3, c4 = pp.dcdc_a
+    b0, b1, b2, b3 = pp.ocv_b
+    b1_2, b2_3 = b1 / 2, b2 / 3
+    rated, n_series = pp.rated, pp.n_series
+    r_ohm, r_pol, r_ohm4, r_sum = pp.r_ohm, pp.r_pol, pp.r_ohm4, pp.r_sum
+    soc_min, soc_max = pp.soc_min, pp.soc_max
+    tau = pp.tau
+    coulomb = dt / (3600.0 * pp.cap_ah)
     decay = math.exp(-dt / tau)
-    d0 = ipol - current
-    ipol_new = current + d0 * decay
-    j1 = current * dt + d0 * tau * (1.0 - decay)
-    j2 = (current * current * dt + 2.0 * current * d0 * tau * (1.0 - decay)
-          + d0 * d0 * (tau / 2.0) * (1.0 - decay * decay))
-
-    dsoc = soc_new - soc
-    if abs(dsoc) > 1e-15:
-        sc = min(max(soc, 0.0), 1.0)
-        sn = min(max(soc_new, 0.0), 1.0)
-        anti_c = sc * (b0 + sc * (b1 / 2 + sc * (b2 / 3 + sc * b3 / 4)))
-        anti_n = sn * (b0 + sn * (b1 / 2 + sn * (b2 / 3 + sn * b3 / 4)))
-        v_mean = p.n_series * (anti_n - anti_c) / dsoc
-    else:
-        v_mean = v_oc
-
-    e_ohm = current * current * r_ohm * dt
-    e_pol = r_pol * j2
-    e_dc = current * v_mean * dt + e_ohm + current * r_pol * j1
-    e_stored = e_dc - e_ohm - e_pol
-    if charging:
-        e_mid = e_dc / eta_dc
-        e_ac = e_mid / eta_ac
-    else:
-        e_mid = e_dc * eta_dc
-        e_ac = e_mid * eta_ac
-    e_acdc = e_ac - e_mid
-    e_dcdc = e_mid - e_dc
-    e_ss = current * current * (r_ohm + r_pol) * dt
-    e_ts = e_pol - current * current * r_pol * dt
-
+    one_m_decay = 1.0 - decay
+    tau_half = tau / 2.0
+    one_m_decay2 = 1.0 - decay * decay
+    floor = PCS_EFFICIENCY_FLOOR
+    sqrt = math.sqrt
     w = WH_PER_J
-    return (soc_new, ipol_new, current, truncated, e_ac * w, e_dc * w,
-            e_stored * w, e_acdc * w, e_dcdc * w, e_ohm * w, e_pol * w,
-            e_ss * w, e_ts * w)
+
+    def step(soc: float, ipol: float, p_ac: float) -> tuple:
+        charging = p_ac >= 0.0
+        lam = abs(p_ac) / rated
+        if lam > 1.0:
+            lam = 1.0
+        eta_ac = a0 + lam * (a1 + lam * (a2 + lam * (a3 + lam * a4)))
+        if eta_ac < floor:
+            eta_ac = floor
+        elif eta_ac > 1.0:
+            eta_ac = 1.0
+        eta_dc = c0 + lam * (c1 + lam * (c2 + lam * (c3 + lam * c4)))
+        if eta_dc < floor:
+            eta_dc = floor
+        elif eta_dc > 1.0:
+            eta_dc = 1.0
+        eta2 = eta_ac * eta_dc
+        p_dc = p_ac * eta2 if charging else p_ac / eta2
+
+        v_oc = n_series * (b0 + soc * (b1 + soc * (b2 + soc * b3)))
+        b = v_oc + r_pol * ipol
+        disc = b * b + r_ohm4 * p_dc
+        if disc < 0.0:
+            raise InfeasiblePowerError(
+                "demanded power exceeds maximum deliverable battery power")
+        current = 2.0 * p_dc / (b + sqrt(disc))
+
+        i_lo = (soc_min - soc) / coulomb
+        if i_lo > 0.0:
+            i_lo = 0.0
+        i_hi = (soc_max - soc) / coulomb
+        if i_hi < 0.0:
+            i_hi = 0.0
+        i_clamped = i_lo if current < i_lo else current
+        if i_clamped > i_hi:
+            i_clamped = i_hi
+        truncated = i_clamped != current
+        current = i_clamped
+        cur2 = current * current
+
+        soc_new = soc + current * coulomb
+        d0 = ipol - current
+        ipol_new = current + d0 * decay
+        j1 = current * dt + d0 * tau * one_m_decay
+        j2 = (cur2 * dt + 2.0 * current * d0 * tau * one_m_decay
+              + d0 * d0 * tau_half * one_m_decay2)
+
+        dsoc = soc_new - soc
+        if abs(dsoc) > 1e-15:
+            sc = 0.0 if soc < 0.0 else 1.0 if soc > 1.0 else soc
+            sn = 0.0 if soc_new < 0.0 else 1.0 if soc_new > 1.0 else soc_new
+            anti_c = sc * (b0 + sc * (b1_2 + sc * (b2_3 + sc * b3 / 4)))
+            anti_n = sn * (b0 + sn * (b1_2 + sn * (b2_3 + sn * b3 / 4)))
+            v_mean = n_series * (anti_n - anti_c) / dsoc
+        else:
+            v_mean = v_oc
+
+        e_ohm = cur2 * r_ohm * dt
+        e_pol = r_pol * j2
+        e_dc = current * v_mean * dt + e_ohm + current * r_pol * j1
+        e_stored = e_dc - e_ohm - e_pol
+        if charging:
+            e_mid = e_dc / eta_dc
+            e_ac = e_mid / eta_ac
+        else:
+            e_mid = e_dc * eta_dc
+            e_ac = e_mid * eta_ac
+        return (soc_new, ipol_new, current, truncated, e_ac * w, e_dc * w,
+                e_stored * w, (e_ac - e_mid) * w, (e_mid - e_dc) * w,
+                e_ohm * w, e_pol * w, cur2 * r_sum * dt * w,
+                (e_pol - cur2 * r_pol * dt) * w)
+
+    return step
 
 
 def cluster_current_from_power(state: ClusterState, dc_power_w: float,
@@ -512,19 +542,24 @@ class Plant:
             return self.soc <= self.cfg.soc_min + 1e-12
         return np.zeros(self.params.m, dtype=bool)
 
-    def net_cluster_power(self, p_sys_w: float) -> float:
-        """Total power the clusters exchange for a system-level command.
+    def transformer_split(self, p_sys_w: float) -> tuple[float, float]:
+        """(p_net, tf_w): the total power the clusters exchange for a
+        system-level command, and the transformer loss it carries.
 
-        Net of transformer loss: less than p_sys when charging, more in
-        magnitude when discharging (the clusters also feed the loss).
+        p_net is less than p_sys when charging and more in magnitude when
+        discharging (the clusters also feed the loss).
         """
         lam = min(abs(p_sys_w) / self.cfg.transformer.rated_power_w, 1.2)
         tf_w = transformer_loss(lam, self.cfg.transformer)
         if p_sys_w > 0:
-            return max(p_sys_w - tf_w, 0.0)
+            return max(p_sys_w - tf_w, 0.0), tf_w
         if p_sys_w < 0:
-            return p_sys_w - tf_w
-        return 0.0
+            return p_sys_w - tf_w, tf_w
+        return 0.0, tf_w
+
+    def net_cluster_power(self, p_sys_w: float) -> float:
+        """Total power the clusters exchange for a system-level command."""
+        return self.transformer_split(p_sys_w)[0]
 
     def _cluster_targets(self, p_sys_w: float, alloc) -> tuple[np.ndarray, float]:
         """Split system power into per-cluster AC targets plus transformer loss.
@@ -537,14 +572,7 @@ class Plant:
         k = np.asarray(getattr(alloc, "k", alloc), dtype=float)
         if k.shape[-1] != self.params.m:
             raise DomainError("allocation length does not match cluster count")
-        lam = min(abs(p_sys_w) / self.cfg.transformer.rated_power_w, 1.2)
-        tf_w = transformer_loss(lam, self.cfg.transformer)
-        if p_sys_w > 0:
-            p_net = max(p_sys_w - tf_w, 0.0)
-        elif p_sys_w < 0:
-            p_net = p_sys_w - tf_w
-        else:
-            p_net = 0.0
+        p_net, tf_w = self.transformer_split(p_sys_w)
         targets = k * p_net
         over = np.abs(targets) > self.params.rated_tol_w
         if over.any():
@@ -597,49 +625,6 @@ class Plant:
                 and bool(np.all(self.soc == self.soc[0]))
                 and bool(np.all(self.ipol == self.ipol[0])))
 
-    def step_uniform(self, p_sys_w: float, dt: float | None = None) -> tuple:
-        """Fast balanced step for a uniform plant (see is_uniform).
-
-        Evaluates one representative cluster with the scalar model and
-        scales by the cluster count; numerically equivalent to step() with
-        the balanced allocation. Returns
-        (ledger, delivered_ac_wh, cluster0_dc_wh, ss_wh, ts_wh, truncated).
-        """
-        dt = self.cfg.dt_s if dt is None else dt
-        m = self.params.m
-        lam = min(abs(p_sys_w) / self.cfg.transformer.rated_power_w, 1.2)
-        tf_w = transformer_loss(lam, self.cfg.transformer)
-        if p_sys_w > 0:
-            p_net = max(p_sys_w - tf_w, 0.0)
-        elif p_sys_w < 0:
-            p_net = p_sys_w - tf_w
-        else:
-            p_net = 0.0
-        p_clu = p_net / m
-        if abs(p_clu) > self.cfg.clusters[0].rated_power_w * (1.0 + 1e-9):
-            raise DomainError(
-                f"allocation infeasible: cluster 0 commanded {p_clu:.1f} W "
-                f"above its {self.cfg.clusters[0].rated_power_w:.0f} W rating")
-        (soc_new, ipol_new, _cur, truncated, e_ac, e_dc, e_stored, e_acdc,
-         e_dcdc, e_ohm, e_pol, e_ss, e_ts) = _step_scalar(
-            float(self.soc[0]), float(self.ipol[0]), p_clu, dt,
-            self.cfg.clusters[0], self.cfg.soc_min, self.cfg.soc_max)
-        self.soc.fill(soc_new)
-        self.ipol.fill(ipol_new)
-        self.t_elapsed += dt
-        tf_wh = tf_w * dt * WH_PER_J
-        ledger = LossBreakdown(
-            transformer_wh=tf_wh, acdc_wh=m * e_acdc, dcdc_wh=m * e_dcdc,
-            battery_ohmic_wh=m * e_ohm, battery_polarization_wh=m * e_pol,
-            stored_wh=m * e_stored, grid_wh=m * e_ac + tf_wh)
-        self.cumulative.accumulate(ledger)
-        scale = max(abs(ledger.grid_wh), abs(ledger.stored_wh),
-                    ledger.total_loss_wh, 1e-30)
-        rel = abs(ledger.balance_residual_wh()) / scale
-        if rel > self.max_balance_residual_rel:
-            self.max_balance_residual_rel = rel
-        return ledger, m * e_ac, e_dc, m * e_ss, m * e_ts, truncated
-
     def evaluate_allocations(self, p_sys_w: float, K: np.ndarray,
                              dt: float | None = None) -> np.ndarray:
         """Fitness of candidate allocations without mutating plant state.
@@ -654,14 +639,7 @@ class Plant:
         """
         dt = self.cfg.dt_s if dt is None else dt
         K = np.atleast_2d(np.asarray(K, dtype=float))
-        lam = min(abs(p_sys_w) / self.cfg.transformer.rated_power_w, 1.2)
-        tf_w = transformer_loss(lam, self.cfg.transformer)
-        if p_sys_w > 0:
-            p_net = max(p_sys_w - tf_w, 0.0)
-        elif p_sys_w < 0:
-            p_net = p_sys_w - tf_w
-        else:
-            p_net = 0.0
+        p_net, tf_w = self.transformer_split(p_sys_w)
         targets = K * p_net
         rated = self.params.rated
         infeasible = (np.abs(targets) > self.params.rated_tol_w).any(axis=-1)
@@ -702,18 +680,6 @@ class Plant:
 
     def restore_json(self, text: str) -> None:
         self.restore(json.loads(text))
-
-
-def build_plant(cfg: PlantConfig) -> Plant:
-    """Construct a plant with every cluster at initial_soc and relaxed RC state."""
-    return Plant(cfg)
-
-
-def step_plant(plant: Plant, p_sys_w: float, alloc,
-               dt: float | None = None) -> tuple[Plant, LossBreakdown]:
-    """Step the plant in place; returned plant is the same (mutated) object."""
-    ledger = plant.step(p_sys_w, alloc, dt)
-    return plant, ledger
 
 
 def uniform_plant_config(n_clusters: int, cluster: ClusterParams | None = None,

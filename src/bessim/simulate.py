@@ -14,8 +14,8 @@ import numpy as np
 
 from .allocator import PsoParams, pso_allocate, repair
 from .errors import DomainError
-from .losses import transformer_loss
-from .plant import E_AC, SS, TS, Plant
+from .losses import TransformerParams, transformer_loss
+from .plant import E_AC, SS, TS, WH_PER_J, Plant
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
@@ -124,7 +124,6 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     cadence_steps = max(int(round(realloc_cadence_s / dt)), 1)
 
     demand = np.zeros(n)
-    target = np.zeros(n)
     delivered = np.zeros(n)
     grid = np.zeros(n)
     stored = np.zeros(n)
@@ -141,49 +140,10 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
 
     k_current: np.ndarray | None = None
 
-    # A balanced run over identical clusters keeps every cluster in the
-    # same state, so one scalar evaluation per step stands for all of them.
-    p_tot = float(np.sum(plant.params.rated_w))
-    tf_params = plant.cfg.transformer
-    tf_rated = tf_params.rated_power_w
-
-    def _cap_to_plant(p: float, avail_w: float) -> float:
-        # clusters must also cover the transformer loss when discharging
-        if p > 0.0:
-            return min(p, avail_w)
-        if p < 0.0:
-            tf_est = transformer_loss(min(-p / tf_rated, 1.2), tf_params)
-            return max(p, -max(avail_w - tf_est, 0.0))
-        return 0.0
-
-    use_fast = alloc_mode == "balanced" and plant.is_uniform()
-    if use_fast:
-        soc_view = plant.soc
-        for i in range(n):
-            s = soc_view[0]
-            p = 0.0
-            if kinds[i] == 1:
-                if s < soc_max - 1e-12:
-                    p = min(max(refs[i] - load[i], 0.0), power_depth_w)
-            elif kinds[i] == -1:
-                if s > soc_min + 1e-12:
-                    p = -min(max(load[i] - refs[i], 0.0), power_depth_w)
-            p = _cap_to_plant(p, p_tot)
-            demand[i] = p
-            ledger, e_ac_tot, e_dc0, e_ss, e_ts, was_trunc = \
-                plant.step_uniform(p, dt)
-            grid[i] = ledger.grid_wh
-            stored[i] = ledger.stored_wh
-            tfmr[i] = ledger.transformer_wh
-            acdc[i] = ledger.acdc_wh
-            dcdc[i] = ledger.dcdc_wh
-            ohmic[i] = ledger.battery_ohmic_wh
-            pol[i] = ledger.battery_polarization_wh
-            ss[i] = e_ss
-            ts[i] = e_ts
-            delivered[i] = e_ac_tot / step_h
-            clu0[i] = e_dc0 / step_h
-            trunc[i] = was_trunc
+    if alloc_mode == "balanced" and plant.is_uniform():
+        _run_uniform(plant, kinds, refs, load, power_depth_w, dt,
+                     (demand, delivered, grid, stored, tfmr, acdc, dcdc,
+                      ohmic, pol, ss, ts, clu0, trunc))
         if record_alloc:
             alloc_rows[:] = 1.0 / m
         return _assemble(profile, dt, plans, demand, tfmr, step_h, delivered,
@@ -204,7 +164,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
             p = 0.0
             blocked = plant.blocked_mask(p)
         avail = float(plant.params.rated_w[~blocked].sum())
-        p = _cap_to_plant(p, avail)
+        p = _cap_to_plant(p, avail, plant.cfg.transformer)
         demand[i] = p
         p_net = plant.net_cluster_power(p)
         max_share = plant.params.rated_w / abs(p_net) if p_net != 0.0 else None
@@ -239,6 +199,116 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     return _assemble(profile, dt, plans, demand, tfmr, step_h, delivered,
                      grid, stored, acdc, dcdc, ohmic, pol, ss, ts, clu0,
                      trunc, alloc_rows, plant)
+
+
+def _cap_to_plant(p: float, avail_w: float, tf: TransformerParams) -> float:
+    """System power p capped to what the available clusters can exchange;
+    when discharging they must also cover the transformer loss."""
+    if p > 0.0:
+        return min(p, avail_w)
+    if p < 0.0:
+        tf_est = transformer_loss(min(-p / tf.rated_power_w, 1.2), tf)
+        return max(p, -max(avail_w - tf_est, 0.0))
+    return 0.0
+
+
+def _run_uniform(plant: Plant, kinds, refs, load, power_depth_w: float,
+                 dt: float, traces: tuple) -> None:
+    """Balanced run of a uniform plant (see Plant.is_uniform).
+
+    A balanced split over identical clusters keeps every cluster in the
+    same state, so one scalar kernel call per step stands for all of them
+    and its energies scale by the cluster count; the outputs equal those of
+    the general loop with the balanced allocation. State and the running
+    ledger stay in Python floats, inputs are read and the per-step results
+    written through memoryviews of the arrays; the plant gets its state,
+    ledger and worst ledger residual back when the loop ends or raises.
+    traces holds the (n,) result arrays in the order demand, delivered,
+    grid, stored, transformer, AC/DC, DC/DC, ohmic, polarization, ss, ts,
+    cluster-0 battery power and truncated.
+    """
+    kernel = plant.params.scalar_at_dt(dt)
+    split = plant.transformer_split
+    tf_params = plant.cfg.transformer
+    m = float(plant.n_clusters)
+    p_tot = float(np.sum(plant.params.rated_w))
+    rated = plant.params.rated
+    rated_tol = plant.params.rated_tol_w
+    soc_hi = plant.cfg.soc_max - 1e-12
+    soc_lo = plant.cfg.soc_min + 1e-12
+    step_h = dt / 3600.0
+    w = WH_PER_J
+    (dv, delv, gv, stv, tfv, acv, dcv, ohv, polv, ssv, tsv, c0v,
+     trv) = (memoryview(a) for a in traces)
+
+    soc, ipol, t = float(plant.soc[0]), float(plant.ipol[0]), plant.t_elapsed
+    cum = plant.cumulative
+    c_tf, c_acdc, c_dcdc = cum.transformer_wh, cum.acdc_wh, cum.dcdc_wh
+    c_ohm, c_pol = cum.battery_ohmic_wh, cum.battery_polarization_wh
+    c_stored, c_grid = cum.stored_wh, cum.grid_wh
+    worst = plant.max_balance_residual_rel
+    try:
+        for i, (kind, ref, lw) in enumerate(zip(
+                memoryview(kinds), memoryview(refs), memoryview(load))):
+            # demand law, then the plant cap
+            p = 0.0
+            if kind == 1:
+                if soc < soc_hi:
+                    p = min(max(ref - lw, 0.0), power_depth_w)
+            elif kind == -1 and soc > soc_lo:
+                p = -min(max(lw - ref, 0.0), power_depth_w)
+            p = _cap_to_plant(p, p_tot, tf_params)
+            dv[i] = p
+
+            p_net, tf_w = split(p)
+            p_clu = p_net / m
+            if abs(p_clu) > rated_tol:
+                raise DomainError(
+                    f"allocation infeasible: cluster 0 commanded {p_clu:.1f} W "
+                    f"above its {rated:.0f} W rating")
+            (soc, ipol, _, truncated, e_ac, e_dc, e_stored, e_acdc, e_dcdc,
+             e_ohm, e_pol, e_ss, e_ts) = kernel(soc, ipol, p_clu)
+            t += dt
+
+            tf_wh = tf_w * dt * w
+            e_ac = m * e_ac
+            grid_wh = e_ac + tf_wh
+            stored_wh = m * e_stored
+            acdc_wh, dcdc_wh = m * e_acdc, m * e_dcdc
+            ohm_wh, pol_wh = m * e_ohm, m * e_pol
+            c_tf += tf_wh
+            c_acdc += acdc_wh
+            c_dcdc += dcdc_wh
+            c_ohm += ohm_wh
+            c_pol += pol_wh
+            c_stored += stored_wh
+            c_grid += grid_wh
+            loss = tf_wh + acdc_wh + dcdc_wh + ohm_wh + pol_wh
+            scale = max(abs(grid_wh), abs(stored_wh), loss, 1e-30)
+            rel = abs(grid_wh - stored_wh - loss) / scale
+            if rel > worst:
+                worst = rel
+
+            gv[i] = grid_wh
+            stv[i] = stored_wh
+            tfv[i] = tf_wh
+            acv[i] = acdc_wh
+            dcv[i] = dcdc_wh
+            ohv[i] = ohm_wh
+            polv[i] = pol_wh
+            ssv[i] = m * e_ss
+            tsv[i] = m * e_ts
+            delv[i] = e_ac / step_h
+            c0v[i] = e_dc / step_h
+            trv[i] = truncated
+    finally:
+        plant.soc.fill(soc)
+        plant.ipol.fill(ipol)
+        plant.t_elapsed = t
+        (cum.transformer_wh, cum.acdc_wh, cum.dcdc_wh, cum.battery_ohmic_wh,
+         cum.battery_polarization_wh, cum.stored_wh, cum.grid_wh) = (
+            c_tf, c_acdc, c_dcdc, c_ohm, c_pol, c_stored, c_grid)
+        plant.max_balance_residual_rel = worst
 
 
 def _assemble(profile, dt, plans, demand, tfmr, step_h, delivered, grid,

@@ -19,7 +19,7 @@ from bessim.allocator import (
     repair,
 )
 from bessim.errors import DomainError, NoCapacityError
-from bessim.plant import build_plant, uniform_plant_config
+from bessim.plant import Plant, uniform_plant_config
 
 
 class TestAllocationVector:
@@ -166,16 +166,16 @@ class TestRepairProperties:
 
 class TestFitness:
     def test_balanced_charge_fitness_positive(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         f = fitness(np.array([0.5, 0.5]), 80_000.0, plant)
         assert f > 0
 
     def test_infeasible_allocation_scores_minus_inf(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         assert fitness(np.array([1.0, 0.0]), 120_000.0, plant) == -np.inf
 
     def test_does_not_mutate_plant_state(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         soc0 = plant.soc.copy()
         fitness(np.array([0.5, 0.5]), 80_000.0, plant)
         assert np.array_equal(plant.soc, soc0)
@@ -185,13 +185,13 @@ class TestPsoAllocate:
     PARAMS = PsoParams(particles=12, max_iterations=15, rng_seed=7)
 
     def test_single_cluster_shortcut(self):
-        plant = build_plant(uniform_plant_config(1))
+        plant = Plant(uniform_plant_config(1))
         k, trace = pso_allocate(30_000.0, plant, self.PARAMS)
         assert k.k == pytest.approx([1.0])
         assert trace.size == 1
 
     def test_identical_clusters_prefer_even_split(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         k, _ = pso_allocate(60_000.0, plant, self.PARAMS)
         assert k.k == pytest.approx([0.5, 0.5], abs=1e-3)
         f_even = fitness(np.array([0.5, 0.5]), 60_000.0, plant)
@@ -199,7 +199,7 @@ class TestPsoAllocate:
         assert f_even > f_skew
 
     def test_fitness_at_least_balanced(self):
-        plant = build_plant(uniform_plant_config(4))
+        plant = Plant(uniform_plant_config(4))
         plant.soc = np.array([0.3, 0.5, 0.6, 0.8])
         plant.ipol = np.array([2.0, -1.0, 0.0, 0.5])
         k, trace = pso_allocate(-120_000.0, plant, self.PARAMS)
@@ -209,13 +209,13 @@ class TestPsoAllocate:
         assert k.k.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_non_decreasing(self):
-        plant = build_plant(uniform_plant_config(3))
+        plant = Plant(uniform_plant_config(3))
         plant.soc = np.array([0.4, 0.5, 0.7])
         _, trace = pso_allocate(90_000.0, plant, self.PARAMS)
         assert np.all(np.diff(trace) >= -1e-12)
 
     def test_unequal_soc_discharge_leans_on_fuller_cluster(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         plant.soc = np.array([0.3, 0.8])
         k, _ = pso_allocate(-60_000.0, plant,
                             PsoParams(particles=20, max_iterations=40,
@@ -242,7 +242,7 @@ class TestPsoAllocate:
         assert field in str(e.value)
 
     def test_zero_iterations_returns_initial_best(self):
-        plant = build_plant(uniform_plant_config(3))
+        plant = Plant(uniform_plant_config(3))
         plant.soc = np.array([0.4, 0.5, 0.7])
         _, trace = pso_allocate(90_000.0, plant,
                                 PsoParams(particles=4, max_iterations=0))
@@ -259,7 +259,7 @@ def test_pso_allocate_reproduces_per_row_repair_results(case):
     """Best fitness and coefficients recorded from pso_allocate when it
     repaired one particle at a time; the batched repair must reproduce them."""
     m = case["m"]
-    plant = build_plant(uniform_plant_config(m))
+    plant = Plant(uniform_plant_config(m))
     plant.soc = np.random.default_rng(case["soc_seed"]).uniform(0.3, 0.7, m)
     best, trace = pso_allocate(case["p_sys_w"], plant,
                                PsoParams(rng_seed=case["pso_seed"]))
@@ -269,7 +269,7 @@ def test_pso_allocate_reproduces_per_row_repair_results(case):
 
 class TestGridSearch:
     def test_matches_pso_for_two_clusters(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         plant.soc = np.array([0.4, 0.6])
         k_grid, f_grid = grid_search_allocation(70_000.0, plant,
                                                 resolution=1e-2)
@@ -280,7 +280,7 @@ class TestGridSearch:
         assert k_grid.sum() == pytest.approx(1.0)
 
     def test_large_m_rejected(self):
-        plant = build_plant(uniform_plant_config(4))
+        plant = Plant(uniform_plant_config(4))
         with pytest.raises(DomainError):
             grid_search_allocation(1e5, plant)
 

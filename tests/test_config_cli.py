@@ -83,6 +83,36 @@ class TestParseConfig:
             parse_config(doc)
         assert e.value.field == f"{section}.{key}"
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("plant", "dt_s", "300"), ("schedule", "power_depth_w", float("nan")),
+        ("plant", "dt_s", float("inf")),
+        ("plant.cluster", "rated_power_w", "5e4"),
+        ("allocator.pso", "inertia", "0.5"), ("load.synth", "base_w", True),
+        ("plant.transformer", "rated_power_w", -float("inf")),
+    ])
+    def test_bad_float_field_rejected_with_its_name(self, section, key, value):
+        doc = base_doc()
+        node = doc
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
+        with pytest.raises(ConfigError, match="must be a finite number") as e:
+            parse_config(doc)
+        assert e.value.field == f"{section}.{key}"
+
+    def test_bad_coefficient_named_by_index(self):
+        doc = base_doc()
+        doc["plant"]["cluster"] = {"acdc_coeffs": [0.7868, "0.7955", -2.073,
+                                                   2.137, -0.8137]}
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert e.value.field == "plant.cluster.acdc_coeffs[1]"
+
+    def test_integer_accepted_for_float_field(self):
+        cfg = parse_config(base_doc())
+        assert type(cfg.plant.dt_s) is float and cfg.plant.dt_s == 300.0
+        assert cfg.load.synth.dt_s == 300.0
+
     def test_integral_float_accepted_for_integer_field(self):
         doc = base_doc()
         doc["allocator"]["pso"]["particles"] = 6.0
@@ -120,6 +150,29 @@ class TestValidateConfigCommand:
         assert main(["validate-config", "--config", "/no/such.json"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["field"] == "config"
+
+
+class TestErrorContract:
+    def test_string_float_field_exits_2_with_json_error(self, tmp_path,
+                                                         capsys):
+        doc = base_doc()
+        doc["plant"]["cluster"] = {"rated_power_w": "5e4"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["field"] == "plant.cluster.rated_power_w"
+
+    def test_unexpected_exception_exits_1_with_json_error(
+            self, cfg_path, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+        monkeypatch.setattr("bessim.cli.synth_load", broken)
+        assert main(["gen-load", "--config", cfg_path,
+                     "--output", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "RuntimeError", "message": "synthetic failure"}
 
 
 class TestGenLoadCommand:

@@ -12,6 +12,7 @@ from bessim.plant import (
     ACDC,
     DCDC,
     E_AC,
+    E_DC,
     OHMIC,
     POLARIZATION,
     STORED,
@@ -20,16 +21,14 @@ from bessim.plant import (
     LossBreakdown,
     Plant,
     PlantConfig,
-    build_plant,
     cluster_current_from_power,
     step_cluster,
-    step_plant,
     uniform_plant_config,
     _ParamArrays,
     _step_arrays,
-    _step_scalar,
 )
 from bessim.profiles import SynthLoadSpec, synth_load
+from bessim.scheduler import LoadProfile
 from bessim.simulate import run_simulation
 
 
@@ -147,14 +146,14 @@ class TestStepCluster:
 
 class TestPlant:
     def test_idle_plant_draws_only_core_loss(self):
-        plant = build_plant(uniform_plant_config(4))
+        plant = Plant(uniform_plant_config(4))
         ledger = plant.step(0.0, np.full(4, 0.25))
         assert ledger.grid_wh == pytest.approx(5000.0 / 60.0)
         assert ledger.transformer_wh == pytest.approx(5000.0 / 60.0)
         assert ledger.acdc_wh == 0.0 and ledger.dcdc_wh == 0.0
 
     def test_balanced_full_power_split(self):
-        plant = build_plant(uniform_plant_config(100))
+        plant = Plant(uniform_plant_config(100))
         k = np.full(100, 0.01)
         targets, tf_w = plant._cluster_targets(5e6, k)
         assert np.allclose(targets, targets[0])
@@ -164,28 +163,22 @@ class TestPlant:
         assert targets[0] == pytest.approx(50_000.0, rel=0.01)
 
     def test_degenerate_allocation_leaves_other_cluster_idle(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         plant.step(50_000.0, np.array([1.0, 0.0]))
         assert plant.soc[0] > plant.cfg.initial_soc
         assert plant.soc[1] == plant.cfg.initial_soc
         assert plant.ipol[1] == 0.0
 
     def test_infeasible_allocation_names_cluster(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         with pytest.raises(DomainError, match="cluster 1"):
             plant.step(100_000.0, np.array([0.0, 1.0]))
 
-    def test_step_plant_wrapper(self):
-        plant = build_plant(uniform_plant_config(2))
-        same, ledger = step_plant(plant, 0.0, np.array([0.5, 0.5]))
-        assert same is plant
-        assert ledger.transformer_wh > 0
-
     def test_snapshot_restore_roundtrip(self):
-        plant = build_plant(uniform_plant_config(3))
+        plant = Plant(uniform_plant_config(3))
         plant.step(100_000.0, np.full(3, 1 / 3))
         text = plant.snapshot_json()
-        other = build_plant(uniform_plant_config(3))
+        other = Plant(uniform_plant_config(3))
         other.restore_json(text)
         assert np.array_equal(other.soc, plant.soc)
         assert np.array_equal(other.ipol, plant.ipol)
@@ -194,33 +187,33 @@ class TestPlant:
         json.loads(text)
 
     def test_restore_rejects_mismatched_shape(self):
-        plant = build_plant(uniform_plant_config(3))
+        plant = Plant(uniform_plant_config(3))
         snap = plant.snapshot()
-        other = build_plant(uniform_plant_config(2))
+        other = Plant(uniform_plant_config(2))
         with pytest.raises(DomainError):
             other.restore(snap)
 
     def test_blocked_mask_direction(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         plant.soc = np.array([0.97, 0.5])
         assert plant.blocked_mask(1000.0).tolist() == [True, False]
         assert plant.blocked_mask(-1000.0).tolist() == [False, False]
 
     def test_batch_evaluation_matches_sequential_steps(self):
-        plant = build_plant(uniform_plant_config(3))
+        plant = Plant(uniform_plant_config(3))
         plant.soc = np.array([0.4, 0.5, 0.6])
         plant.ipol = np.array([1.0, -2.0, 0.5])
         K = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
         fits = plant.evaluate_allocations(90_000.0, K)
         for row, fit in zip(K, fits):
-            clone = build_plant(uniform_plant_config(3))
+            clone = Plant(uniform_plant_config(3))
             clone.soc = plant.soc.copy()
             clone.ipol = plant.ipol.copy()
             ledger = clone.step(90_000.0, row)
             assert fit == pytest.approx(ledger.stored_wh, rel=1e-12)
 
     def test_batch_evaluation_flags_infeasible(self):
-        plant = build_plant(uniform_plant_config(2))
+        plant = Plant(uniform_plant_config(2))
         fits = plant.evaluate_allocations(100_000.0,
                                           np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert fits[0] == -np.inf
@@ -228,35 +221,40 @@ class TestPlant:
 
     def test_uniform_fast_step_matches_vectorized_step(self):
         cfg = uniform_plant_config(5, transformer=TransformerParams())
-        a, b = Plant(cfg), Plant(cfg)
+        plant = Plant(cfg)
+        kernel = plant.params.scalar_at_dt(cfg.dt_s)
+        soc, ipol = cfg.initial_soc, 0.0
         for p in (120_000.0, -80_000.0, 0.0, 30_000.0):
-            la = a.step(p, np.full(5, 0.2))
-            lb, e_ac, e_dc0, ss, ts, trunc = b.step_uniform(p)
-            assert lb.grid_wh == pytest.approx(la.grid_wh, rel=1e-12)
-            assert lb.stored_wh == pytest.approx(la.stored_wh, rel=1e-12)
-            assert lb.total_loss_wh == pytest.approx(la.total_loss_wh, rel=1e-12)
-            assert np.allclose(a.soc, b.soc)
+            ledger = plant.step(p, np.full(5, 0.2))
+            totals = plant.last_step_detail[0]
+            out = kernel(soc, ipol, plant.net_cluster_power(p) / 5)
+            soc, ipol = out[0], out[1]
+            for row, got in zip((E_AC, E_DC, STORED, ACDC, DCDC, OHMIC,
+                                 POLARIZATION), out[4:]):
+                assert 5 * got == pytest.approx(totals[row], rel=1e-12)
+            assert (5 * out[4] + ledger.transformer_wh
+                    == pytest.approx(ledger.grid_wh, rel=1e-12))
+            assert np.allclose(plant.soc, soc, rtol=1e-12, atol=0.0)
+            assert np.allclose(plant.ipol, ipol, rtol=1e-12, atol=0.0)
 
 
 class TestGeneralPathMatchesFastPath:
     """A uniform plant runs the scalar fast path; changing only the metadata
     field dc_bus_voltage_v on one cluster leaves the physics unchanged but
     makes the plant non-identical, so the same run takes the general
-    per-cluster path. Both must produce the same per-step traces."""
+    per-cluster path. Both must produce the same per-step traces and leave
+    the same plant state, also when a step raises mid-horizon."""
 
     TRACES_WH = ("grid_wh", "stored_wh", "transformer_wh", "acdc_wh",
                  "dcdc_wh", "ohmic_wh", "polarization_wh", "ss_wh", "ts_wh")
     TRACES_W = ("delivered_w", "cluster0_dc_w")
+    PROFILE = synth_load(SynthLoadSpec(
+        days=4, dt_s=300.0, base_w=1.2e6, valley_depth_w=0.3e6,
+        valley_sigma_h=1.5, morning_peak_w=0.0, evening_peak_w=0.3e6,
+        evening_sigma_h=0.8, noise_rel=0.003, day_jitter=0.02), 5)
 
-    @pytest.mark.parametrize("initial_soc", [0.1, 0.9])
-    def test_multi_day_traces_agree(self, initial_soc):
-        spec = SynthLoadSpec(days=4, dt_s=300.0, base_w=1.2e6,
-                             valley_depth_w=0.3e6, valley_sigma_h=1.5,
-                             morning_peak_w=0.0, evening_peak_w=0.3e6,
-                             evening_sigma_h=0.8, noise_rel=0.003,
-                             day_jitter=0.02)
-        profile = synth_load(spec, 5)
-        c = ClusterParams()
+    @staticmethod
+    def _plants(c: ClusterParams, initial_soc: float):
         relabelled = dataclasses.replace(
             c, dc_bus_voltage_v=c.dc_bus_voltage_v + 1.0)
         fast = Plant(PlantConfig(clusters=(c,) * 4, dt_s=300.0,
@@ -264,8 +262,25 @@ class TestGeneralPathMatchesFastPath:
         general = Plant(PlantConfig(clusters=(c,) * 3 + (relabelled,),
                                     dt_s=300.0, initial_soc=initial_soc))
         assert fast.is_uniform() and not general.is_uniform()
-        rf = run_simulation(fast, profile, 200e3, 800e3)
-        rg = run_simulation(general, profile, 200e3, 800e3)
+        return fast, general
+
+    @staticmethod
+    def _assert_same_state(fast: Plant, general: Plant):
+        assert np.array_equal(fast.soc, general.soc)
+        assert np.allclose(fast.ipol, general.ipol, rtol=1e-12, atol=0.0)
+        assert fast.t_elapsed == general.t_elapsed
+        for f in dataclasses.fields(LossBreakdown):
+            got = getattr(fast.cumulative, f.name)
+            assert got == pytest.approx(getattr(general.cumulative, f.name),
+                                        rel=1e-12, abs=0.0), f.name
+        assert fast.max_balance_residual_rel <= 1e-9
+        assert general.max_balance_residual_rel <= 1e-9
+
+    @pytest.mark.parametrize("initial_soc", [0.1, 0.9])
+    def test_multi_day_traces_agree(self, initial_soc):
+        fast, general = self._plants(ClusterParams(), initial_soc)
+        rf = run_simulation(fast, self.PROFILE, 200e3, 800e3)
+        rg = run_simulation(general, self.PROFILE, 200e3, 800e3)
 
         tol_wh = 1e-12 * np.abs(rf.grid_wh)
         assert np.all(tol_wh > 0)
@@ -278,11 +293,72 @@ class TestGeneralPathMatchesFastPath:
             assert np.all(diff <= tol_wh), name
         assert np.array_equal(rf.truncated, rg.truncated)
         assert np.count_nonzero(rf.demand_w) > 0
-        assert np.array_equal(fast.soc, general.soc)
+        self._assert_same_state(fast, general)
+
+    def test_infeasible_step_leaves_same_state(self):
+        # a cell block this resistive cannot deliver its discharge rating:
+        # the first strong discharge step raises after the night's charging
+        lossy = ClusterParams(cell=dataclasses.replace(
+            ClusterParams().cell, r_ohm=0.3))
+        fast, general = self._plants(lossy, 0.5)
+        for plant in (fast, general):
+            with pytest.raises(InfeasiblePowerError):
+                run_simulation(plant, self.PROFILE, 200e3, 800e3)
+        horizon = self.PROFILE.n_samples * self.PROFILE.dt_s
+        assert 0.0 < fast.t_elapsed < horizon
+        assert fast.cumulative.stored_wh > 0.0
+        self._assert_same_state(fast, general)
+
+
+def _continue_from_snapshot(plant: Plant, profile, split_day: int):
+    """Run profile's first split_day days on plant, move the plant through
+    its JSON snapshot into a fresh Plant and run the rest there."""
+    n = split_day * profile.samples_per_day()
+    halves = [LoadProfile(profile.start_time, profile.dt_s, v)
+              for v in (profile.values_w[:n], profile.values_w[n:])]
+    first = run_simulation(plant, halves[0], 200e3, 800e3)
+    resumed = Plant(plant.cfg)
+    resumed.restore_json(plant.snapshot_json())
+    second = run_simulation(resumed, halves[1], 200e3, 800e3)
+    return first, second, resumed
+
+
+class TestSnapshotContinuation:
+    """Snapshot mid-run, restore into a fresh plant, continue: the result
+    equals one uninterrupted run bit for bit, on the uniform fast path and
+    on the general path."""
+
+    TRACES = TestGeneralPathMatchesFastPath.TRACES_WH + (
+        "demand_w", "delivered_w", "cluster0_dc_w", "truncated")
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_two_halves_equal_one_run(self, uniform):
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
+                          initial_soc=0.5)
+
+        def fresh():
+            plant = Plant(cfg)
+            if not uniform:
+                plant.soc = np.array([0.35, 0.5, 0.55, 0.7])
+            assert plant.is_uniform() == uniform
+            return plant
+
+        whole_plant = fresh()
+        whole = run_simulation(whole_plant, profile, 200e3, 800e3)
+        first, second, resumed = _continue_from_snapshot(fresh(), profile, 2)
+        for name in self.TRACES:
+            joined = np.concatenate([getattr(first, name),
+                                     getattr(second, name)])
+            assert np.array_equal(joined, getattr(whole, name)), name
+        assert resumed.cumulative == whole_plant.cumulative
+        assert np.array_equal(resumed.soc, whole_plant.soc)
+        assert np.array_equal(resumed.ipol, whole_plant.ipol)
+        assert resumed.t_elapsed == whole_plant.t_elapsed
 
 
 def _hetero_plant():
-    plant = build_plant(uniform_plant_config(3))
+    plant = Plant(uniform_plant_config(3))
     plant.soc = np.array([0.4, 0.5, 0.6])
     plant.ipol = np.array([1.0, -2.0, 0.5])
     return plant
@@ -374,9 +450,10 @@ class TestStepArraysProperties:
         soc, ipol, p_ac, dt, pp, kinds = batch
         soc_new, ipol_new, current, truncated, E = _step_arrays(
             soc, ipol, p_ac, dt, pp)
+        kernels = [_ParamArrays((k,), SOC_MIN, SOC_MAX).scalar_at_dt(dt)
+                   for k in kinds]
         for (r, j), s0 in np.ndenumerate(soc):
-            want = _step_scalar(s0, ipol[r, j], p_ac[r, j], dt, kinds[j],
-                                SOC_MIN, SOC_MAX)
+            want = kernels[j](float(s0), float(ipol[r, j]), float(p_ac[r, j]))
             # same formulas and clamping order: the state update is exact
             # up to exp(), the energies to rounding of the regrouped terms
             assert soc_new[r, j] == want[0]
