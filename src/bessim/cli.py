@@ -11,7 +11,8 @@ Subcommands:
 Every output file is written atomically (temp file + rename) together
 with a run manifest carrying the configuration hash, seed and package
 version. Every error, whatever its type, is emitted as one JSON object on
-stderr; configuration errors exit with status 2, all others with 1.
+stderr; configuration and usage errors exit with status 2, all others
+with 1.
 """
 
 from __future__ import annotations
@@ -295,8 +296,17 @@ def cmd_validate_config(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so they
+    leave main() as a JSON error like every other failure; --help and
+    --version still print and exit 0."""
+
+    def error(self, message: str):
+        raise ConfigError("argv", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bessim",
         description="Battery energy storage peak-shaving simulator")
     parser.add_argument("--version", action="version", version=__version__)
@@ -310,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"and ${OUTPUT_DIR_ENV})")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="preferred output format for reports")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (accepted for compatibility; "
-                       "the numeric core is already vectorized)")
         p.add_argument("--days", type=int, default=None,
                        help="limit or extend the horizon to this many days")
 
@@ -337,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except Exception as exc:   # every failure leaves as one JSON error object
         return _emit_error(exc)

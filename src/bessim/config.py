@@ -58,7 +58,7 @@ class AllocatorConfig:
 @dataclass(frozen=True)
 class LoadConfig:
     source: str = "synthetic"
-    csv_path: str | None = None
+    csv_path: str = ""
     synth: SynthLoadSpec = field(default_factory=SynthLoadSpec)
     seed: int = 1
 
@@ -151,19 +151,44 @@ def _get_floats(d: dict, key: str, default: tuple, name: str) -> tuple:
     return tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(raw))
 
 
-def _numbers(cls, d: dict, prefix: str, **defaults) -> dict:
-    """Keyword arguments for the integer and float fields of dataclass cls
-    from its config section d. Defaults come from the dataclass unless
-    given here; integer fields go through _get_int, float fields through
-    _get_float, and each error names the field as prefix.name."""
+def _string(raw, name: str) -> str:
+    """raw when it is a JSON string; otherwise a ConfigError naming the
+    dotted field, so that a number is never taken as a path or a file
+    descriptor."""
+    if isinstance(raw, str):
+        return raw
+    raise ConfigError(name, f"must be a string, got {raw!r}")
+
+
+def _get_str(d: dict, key: str, default: str, name: str) -> str:
+    """A string field (see _string)."""
+    return _string(_get(d, key, default), name)
+
+
+def _get_strs(d: dict, key: str, default: tuple, name: str) -> tuple:
+    """A JSON array of strings, each checked like a string field and named
+    by its index."""
+    raw = _get(d, key, default)
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(name, f"must be a list of strings, got {raw!r}")
+    return tuple(_string(v, f"{name}[{i}]") for i, v in enumerate(raw))
+
+
+def _scalars(cls, d: dict, prefix: str, **defaults) -> dict:
+    """Keyword arguments for the integer, float and string fields of
+    dataclass cls from its config section d. Defaults come from the
+    dataclass unless given here; integer fields go through _get_int, float
+    fields through _get_float, string fields through _get_str, and each
+    error names the field as prefix.name."""
     kwargs = {}
     for f in fields(cls):
         default = defaults.get(f.name, f.default)
-        name = f"{prefix}.{f.name}"
-        if isinstance(default, bool) or not isinstance(default, (int, float)):
+        if isinstance(default, bool) or not isinstance(default,
+                                                       (int, float, str)):
             continue
-        get = _get_int if isinstance(default, int) else _get_float
-        kwargs[f.name] = get(d, f.name, default, name)
+        get = (_get_str if isinstance(default, str)
+               else _get_int if isinstance(default, int) else _get_float)
+        kwargs[f.name] = get(d, f.name, default, f"{prefix}.{f.name}")
     return kwargs
 
 
@@ -171,7 +196,7 @@ def _build_pso(d: dict) -> PsoParams:
     """PsoParams from its config section; defaults and types come from the
     dataclass, and every rejection names the dotted field."""
     try:
-        return PsoParams(**_numbers(PsoParams, d, "allocator.pso"))
+        return PsoParams(**_scalars(PsoParams, d, "allocator.pso"))
     except DomainError as exc:
         raise ConfigError(f"allocator.pso.{exc.field}", str(exc)) from None
 
@@ -181,14 +206,14 @@ def _build_cluster(d: dict) -> ClusterParams:
     cell = CellParams(
         ocv=OcvCoeffs(_get_floats(cell_d, "ocv_coeffs", DEFAULT_OCV_COEFFS,
                                   "plant.cluster.cell.ocv_coeffs")),
-        **_numbers(CellParams, cell_d, "plant.cluster.cell"))
+        **_scalars(CellParams, cell_d, "plant.cluster.cell"))
     return ClusterParams(
         cell=cell,
         dcdc_coeffs=PcsEfficiencyCoeffs(_get_floats(
             d, "dcdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.dcdc_coeffs")),
         acdc_coeffs=PcsEfficiencyCoeffs(_get_floats(
             d, "acdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.acdc_coeffs")),
-        **_numbers(ClusterParams, d, "plant.cluster"))
+        **_scalars(ClusterParams, d, "plant.cluster"))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -199,37 +224,32 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
     plant_d = _get(doc, "plant", {})
-    transformer = TransformerParams(**_numbers(
+    transformer = TransformerParams(**_scalars(
         TransformerParams, _get(plant_d, "transformer", {}),
         "plant.transformer"))
     plant = uniform_plant_config(
         _get_int(plant_d, "n_clusters", 100, "plant.n_clusters"),
         _build_cluster(_get(plant_d, "cluster", {})),
         transformer=transformer,
-        **_numbers(PlantConfig, plant_d, "plant"))
+        **_scalars(PlantConfig, plant_d, "plant"))
     sched_d = _get(doc, "schedule", {})
-    schedule = ScheduleConfig(
-        method=_get(sched_d, "method", "improved"),
-        **_numbers(ScheduleConfig, sched_d, "schedule"))
+    schedule = ScheduleConfig(**_scalars(ScheduleConfig, sched_d, "schedule"))
     alloc_d = _get(doc, "allocator", {})
     allocator = AllocatorConfig(
-        mode=_get(alloc_d, "mode", "balanced"),
         pso=_build_pso(_get(alloc_d, "pso", {})),
-        **_numbers(AllocatorConfig, alloc_d, "allocator"))
+        **_scalars(AllocatorConfig, alloc_d, "allocator"))
     load_d = _get(doc, "load", {})
-    synth = SynthLoadSpec(**_numbers(
+    synth = SynthLoadSpec(**_scalars(
         SynthLoadSpec, _get(load_d, "synth", {}), "load.synth",
         dt_s=plant.dt_s))
     load = LoadConfig(
-        source=_get(load_d, "source", "synthetic"),
-        csv_path=_get(load_d, "csv_path", None),
         synth=synth,
-        **_numbers(LoadConfig, load_d, "load"))
+        **_scalars(LoadConfig, load_d, "load"))
     out_d = _get(doc, "output", {})
     output = OutputConfig(
-        dir=_get(out_d, "dir", "out"),
-        formats=tuple(_get(out_d, "formats", ["csv"])),
-    )
+        formats=_get_strs(out_d, "formats", OutputConfig.formats,
+                          "output.formats"),
+        **_scalars(OutputConfig, out_d, "output"))
     return RunConfig(plant=plant, schedule=schedule, allocator=allocator,
                      load=load, output=output, raw=doc)
 

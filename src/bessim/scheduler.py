@@ -3,8 +3,7 @@ law, reference correction (per-cycle improved method and the day-level
 symmetric baseline) and the peak-shaving performance metrics.
 
 Planning works on the forecast load with perfect foresight (the forecast
-equals the actual load); an optional seeded multiplicative noise hook is
-available on the profile side for robustness studies.
+equals the actual load).
 """
 
 from __future__ import annotations
@@ -59,12 +58,6 @@ class LoadProfile:
             chunk = self.values_w[d * n:(d + 1) * n]
             days.append(LoadProfile(self.start_time, self.dt_s, chunk))
         return days
-
-    def with_noise(self, rel_sigma: float, seed: int) -> "LoadProfile":
-        """Zero-mean multiplicative noise hook for forecast-robustness studies."""
-        rng = np.random.default_rng(seed)
-        noisy = self.values_w * (1.0 + rel_sigma * rng.standard_normal(self.n_samples))
-        return LoadProfile(self.start_time, self.dt_s, np.maximum(noisy, 0.0))
 
 
 @dataclass

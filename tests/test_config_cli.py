@@ -121,6 +121,23 @@ class TestParseConfig:
         assert cfg.allocator.pso.particles == 6
         assert type(cfg.load.seed) is int and cfg.load.seed == 3
 
+    @pytest.mark.parametrize("section,key,value,field", [
+        ("schedule", "method", 1, "schedule.method"),
+        ("allocator", "mode", ["pso"], "allocator.mode"),
+        ("load", "source", None, "load.source"),
+        ("load", "csv_path", 3, "load.csv_path"),
+        ("output", "dir", 5, "output.dir"),
+        ("output", "formats", "json", "output.formats"),
+        ("output", "formats", ["csv", 1], "output.formats[1]"),
+    ])
+    def test_bad_string_field_rejected_with_its_name(self, section, key,
+                                                      value, field):
+        doc = base_doc()
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match="must be a") as e:
+            parse_config(doc)
+        assert e.value.field == field
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -163,6 +180,22 @@ class TestErrorContract:
                      "--output", str(tmp_path / "out")]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["field"] == "plant.cluster.rated_power_w"
+
+    @pytest.mark.parametrize("flags", [["--bogus"], ["--threads", "2"]])
+    def test_usage_error_exits_2_with_json_error(self, flags, capsys):
+        assert main(["simulate"] + flags) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "argv"
+        assert flags[0] in err["message"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["simulate", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out
 
     def test_unexpected_exception_exits_1_with_json_error(
             self, cfg_path, tmp_path, capsys, monkeypatch):

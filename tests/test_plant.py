@@ -269,14 +269,20 @@ class TestGeneralPathMatchesFastPath:
         assert np.array_equal(fast.soc, general.soc)
         assert np.allclose(fast.ipol, general.ipol, rtol=1e-12, atol=0.0)
         assert fast.t_elapsed == general.t_elapsed
+        # a net sum such as stored_wh can cancel to almost zero over the
+        # horizon, so it is compared on the scale of the total loss
+        tol_wh = 1e-12 * fast.cumulative.total_loss_wh
         for f in dataclasses.fields(LossBreakdown):
             got = getattr(fast.cumulative, f.name)
             assert got == pytest.approx(getattr(general.cumulative, f.name),
-                                        rel=1e-12, abs=0.0), f.name
+                                        rel=1e-12, abs=tol_wh), f.name
         assert fast.max_balance_residual_rel <= 1e-9
         assert general.max_balance_residual_rel <= 1e-9
 
-    @pytest.mark.parametrize("initial_soc", [0.1, 0.9])
+    # the band edges: at soc_max the SoC gate drops the first planned
+    # charge, at soc_min the plant starts with nothing to discharge
+    @pytest.mark.parametrize("initial_soc", [
+        0.1, 0.9, PlantConfig.soc_min, PlantConfig.soc_max])
     def test_multi_day_traces_agree(self, initial_soc):
         fast, general = self._plants(ClusterParams(), initial_soc)
         rf = run_simulation(fast, self.PROFILE, 200e3, 800e3)

@@ -81,6 +81,25 @@ class TestDemandPower:
         with pytest.raises(DomainError):
             demand_power(-1.0, 20e6, 30e6, 0.5, self.P_R)
 
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    def test_plan_demand_is_the_power_law(self, method):
+        # run_simulation executes the plan's ungated demand; sample by sample
+        # it is demand_power at mid SoC with the interval's reference
+        day = double_bump_day()
+        correct = {"improved": correct_references_improved,
+                   "original": correct_references_original}[method]
+        plan = correct(day, 5e6, 10e6, *depth_references(day, 5e6))
+        planned = replay_plan(plan, day, gated=False)["demand_w"]
+        law = np.full(day.n_samples, np.nan)
+        for iv in plan.intervals:
+            refs = ((iv.ref_w, math.inf) if iv.kind == "charge"
+                    else (-math.inf, iv.ref_w))
+            for i in range(iv.start, iv.stop):
+                law[i] = demand_power(day.values_w[i], *refs, 0.5,
+                                      plan.rated_power_w)
+        assert np.array_equal(planned, law)
+        assert np.any(planned > 0) and np.any(planned < 0)
+
 
 class TestSegmentation:
     def test_two_valley_two_peak_day_pairs_three_cycles(self):
