@@ -187,11 +187,12 @@ def cmd_compare(args) -> int:
     profile = _load_profile(cfg, args.days)
     rows = []
     summary: dict[str, list[ShavingMetrics]] = {"improved": [], "original": []}
+    days = profile.split_days()
     for method in ("improved", "original"):
-        plans = plan_horizon(profile, cfg.schedule.power_depth_w,
+        plans = plan_horizon(days, cfg.schedule.power_depth_w,
                              cfg.schedule.rated_energy_wh, method,
                              cfg.schedule.initial_plan_energy_wh)
-        for d, day in enumerate(profile.split_days()):
+        for d, day in enumerate(days):
             gated = replay_plan(plans[d], day, gated=True)
             free = replay_plan(plans[d], day, gated=False)
             metrics = compute_metrics(day, plans[d], gated["demand_w"],

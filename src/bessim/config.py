@@ -239,6 +239,8 @@ def parse_config(doc: dict) -> RunConfig:
         pso=_build_pso(_get(alloc_d, "pso", {})),
         **_scalars(AllocatorConfig, alloc_d, "allocator"))
     load_d = _get(doc, "load", {})
+    if _get(load_d, "csv_path", "") is None:
+        load_d = dict(load_d, csv_path="")     # null is unset, as if absent
     synth = SynthLoadSpec(**_scalars(
         SynthLoadSpec, _get(load_d, "synth", {}), "load.synth",
         dt_s=plant.dt_s))

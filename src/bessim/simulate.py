@@ -60,14 +60,15 @@ class SimulationResult:
                      + self.polarization_wh.sum())
 
 
-def plan_horizon(profile: LoadProfile, power_depth_w: float,
+def plan_horizon(days: list[LoadProfile], power_depth_w: float,
                  rated_energy_wh: float, method: str = "improved",
                  initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
-    """Independent day-ahead plan for each day of the horizon."""
+    """Independent day-ahead plan for each of the horizon's days (as
+    LoadProfile.split_days gives them), in the same order."""
     if method not in ("improved", "original"):
         raise DomainError(f"unknown scheduling method {method!r}")
     plans = []
-    for day in profile.split_days():
+    for day in days:
         r_chr, r_dis = depth_references(day, power_depth_w)
         if method == "improved":
             plan = correct_references_improved(
@@ -110,7 +111,8 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     dt = profile.dt_s
     if abs(dt - plant.cfg.dt_s) > 1e-9:
         raise DomainError("profile sampling must match the plant step")
-    plans = plan_horizon(profile, power_depth_w, rated_energy_wh, method)
+    days = profile.split_days()
+    plans = plan_horizon(days, power_depth_w, rated_energy_wh, method)
     n = profile.n_samples
     m = plant.n_clusters
     step_h = dt / 3600.0
@@ -122,7 +124,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     # it commands
     traces["demand_w"] = demand = np.concatenate([
         replay_plan(plan, day, gated=False)["demand_w"]
-        for plan, day in zip(plans, profile.split_days())])
+        for plan, day in zip(plans, days)])
     alloc_rows = np.zeros((n, m)) if record_alloc else None
 
     if alloc_mode == "balanced" and plant.is_uniform():

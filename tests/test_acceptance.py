@@ -186,9 +186,10 @@ def test_criterion_05_scheduler_contract():
 
 
 def _year_metrics(profile, method, p_d, e_r):
-    plans = plan_horizon(profile, p_d, e_r, method)
+    days = profile.split_days()
+    plans = plan_horizon(days, p_d, e_r, method)
     crs, curs, cycles = [], [], 0.0
-    for plan, day in zip(plans, profile.split_days()):
+    for plan, day in zip(plans, days):
         gated = replay_plan(plan, day, gated=True)
         m = compute_metrics(day, plan, gated["demand_w"], e_r)
         crs.append(m.cr)

@@ -138,6 +138,13 @@ class TestParseConfig:
             parse_config(doc)
         assert e.value.field == field
 
+    def test_null_csv_path_is_unset(self):
+        cfg = parse_config({"load": {"csv_path": None}})
+        assert cfg.load.csv_path == ""
+        with pytest.raises(ConfigError, match="required") as e:
+            parse_config({"load": {"source": "csv", "csv_path": None}})
+        assert e.value.field == "load.csv_path"
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -265,17 +265,18 @@ class TestGeneralPathMatchesFastPath:
         return fast, general
 
     @staticmethod
-    def _assert_same_state(fast: Plant, general: Plant):
+    def _assert_same_state(fast: Plant, general: Plant, net_abs_wh=0.0):
+        """net_abs_wh is an absolute tolerance for the signed net sums
+        stored_wh and grid_wh only; the loss sums are held to 1e-12
+        relative."""
         assert np.array_equal(fast.soc, general.soc)
         assert np.allclose(fast.ipol, general.ipol, rtol=1e-12, atol=0.0)
         assert fast.t_elapsed == general.t_elapsed
-        # a net sum such as stored_wh can cancel to almost zero over the
-        # horizon, so it is compared on the scale of the total loss
-        tol_wh = 1e-12 * fast.cumulative.total_loss_wh
         for f in dataclasses.fields(LossBreakdown):
             got = getattr(fast.cumulative, f.name)
+            abs_wh = net_abs_wh if f.name in ("stored_wh", "grid_wh") else 0.0
             assert got == pytest.approx(getattr(general.cumulative, f.name),
-                                        rel=1e-12, abs=tol_wh), f.name
+                                        rel=1e-12, abs=abs_wh), f.name
         assert fast.max_balance_residual_rel <= 1e-9
         assert general.max_balance_residual_rel <= 1e-9
 
@@ -299,7 +300,12 @@ class TestGeneralPathMatchesFastPath:
             assert np.all(diff <= tol_wh), name
         assert np.array_equal(rf.truncated, rg.truncated)
         assert np.count_nonzero(rf.demand_w) > 0
-        self._assert_same_state(fast, general)
+        # from soc_min the run's net stored_wh cancels to about 1e-10 Wh,
+        # below the rounding of its gross flow, so at that edge the net sums
+        # are compared on the scale of the total loss
+        net_abs_wh = (1e-12 * fast.cumulative.total_loss_wh
+                      if initial_soc == PlantConfig.soc_min else 0.0)
+        self._assert_same_state(fast, general, net_abs_wh)
 
     def test_infeasible_step_leaves_same_state(self):
         # a cell block this resistive cannot deliver its discharge rating:
