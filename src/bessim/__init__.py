@@ -33,12 +33,9 @@ from .losses import (
 )
 from .plant import (
     ClusterParams,
-    ClusterState,
     LossBreakdown,
     Plant,
     PlantConfig,
-    cluster_current_from_power,
-    step_cluster,
     uniform_plant_config,
 )
 from .scheduler import (

@@ -227,14 +227,6 @@ def grid_search_allocation(p_sys_w: float, plant: Plant, resolution: float = 1e-
     return k[best], float(fits[best])
 
 
-def allocation_trace_csv(rows: list[tuple[int, float, np.ndarray]]) -> str:
-    """Optimizer trace as CSV: iteration, best fitness, best coefficients."""
-    lines = ["iteration,best_fitness_wh,best_k"]
-    for it, f, k in rows:
-        lines.append(f"{it},{f:.10g},\"{';'.join(f'{v:.8g}' for v in k)}\"")
-    return "\n".join(lines) + "\n"
-
-
 def allocation_matrix_csv(times_s: np.ndarray, K: np.ndarray) -> str:
     """Dense allocation time series (T x m) as CSV for heatmap plotting."""
     m = K.shape[1]

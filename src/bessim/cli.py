@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -259,10 +260,8 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     outdir = _resolve_outdir(args, cfg)
     profile = _load_profile(cfg, args.days)
-    depths = [float(v) for v in args.depths.split(",")] if args.depths else \
-        [1e6, 2e6, 3e6, 4e6, 5e6]
     cluster = cfg.plant.clusters[0]
-    reports = depth_sweep(profile, depths, cluster=cluster,
+    reports = depth_sweep(profile, args.depths, cluster=cluster,
                           soc_min=cfg.plant.soc_min, soc_max=cfg.plant.soc_max,
                           initial_soc=cfg.plant.initial_soc,
                           method=cfg.schedule.method)
@@ -297,6 +296,26 @@ def cmd_validate_config(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """--days: a positive integer."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _depths(text: str) -> list[float]:
+    """--depths: comma-separated finite positive powers in W."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated positive numbers, got {text!r}")
+    return values
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ConfigError, so they
     leave main() as a JSON error like every other failure; --help and
@@ -321,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                        f"and ${OUTPUT_DIR_ENV})")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="preferred output format for reports")
-        p.add_argument("--days", type=int, default=None,
+        p.add_argument("--days", type=_positive_int, default=None,
                        help="limit or extend the horizon to this many days")
 
     for name, fn, doc in (
@@ -336,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.set_defaults(fn=fn)
         if name == "sweep":
-            p.add_argument("--depths",
+            p.add_argument("--depths", type=_depths,
+                           default=[1e6, 2e6, 3e6, 4e6, 5e6],
                            help="comma-separated power depths in W")
         if name == "gen-load":
             p.add_argument("--name", default="load.csv",

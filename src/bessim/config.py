@@ -81,6 +81,8 @@ class OutputConfig:
     formats: tuple[str, ...] = ("csv",)
 
     def __post_init__(self):
+        if not self.formats:
+            raise ConfigError("output.formats", "must be a non-empty list")
         for f in self.formats:
             if f not in ("csv", "json"):
                 raise ConfigError("output.formats", f"unknown format {f!r}")
@@ -106,17 +108,30 @@ class RunConfig:
             json.dumps(self.raw, sort_keys=True).encode()).hexdigest()
 
 
-def _get(d: dict, key: str, default):
-    return d.get(key, default) if isinstance(d, dict) else default
+def _section(d: dict, key: str, name: str) -> dict:
+    """Sub-section key of config section d: a JSON object, or {} when the
+    key is absent. Anything else is rejected with the dotted name."""
+    raw = d.get(key, {})
+    if not isinstance(raw, dict):
+        raise ConfigError(name, f"must be a JSON object, got {raw!r}")
+    return raw
 
 
-def _get_int(d: dict, key: str, default: int, name: str) -> int:
+def _check_keys(d: dict, prefix: str, allowed) -> None:
+    """Reject the first key of section d outside allowed, named as
+    prefix.key, so a misspelt key never silently takes its default."""
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{prefix}.{key}" if prefix else key,
+                              "unknown key")
+
+
+def _integer(raw, name: str) -> int:
     """An integer field: a JSON integer, or a number with an integral value.
 
     Strings, booleans and fractional values are rejected rather than
     coerced or truncated; the error names the dotted field.
     """
-    raw = _get(d, key, default)
     if isinstance(raw, bool) or not (
             isinstance(raw, int) or isinstance(raw, float) and raw.is_integer()):
         raise ConfigError(name, f"must be an integer, got {raw!r}")
@@ -137,20 +152,6 @@ def _finite(raw, name: str) -> float:
     raise ConfigError(name, f"must be a finite number, got {raw!r}")
 
 
-def _get_float(d: dict, key: str, default: float, name: str) -> float:
-    """A float field: any finite JSON number (see _finite)."""
-    return _finite(_get(d, key, default), name)
-
-
-def _get_floats(d: dict, key: str, default: tuple, name: str) -> tuple:
-    """A coefficient list: a JSON array of finite numbers, each checked
-    like a float field and named by its index."""
-    raw = _get(d, key, default)
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(name, f"must be a list of numbers, got {raw!r}")
-    return tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(raw))
-
-
 def _string(raw, name: str) -> str:
     """raw when it is a JSON string; otherwise a ConfigError naming the
     dotted field, so that a number is never taken as a path or a file
@@ -160,35 +161,33 @@ def _string(raw, name: str) -> str:
     raise ConfigError(name, f"must be a string, got {raw!r}")
 
 
-def _get_str(d: dict, key: str, default: str, name: str) -> str:
-    """A string field (see _string)."""
-    return _string(_get(d, key, default), name)
-
-
-def _get_strs(d: dict, key: str, default: tuple, name: str) -> tuple:
-    """A JSON array of strings, each checked like a string field and named
-    by its index."""
-    raw = _get(d, key, default)
+def _get_list(d: dict, key: str, default: tuple, name: str, item) -> tuple:
+    """A JSON array (a coefficient list, or output.formats) whose entries
+    are each checked by item, _finite or _string, and named by index."""
+    raw = d.get(key, default)
     if not isinstance(raw, (list, tuple)):
-        raise ConfigError(name, f"must be a list of strings, got {raw!r}")
-    return tuple(_string(v, f"{name}[{i}]") for i, v in enumerate(raw))
+        raise ConfigError(name, f"must be a JSON array, got {raw!r}")
+    return tuple(item(v, f"{name}[{i}]") for i, v in enumerate(raw))
 
 
-def _scalars(cls, d: dict, prefix: str, **defaults) -> dict:
+def _scalars(cls, d: dict, prefix: str, sections=(), **defaults) -> dict:
     """Keyword arguments for the integer, float and string fields of
     dataclass cls from its config section d. Defaults come from the
-    dataclass unless given here; integer fields go through _get_int, float
-    fields through _get_float, string fields through _get_str, and each
-    error names the field as prefix.name."""
+    dataclass unless given here; integer fields go through _integer, float
+    fields through _finite, string fields through _string, and each error
+    names the field as prefix.name. The section's other keys are the
+    sub-sections and lists the caller reads itself, named in sections; any
+    key that is neither is rejected."""
     kwargs = {}
     for f in fields(cls):
         default = defaults.get(f.name, f.default)
         if isinstance(default, bool) or not isinstance(default,
                                                        (int, float, str)):
             continue
-        get = (_get_str if isinstance(default, str)
-               else _get_int if isinstance(default, int) else _get_float)
-        kwargs[f.name] = get(d, f.name, default, f"{prefix}.{f.name}")
+        check = (_string if isinstance(default, str)
+                 else _integer if isinstance(default, int) else _finite)
+        kwargs[f.name] = check(d.get(f.name, default), f"{prefix}.{f.name}")
+    _check_keys(d, prefix, kwargs.keys() | set(sections))
     return kwargs
 
 
@@ -202,56 +201,63 @@ def _build_pso(d: dict) -> PsoParams:
 
 
 def _build_cluster(d: dict) -> ClusterParams:
-    cell_d = _get(d, "cell", {})
+    cell_d = _section(d, "cell", "plant.cluster.cell")
     cell = CellParams(
-        ocv=OcvCoeffs(_get_floats(cell_d, "ocv_coeffs", DEFAULT_OCV_COEFFS,
-                                  "plant.cluster.cell.ocv_coeffs")),
-        **_scalars(CellParams, cell_d, "plant.cluster.cell"))
+        ocv=OcvCoeffs(_get_list(cell_d, "ocv_coeffs", DEFAULT_OCV_COEFFS,
+                                "plant.cluster.cell.ocv_coeffs", _finite)),
+        **_scalars(CellParams, cell_d, "plant.cluster.cell", ("ocv_coeffs",)))
     return ClusterParams(
         cell=cell,
-        dcdc_coeffs=PcsEfficiencyCoeffs(_get_floats(
-            d, "dcdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.dcdc_coeffs")),
-        acdc_coeffs=PcsEfficiencyCoeffs(_get_floats(
-            d, "acdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.acdc_coeffs")),
-        **_scalars(ClusterParams, d, "plant.cluster"))
+        dcdc_coeffs=PcsEfficiencyCoeffs(_get_list(
+            d, "dcdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.dcdc_coeffs",
+            _finite)),
+        acdc_coeffs=PcsEfficiencyCoeffs(_get_list(
+            d, "acdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.acdc_coeffs",
+            _finite)),
+        **_scalars(ClusterParams, d, "plant.cluster",
+                   ("cell", "acdc_coeffs", "dcdc_coeffs")))
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig.
 
-    Raises ConfigError naming the violated field.
+    Raises ConfigError naming the violated field, also for an unknown key
+    and for a section that is not a JSON object.
     """
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "configuration must be a JSON object")
-    plant_d = _get(doc, "plant", {})
+    _check_keys(doc, "", ("plant", "schedule", "allocator", "load", "output"))
+    plant_d = _section(doc, "plant", "plant")
     transformer = TransformerParams(**_scalars(
-        TransformerParams, _get(plant_d, "transformer", {}),
+        TransformerParams,
+        _section(plant_d, "transformer", "plant.transformer"),
         "plant.transformer"))
     plant = uniform_plant_config(
-        _get_int(plant_d, "n_clusters", 100, "plant.n_clusters"),
-        _build_cluster(_get(plant_d, "cluster", {})),
+        _integer(plant_d.get("n_clusters", 100), "plant.n_clusters"),
+        _build_cluster(_section(plant_d, "cluster", "plant.cluster")),
         transformer=transformer,
-        **_scalars(PlantConfig, plant_d, "plant"))
-    sched_d = _get(doc, "schedule", {})
+        **_scalars(PlantConfig, plant_d, "plant",
+                   ("n_clusters", "cluster", "transformer")))
+    sched_d = _section(doc, "schedule", "schedule")
     schedule = ScheduleConfig(**_scalars(ScheduleConfig, sched_d, "schedule"))
-    alloc_d = _get(doc, "allocator", {})
+    alloc_d = _section(doc, "allocator", "allocator")
     allocator = AllocatorConfig(
-        pso=_build_pso(_get(alloc_d, "pso", {})),
-        **_scalars(AllocatorConfig, alloc_d, "allocator"))
-    load_d = _get(doc, "load", {})
-    if _get(load_d, "csv_path", "") is None:
+        pso=_build_pso(_section(alloc_d, "pso", "allocator.pso")),
+        **_scalars(AllocatorConfig, alloc_d, "allocator", ("pso",)))
+    load_d = _section(doc, "load", "load")
+    if load_d.get("csv_path", "") is None:
         load_d = dict(load_d, csv_path="")     # null is unset, as if absent
     synth = SynthLoadSpec(**_scalars(
-        SynthLoadSpec, _get(load_d, "synth", {}), "load.synth",
+        SynthLoadSpec, _section(load_d, "synth", "load.synth"), "load.synth",
         dt_s=plant.dt_s))
     load = LoadConfig(
         synth=synth,
-        **_scalars(LoadConfig, load_d, "load"))
-    out_d = _get(doc, "output", {})
+        **_scalars(LoadConfig, load_d, "load", ("synth",)))
+    out_d = _section(doc, "output", "output")
     output = OutputConfig(
-        formats=_get_strs(out_d, "formats", OutputConfig.formats,
-                          "output.formats"),
-        **_scalars(OutputConfig, out_d, "output"))
+        formats=_get_list(out_d, "formats", OutputConfig.formats,
+                          "output.formats", _string),
+        **_scalars(OutputConfig, out_d, "output", ("formats",)))
     return RunConfig(plant=plant, schedule=schedule, allocator=allocator,
                      load=load, output=output, raw=doc)
 

@@ -97,11 +97,6 @@ class OcvCoeffs:
     def __call__(self, soc):
         return open_circuit_voltage(soc, self)
 
-    def antiderivative(self, soc):
-        """Antiderivative of the OCV polynomial, for exact SoC-interval means."""
-        b0, b1, b2, b3 = self.b
-        return soc * (b0 + soc * (b1 / 2 + soc * (b2 / 3 + soc * b3 / 4)))
-
 
 @dataclass(frozen=True)
 class CellParams:

@@ -23,7 +23,6 @@ from .errors import DomainError, InfeasiblePowerError, ConfigError
 from .losses import (
     CellParams,
     PcsEfficiencyCoeffs,
-    RcState,
     TransformerParams,
     transformer_loss,
     PCS_EFFICIENCY_FLOOR,
@@ -76,18 +75,6 @@ class ClusterParams:
     @property
     def time_constant_s(self) -> float:
         return self.cell.time_constant_s
-
-
-@dataclass(frozen=True)
-class ClusterState:
-    """SoC and aggregate polarization state of one cluster."""
-
-    soc: float
-    rc: RcState = field(default_factory=RcState)
-
-    def __post_init__(self):
-        if not 0.0 <= self.soc <= 1.0:
-            raise DomainError("soc must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -468,51 +455,6 @@ def _scalar_kernel(pp: _ParamArrays, dt: float):
     return step
 
 
-def cluster_current_from_power(state: ClusterState, dc_power_w: float,
-                               p: ClusterParams) -> float:
-    """Battery terminal current (A) delivering dc_power_w at the terminals.
-
-    Solves r_agg*I^2 + (V_oc_agg + r_pol_agg*i_pol)*I - P_dc = 0 for the
-    physical (smaller magnitude) root with the sign of P_dc.
-    """
-    v_oc = p.n_series * float(np.polyval(p.cell.ocv.b[::-1],
-                                         np.clip(state.soc, 0.0, 1.0)))
-    b = v_oc + p.r_pol_agg * state.rc.i_pol
-    disc = b * b + 4.0 * p.r_ohm_agg * dc_power_w
-    if disc < 0.0:
-        raise InfeasiblePowerError(
-            f"dc power {dc_power_w:.1f} W exceeds maximum deliverable")
-    return 2.0 * dc_power_w / (b + math.sqrt(disc))
-
-
-def step_cluster(state: ClusterState, ac_side_power_w: float, dt: float,
-                 p: ClusterParams, soc_min: float = 0.03,
-                 soc_max: float = 0.97) -> tuple[ClusterState, LossBreakdown, bool]:
-    """Advance one cluster one step. Returns (state, ledger, truncated).
-
-    The ledger has no transformer entry (system-level device) and grid_wh
-    equal to the cluster AC-side energy.
-    """
-    if abs(ac_side_power_w) > p.rated_power_w * (1.0 + 1e-12):
-        raise DomainError("ac_side_power_w above cluster rated power")
-    if dt < 0:
-        raise DomainError("dt must be non-negative")
-    pp = _ParamArrays((p,), soc_min, soc_max)
-    soc, ipol, _, truncated, E = _step_arrays(
-        np.array([state.soc]), np.array([state.rc.i_pol]),
-        np.array([ac_side_power_w]), dt, pp)
-    new_state = ClusterState(
-        soc=float(soc[0]),
-        rc=RcState(i_pol=float(ipol[0]), t_elapsed=state.rc.t_elapsed + dt),
-    )
-    e = E[:, 0].tolist()
-    ledger = LossBreakdown(
-        transformer_wh=0.0, acdc_wh=e[ACDC], dcdc_wh=e[DCDC],
-        battery_ohmic_wh=e[OHMIC], battery_polarization_wh=e[POLARIZATION],
-        stored_wh=e[STORED], grid_wh=e[E_AC])
-    return new_state, ledger, bool(truncated[0])
-
-
 class Plant:
     """Mutable plant state: per-cluster SoC and polarization current arrays.
 
@@ -528,7 +470,6 @@ class Plant:
         self.t_elapsed = 0.0
         self.cumulative = LossBreakdown()
         self.max_balance_residual_rel = 0.0
-        self.last_truncated = np.zeros(self.params.m, dtype=bool)
 
     @property
     def n_clusters(self) -> int:
@@ -597,7 +538,6 @@ class Plant:
         self.soc, self.ipol, _, truncated, E = _step_arrays(
             self.soc, self.ipol, targets, dt, self.params)
         self.t_elapsed += dt
-        self.last_truncated = truncated
         tf_wh = tf_w * dt * WH_PER_J
         totals = E.sum(axis=-1).tolist()
         ledger = LossBreakdown(

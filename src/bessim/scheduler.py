@@ -8,7 +8,6 @@ equals the actual load).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -97,28 +96,6 @@ class ShavingPlan:
     dt_s: float
     n_samples: int
     initial_energy_wh: float = 0.0
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "power_depth_w": self.power_depth_w,
-            "rated_power_w": self.rated_power_w,
-            "rated_energy_wh": self.rated_energy_wh,
-            "p_chr_ref0_w": self.p_chr_ref0_w,
-            "p_dis_ref0_w": self.p_dis_ref0_w,
-            "dt_s": self.dt_s,
-            "n_samples": self.n_samples,
-            "intervals": [
-                {"kind": iv.kind, "start": iv.start, "stop": iv.stop,
-                 "ref_w": iv.ref_w} for iv in self.intervals
-            ],
-            "cycles": [
-                {"index": c.index, "first_kind": c.first_kind,
-                 "charge_interval": c.charge_interval,
-                 "discharge_interval": c.discharge_interval,
-                 "p_chr_ref_w": c.p_chr_ref_w, "p_dis_ref_w": c.p_dis_ref_w,
-                 "feasible": c.feasible} for c in self.cycles
-            ],
-        }, sort_keys=True)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from bessim.allocator import (
     AllocationVector,
     PsoParams,
     allocation_matrix_csv,
-    allocation_trace_csv,
     balanced_allocation,
     fitness,
     grid_search_allocation,
@@ -286,12 +285,6 @@ class TestGridSearch:
 
 
 class TestCsvHelpers:
-    def test_trace_csv_shape(self):
-        text = allocation_trace_csv([(0, 1.5, np.array([0.5, 0.5]))])
-        lines = text.strip().split("\n")
-        assert lines[0] == "iteration,best_fitness_wh,best_k"
-        assert lines[1].startswith("0,1.5,")
-
     def test_matrix_csv_shape(self):
         text = allocation_matrix_csv(np.array([0.0, 60.0]),
                                      np.array([[1.0, 0.0], [0.5, 0.5]]))

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,7 @@ class TestParseConfig:
         ("output", "dir", 5, "output.dir"),
         ("output", "formats", "json", "output.formats"),
         ("output", "formats", ["csv", 1], "output.formats[1]"),
+        ("output", "formats", [], "output.formats"),
     ])
     def test_bad_string_field_rejected_with_its_name(self, section, key,
                                                       value, field):
@@ -144,6 +146,45 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="required") as e:
             parse_config({"load": {"source": "csv", "csv_path": None}})
         assert e.value.field == "load.csv_path"
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"plant": {"n_cluster": 5}}, "plant.n_cluster"),
+        ({"shedule": {"method": "original"}}, "shedule"),
+        ({"plant": {"clusters": []}}, "plant.clusters"),
+        ({"plant": {"transformer": {"rated_power": 1e6}}},
+         "plant.transformer.rated_power"),
+        ({"plant": {"cluster": {"cell": {"ocv": [2.5, 1, 0, 0]}}}},
+         "plant.cluster.cell.ocv"),
+        ({"allocator": {"pso": {"particle": 3}}}, "allocator.pso.particle"),
+        ({"load": {"synth": {"day": 2}}}, "load.synth.day"),
+        ({"output": {"format": ["json"]}}, "output.format"),
+    ])
+    def test_unknown_key_rejected_with_its_name(self, doc, field):
+        with pytest.raises(ConfigError, match="unknown key") as e:
+            parse_config(doc)
+        assert e.value.field == field
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"plant": 5}, "plant"),
+        ({"schedule": ["improved"]}, "schedule"),
+        ({"plant": {"cluster": None}}, "plant.cluster"),
+        ({"plant": {"cluster": {"cell": 1.0}}}, "plant.cluster.cell"),
+        ({"allocator": {"pso": "fast"}}, "allocator.pso"),
+        ({"load": {"synth": []}}, "load.synth"),
+    ])
+    def test_non_object_section_rejected_with_its_name(self, doc, field):
+        with pytest.raises(ConfigError, match="must be a JSON object") as e:
+            parse_config(doc)
+        assert e.value.field == field
+
+    def test_readme_configuration_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        cfg = parse_config(doc)
+        assert len(cfg.plant.clusters) == doc["plant"]["n_clusters"]
+        assert cfg.output.formats == tuple(doc["output"]["formats"])
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -195,6 +236,19 @@ class TestErrorContract:
         assert err["error"] == "ConfigError"
         assert err["field"] == "argv"
         assert flags[0] in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--depths", "abc"], ["sweep", "--depths", "1e6,,2e6"],
+        ["sweep", "--depths", "0"], ["sweep", "--depths", "1e6,nan"],
+        ["simulate", "--days", "0"], ["simulate", "--days", "x"],
+        ["simulate", "--days", "1.5"],
+    ])
+    def test_bad_flag_value_exits_2_with_json_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "argv"
+        assert argv[1] in err["message"] and repr(argv[2]) in err["message"]
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                       ["simulate", "--help"]])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bessim.errors import ConfigError, DomainError, InfeasiblePowerError
-from bessim.losses import PcsEfficiencyCoeffs, TransformerParams
+from bessim.losses import (
+    PcsEfficiencyCoeffs,
+    RcState,
+    TransformerParams,
+    open_circuit_voltage,
+    pcs_efficiency,
+    steady_state_loss,
+    step_polarization,
+    transient_loss,
+)
 from bessim.plant import (
     ACDC,
     DCDC,
@@ -15,14 +25,13 @@ from bessim.plant import (
     E_DC,
     OHMIC,
     POLARIZATION,
+    SS,
     STORED,
+    TS,
     ClusterParams,
-    ClusterState,
     LossBreakdown,
     Plant,
     PlantConfig,
-    cluster_current_from_power,
-    step_cluster,
     uniform_plant_config,
     _ParamArrays,
     _step_arrays,
@@ -69,75 +78,94 @@ class TestPlantConfig:
         assert e.value.field == "initial_soc"
 
 
+def _step_one(c: ClusterParams, soc: float, ipol: float, p_ac_w: float,
+              dt: float):
+    """Step one cluster of kind c through the kernel at the default SoC
+    band: (soc, ipol, current, truncated, ledger), where the ledger has no
+    transformer entry and grid_wh is the cluster's AC-side energy."""
+    pp = _ParamArrays((c,), PlantConfig.soc_min, PlantConfig.soc_max)
+    soc, ipol, current, truncated, E = _step_arrays(
+        np.array([soc]), np.array([ipol]), np.array([p_ac_w]), dt, pp)
+    e = E[:, 0].tolist()
+    ledger = LossBreakdown(
+        acdc_wh=e[ACDC], dcdc_wh=e[DCDC], battery_ohmic_wh=e[OHMIC],
+        battery_polarization_wh=e[POLARIZATION], stored_wh=e[STORED],
+        grid_wh=e[E_AC])
+    return (float(soc[0]), float(ipol[0]), float(current[0]),
+            bool(truncated[0]), ledger)
+
+
+# converters of unit efficiency: the AC command is the DC power
+UNIT_PCS = PcsEfficiencyCoeffs((1.0, 0.0, 0.0, 0.0, 0.0))
+LOSSLESS_PCS = ClusterParams(acdc_coeffs=UNIT_PCS, dcdc_coeffs=UNIT_PCS)
+
+
+def _dc_current(p_dc_w: float) -> float:
+    """Terminal current (A) delivering p_dc_w at the battery terminals of
+    a cluster at SoC 0.5 with no polarization."""
+    return _step_one(LOSSLESS_PCS, 0.5, 0.0, p_dc_w, 60.0)[2]
+
+
 class TestClusterCurrent:
     def test_zero_power(self):
-        st = ClusterState(soc=0.5)
-        assert cluster_current_from_power(st, 0.0, ClusterParams()) == 0.0
+        assert _dc_current(0.0) == 0.0
 
     def test_charge_root(self):
-        st = ClusterState(soc=0.5)
-        i = cluster_current_from_power(st, 50_000.0, ClusterParams())
-        assert i == pytest.approx(83.17, abs=0.05)
+        assert _dc_current(50_000.0) == pytest.approx(83.17, abs=0.05)
 
     def test_discharge_root(self):
-        st = ClusterState(soc=0.5)
-        i = cluster_current_from_power(st, -50_000.0, ClusterParams())
-        assert i == pytest.approx(-88.0, abs=0.5)
+        assert _dc_current(-50_000.0) == pytest.approx(-88.0, abs=0.5)
 
     def test_infeasible_power_rejected(self):
-        st = ClusterState(soc=0.5)
         with pytest.raises(InfeasiblePowerError):
-            cluster_current_from_power(st, -1e9, ClusterParams())
+            _dc_current(-1e9)
 
 
 class TestStepCluster:
     def test_idle_step_at_rest(self):
-        st = ClusterState(soc=0.5)
-        new, ledger, trunc = step_cluster(st, 0.0, 60.0, ClusterParams())
-        assert new.soc == st.soc
+        soc, _, _, trunc, ledger = _step_one(ClusterParams(), 0.5, 0.0,
+                                             0.0, 60.0)
+        assert soc == 0.5
         assert ledger.total_loss_wh == 0.0
         assert not trunc
 
     def test_one_hour_charge_soc_rise_and_ledger(self):
         c = ClusterParams()
-        st = ClusterState(soc=0.5)
+        soc, ipol = 0.5, 0.0
         total = LossBreakdown()
         for _ in range(60):
-            st, ledger, _ = step_cluster(st, 50_000.0, 60.0, c)
+            soc, ipol, _, _, ledger = _step_one(c, soc, ipol, 50_000.0, 60.0)
             total.accumulate(ledger)
             scale = max(abs(ledger.grid_wh), 1e-30)
             assert abs(ledger.balance_residual_wh()) / scale < 1e-9
         # soc rise close to I * 1h / 300 Ah for the battery-side current
         # implied by the 50 kW AC command through both converter stages
-        from bessim.losses import pcs_efficiency
         eta2 = pcs_efficiency(1.0, c.acdc_coeffs) ** 2
-        i_dc = cluster_current_from_power(ClusterState(soc=0.5),
-                                          50_000.0 * eta2, c)
-        assert st.soc - 0.5 == pytest.approx(i_dc / 300.0, rel=0.05)
+        i_dc = _dc_current(50_000.0 * eta2)
+        assert soc - 0.5 == pytest.approx(i_dc / 300.0, rel=0.05)
         assert total.acdc_wh > 0 and total.dcdc_wh > 0
         assert total.battery_ohmic_wh > 0 and total.battery_polarization_wh > 0
         assert total.stored_wh > 0
 
     def test_truncation_at_soc_ceiling(self):
-        c = ClusterParams()
-        st = ClusterState(soc=0.97)
-        new, ledger, trunc = step_cluster(st, 50_000.0, 60.0, c,
-                                          soc_min=0.03, soc_max=0.97)
+        soc, _, _, trunc, ledger = _step_one(ClusterParams(), 0.97, 0.0,
+                                             50_000.0, 60.0)
         assert trunc
-        assert new.soc == pytest.approx(0.97)
+        assert soc == pytest.approx(0.97)
         assert ledger.stored_wh == pytest.approx(0.0, abs=1e-9)
 
     def test_power_above_rating_rejected(self):
-        with pytest.raises(DomainError):
-            step_cluster(ClusterState(soc=0.5), 60_000.0, 60.0, ClusterParams())
+        # 60 kW less the transformer loss still exceeds the 50 kW rating
+        plant = Plant(uniform_plant_config(1))
+        with pytest.raises(DomainError, match="rating"):
+            plant.step(60_000.0, np.ones(1))
 
     def test_polarization_relaxation_returns_stored_energy(self):
         c = ClusterParams()
-        st = ClusterState(soc=0.5)
-        st, _, _ = step_cluster(st, 50_000.0, 300.0, c)
-        assert st.rc.i_pol > 0
-        st2, ledger, _ = step_cluster(st, 0.0, 300.0, c)
-        assert st2.rc.i_pol < st.rc.i_pol
+        soc, ipol, _, _, _ = _step_one(c, 0.5, 0.0, 50_000.0, 300.0)
+        assert ipol > 0
+        _, ipol2, _, _, ledger = _step_one(c, soc, ipol, 0.0, 300.0)
+        assert ipol2 < ipol
         # capacitor discharges through the branch resistor: loss comes
         # out of stored energy, grid exchange stays zero
         assert ledger.grid_wh == 0.0
@@ -477,3 +505,67 @@ class TestStepArraysProperties:
             scale = max(np.abs(energies).max(), 1e-30)
             assert np.allclose(energies, want[4:], rtol=0.0,
                                atol=1e-12 * scale)
+
+
+class TestKernelMatchesLossModels:
+    """_step_arrays against the reference functions of bessim.losses, on
+    random states and commands for a plant of the three cluster kinds. The
+    reference functions are per cell; a cluster's branch currents equal
+    its cells' times n_parallel, so its energies are the cell values
+    scaled by n_series / n_parallel."""
+
+    N = 40
+
+    @pytest.mark.parametrize("dt", [60.0, 300.0, 900.0])
+    def test_kernel_agrees_with_reference_functions(self, dt):
+        rng = np.random.default_rng(int(dt))
+        pp = _ParamArrays(CLUSTER_KINDS, SOC_MIN, SOC_MAX)
+        shape = (self.N, len(CLUSTER_KINDS))
+        soc = rng.uniform(0.1, 0.9, shape)
+        ipol = rng.uniform(-150.0, 150.0, shape)
+        p_ac = (rng.uniform(0.05, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+                * pp.rated_w)
+        _, ipol_new, current, truncated, E = _step_arrays(
+            soc, ipol, p_ac, dt, pp)
+        assert not truncated.any()
+        t = np.linspace(0.0, dt, 20_001)
+        for j, c in enumerate(CLUSTER_KINDS):
+            cell, scale_wh = c.cell, c.n_series / c.n_parallel / 3600.0
+            cur, charging = current[:, j], p_ac[:, j] >= 0.0
+
+            # converter stages: each energy ratio is the stage efficiency
+            # at the command's load factor
+            lam = np.abs(p_ac[:, j]) / c.rated_power_w
+            eta_ac = pcs_efficiency(lam, c.acdc_coeffs)
+            eta_dc = pcs_efficiency(lam, c.dcdc_coeffs)
+            e_dc, e_ac = E[E_DC, :, j], E[E_AC, :, j]
+            e_mid = e_dc + E[DCDC, :, j]
+            assert np.allclose(np.where(charging, e_dc / e_mid, e_mid / e_dc),
+                               eta_dc, rtol=1e-12, atol=0.0)
+            assert np.allclose(np.where(charging, e_mid / e_ac, e_ac / e_mid),
+                               eta_ac, rtol=1e-12, atol=0.0)
+
+            # the current balances the DC power against the reference OCV
+            eta2 = eta_ac * eta_dc
+            p_dc = np.where(charging, p_ac[:, j] * eta2, p_ac[:, j] / eta2)
+            v_oc = c.n_series * open_circuit_voltage(soc[:, j], cell.ocv)
+            balance = (c.r_ohm_agg * cur * cur
+                       + (v_oc + c.r_pol_agg * ipol[:, j]) * cur - p_dc)
+            assert np.all(np.abs(balance) <= 1e-12 * np.abs(p_dc))
+
+            ss = steady_state_loss(cur, cell) * scale_wh * dt
+            assert np.allclose(E[SS, :, j], ss, rtol=1e-14, atol=0.0)
+
+            for r, i in enumerate(cur.tolist()):
+                i0 = float(ipol[r, j])
+                ref = step_polarization(RcState(i_pol=i0), i, dt, cell)
+                assert ipol_new[r, j] == pytest.approx(ref.i_pol, rel=1e-14)
+                # the transient loss along the branch's closed-form path;
+                # transient_loss reads only the state's i_pol
+                path = SimpleNamespace(
+                    i_pol=i + (i0 - i) * np.exp(-t / cell.time_constant_s))
+                ts = np.trapezoid(transient_loss(path, i, cell), t) * scale_wh
+                # relative to the larger of the two terms TS is made of
+                terms = max(E[POLARIZATION, r, j], c.r_pol_agg * i * i * dt
+                            / 3600.0)
+                assert abs(E[TS, r, j] - ts) <= 1e-6 * terms
