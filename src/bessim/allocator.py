@@ -120,7 +120,7 @@ def repair(k_raw: np.ndarray, blocked: np.ndarray,
     return k
 
 
-def fitness(k, p_sys_w: float, plant: Plant, dt: float | None = None) -> float:
+def fitness(k, p_sys_w: float, plant: Plant) -> float:
     """One-step plant evaluation of an allocation (Wh, larger is better).
 
     Charging: net battery energy stored. Discharging: net AC energy
@@ -128,11 +128,11 @@ def fitness(k, p_sys_w: float, plant: Plant, dt: float | None = None) -> float:
     Allocations driving any cluster above its power rating score -inf.
     """
     arr = np.asarray(getattr(k, "k", k), dtype=float)
-    return float(plant.evaluate_allocations(p_sys_w, arr[None, :], dt)[0])
+    return float(plant.evaluate_allocations(p_sys_w, arr[None, :])[0])
 
 
-def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
-                 dt: float | None = None) -> tuple[AllocationVector, np.ndarray]:
+def pso_allocate(p_sys_w: float, plant: Plant,
+                 params: PsoParams) -> tuple[AllocationVector, np.ndarray]:
     """Optimize the per-cluster split of p_sys with a particle swarm.
 
     The swarm is anchored at the balanced allocation (particle 0 is exactly
@@ -146,7 +146,7 @@ def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
     base = balanced_allocation(blocked).k
     if m == 1:
         k = AllocationVector(k=np.ones(1))
-        return k, np.array([fitness(k, p_sys_w, plant, dt)])
+        return k, np.array([fitness(k, p_sys_w, plant)])
 
     max_share = None
     p_net = plant.net_cluster_power(p_sys_w)
@@ -164,7 +164,7 @@ def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
     pos[1:] = repair(base + rng.uniform(-s, s, (n - 1, m)), blocked, max_share)
     vel = np.zeros((n, m))
 
-    fit = plant.evaluate_allocations(p_sys_w, pos, dt)
+    fit = plant.evaluate_allocations(p_sys_w, pos)
     pbest = pos.copy()
     pbest_fit = fit.copy()
     g = int(np.argmax(fit))
@@ -182,7 +182,7 @@ def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
                + params.social * r2 * (gbest - pos))
         np.clip(vel, -vb, vb, out=vel)
         pos = repair(pos + vel, blocked, max_share)
-        fit = plant.evaluate_allocations(p_sys_w, pos, dt)
+        fit = plant.evaluate_allocations(p_sys_w, pos)
         better = fit > pbest_fit
         pbest[better] = pos[better]
         pbest_fit[better] = fit[better]
@@ -195,8 +195,8 @@ def pso_allocate(p_sys_w: float, plant: Plant, params: PsoParams,
     return AllocationVector(k=gbest), trace
 
 
-def grid_search_allocation(p_sys_w: float, plant: Plant, resolution: float = 1e-3,
-                           dt: float | None = None) -> tuple[np.ndarray, float]:
+def grid_search_allocation(p_sys_w: float, plant: Plant,
+                           resolution: float = 1e-3) -> tuple[np.ndarray, float]:
     """Exhaustive simplex grid search for small cluster counts (m <= 3).
 
     Independent check for the swarm optimizer; not meant for production m.
@@ -222,7 +222,7 @@ def grid_search_allocation(p_sys_w: float, plant: Plant, resolution: float = 1e-
     fits = np.empty(k.shape[0])
     chunk = 200_000
     for i in range(0, k.shape[0], chunk):
-        fits[i:i + chunk] = plant.evaluate_allocations(p_sys_w, k[i:i + chunk], dt)
+        fits[i:i + chunk] = plant.evaluate_allocations(p_sys_w, k[i:i + chunk])
     best = int(np.argmax(fits))
     return k[best], float(fits[best])
 

@@ -136,7 +136,6 @@ def sweep_report_from_result(result: SimulationResult, depth_w: float,
 
 def depth_sweep(profile: LoadProfile, depths_w: list[float],
                 cluster: ClusterParams | None = None,
-                transformer: TransformerParams | None = None,
                 soc_min: float = 0.03, soc_max: float = 0.97,
                 initial_soc: float = 0.5,
                 method: str = "improved") -> list[DepthSweepReport]:
@@ -144,8 +143,11 @@ def depth_sweep(profile: LoadProfile, depths_w: list[float],
 
     Cluster count scales with depth so the per-cluster power share stays
     constant; reports therefore reflect load-shape changes, not plant size.
+    The transformer is rated at 1.26 x depth, its losses those of
+    TransformerParams() scaled by depth / 5 MW (at least 0.2).
     """
     cluster = cluster or ClusterParams()
+    tf_base = TransformerParams()
     reports = []
     for depth in depths_w:
         if depth <= 0:
@@ -157,9 +159,10 @@ def depth_sweep(profile: LoadProfile, depths_w: list[float],
                 f"depth {depth:.0f} W is not a multiple of the "
                 f"{cluster.rated_power_w:.0f} W cluster rating")
         m = int(round(ratio))
-        tf = transformer or TransformerParams(
-            no_load_loss_w=5_000.0 * max(depth / 5e6, 0.2),
-            rated_load_loss_w=35_000.0 * max(depth / 5e6, 0.2),
+        scale = max(depth / 5e6, 0.2)
+        tf = TransformerParams(
+            no_load_loss_w=tf_base.no_load_loss_w * scale,
+            rated_load_loss_w=tf_base.rated_load_loss_w * scale,
             rated_power_w=1.26 * depth)
         cfg = uniform_plant_config(
             m, cluster, transformer=tf, dt_s=profile.dt_s,

@@ -154,7 +154,6 @@ def cmd_simulate(args) -> int:
                                   demanded_w=result.cluster_target_w[sl])
         rows.append(metrics.csv_row(d, cfg.schedule.method))
     files = []
-    fmt = args.format or cfg.output.formats[0]
     metrics_path = os.path.join(outdir, "metrics.csv")
     _write_atomic(metrics_path, _day_metrics_csv(rows))
     files.append("metrics.csv")
@@ -162,7 +161,7 @@ def cmd_simulate(args) -> int:
     report = component_ledger_report(result)
     _write_atomic(os.path.join(outdir, "ledger.csv"), ledger_report_csv(report))
     files.append("ledger.csv")
-    if fmt == "json" or "json" in cfg.output.formats:
+    if "json" in cfg.output.formats:
         _write_atomic(os.path.join(outdir, "ledger.json"),
                       json.dumps(report, indent=2, sort_keys=True) + "\n")
         files.append("ledger.json")
@@ -260,15 +259,18 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     outdir = _resolve_outdir(args, cfg)
     profile = _load_profile(cfg, args.days)
-    cluster = cfg.plant.clusters[0]
-    reports = depth_sweep(profile, args.depths, cluster=cluster,
+    cluster, m = cfg.plant.clusters[0], len(cfg.plant.clusters)
+    # without --depths: 1/5 ... 5/5 of the plant's clusters, rounded up
+    depths = args.depths or sorted(
+        {(j * m + 4) // 5 * cluster.rated_power_w for j in range(1, 6)})
+    reports = depth_sweep(profile, depths, cluster=cluster,
                           soc_min=cfg.plant.soc_min, soc_max=cfg.plant.soc_max,
                           initial_soc=cfg.plant.initial_soc,
                           method=cfg.schedule.method)
     lines = [reports[0].CSV_HEADER] + [r.csv_row() for r in reports]
     _write_atomic(os.path.join(outdir, "sweep.csv"), "\n".join(lines) + "\n")
     files = ["sweep.csv"]
-    if args.format == "json" or "json" in cfg.output.formats:
+    if "json" in cfg.output.formats:
         _write_atomic(os.path.join(outdir, "sweep.json"),
                       sweep_reports_json(reports))
         files.append("sweep.json")
@@ -338,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the load and optimizer seeds")
         p.add_argument("--output", help="output directory (overrides config "
                        f"and ${OUTPUT_DIR_ENV})")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="preferred output format for reports")
         p.add_argument("--days", type=_positive_int, default=None,
                        help="limit or extend the horizon to this many days")
 
@@ -355,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.set_defaults(fn=fn)
         if name == "sweep":
-            p.add_argument("--depths", type=_depths,
-                           default=[1e6, 2e6, 3e6, 4e6, 5e6],
-                           help="comma-separated power depths in W")
+            p.add_argument("--depths", type=_depths, default=None,
+                           help="comma-separated power depths in W "
+                           "(default: 1/5 to 5/5 of the plant's rating)")
         if name == "gen-load":
             p.add_argument("--name", default="load.csv",
                            help="output file name")

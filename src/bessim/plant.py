@@ -29,6 +29,8 @@ from .losses import (
 )
 
 WH_PER_J = 1.0 / 3600.0
+# SoC margin inside which a cluster counts as pinned at a bound (blocked_mask)
+SOC_GATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -162,17 +164,18 @@ class _ParamArrays:
 
     rated_w is always an (m,) array; the constants only the step kernel
     reads are shared scalars where every cluster agrees (see _shared).
-    Also holds the step constants: the dt-independent ones are built here,
-    the dt-dependent ones by at_dt, which keeps them until a step asks for
-    another dt; scalar_at_dt does the same for the scalar kernel.
+    Also holds the plant's step length dt and the constants that depend on
+    it: step_consts for _step_arrays and, for a plant of identical
+    clusters, the scalar kernel scalar_step (None otherwise).
     """
 
     def __init__(self, clusters: tuple[ClusterParams, ...],
-                 soc_min: float, soc_max: float):
+                 soc_min: float, soc_max: float, dt: float):
         m = len(clusters)
         self.m = m
         self.soc_min = soc_min
         self.soc_max = soc_max
+        self.dt = dt
         self.rated_w = np.array([c.rated_power_w for c in clusters])
         self.identical = all(c == clusters[0] for c in clusters[1:])
         self.rated = _shared(self.rated_w)
@@ -191,32 +194,14 @@ class _ParamArrays:
         self.r_sum = self.r_ohm + self.r_pol
         self.r_ohm4 = 4.0 * self.r_ohm
         self.rated_tol_w = self.rated * (1.0 + 1e-9)
-        self._dt = None
-        self._dt_consts = ()
-        self._scalar_dt = None
-        self._scalar_step = None
-
-    def at_dt(self, dt: float) -> tuple:
-        """Step constants for dt: decay = exp(-dt/tau), coulomb (SoC change
-        per ampere), tau (1 - decay), tau/2 (1 - decay^2), and r_ohm dt,
-        r_pol dt, (r_ohm + r_pol) dt."""
-        if dt != self._dt:
-            decay = np.exp(-dt / self.tau)
-            self._dt_consts = (decay, dt / (3600.0 * self.cap_ah),
-                               self.tau * (1.0 - decay),
-                               (self.tau / 2.0) * (1.0 - decay * decay),
-                               self.r_ohm * dt, self.r_pol * dt,
-                               self.r_sum * dt)
-            self._dt = dt
-        return self._dt_consts
-
-    def scalar_at_dt(self, dt: float):
-        """The scalar step kernel for dt (see _scalar_kernel), kept until
-        another dt is asked for. Only for plants of identical clusters."""
-        if dt != self._scalar_dt:
-            self._scalar_step = _scalar_kernel(self, dt)
-            self._scalar_dt = dt
-        return self._scalar_step
+        # decay = exp(-dt/tau), coulomb (SoC change per ampere), tau (1 - decay),
+        # tau/2 (1 - decay^2), and r_ohm dt, r_pol dt, (r_ohm + r_pol) dt
+        decay = np.exp(-dt / self.tau)
+        self.step_consts = (decay, dt / (3600.0 * self.cap_ah),
+                            self.tau * (1.0 - decay),
+                            (self.tau / 2.0) * (1.0 - decay * decay),
+                            self.r_ohm * dt, self.r_pol * dt, self.r_sum * dt)
+        self.scalar_step = _scalar_kernel(self) if self.identical else None
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -237,8 +222,8 @@ def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
     return np.minimum(eta, 1.0, out=eta)
 
 
-def _step_arrays(soc, ipol, p_ac_cmd_w, dt, pp: _ParamArrays):
-    """Advance cluster states one step under commanded AC-side powers.
+def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
+    """Advance cluster states one step of pp.dt under commanded AC powers.
 
     All inputs broadcast against each other along the last (cluster) axis,
     so a batch of candidate allocations can be evaluated in one call.
@@ -253,8 +238,9 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, dt, pp: _ParamArrays):
     p_ac = np.asarray(p_ac_cmd_w, dtype=float)
     soc = np.asarray(soc, dtype=float)
     ipol = np.asarray(ipol, dtype=float)
+    dt = pp.dt
     (decay, coulomb, tau_1md, tau_half_1md2,
-     r_ohm_dt, r_pol_dt, r_sum_dt) = pp.at_dt(dt)
+     r_ohm_dt, r_pol_dt, r_sum_dt) = pp.step_consts
 
     charging = p_ac >= 0.0
     lam = np.abs(p_ac) / pp.rated
@@ -354,11 +340,11 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, dt, pp: _ParamArrays):
     return soc_new, ipol_new, current, truncated, E
 
 
-def _scalar_kernel(pp: _ParamArrays, dt: float):
+def _scalar_kernel(pp: _ParamArrays):
     """One-cluster step kernel on Python floats, for a plant whose clusters
     all share their constants (pp.identical, or one cluster).
 
-    Builds every constant that depends only on the cluster and dt once and
+    Builds every constant that depends only on the cluster and pp.dt once and
     returns step(soc, ipol, p_ac) -> (soc', ipol', current, truncated,
     e_ac, e_dc, stored, acdc, dcdc, ohmic, polarization, ss, ts), energies
     in Wh. Same formulas and clamping order as _step_arrays; one call
@@ -371,7 +357,7 @@ def _scalar_kernel(pp: _ParamArrays, dt: float):
     rated, n_series = pp.rated, pp.n_series
     r_ohm, r_pol, r_ohm4, r_sum = pp.r_ohm, pp.r_pol, pp.r_ohm4, pp.r_sum
     soc_min, soc_max = pp.soc_min, pp.soc_max
-    tau = pp.tau
+    tau, dt = pp.tau, pp.dt
     coulomb = dt / (3600.0 * pp.cap_ah)
     decay = math.exp(-dt / tau)
     one_m_decay = 1.0 - decay
@@ -464,7 +450,8 @@ class Plant:
 
     def __init__(self, cfg: PlantConfig):
         self.cfg = cfg
-        self.params = _ParamArrays(cfg.clusters, cfg.soc_min, cfg.soc_max)
+        self.params = _ParamArrays(cfg.clusters, cfg.soc_min, cfg.soc_max,
+                                   cfg.dt_s)
         self.soc = np.full(self.params.m, cfg.initial_soc, dtype=float)
         self.ipol = np.zeros(self.params.m, dtype=float)
         self.t_elapsed = 0.0
@@ -478,9 +465,9 @@ class Plant:
     def blocked_mask(self, p_sys_w: float) -> np.ndarray:
         """Clusters pinned at the SoC bound opposing the requested direction."""
         if p_sys_w > 0:
-            return self.soc >= self.cfg.soc_max - 1e-12
+            return self.soc >= self.cfg.soc_max - SOC_GATE_TOL
         if p_sys_w < 0:
-            return self.soc <= self.cfg.soc_min + 1e-12
+            return self.soc <= self.cfg.soc_min + SOC_GATE_TOL
         return np.zeros(self.params.m, dtype=bool)
 
     def transformer_split(self, p_sys_w: float) -> tuple[float, float]:
@@ -523,8 +510,8 @@ class Plant:
                 f"{targets[j]:.1f} W above its {self.params.rated_w[j]:.0f} W rating")
         return targets, tf_w
 
-    def step(self, p_sys_w: float, alloc, dt: float | None = None) -> LossBreakdown:
-        """Advance the whole plant one step and return the step ledger.
+    def step(self, p_sys_w: float, alloc) -> LossBreakdown:
+        """Advance the whole plant one step (cfg.dt_s) and return the ledger.
 
         Also publishes the step detail as self.last_step_detail, a tuple
         (totals, cluster0_dc_wh, any_truncated): totals is the list of the
@@ -533,10 +520,10 @@ class Plant:
         port energy of cluster 0, and any_truncated whether any cluster hit
         a SoC bound.
         """
-        dt = self.cfg.dt_s if dt is None else dt
+        dt = self.cfg.dt_s
         targets, tf_w = self._cluster_targets(p_sys_w, alloc)
         self.soc, self.ipol, _, truncated, E = _step_arrays(
-            self.soc, self.ipol, targets, dt, self.params)
+            self.soc, self.ipol, targets, self.params)
         self.t_elapsed += dt
         tf_wh = tf_w * dt * WH_PER_J
         totals = E.sum(axis=-1).tolist()
@@ -565,8 +552,7 @@ class Plant:
                 and bool(np.all(self.soc == self.soc[0]))
                 and bool(np.all(self.ipol == self.ipol[0])))
 
-    def evaluate_allocations(self, p_sys_w: float, K: np.ndarray,
-                             dt: float | None = None) -> np.ndarray:
+    def evaluate_allocations(self, p_sys_w: float, K: np.ndarray) -> np.ndarray:
         """Fitness of candidate allocations without mutating plant state.
 
         K has shape (n_candidates, m). Charging: net battery energy stored
@@ -577,7 +563,6 @@ class Plant:
         commanding any cluster above its rating score -inf. The shared
         transformer term is constant across candidates and omitted.
         """
-        dt = self.cfg.dt_s if dt is None else dt
         K = np.atleast_2d(np.asarray(K, dtype=float))
         p_net, tf_w = self.transformer_split(p_sys_w)
         targets = K * p_net
@@ -586,7 +571,7 @@ class Plant:
         # clamp to the rating so infeasible rows still step (scored -inf)
         safe_targets = np.minimum(targets, rated)
         np.maximum(safe_targets, -rated, out=safe_targets)
-        E = _step_arrays(self.soc, self.ipol, safe_targets, dt, self.params)[4]
+        E = _step_arrays(self.soc, self.ipol, safe_targets, self.params)[4]
         if p_sys_w >= 0:
             fitness = E[STORED].sum(axis=-1)
         else:

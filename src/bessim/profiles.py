@@ -13,6 +13,7 @@ import csv
 import io
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
@@ -127,6 +128,7 @@ def load_profile_from_csv(path: str, expected_dt_s: float | None = None) -> Load
             raise IngestionError("header must be exactly 'timestamp,load_w'", row=1)
         times: list[datetime] = []
         values: list[float] = []
+        rows = array("l")    # file row of each sample
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -145,31 +147,32 @@ def load_profile_from_csv(path: str, expected_dt_s: float | None = None) -> Load
                                      row=rownum)
             times.append(ts)
             values.append(v)
+            rows.append(rownum)
     if len(times) < 2:
         raise IngestionError("need at least two samples")
     dt = (times[1] - times[0]).total_seconds()
     if dt <= 0:
-        raise IngestionError("timestamps must be strictly increasing", row=3)
+        raise IngestionError("timestamps must be strictly increasing", row=rows[1])
     if expected_dt_s is not None and abs(dt - expected_dt_s) > 1e-9:
         raise IngestionError(
             f"sample spacing {dt} s does not match expected {expected_dt_s} s",
-            row=3)
+            row=rows[1])
 
     out_vals: list[float] = [values[0]]
     for i in range(1, len(times)):
         span = (times[i] - times[i - 1]).total_seconds()
         steps = span / dt
         if abs(steps - round(steps)) > 1e-6 or steps < 1:
-            raise IngestionError("non-uniform sample spacing", row=i + 2)
+            raise IngestionError("non-uniform sample spacing", row=rows[i])
         missing = int(round(steps)) - 1
         if missing > MAX_INTERPOLATED_GAP:
             raise IngestionError(
                 f"gap of {missing} missing samples exceeds the "
                 f"{MAX_INTERPOLATED_GAP}-sample interpolation limit",
-                row=i + 2)
+                row=rows[i])
         if missing:
             log.warning("interpolating %d missing sample(s) before row %d",
-                        missing, i + 2)
+                        missing, rows[i])
             for g in range(1, missing + 1):
                 frac = g / (missing + 1)
                 out_vals.append(values[i - 1] + frac * (values[i] - values[i - 1]))

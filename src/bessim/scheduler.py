@@ -177,24 +177,19 @@ def segment_intervals(profile: LoadProfile, p_chr_ref_w: float,
     load = profile.values_w
     labels = np.where(load < p_chr_ref_w, 1,
                       np.where(load > p_dis_ref_w, -1, 0))
-    if not np.any(labels != 0):
+    labelled = np.flatnonzero(labels)
+    if not labelled.size:
         raise EmptyPlanError("references produce no eligible interval")
-    # dead-band samples inherit the preceding label; leading ones the first.
-    first = labels[labels != 0][0]
-    filled = np.empty_like(labels)
-    cur = first
-    for i, lab in enumerate(labels):
-        if lab != 0:
-            cur = lab
-        filled[i] = cur
+    # dead-band samples inherit the preceding label; leading ones the first:
+    # index each sample by the last labelled sample at or before it.
+    last = np.where(labels != 0, np.arange(labels.size), labelled[0])
+    filled = labels[np.maximum.accumulate(last)]
+    bounds = [0, *(np.flatnonzero(np.diff(filled)) + 1).tolist(), filled.size]
     intervals: list[Interval] = []
-    start = 0
-    for i in range(1, filled.size + 1):
-        if i == filled.size or filled[i] != filled[start]:
-            kind = "charge" if filled[start] == 1 else "discharge"
-            ref = p_chr_ref_w if kind == "charge" else p_dis_ref_w
-            intervals.append(Interval(kind, start, i, ref))
-            start = i
+    for start, stop in zip(bounds, bounds[1:]):
+        kind = "charge" if filled[start] == 1 else "discharge"
+        ref = p_chr_ref_w if kind == "charge" else p_dis_ref_w
+        intervals.append(Interval(kind, start, stop, ref))
     return intervals
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .allocator import PsoParams, pso_allocate, repair
 from .errors import DomainError
-from .plant import E_AC, SS, TS, WH_PER_J, Plant
+from .plant import E_AC, SOC_GATE_TOL, SS, TS, WH_PER_J, Plant
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
@@ -108,8 +108,8 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         raise DomainError(f"unknown allocation mode {alloc_mode!r}")
     if alloc_mode == "pso" and pso_params is None:
         pso_params = PsoParams()
-    dt = profile.dt_s
-    if abs(dt - plant.cfg.dt_s) > 1e-9:
+    dt = plant.cfg.dt_s
+    if abs(profile.dt_s - dt) > 1e-9:
         raise DomainError("profile sampling must match the plant step")
     days = profile.split_days()
     plans = plan_horizon(days, power_depth_w, rated_energy_wh, method)
@@ -128,7 +128,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     alloc_rows = np.zeros((n, m)) if record_alloc else None
 
     if alloc_mode == "balanced" and plant.is_uniform():
-        _run_uniform(plant, traces, dt)
+        _run_uniform(plant, traces)
         if record_alloc:
             alloc_rows[:] = 1.0 / m
     else:
@@ -157,7 +157,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
                     k_current = best.k
                 k = repair(k_current, blocked, max_share)
 
-            ledger = plant.step(p, k, dt)
+            ledger = plant.step(p, k)
             totals, e_dc0, traces["truncated"][i] = plant.last_step_detail
             demand[i] = p
             traces["cluster_target_w"][i] = p_net
@@ -190,7 +190,7 @@ def _cap_to_plant(p: float, avail_w: float, split) -> float:
     return 0.0
 
 
-def _run_uniform(plant: Plant, traces: dict, dt: float) -> None:
+def _run_uniform(plant: Plant, traces: dict) -> None:
     """Balanced run of a uniform plant (see Plant.is_uniform).
 
     A balanced split over identical clusters keeps every cluster in the
@@ -203,15 +203,15 @@ def _run_uniform(plant: Plant, traces: dict, dt: float) -> None:
     of the arrays; the plant gets its state, ledger and worst ledger
     residual back when the loop ends or raises.
     """
-    kernel = plant.params.scalar_at_dt(dt)
+    kernel, dt = plant.params.scalar_step, plant.cfg.dt_s
     split = plant.transformer_split
     m = float(plant.n_clusters)
     p_tot = float(np.sum(plant.params.rated_w))
     rated = plant.params.rated
     rated_tol = plant.params.rated_tol_w
     # the blocked mask of the one shared state
-    soc_hi = plant.cfg.soc_max - 1e-12
-    soc_lo = plant.cfg.soc_min + 1e-12
+    soc_hi = plant.cfg.soc_max - SOC_GATE_TOL
+    soc_lo = plant.cfg.soc_min + SOC_GATE_TOL
     step_h = dt / 3600.0
     w = WH_PER_J
     dv, tgv, delv, c0v, trv = (memoryview(traces[name]) for name in (

@@ -229,7 +229,8 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["field"] == "plant.cluster.rated_power_w"
 
-    @pytest.mark.parametrize("flags", [["--bogus"], ["--threads", "2"]])
+    @pytest.mark.parametrize("flags", [["--bogus"], ["--threads", "2"],
+                                       ["--format", "json"]])
     def test_usage_error_exits_2_with_json_error(self, flags, capsys):
         assert main(["simulate"] + flags) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -387,3 +388,12 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert rows[1].startswith("100000,")
         assert rows[2].startswith("200000,")
+
+    def test_default_depths_follow_the_plant(self, cfg_path, tmp_path,
+                                             capsys):
+        # 4 clusters of 50 kW: ceil(j * 4 / 5) clusters for j = 1..5
+        outdir = str(tmp_path / "out")
+        assert main(["sweep", "--config", cfg_path, "--output", outdir]) == 0
+        rows = open(os.path.join(outdir, "sweep.csv")).read().strip().split("\n")
+        assert [r.split(",")[0] for r in rows[1:]] == [
+            "50000", "100000", "150000", "200000"]

@@ -102,7 +102,8 @@ class TestOpenCircuitVoltage:
     def test_antiderivative_matches_numeric_integral(self):
         # the step kernel's table holds the antiderivative divided by soc
         c = OcvCoeffs()
-        pp = _ParamArrays((ClusterParams(cell=CellParams(ocv=c)),), 0.03, 0.97)
+        pp = _ParamArrays((ClusterParams(cell=CellParams(ocv=c)),), 0.03, 0.97,
+                          60.0)
 
         def anti(s):
             return _horner(pp.ocv_anti, s) * s

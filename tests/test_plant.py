@@ -83,9 +83,9 @@ def _step_one(c: ClusterParams, soc: float, ipol: float, p_ac_w: float,
     """Step one cluster of kind c through the kernel at the default SoC
     band: (soc, ipol, current, truncated, ledger), where the ledger has no
     transformer entry and grid_wh is the cluster's AC-side energy."""
-    pp = _ParamArrays((c,), PlantConfig.soc_min, PlantConfig.soc_max)
+    pp = _ParamArrays((c,), PlantConfig.soc_min, PlantConfig.soc_max, dt)
     soc, ipol, current, truncated, E = _step_arrays(
-        np.array([soc]), np.array([ipol]), np.array([p_ac_w]), dt, pp)
+        np.array([soc]), np.array([ipol]), np.array([p_ac_w]), pp)
     e = E[:, 0].tolist()
     ledger = LossBreakdown(
         acdc_wh=e[ACDC], dcdc_wh=e[DCDC], battery_ohmic_wh=e[OHMIC],
@@ -250,7 +250,7 @@ class TestPlant:
     def test_uniform_fast_step_matches_vectorized_step(self):
         cfg = uniform_plant_config(5, transformer=TransformerParams())
         plant = Plant(cfg)
-        kernel = plant.params.scalar_at_dt(cfg.dt_s)
+        kernel = plant.params.scalar_step
         soc, ipol = cfg.initial_soc, 0.0
         for p in (120_000.0, -80_000.0, 0.0, 30_000.0):
             ledger = plant.step(p, np.full(5, 0.2))
@@ -397,40 +397,6 @@ class TestSnapshotContinuation:
         assert resumed.t_elapsed == whole_plant.t_elapsed
 
 
-def _hetero_plant():
-    plant = Plant(uniform_plant_config(3))
-    plant.soc = np.array([0.4, 0.5, 0.6])
-    plant.ipol = np.array([1.0, -2.0, 0.5])
-    return plant
-
-
-class TestStepConstantsFollowDt:
-    """The dt-dependent step constants are cached per plant; a step at
-    another dt must recompute them, bit for bit as a fresh plant would."""
-
-    DTS = ((60.0, 90_000.0), (300.0, -60_000.0), (60.0, 40_000.0))
-
-    def test_step(self):
-        plant = _hetero_plant()
-        k = np.array([0.2, 0.3, 0.5])
-        for dt, p in self.DTS:
-            fresh = _hetero_plant()
-            fresh.soc, fresh.ipol = plant.soc.copy(), plant.ipol.copy()
-            expect = fresh.step(p, k, dt=dt)
-            assert plant.step(p, k, dt=dt) == expect
-            assert np.array_equal(plant.soc, fresh.soc)
-            assert np.array_equal(plant.ipol, fresh.ipol)
-            assert plant.last_step_detail == fresh.last_step_detail
-
-    def test_evaluate_allocations(self):
-        plant = _hetero_plant()
-        K = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5]])
-        for dt, p in self.DTS:
-            expect = _hetero_plant().evaluate_allocations(p, K, dt=dt)
-            assert np.array_equal(plant.evaluate_allocations(p, K, dt=dt),
-                                  expect)
-
-
 SOC_MIN, SOC_MAX = 0.03, 0.97
 # the third kind has its own DC/DC efficiency curve, so batches mixing it
 # in step the AC/DC and DC/DC stages with different coefficient tables
@@ -447,7 +413,8 @@ def step_batches(draw):
     m = draw(st.integers(1, 6))
     kinds = draw(st.lists(st.sampled_from(CLUSTER_KINDS), min_size=m,
                           max_size=m))
-    pp = _ParamArrays(tuple(kinds), SOC_MIN, SOC_MAX)
+    dt = draw(st.floats(1.0, 3600.0))
+    pp = _ParamArrays(tuple(kinds), SOC_MIN, SOC_MAX, dt)
 
     def grid(elements):
         values = draw(st.lists(elements, min_size=n * m, max_size=n * m))
@@ -457,7 +424,6 @@ def step_batches(draw):
                          st.floats(SOC_MIN, SOC_MAX)))
     ipol = grid(st.floats(-150.0, 150.0))
     p_ac = grid(st.floats(-1.0, 1.0)) * pp.rated_w
-    dt = draw(st.floats(1.0, 3600.0))
     return soc, ipol, p_ac, dt, pp, kinds
 
 
@@ -465,9 +431,9 @@ class TestStepArraysProperties:
     @settings(max_examples=200, deadline=None)
     @given(step_batches())
     def test_ledger_closes_and_rows_match_single_steps(self, batch):
-        soc, ipol, p_ac, dt, pp, _ = batch
+        soc, ipol, p_ac, _, pp, _ = batch
         soc_new, ipol_new, current, truncated, E = _step_arrays(
-            soc, ipol, p_ac, dt, pp)
+            soc, ipol, p_ac, pp)
         assert E.shape == (9,) + soc.shape
 
         losses = E[ACDC] + E[DCDC] + E[OHMIC] + E[POLARIZATION]
@@ -479,7 +445,7 @@ class TestStepArraysProperties:
         assert np.all(soc_new <= SOC_MAX + 1e-12)
 
         for r in range(soc.shape[0]):
-            row = _step_arrays(soc[r], ipol[r], p_ac[r], dt, pp)
+            row = _step_arrays(soc[r], ipol[r], p_ac[r], pp)
             for got, want in zip((soc_new[r], ipol_new[r], current[r],
                                   truncated[r], E[:, r]), row):
                 assert np.array_equal(got, want)
@@ -489,8 +455,8 @@ class TestStepArraysProperties:
     def test_matches_scalar_twin(self, batch):
         soc, ipol, p_ac, dt, pp, kinds = batch
         soc_new, ipol_new, current, truncated, E = _step_arrays(
-            soc, ipol, p_ac, dt, pp)
-        kernels = [_ParamArrays((k,), SOC_MIN, SOC_MAX).scalar_at_dt(dt)
+            soc, ipol, p_ac, pp)
+        kernels = [_ParamArrays((k,), SOC_MIN, SOC_MAX, dt).scalar_step
                    for k in kinds]
         for (r, j), s0 in np.ndenumerate(soc):
             want = kernels[j](float(s0), float(ipol[r, j]), float(p_ac[r, j]))
@@ -519,14 +485,14 @@ class TestKernelMatchesLossModels:
     @pytest.mark.parametrize("dt", [60.0, 300.0, 900.0])
     def test_kernel_agrees_with_reference_functions(self, dt):
         rng = np.random.default_rng(int(dt))
-        pp = _ParamArrays(CLUSTER_KINDS, SOC_MIN, SOC_MAX)
+        pp = _ParamArrays(CLUSTER_KINDS, SOC_MIN, SOC_MAX, dt)
         shape = (self.N, len(CLUSTER_KINDS))
         soc = rng.uniform(0.1, 0.9, shape)
         ipol = rng.uniform(-150.0, 150.0, shape)
         p_ac = (rng.uniform(0.05, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
                 * pp.rated_w)
         _, ipol_new, current, truncated, E = _step_arrays(
-            soc, ipol, p_ac, dt, pp)
+            soc, ipol, p_ac, pp)
         assert not truncated.any()
         t = np.linspace(0.0, dt, 20_001)
         for j, c in enumerate(CLUSTER_KINDS):

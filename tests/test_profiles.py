@@ -151,3 +151,35 @@ class TestCsvValidation:
         p = load_profile_from_csv(str(path))
         assert p.n_samples == 2
         assert p.start_time == datetime(2024, 1, 1)
+
+    # (rows, expected dt, file row of the error); row 2 is the first line
+    # after the header, blank lines included
+    BLANK_ROW_CASES = [
+        (["2024-01-01T00:00:00,1", "2024-01-01T00:01:00,1",
+          "2024-01-01T00:02:00,1", "", "", "2024-01-01T00:02:30,1"], None, 7),
+        (["", "2024-01-01T00:00:00,1", "2024-01-01T00:00:00,1"], None, 4),
+        (["", "2024-01-01T00:00:00,1", "2024-01-01T00:02:00,1"], 60.0, 4),
+        (["2024-01-01T00:00:00,1", "", "2024-01-01T00:01:00,1",
+          "2024-01-01T00:06:00,1"], None, 5),
+    ]
+
+    @pytest.mark.parametrize("rows, expected_dt, row", BLANK_ROW_CASES,
+                             ids=["spacing", "increasing", "expected_dt",
+                                  "gap"])
+    def test_error_rows_count_blank_lines(self, tmp_path, rows, expected_dt,
+                                          row):
+        path = tmp_path / "blank.csv"
+        path.write_text(_csv(rows))
+        with pytest.raises(IngestionError) as e:
+            load_profile_from_csv(str(path), expected_dt)
+        assert e.value.row == row
+
+    def test_interpolation_warning_names_file_row(self, tmp_path, caplog):
+        path = tmp_path / "blank.csv"
+        path.write_text(_csv(["2024-01-01T00:00:00,1", "",
+                              "2024-01-01T00:01:00,1",
+                              "2024-01-01T00:03:00,1"]))
+        with caplog.at_level(logging.WARNING, logger="bessim.profiles"):
+            load_profile_from_csv(str(path))
+        assert [r.getMessage() for r in caplog.records] == [
+            "interpolating 1 missing sample(s) before row 5"]

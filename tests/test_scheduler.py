@@ -112,7 +112,9 @@ class TestSegmentation:
         assert len(cycles) == 3
         assert cycles[0].first_kind == "charge"
         assert cycles[1].first_kind == "discharge"
-        assert cycles[1].charge_interval == cycles[2].charge_interval[0:0] or True
+        # neighbouring cycles share the interval between them
+        assert cycles[0].discharge_interval == cycles[1].discharge_interval
+        assert cycles[1].charge_interval == cycles[2].charge_interval
 
     def test_monotone_crossing_gives_one_cycle(self):
         load = np.linspace(10, 40, 24)
