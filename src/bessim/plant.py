@@ -31,6 +31,8 @@ from .losses import (
 WH_PER_J = 1.0 / 3600.0
 # SoC margin inside which a cluster counts as pinned at a bound (blocked_mask)
 SOC_GATE_TOL = 1e-12
+# Cluster-steps per _step_arrays call of Plant.idle; bounds its stacks' memory
+IDLE_CLUSTER_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -489,44 +491,25 @@ class Plant:
         """Total power the clusters exchange for a system-level command."""
         return self.transformer_split(p_sys_w)[0]
 
-    def _cluster_targets(self, p_sys_w: float, alloc) -> tuple[np.ndarray, float]:
-        """Split system power into per-cluster AC targets plus transformer loss.
-
-        The transformer is a single shared device; its loss is computed from
-        the total |p_sys| and carried at system level. Clusters receive the
-        remainder when charging and must additionally supply the loss when
-        discharging.
-        """
+    def _cluster_targets(self, p_net_w: float, alloc) -> np.ndarray:
+        """Per-cluster AC targets alloc * p_net_w, checked against ratings."""
         k = np.asarray(getattr(alloc, "k", alloc), dtype=float)
         if k.shape[-1] != self.params.m:
             raise DomainError("allocation length does not match cluster count")
-        p_net, tf_w = self.transformer_split(p_sys_w)
-        targets = k * p_net
+        targets = k * p_net_w
         over = np.abs(targets) > self.params.rated_tol_w
         if over.any():
             j = int(np.argmax(over))
             raise DomainError(
                 f"allocation infeasible: cluster {j} commanded "
                 f"{targets[j]:.1f} W above its {self.params.rated_w[j]:.0f} W rating")
-        return targets, tf_w
+        return targets
 
-    def step(self, p_sys_w: float, alloc) -> LossBreakdown:
-        """Advance the whole plant one step (cfg.dt_s) and return the ledger.
-
-        Also publishes the step detail as self.last_step_detail, a tuple
-        (totals, cluster0_dc_wh, any_truncated): totals is the list of the
-        nine energy-stack rows of _step_arrays summed over clusters (Wh,
-        indexed by E_AC ... TS, no transformer), cluster0_dc_wh the battery
-        port energy of cluster 0, and any_truncated whether any cluster hit
-        a SoC bound.
-        """
-        dt = self.cfg.dt_s
-        targets, tf_w = self._cluster_targets(p_sys_w, alloc)
-        self.soc, self.ipol, _, truncated, E = _step_arrays(
-            self.soc, self.ipol, targets, self.params)
-        self.t_elapsed += dt
-        tf_wh = tf_w * dt * WH_PER_J
-        totals = E.sum(axis=-1).tolist()
+    def _close(self, totals: list, tf_w: float) -> LossBreakdown:
+        """Book one step of cluster sums totals (see step) and transformer
+        loss tf_w (W): advance t_elapsed, accumulate the ledger, track the
+        worst residual. Returns the step's ledger."""
+        tf_wh = tf_w * self.cfg.dt_s * WH_PER_J
         ledger = LossBreakdown(
             transformer_wh=tf_wh,
             acdc_wh=totals[ACDC],
@@ -536,15 +519,59 @@ class Plant:
             stored_wh=totals[STORED],
             grid_wh=totals[E_AC] + tf_wh,
         )
+        self.t_elapsed += self.cfg.dt_s
         self.cumulative.accumulate(ledger)
         scale = max(abs(ledger.grid_wh), abs(ledger.stored_wh),
                     ledger.total_loss_wh, 1e-30)
         rel = abs(ledger.balance_residual_wh()) / scale
         if rel > self.max_balance_residual_rel:
             self.max_balance_residual_rel = rel
-        self.last_step_detail = (totals, float(E[E_DC, 0]),
+        return ledger
+
+    def step(self, split: tuple[float, float], alloc) -> LossBreakdown:
+        """Advance the whole plant one step (cfg.dt_s) and return the ledger;
+        split is transformer_split(p_sys), alloc the clusters' shares.
+
+        Also publishes the step detail as self.last_step_detail, a tuple
+        (ledger, totals, cluster0_dc_wh, any_truncated): totals is the list
+        of the nine energy-stack rows of _step_arrays summed over clusters
+        (Wh, indexed by E_AC ... TS, no transformer), cluster0_dc_wh the
+        battery port energy of cluster 0, and any_truncated whether any
+        cluster hit a SoC bound.
+        """
+        targets = self._cluster_targets(split[0], alloc)
+        self.soc, self.ipol, _, truncated, E = _step_arrays(
+            self.soc, self.ipol, targets, self.params)
+        totals = E.sum(axis=-1).tolist()
+        ledger = self._close(totals, split[1])
+        self.last_step_detail = (ledger, totals, float(E[E_DC, 0]),
                                  bool(truncated.any()))
         return ledger
+
+    def idle(self, n: int) -> list[tuple]:
+        """Advance n zero-command steps and return their step details: bit
+        for bit n calls of step(transformer_split(0.0), k), any allocation
+        k. At zero current SoC stays put and ipol -> (ipol - 0) * decay + 0,
+        so the start states are a running product, stepped in batches of
+        IDLE_CLUSTER_STEPS cluster-steps."""
+        pp = self.params
+        tf_w = self.transformer_split(0.0)[1]
+        chunk = max(IDLE_CLUSTER_STEPS // pp.m, 1)
+        details = []
+        for start in range(0, n, chunk):
+            ipol = np.empty((min(chunk, n - start), pp.m))
+            ipol[0] = self.ipol
+            ipol[1:] = pp.step_consts[0]
+            np.multiply.accumulate(ipol, out=ipol)
+            ipol[1:] += 0.0     # the kernel's "+ current": -0.0 becomes 0.0
+            soc, ipol, _, truncated, E = _step_arrays(
+                self.soc, ipol, np.zeros(pp.m), pp)
+            self.soc, self.ipol = soc[-1].copy(), ipol[-1].copy()
+            rows = zip(E.sum(axis=-1).T.tolist(), E[E_DC, :, 0].tolist(),
+                       truncated.any(axis=-1).tolist())
+            details += [(self._close(totals, tf_w), totals, e_dc0, trunc)
+                        for totals, e_dc0, trunc in rows]
+        return details
 
     def is_uniform(self) -> bool:
         """True when every cluster has identical parameters and state."""

@@ -82,8 +82,8 @@ def plan_horizon(days: list[LoadProfile], power_depth_w: float,
     return plans
 
 
-# The per-step float traces of SimulationResult that start at zero; with
-# demand_w and truncated they are filled by field name by both loops.
+# The per-step float traces of SimulationResult that start at zero, in the
+# order record writes them; both loops fill them, demand_w and truncated.
 _TRACES = ("cluster_target_w", "delivered_w", "grid_wh", "stored_wh",
            "transformer_wh", "acdc_wh", "dcdc_wh", "ohmic_wh",
            "polarization_wh", "ss_wh", "ts_wh", "cluster0_dc_w")
@@ -102,7 +102,10 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     its direction (Plant.blocked_mask) and capped to what the free clusters
     can exchange. alloc_mode is 'balanced' or 'pso'; with 'pso' the
     allocation is re-optimized every realloc_cadence_s of simulated time
-    and repaired against the current blocked mask in between.
+    and repaired against the current blocked mask in between. A zero step
+    records the unblocked balanced allocation. Outside the uniform fast path
+    each run of planned zero demand is one Plant.idle call, bit for bit the
+    same steps: at 0 W nothing is blocked or capped and PSO does not run.
     """
     if alloc_mode not in ("balanced", "pso"):
         raise DomainError(f"unknown allocation mode {alloc_mode!r}")
@@ -126,54 +129,64 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         replay_plan(plan, day, gated=False)["demand_w"]
         for plan, day in zip(plans, days)])
     alloc_rows = np.zeros((n, m)) if record_alloc else None
+    # the balanced split with nothing blocked: the allocation of zero steps
+    balanced = repair(np.full(m, 1.0 / m), np.zeros(m, dtype=bool))
+
+    def record(i: int, p_net: float, detail: tuple, k: np.ndarray) -> None:
+        ledger, totals, e_dc0, traces["truncated"][i] = detail
+        for name, value in zip(_TRACES, (
+                p_net, totals[E_AC] / step_h, ledger.grid_wh,
+                ledger.stored_wh, ledger.transformer_wh, ledger.acdc_wh,
+                ledger.dcdc_wh, ledger.battery_ohmic_wh,
+                ledger.battery_polarization_wh, totals[SS], totals[TS],
+                e_dc0 / step_h)):
+            traces[name][i] = value
+        if record_alloc:
+            alloc_rows[i] = k
 
     if alloc_mode == "balanced" and plant.is_uniform():
         _run_uniform(plant, traces)
         if record_alloc:
-            alloc_rows[:] = 1.0 / m
+            alloc_rows[:] = balanced
     else:
+        idle = demand == 0.0
+        cuts = (np.flatnonzero(idle[1:] != idle[:-1]) + 1).tolist()
         k_current: np.ndarray | None = None
-        for i in range(n):
-            p = float(demand[i])
-            blocked = plant.blocked_mask(p)
-            if blocked.all():
-                p = 0.0
+        for start, stop in zip([0] + cuts, cuts + [n]):
+            if idle[start]:
+                demand[start:stop] = 0.0    # as the cap writes it, not -0.0
+                for i, detail in enumerate(plant.idle(stop - start), start):
+                    record(i, 0.0, detail, balanced)
+                continue
+            for i in range(start, stop):
+                p = float(demand[i])
                 blocked = plant.blocked_mask(p)
-            avail = float(plant.params.rated_w[~blocked].sum())
-            p = _cap_to_plant(p, avail, plant.transformer_split)
-            p_net = plant.net_cluster_power(p)
-            max_share = (plant.params.rated_w / abs(p_net) if p_net != 0.0
-                         else None)
-            if alloc_mode == "balanced" or p == 0.0:
-                # equal shares over the free clusters, as balanced_allocation
-                # gives them; repair renormalises and applies the caps
-                free = ~blocked
-                k = repair(free / np.count_nonzero(free), blocked, max_share)
-            else:
-                if k_current is None or i % cadence_steps == 0:
-                    params = replace(pso_params,
-                                     rng_seed=pso_params.rng_seed + i)
-                    best, _ = pso_allocate(p, plant, params)
-                    k_current = best.k
-                k = repair(k_current, blocked, max_share)
-
-            ledger = plant.step(p, k)
-            totals, e_dc0, traces["truncated"][i] = plant.last_step_detail
-            demand[i] = p
-            traces["cluster_target_w"][i] = p_net
-            traces["delivered_w"][i] = totals[E_AC] / step_h
-            traces["cluster0_dc_w"][i] = e_dc0 / step_h
-            traces["grid_wh"][i] = ledger.grid_wh
-            traces["stored_wh"][i] = ledger.stored_wh
-            traces["transformer_wh"][i] = ledger.transformer_wh
-            traces["acdc_wh"][i] = ledger.acdc_wh
-            traces["dcdc_wh"][i] = ledger.dcdc_wh
-            traces["ohmic_wh"][i] = ledger.battery_ohmic_wh
-            traces["polarization_wh"][i] = ledger.battery_polarization_wh
-            traces["ss_wh"][i] = totals[SS]
-            traces["ts_wh"][i] = totals[TS]
-            if record_alloc:
-                alloc_rows[i] = k
+                if blocked.all():
+                    p = 0.0
+                    blocked = plant.blocked_mask(p)
+                avail = float(plant.params.rated_w[~blocked].sum())
+                p = _cap_to_plant(p, avail, plant.transformer_split)
+                p_net, _ = split = plant.transformer_split(p)
+                max_share = (plant.params.rated_w / abs(p_net)
+                             if p_net != 0.0 else None)
+                if p == 0.0:
+                    k = balanced
+                elif alloc_mode == "balanced":
+                    # equal shares over the free clusters (as
+                    # balanced_allocation); repair renormalises, caps
+                    free = ~blocked
+                    k = repair(free / np.count_nonzero(free), blocked,
+                               max_share)
+                else:
+                    if k_current is None or i % cadence_steps == 0:
+                        params = replace(pso_params,
+                                         rng_seed=pso_params.rng_seed + i)
+                        best, _ = pso_allocate(p, plant, params)
+                        k_current = best.k
+                    k = repair(k_current, blocked, max_share)
+                plant.step(split, k)
+                demand[i] = p
+                record(i, p_net, plant.last_step_detail, k)
 
     return SimulationResult(profile=profile, dt_s=dt, plans=plans,
                             alloc_matrix=alloc_rows, plant=plant, **traces)

@@ -136,7 +136,7 @@ def repair_batches(draw):
 
 
 class TestRepairProperties:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(repair_batches())
     def test_rows_are_feasible_and_match_row_repair(self, batch):
         k_raw, blocked, cap = batch
@@ -154,7 +154,7 @@ class TestRepairProperties:
                 row, _repair_row_reference(row_raw, blocked, cap),
                 rtol=0.0, atol=1e-15)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(repair_batches(), st.floats(0.5, 0.999999))
     def test_insufficient_caps_raise(self, batch, shortfall):
         k_raw, blocked, _ = batch

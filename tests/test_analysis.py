@@ -124,7 +124,8 @@ class TestComponentLedger:
         total = 0.0
         tf = 0.0
         for _ in range(10):
-            ledger = plant.step(0.0, np.array([0.5, 0.5]))
+            ledger = plant.step(plant.transformer_split(0.0),
+                                np.array([0.5, 0.5]))
             total += ledger.total_loss_wh
             tf += ledger.transformer_wh
         assert total == pytest.approx(tf)
