@@ -40,6 +40,9 @@ class ScheduleConfig:
             raise ConfigError("schedule.power_depth_w", "must be positive")
         if self.rated_energy_wh <= 0:
             raise ConfigError("schedule.rated_energy_wh", "must be positive")
+        if not 0.0 <= self.initial_plan_energy_wh <= self.rated_energy_wh:
+            raise ConfigError("schedule.initial_plan_energy_wh",
+                              "must lie in [0, schedule.rated_energy_wh]")
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,10 @@ class RunConfig:
             raise ConfigError(
                 "schedule.power_depth_w",
                 "power depth exceeds total plant rated power")
+        if (self.schedule.power_depth_w
+                > 1.2 * self.plant.transformer.rated_power_w):
+            raise ConfigError("schedule.power_depth_w", "exceeds 1.2 x "
+                              "plant.transformer.rated_power_w (overload)")
 
     def sha256(self) -> str:
         return hashlib.sha256(
@@ -191,31 +198,32 @@ def _scalars(cls, d: dict, prefix: str, sections=(), **defaults) -> dict:
     return kwargs
 
 
-def _build_pso(d: dict) -> PsoParams:
-    """PsoParams from its config section; defaults and types come from the
-    dataclass, and every rejection names the dotted field."""
+def _build(make, prefix: str, *args, **kwargs):
+    """make(*args, **kwargs) for the config section named prefix; a
+    DomainError or ConfigError its checks raise is re-raised as a
+    ConfigError naming the dotted field prefix.field, or prefix itself when
+    the error names no field."""
     try:
-        return PsoParams(**_scalars(PsoParams, d, "allocator.pso"))
-    except DomainError as exc:
-        raise ConfigError(f"allocator.pso.{exc.field}", str(exc)) from None
+        return make(*args, **kwargs)
+    except (DomainError, ConfigError) as exc:
+        name = f"{prefix}.{exc.field}" if exc.field else prefix
+        reason = exc.reason if isinstance(exc, ConfigError) else str(exc)
+        raise ConfigError(name, reason) from None
 
 
 def _build_cluster(d: dict) -> ClusterParams:
     cell_d = _section(d, "cell", "plant.cluster.cell")
-    cell = CellParams(
-        ocv=OcvCoeffs(_get_list(cell_d, "ocv_coeffs", DEFAULT_OCV_COEFFS,
-                                "plant.cluster.cell.ocv_coeffs", _finite)),
+    ocv = "plant.cluster.cell.ocv_coeffs"
+    cell = _build(
+        CellParams, "plant.cluster.cell", ocv=_build(OcvCoeffs, ocv, _get_list(
+            cell_d, "ocv_coeffs", DEFAULT_OCV_COEFFS, ocv, _finite)),
         **_scalars(CellParams, cell_d, "plant.cluster.cell", ("ocv_coeffs",)))
-    return ClusterParams(
-        cell=cell,
-        dcdc_coeffs=PcsEfficiencyCoeffs(_get_list(
-            d, "dcdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.dcdc_coeffs",
-            _finite)),
-        acdc_coeffs=PcsEfficiencyCoeffs(_get_list(
-            d, "acdc_coeffs", DEFAULT_PCS_COEFFS, "plant.cluster.acdc_coeffs",
-            _finite)),
-        **_scalars(ClusterParams, d, "plant.cluster",
-                   ("cell", "acdc_coeffs", "dcdc_coeffs")))
+    pcs = {key: _build(PcsEfficiencyCoeffs, f"plant.cluster.{key}", _get_list(
+               d, key, DEFAULT_PCS_COEFFS, f"plant.cluster.{key}", _finite))
+           for key in ("acdc_coeffs", "dcdc_coeffs")}
+    return _build(ClusterParams, "plant.cluster", cell=cell, **pcs,
+                  **_scalars(ClusterParams, d, "plant.cluster",
+                             ("cell", *pcs)))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -228,12 +236,15 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("<root>", "configuration must be a JSON object")
     _check_keys(doc, "", ("plant", "schedule", "allocator", "load", "output"))
     plant_d = _section(doc, "plant", "plant")
-    transformer = TransformerParams(**_scalars(
+    transformer = _build(TransformerParams, "plant.transformer", **_scalars(
         TransformerParams,
         _section(plant_d, "transformer", "plant.transformer"),
         "plant.transformer"))
-    plant = uniform_plant_config(
-        _integer(plant_d.get("n_clusters", 100), "plant.n_clusters"),
+    n_clusters = _integer(plant_d.get("n_clusters", 100), "plant.n_clusters")
+    if n_clusters < 1:
+        raise ConfigError("plant.n_clusters", "must be at least 1")
+    plant = _build(
+        uniform_plant_config, "plant", n_clusters,
         _build_cluster(_section(plant_d, "cluster", "plant.cluster")),
         transformer=transformer,
         **_scalars(PlantConfig, plant_d, "plant",
@@ -241,13 +252,15 @@ def parse_config(doc: dict) -> RunConfig:
     sched_d = _section(doc, "schedule", "schedule")
     schedule = ScheduleConfig(**_scalars(ScheduleConfig, sched_d, "schedule"))
     alloc_d = _section(doc, "allocator", "allocator")
+    pso_d = _section(alloc_d, "pso", "allocator.pso")
     allocator = AllocatorConfig(
-        pso=_build_pso(_section(alloc_d, "pso", "allocator.pso")),
+        pso=_build(PsoParams, "allocator.pso",
+                   **_scalars(PsoParams, pso_d, "allocator.pso")),
         **_scalars(AllocatorConfig, alloc_d, "allocator", ("pso",)))
     load_d = _section(doc, "load", "load")
     if load_d.get("csv_path", "") is None:
         load_d = dict(load_d, csv_path="")     # null is unset, as if absent
-    synth = SynthLoadSpec(**_scalars(
+    synth = _build(SynthLoadSpec, "load.synth", **_scalars(
         SynthLoadSpec, _section(load_d, "synth", "load.synth"), "load.synth",
         dt_s=plant.dt_s))
     load = LoadConfig(

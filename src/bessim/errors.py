@@ -21,6 +21,7 @@ class ConfigError(BessimError, ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.reason = message
         super().__init__(f"{field}: {message}")
 
 

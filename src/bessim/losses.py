@@ -48,14 +48,13 @@ class TransformerParams:
     rated_power_w: float = 6_300_000.0
 
     def __post_init__(self):
-        if self.no_load_loss_w <= 0:
-            raise DomainError("no_load_loss_w must be strictly positive")
-        if self.rated_load_loss_w <= 0:
-            raise DomainError("rated_load_loss_w must be strictly positive")
-        if self.rated_power_w <= 0:
-            raise DomainError("rated_power_w must be strictly positive")
+        for name in ("no_load_loss_w", "rated_load_loss_w", "rated_power_w"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be strictly positive",
+                                  field=name)
         if self.rated_load_loss_w >= self.rated_power_w:
-            raise DomainError("rated_load_loss_w must be below rated_power_w")
+            raise DomainError("rated_load_loss_w must be below rated_power_w",
+                              field="rated_load_loss_w")
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,8 @@ class CellParams:
     def __post_init__(self):
         for name in ("r_ohm", "r_pol", "c_pol", "capacity_ah"):
             if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive")
+                raise DomainError(f"{name} must be strictly positive",
+                                  field=name)
 
     @property
     def time_constant_s(self) -> float:

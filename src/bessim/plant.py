@@ -55,10 +55,13 @@ class ClusterParams:
     acdc_coeffs: PcsEfficiencyCoeffs = field(default_factory=PcsEfficiencyCoeffs)
 
     def __post_init__(self):
-        if self.n_series < 1 or self.n_parallel < 1:
-            raise DomainError("cell block counts must be at least 1")
-        if self.rated_power_w <= 0 or self.rated_energy_wh <= 0:
-            raise DomainError("cluster ratings must be strictly positive")
+        for name in ("n_series", "n_parallel"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be at least 1", field=name)
+        for name in ("rated_power_w", "rated_energy_wh"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be strictly positive",
+                                  field=name)
 
     @property
     def r_ohm_agg(self) -> float:
@@ -112,7 +115,8 @@ class PlantConfig:
 
 @dataclass
 class LossBreakdown:
-    """Per-component energy ledger for one step or an accumulated run (Wh).
+    """Per-component energy ledger for one step or an accumulated run (Wh);
+    Plant.book fills it with arrays, one entry per step.
 
     Losses are always non-negative; stored_wh and grid_wh are signed
     (positive = charging direction).
@@ -133,15 +137,6 @@ class LossBreakdown:
 
     def balance_residual_wh(self) -> float:
         return self.grid_wh - self.stored_wh - self.total_loss_wh
-
-    def accumulate(self, other: "LossBreakdown") -> None:
-        self.transformer_wh += other.transformer_wh
-        self.acdc_wh += other.acdc_wh
-        self.dcdc_wh += other.dcdc_wh
-        self.battery_ohmic_wh += other.battery_ohmic_wh
-        self.battery_polarization_wh += other.battery_polarization_wh
-        self.stored_wh += other.stored_wh
-        self.grid_wh += other.grid_wh
 
 
 # Rows of the energy stack returned by _step_arrays (all in Wh).
@@ -479,8 +474,9 @@ class Plant:
         p_net is less than p_sys when charging and more in magnitude when
         discharging (the clusters also feed the loss).
         """
-        lam = min(abs(p_sys_w) / self.cfg.transformer.rated_power_w, 1.2)
-        tf_w = transformer_loss(lam, self.cfg.transformer)
+        tf_w = transformer_loss(
+            abs(p_sys_w) / self.cfg.transformer.rated_power_w,
+            self.cfg.transformer)
         if p_sys_w > 0:
             return max(p_sys_w - tf_w, 0.0), tf_w
         if p_sys_w < 0:
@@ -505,73 +501,70 @@ class Plant:
                 f"{targets[j]:.1f} W above its {self.params.rated_w[j]:.0f} W rating")
         return targets
 
-    def _close(self, totals: list, tf_w: float) -> LossBreakdown:
-        """Book one step of cluster sums totals (see step) and transformer
-        loss tf_w (W): advance t_elapsed, accumulate the ledger, track the
-        worst residual. Returns the step's ledger."""
-        tf_wh = tf_w * self.cfg.dt_s * WH_PER_J
-        ledger = LossBreakdown(
-            transformer_wh=tf_wh,
-            acdc_wh=totals[ACDC],
-            dcdc_wh=totals[DCDC],
-            battery_ohmic_wh=totals[OHMIC],
-            battery_polarization_wh=totals[POLARIZATION],
-            stored_wh=totals[STORED],
-            grid_wh=totals[E_AC] + tf_wh,
-        )
-        self.t_elapsed += self.cfg.dt_s
-        self.cumulative.accumulate(ledger)
-        scale = max(abs(ledger.grid_wh), abs(ledger.stored_wh),
-                    ledger.total_loss_wh, 1e-30)
-        rel = abs(ledger.balance_residual_wh()) / scale
-        if rel > self.max_balance_residual_rel:
-            self.max_balance_residual_rel = rel
-        return ledger
-
-    def step(self, split: tuple[float, float], alloc) -> LossBreakdown:
-        """Advance the whole plant one step (cfg.dt_s) and return the ledger;
-        split is transformer_split(p_sys), alloc the clusters' shares.
-
-        Also publishes the step detail as self.last_step_detail, a tuple
-        (ledger, totals, cluster0_dc_wh, any_truncated): totals is the list
-        of the nine energy-stack rows of _step_arrays summed over clusters
-        (Wh, indexed by E_AC ... TS, no transformer), cluster0_dc_wh the
-        battery port energy of cluster 0, and any_truncated whether any
-        cluster hit a SoC bound.
-        """
-        targets = self._cluster_targets(split[0], alloc)
+    def step(self, p_net_w: float, alloc) -> tuple[np.ndarray, float, bool]:
+        """Advance soc and ipol one step, the clusters exchanging p_net_w
+        (transformer_split(p_sys)[0]) in shares alloc; books nothing (see
+        book). Returns the nine rows of the step's energy stack summed over
+        clusters (Wh, E_AC ... TS, no transformer), cluster 0's battery port
+        energy (Wh) and whether any cluster hit a SoC bound."""
+        targets = self._cluster_targets(p_net_w, alloc)
         self.soc, self.ipol, _, truncated, E = _step_arrays(
             self.soc, self.ipol, targets, self.params)
-        totals = E.sum(axis=-1).tolist()
-        ledger = self._close(totals, split[1])
-        self.last_step_detail = (ledger, totals, float(E[E_DC, 0]),
-                                 bool(truncated.any()))
-        return ledger
+        return E.sum(axis=-1), float(E[E_DC, 0]), bool(truncated.any())
 
-    def idle(self, n: int) -> list[tuple]:
-        """Advance n zero-command steps and return their step details: bit
-        for bit n calls of step(transformer_split(0.0), k), any allocation
-        k. At zero current SoC stays put and ipol -> (ipol - 0) * decay + 0,
-        so the start states are a running product, stepped in batches of
-        IDLE_CLUSTER_STEPS cluster-steps."""
+    def idle(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance n zero-command steps: bit for bit n calls of step(0.0, k),
+        any allocation k, their results stacked as (9, n), (n,) and (n,)
+        arrays. At zero current SoC stays put and ipol -> (ipol - 0) *
+        decay + 0, so the start states are a running product, stepped in
+        batches of IDLE_CLUSTER_STEPS cluster-steps."""
         pp = self.params
-        tf_w = self.transformer_split(0.0)[1]
         chunk = max(IDLE_CLUSTER_STEPS // pp.m, 1)
-        details = []
+        totals, e_dc0 = np.empty((9, n)), np.empty(n)
+        truncated = np.empty(n, dtype=bool)
         for start in range(0, n, chunk):
-            ipol = np.empty((min(chunk, n - start), pp.m))
+            stop = min(start + chunk, n)
+            ipol = np.empty((stop - start, pp.m))
             ipol[0] = self.ipol
             ipol[1:] = pp.step_consts[0]
             np.multiply.accumulate(ipol, out=ipol)
             ipol[1:] += 0.0     # the kernel's "+ current": -0.0 becomes 0.0
-            soc, ipol, _, truncated, E = _step_arrays(
+            soc, ipol, _, trunc, E = _step_arrays(
                 self.soc, ipol, np.zeros(pp.m), pp)
             self.soc, self.ipol = soc[-1].copy(), ipol[-1].copy()
-            rows = zip(E.sum(axis=-1).T.tolist(), E[E_DC, :, 0].tolist(),
-                       truncated.any(axis=-1).tolist())
-            details += [(self._close(totals, tf_w), totals, e_dc0, trunc)
-                        for totals, e_dc0, trunc in rows]
-        return details
+            totals[:, start:stop] = E.sum(axis=-1)
+            e_dc0[start:stop] = E[E_DC, :, 0]
+            truncated[start:stop] = trunc.any(axis=-1)
+        return totals, e_dc0, truncated
+
+    def book(self, totals: np.ndarray, tf_w: np.ndarray) -> dict:
+        """Book n steps: the columns of totals, (9, n) cluster sums as step
+        and idle return them, with transformer loss powers tf_w (W). The one
+        writer, besides __init__ and restore, of t_elapsed, cumulative and
+        the worst relative ledger residual. Returns the per-step ledger columns (Wh)
+        keyed by LossBreakdown field name. Running sums use
+        np.add.accumulate, so one call is bit for bit n one-step calls."""
+        dt = self.cfg.dt_s
+        tf_wh = tf_w * dt * WH_PER_J
+        steps = LossBreakdown(
+            transformer_wh=tf_wh, acdc_wh=totals[ACDC], dcdc_wh=totals[DCDC],
+            battery_ohmic_wh=totals[OHMIC],
+            battery_polarization_wh=totals[POLARIZATION],
+            stored_wh=totals[STORED], grid_wh=totals[E_AC] + tf_wh)
+
+        def running(start: float, values) -> float:
+            return float(np.add.accumulate(np.append(start, values))[-1])
+
+        self.t_elapsed = running(self.t_elapsed, np.full(tf_wh.size, dt))
+        for name, column in vars(steps).items():
+            setattr(self.cumulative, name,
+                    running(getattr(self.cumulative, name), column))
+        scale = np.maximum(np.abs(steps.grid_wh), np.abs(steps.stored_wh))
+        np.maximum(scale, np.maximum(steps.total_loss_wh, 1e-30), out=scale)
+        rel = np.abs(steps.balance_residual_wh()) / scale
+        self.max_balance_residual_rel = float(
+            rel.max(initial=self.max_balance_residual_rel))
+        return vars(steps)
 
     def is_uniform(self) -> bool:
         """True when every cluster has identical parameters and state."""

@@ -51,11 +51,11 @@ class SynthLoadSpec:
 
     def __post_init__(self):
         if self.days < 1:
-            raise DomainError("days must be at least 1")
+            raise DomainError("days must be at least 1", field="days")
         if self.dt_s <= 0:
-            raise DomainError("dt_s must be strictly positive")
+            raise DomainError("dt_s must be strictly positive", field="dt_s")
         if not 0.0 <= self.noise_ar1 < 1.0:
-            raise DomainError("noise_ar1 must lie in [0, 1)")
+            raise DomainError("noise_ar1 must lie in [0, 1)", field="noise_ar1")
 
 
 def _gauss(hours: np.ndarray, center: float, sigma: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .allocator import PsoParams, pso_allocate, repair
 from .errors import DomainError
-from .plant import E_AC, SOC_GATE_TOL, SS, TS, WH_PER_J, Plant
+from .plant import E_AC, SOC_GATE_TOL, SS, TS, Plant
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
@@ -82,11 +82,23 @@ def plan_horizon(days: list[LoadProfile], power_depth_w: float,
     return plans
 
 
-# The per-step float traces of SimulationResult that start at zero, in the
-# order record writes them; both loops fill them, demand_w and truncated.
-_TRACES = ("cluster_target_w", "delivered_w", "grid_wh", "stored_wh",
-           "transformer_wh", "acdc_wh", "dcdc_wh", "ohmic_wh",
-           "polarization_wh", "ss_wh", "ts_wh", "cluster0_dc_w")
+@dataclass
+class _Steps:
+    """What the loops of run_simulation write per step. demand_w starts as
+    the planned demand and each step overwrites its sample with the power
+    it commands; target_w and tf_w hold that power's p_net and transformer
+    loss (W); totals, e_dc0 and truncated what Plant.step returns; alloc the
+    allocation rows when recorded. done counts the steps completed, the
+    ones the run books."""
+
+    demand_w: np.ndarray
+    target_w: np.ndarray
+    tf_w: np.ndarray
+    totals: np.ndarray
+    e_dc0: np.ndarray
+    truncated: np.ndarray
+    alloc: np.ndarray | None
+    done: int = 0
 
 
 def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
@@ -106,6 +118,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     records the unblocked balanced allocation. Outside the uniform fast path
     each run of planned zero demand is one Plant.idle call, bit for bit the
     same steps: at 0 W nothing is blocked or capped and PSO does not run.
+    The steps completed are booked (Plant.book) when the run ends or raises.
     """
     if alloc_mode not in ("balanced", "pso"):
         raise DomainError(f"unknown allocation mode {alloc_mode!r}")
@@ -116,80 +129,38 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         raise DomainError("profile sampling must match the plant step")
     days = profile.split_days()
     plans = plan_horizon(days, power_depth_w, rated_energy_wh, method)
-    n = profile.n_samples
-    m = plant.n_clusters
-    step_h = dt / 3600.0
-    cadence_steps = max(int(round(realloc_cadence_s / dt)), 1)
-
-    traces = {name: np.zeros(n) for name in _TRACES}
-    traces["truncated"] = np.zeros(n, dtype=bool)
-    # each step overwrites its sample of the planned demand with the power
-    # it commands
-    traces["demand_w"] = demand = np.concatenate([
-        replay_plan(plan, day, gated=False)["demand_w"]
-        for plan, day in zip(plans, days)])
-    alloc_rows = np.zeros((n, m)) if record_alloc else None
+    n, m = profile.n_samples, plant.n_clusters
     # the balanced split with nothing blocked: the allocation of zero steps
     balanced = repair(np.full(m, 1.0 / m), np.zeros(m, dtype=bool))
+    steps = _Steps(
+        demand_w=np.concatenate([
+            replay_plan(plan, day, gated=False)["demand_w"]
+            for plan, day in zip(plans, days)]),
+        target_w=np.zeros(n), tf_w=np.zeros(n), totals=np.zeros((9, n)),
+        e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
+        alloc=np.tile(balanced, (n, 1)) if record_alloc else None)
+    try:
+        if alloc_mode == "balanced" and plant.is_uniform():
+            _run_uniform(plant, steps)
+        else:
+            _run_general(plant, steps, balanced, alloc_mode, pso_params,
+                         max(int(round(realloc_cadence_s / dt)), 1))
+    finally:
+        ledger = plant.book(steps.totals[:, :steps.done],
+                            steps.tf_w[:steps.done])
 
-    def record(i: int, p_net: float, detail: tuple, k: np.ndarray) -> None:
-        ledger, totals, e_dc0, traces["truncated"][i] = detail
-        for name, value in zip(_TRACES, (
-                p_net, totals[E_AC] / step_h, ledger.grid_wh,
-                ledger.stored_wh, ledger.transformer_wh, ledger.acdc_wh,
-                ledger.dcdc_wh, ledger.battery_ohmic_wh,
-                ledger.battery_polarization_wh, totals[SS], totals[TS],
-                e_dc0 / step_h)):
-            traces[name][i] = value
-        if record_alloc:
-            alloc_rows[i] = k
-
-    if alloc_mode == "balanced" and plant.is_uniform():
-        _run_uniform(plant, traces)
-        if record_alloc:
-            alloc_rows[:] = balanced
-    else:
-        idle = demand == 0.0
-        cuts = (np.flatnonzero(idle[1:] != idle[:-1]) + 1).tolist()
-        k_current: np.ndarray | None = None
-        for start, stop in zip([0] + cuts, cuts + [n]):
-            if idle[start]:
-                demand[start:stop] = 0.0    # as the cap writes it, not -0.0
-                for i, detail in enumerate(plant.idle(stop - start), start):
-                    record(i, 0.0, detail, balanced)
-                continue
-            for i in range(start, stop):
-                p = float(demand[i])
-                blocked = plant.blocked_mask(p)
-                if blocked.all():
-                    p = 0.0
-                    blocked = plant.blocked_mask(p)
-                avail = float(plant.params.rated_w[~blocked].sum())
-                p = _cap_to_plant(p, avail, plant.transformer_split)
-                p_net, _ = split = plant.transformer_split(p)
-                max_share = (plant.params.rated_w / abs(p_net)
-                             if p_net != 0.0 else None)
-                if p == 0.0:
-                    k = balanced
-                elif alloc_mode == "balanced":
-                    # equal shares over the free clusters (as
-                    # balanced_allocation); repair renormalises, caps
-                    free = ~blocked
-                    k = repair(free / np.count_nonzero(free), blocked,
-                               max_share)
-                else:
-                    if k_current is None or i % cadence_steps == 0:
-                        params = replace(pso_params,
-                                         rng_seed=pso_params.rng_seed + i)
-                        best, _ = pso_allocate(p, plant, params)
-                        k_current = best.k
-                    k = repair(k_current, blocked, max_share)
-                plant.step(split, k)
-                demand[i] = p
-                record(i, p_net, plant.last_step_detail, k)
-
-    return SimulationResult(profile=profile, dt_s=dt, plans=plans,
-                            alloc_matrix=alloc_rows, plant=plant, **traces)
+    step_h = dt / 3600.0
+    return SimulationResult(
+        profile=profile, dt_s=dt, plans=plans, demand_w=steps.demand_w,
+        cluster_target_w=steps.target_w,
+        delivered_w=steps.totals[E_AC] / step_h,
+        grid_wh=ledger["grid_wh"], stored_wh=ledger["stored_wh"],
+        transformer_wh=ledger["transformer_wh"], acdc_wh=ledger["acdc_wh"],
+        dcdc_wh=ledger["dcdc_wh"], ohmic_wh=ledger["battery_ohmic_wh"],
+        polarization_wh=ledger["battery_polarization_wh"],
+        ss_wh=steps.totals[SS], ts_wh=steps.totals[TS],
+        cluster0_dc_w=steps.e_dc0 / step_h, truncated=steps.truncated,
+        alloc_matrix=steps.alloc, plant=plant)
 
 
 def _cap_to_plant(p: float, avail_w: float, split) -> float:
@@ -203,20 +174,70 @@ def _cap_to_plant(p: float, avail_w: float, split) -> float:
     return 0.0
 
 
-def _run_uniform(plant: Plant, traces: dict) -> None:
+def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
+                 alloc_mode: str, pso_params: PsoParams | None,
+                 cadence_steps: int) -> None:
+    """The per-cluster loop: one Plant.step per sample, one Plant.idle per
+    run of planned zero demand. With 'pso' the allocation is re-optimized
+    every cadence_steps steps."""
+    demand = steps.demand_w
+    n = demand.size
+    idle = demand == 0.0
+    cuts = (np.flatnonzero(idle[1:] != idle[:-1]) + 1).tolist()
+    k_current: np.ndarray | None = None
+    for start, stop in zip([0] + cuts, cuts + [n]):
+        if idle[start]:
+            demand[start:stop] = 0.0    # as the cap writes it, not -0.0
+            (steps.totals[:, start:stop], steps.e_dc0[start:stop],
+             steps.truncated[start:stop]) = plant.idle(stop - start)
+            steps.tf_w[start:stop] = plant.transformer_split(0.0)[1]
+            steps.done = stop
+            continue
+        for i in range(start, stop):
+            p = float(demand[i])
+            blocked = plant.blocked_mask(p)
+            if blocked.all():
+                p = 0.0
+                blocked = plant.blocked_mask(p)
+            avail = float(plant.params.rated_w[~blocked].sum())
+            p = _cap_to_plant(p, avail, plant.transformer_split)
+            p_net, tf_w = plant.transformer_split(p)
+            max_share = (plant.params.rated_w / abs(p_net)
+                         if p_net != 0.0 else None)
+            if p == 0.0:
+                k = balanced
+            elif alloc_mode == "balanced":
+                # equal shares over the free clusters (as
+                # balanced_allocation); repair renormalises, caps
+                free = ~blocked
+                k = repair(free / np.count_nonzero(free), blocked, max_share)
+            else:
+                if k_current is None or i % cadence_steps == 0:
+                    params = replace(pso_params,
+                                     rng_seed=pso_params.rng_seed + i)
+                    best, _ = pso_allocate(p, plant, params)
+                    k_current = best.k
+                k = repair(k_current, blocked, max_share)
+            (steps.totals[:, i], steps.e_dc0[i],
+             steps.truncated[i]) = plant.step(p_net, k)
+            demand[i], steps.target_w[i], steps.tf_w[i] = p, p_net, tf_w
+            if steps.alloc is not None:
+                steps.alloc[i] = k
+            steps.done = i + 1
+
+
+def _run_uniform(plant: Plant, steps: _Steps) -> None:
     """Balanced run of a uniform plant (see Plant.is_uniform).
 
     A balanced split over identical clusters keeps every cluster in the
     same state, so one scalar kernel call per step stands for all of them
     and its energies scale by the cluster count; the outputs equal those of
-    the general loop with the balanced allocation. traces holds the (n,)
-    result arrays by SimulationResult field name, demand_w holding the
-    planned demand. State and the running ledger stay in Python floats,
-    inputs are read and the per-step results written through memoryviews
-    of the arrays; the plant gets its state, ledger and worst ledger
-    residual back when the loop ends or raises.
+    the general loop with the balanced allocation. State stays in Python
+    floats, inputs are read and the per-step results written through
+    memoryviews of the arrays; the plant gets its state back when the loop
+    ends or raises.
     """
-    kernel, dt = plant.params.scalar_step, plant.cfg.dt_s
+    kernel = plant.params.scalar_step
     split = plant.transformer_split
     m = float(plant.n_clusters)
     p_tot = float(np.sum(plant.params.rated_w))
@@ -225,22 +246,13 @@ def _run_uniform(plant: Plant, traces: dict) -> None:
     # the blocked mask of the one shared state
     soc_hi = plant.cfg.soc_max - SOC_GATE_TOL
     soc_lo = plant.cfg.soc_min + SOC_GATE_TOL
-    step_h = dt / 3600.0
-    w = WH_PER_J
-    dv, tgv, delv, c0v, trv = (memoryview(traces[name]) for name in (
-        "demand_w", "cluster_target_w", "delivered_w", "cluster0_dc_w",
-        "truncated"))
-    gv, stv, tfv, acv, dcv, ohv, polv, ssv, tsv = (
-        memoryview(traces[name]) for name in (
-            "grid_wh", "stored_wh", "transformer_wh", "acdc_wh", "dcdc_wh",
-            "ohmic_wh", "polarization_wh", "ss_wh", "ts_wh"))
+    dv, tgv, tfv, c0v, trv = (memoryview(a) for a in (
+        steps.demand_w, steps.target_w, steps.tf_w, steps.e_dc0,
+        steps.truncated))
+    eacv, edcv, stv, acv, dcv, ohv, polv, ssv, tsv = (
+        memoryview(row) for row in steps.totals)
 
-    soc, ipol, t = float(plant.soc[0]), float(plant.ipol[0]), plant.t_elapsed
-    cum = plant.cumulative
-    c_tf, c_acdc, c_dcdc = cum.transformer_wh, cum.acdc_wh, cum.dcdc_wh
-    c_ohm, c_pol = cum.battery_ohmic_wh, cum.battery_polarization_wh
-    c_stored, c_grid = cum.stored_wh, cum.grid_wh
-    worst = plant.max_balance_residual_rel
+    soc, ipol = float(plant.soc[0]), float(plant.ipol[0])
     try:
         for i, p in enumerate(dv):
             if (p > 0.0 and soc >= soc_hi) or (p < 0.0 and soc <= soc_lo):
@@ -249,7 +261,6 @@ def _run_uniform(plant: Plant, traces: dict) -> None:
             dv[i] = p
 
             p_net, tf_w = split(p)
-            tgv[i] = p_net
             p_clu = p_net / m
             if abs(p_clu) > rated_tol:
                 raise DomainError(
@@ -257,44 +268,21 @@ def _run_uniform(plant: Plant, traces: dict) -> None:
                     f"above its {rated:.0f} W rating")
             (soc, ipol, _, truncated, e_ac, e_dc, e_stored, e_acdc, e_dcdc,
              e_ohm, e_pol, e_ss, e_ts) = kernel(soc, ipol, p_clu)
-            t += dt
 
-            tf_wh = tf_w * dt * w
-            e_ac = m * e_ac
-            grid_wh = e_ac + tf_wh
-            stored_wh = m * e_stored
-            acdc_wh, dcdc_wh = m * e_acdc, m * e_dcdc
-            ohm_wh, pol_wh = m * e_ohm, m * e_pol
-            c_tf += tf_wh
-            c_acdc += acdc_wh
-            c_dcdc += dcdc_wh
-            c_ohm += ohm_wh
-            c_pol += pol_wh
-            c_stored += stored_wh
-            c_grid += grid_wh
-            loss = tf_wh + acdc_wh + dcdc_wh + ohm_wh + pol_wh
-            scale = max(abs(grid_wh), abs(stored_wh), loss, 1e-30)
-            rel = abs(grid_wh - stored_wh - loss) / scale
-            if rel > worst:
-                worst = rel
-
-            gv[i] = grid_wh
-            stv[i] = stored_wh
-            tfv[i] = tf_wh
-            acv[i] = acdc_wh
-            dcv[i] = dcdc_wh
-            ohv[i] = ohm_wh
-            polv[i] = pol_wh
+            tgv[i] = p_net
+            tfv[i] = tf_w
+            eacv[i] = m * e_ac
+            edcv[i] = m * e_dc
+            stv[i] = m * e_stored
+            acv[i] = m * e_acdc
+            dcv[i] = m * e_dcdc
+            ohv[i] = m * e_ohm
+            polv[i] = m * e_pol
             ssv[i] = m * e_ss
             tsv[i] = m * e_ts
-            delv[i] = e_ac / step_h
-            c0v[i] = e_dc / step_h
+            c0v[i] = e_dc
             trv[i] = truncated
+            steps.done = i + 1
     finally:
         plant.soc.fill(soc)
         plant.ipol.fill(ipol)
-        plant.t_elapsed = t
-        (cum.transformer_wh, cum.acdc_wh, cum.dcdc_wh, cum.battery_ohmic_wh,
-         cum.battery_polarization_wh, cum.stored_wh, cum.grid_wh) = (
-            c_tf, c_acdc, c_dcdc, c_ohm, c_pol, c_stored, c_grid)
-        plant.max_balance_residual_rel = worst

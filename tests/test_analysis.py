@@ -121,13 +121,12 @@ class TestComponentLedger:
 
     def test_zero_power_steps_leave_only_transformer_loss(self):
         plant = Plant(uniform_plant_config(2, dt_s=300.0))
-        total = 0.0
-        tf = 0.0
-        for _ in range(10):
-            ledger = plant.step(plant.transformer_split(0.0),
-                                np.array([0.5, 0.5]))
-            total += ledger.total_loss_wh
-            tf += ledger.transformer_wh
+        p_net, tf_w = plant.transformer_split(0.0)
+        totals = np.column_stack([plant.step(p_net, np.array([0.5, 0.5]))[0]
+                                  for _ in range(10)])
+        plant.book(totals, np.full(10, tf_w))
+        total = plant.cumulative.total_loss_wh
+        tf = plant.cumulative.transformer_wh
         assert total == pytest.approx(tf)
         assert tf > 0
 

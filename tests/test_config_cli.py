@@ -62,6 +62,21 @@ class TestParseConfig:
                           "schedule": {"power_depth_w": 200e3}})
         assert e.value.field == "schedule.power_depth_w"
 
+    # the 200 kW depth of base_doc against a transformer's 1.2 overload
+    @pytest.mark.parametrize("rated_power_w,ok", [(166_667.0, True),
+                                                  (166_666.0, False)])
+    def test_depth_above_transformer_overload_rejected(self, rated_power_w,
+                                                       ok):
+        doc = base_doc()
+        doc["plant"]["transformer"] = {"rated_power_w": rated_power_w,
+                                       "rated_load_loss_w": 1_000.0}
+        if ok:
+            parse_config(doc)
+            return
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert e.value.field == "schedule.power_depth_w"
+
     def test_csv_source_requires_existing_path(self):
         with pytest.raises(ConfigError) as e:
             parse_config({"load": {"source": "csv", "csv_path": "/nope.csv"}})
@@ -229,6 +244,36 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["field"] == "plant.cluster.rated_power_w"
 
+    # out-of-range values, checked by the dataclass of each section; the
+    # plant's own fields carry the "plant." prefix too
+    @pytest.mark.parametrize("section,key,value", [
+        ("plant", "dt_s", 0),
+        ("plant", "n_clusters", 0),
+        ("plant", "initial_soc", 0.99),
+        ("plant.cluster", "rated_power_w", -5),
+        ("plant.cluster", "n_parallel", 0),
+        ("plant.cluster", "acdc_coeffs", [2.0, 0.0, 0.0, 0.0, 0.0]),
+        ("plant.cluster.cell", "c_pol", 0),
+        ("plant.cluster.cell", "ocv_coeffs", [3.0, -1.0, 0.0, 0.0]),
+        ("plant.transformer", "no_load_loss_w", 0),
+        ("plant.transformer", "rated_load_loss_w", 7e6),
+        ("load.synth", "noise_ar1", 1.0),
+        ("load.synth", "days", 0),
+    ])
+    def test_out_of_range_value_exits_2_naming_its_field(
+            self, tmp_path, capsys, section, key, value):
+        doc = base_doc()
+        d = doc
+        for part in section.split("."):
+            d = d.setdefault(part, {})
+        d[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == f"{section}.{key}"
+
     @pytest.mark.parametrize("flags", [["--bogus"], ["--threads", "2"],
                                        ["--format", "json"]])
     def test_usage_error_exits_2_with_json_error(self, flags, capsys):
@@ -347,6 +392,27 @@ class TestCompareCommand:
         assert set(summary) == {"improved", "original"}
         for agg in summary.values():
             assert 0.0 < agg["cur"] <= 1.0 + 1e-9
+
+
+    # more energy than the store holds, or less than none
+    @pytest.mark.parametrize("value", [-5e6, -1.0, 800e3 + 1.0])
+    def test_initial_plan_energy_outside_the_store_exits_2(
+            self, tmp_path, capsys, value):
+        doc = base_doc()
+        doc["schedule"]["initial_plan_energy_wh"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["field"] == "schedule.initial_plan_energy_wh"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0.0, 800e3])
+    def test_initial_plan_energy_bounds_accepted(self, value):
+        doc = base_doc()
+        doc["schedule"]["initial_plan_energy_wh"] = value
+        assert parse_config(doc).schedule.initial_plan_energy_wh == value
 
 
 class TestOptimizeCommand:

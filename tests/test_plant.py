@@ -97,6 +97,17 @@ def _step_one(c: ClusterParams, soc: float, ipol: float, p_ac_w: float,
             bool(truncated[0]), ledger)
 
 
+def _book_step(plant: Plant, p_sys_w: float, alloc):
+    """Step plant one step under system power p_sys_w in shares alloc and
+    book it alone: (ledger, totals, cluster0_dc_wh, any_truncated), the
+    step's LossBreakdown beside what Plant.step returns."""
+    p_net, tf_w = plant.transformer_split(p_sys_w)
+    totals, e_dc0, truncated = plant.step(p_net, alloc)
+    columns = plant.book(totals[:, None], np.array([tf_w]))
+    ledger = LossBreakdown(**{k: float(v[0]) for k, v in columns.items()})
+    return ledger, totals, e_dc0, truncated
+
+
 # converters of unit efficiency: the AC command is the DC power
 UNIT_PCS = PcsEfficiencyCoeffs((1.0, 0.0, 0.0, 0.0, 0.0))
 LOSSLESS_PCS = ClusterParams(acdc_coeffs=UNIT_PCS, dcdc_coeffs=UNIT_PCS)
@@ -137,7 +148,8 @@ class TestStepCluster:
         total = LossBreakdown()
         for _ in range(60):
             soc, ipol, _, _, ledger = _step_one(c, soc, ipol, 50_000.0, 60.0)
-            total.accumulate(ledger)
+            total = LossBreakdown(*np.add(dataclasses.astuple(total),
+                                          dataclasses.astuple(ledger)))
             scale = max(abs(ledger.grid_wh), 1e-30)
             assert abs(ledger.balance_residual_wh()) / scale < 1e-9
         # soc rise close to I * 1h / 300 Ah for the battery-side current
@@ -160,7 +172,7 @@ class TestStepCluster:
         # 60 kW less the transformer loss still exceeds the 50 kW rating
         plant = Plant(uniform_plant_config(1))
         with pytest.raises(DomainError, match="rating"):
-            plant.step(plant.transformer_split(60_000.0), np.ones(1))
+            _book_step(plant, 60_000.0, np.ones(1))
 
     def test_polarization_relaxation_returns_stored_energy(self):
         c = ClusterParams()
@@ -177,7 +189,7 @@ class TestStepCluster:
 class TestPlant:
     def test_idle_plant_draws_only_core_loss(self):
         plant = Plant(uniform_plant_config(4))
-        ledger = plant.step(plant.transformer_split(0.0), np.full(4, 0.25))
+        ledger = _book_step(plant, 0.0, np.full(4, 0.25))[0]
         assert ledger.grid_wh == pytest.approx(5000.0 / 60.0)
         assert ledger.transformer_wh == pytest.approx(5000.0 / 60.0)
         assert ledger.acdc_wh == 0.0 and ledger.dcdc_wh == 0.0
@@ -193,9 +205,18 @@ class TestPlant:
         assert targets[0] == pytest.approx((5e6 - tf_w) / 100)
         assert targets[0] == pytest.approx(50_000.0, rel=0.01)
 
+    def test_transformer_overload_rejected(self):
+        # 9 MW through the default 6.3 MVA unit is a load factor of 1.43
+        plant = Plant(uniform_plant_config(200))
+        with pytest.raises(DomainError, match="overload"):
+            plant.transformer_split(9e6)
+        # up to 1.2 the load loss is booked at the actual load factor
+        assert plant.transformer_split(7.56e6)[1] == pytest.approx(
+            5_000.0 + 1.2 ** 2 * 35_000.0)
+
     def test_degenerate_allocation_leaves_other_cluster_idle(self):
         plant = Plant(uniform_plant_config(2))
-        plant.step(plant.transformer_split(50_000.0), np.array([1.0, 0.0]))
+        _book_step(plant, 50_000.0, np.array([1.0, 0.0]))
         assert plant.soc[0] > plant.cfg.initial_soc
         assert plant.soc[1] == plant.cfg.initial_soc
         assert plant.ipol[1] == 0.0
@@ -203,12 +224,11 @@ class TestPlant:
     def test_infeasible_allocation_names_cluster(self):
         plant = Plant(uniform_plant_config(2))
         with pytest.raises(DomainError, match="cluster 1"):
-            plant.step(plant.transformer_split(100_000.0),
-                       np.array([0.0, 1.0]))
+            _book_step(plant, 100_000.0, np.array([0.0, 1.0]))
 
     def test_snapshot_restore_roundtrip(self):
         plant = Plant(uniform_plant_config(3))
-        plant.step(plant.transformer_split(100_000.0), np.full(3, 1 / 3))
+        _book_step(plant, 100_000.0, np.full(3, 1 / 3))
         text = plant.snapshot_json()
         other = Plant(uniform_plant_config(3))
         other.restore_json(text)
@@ -241,7 +261,7 @@ class TestPlant:
             clone = Plant(uniform_plant_config(3))
             clone.soc = plant.soc.copy()
             clone.ipol = plant.ipol.copy()
-            ledger = clone.step(clone.transformer_split(90_000.0), row)
+            ledger = _book_step(clone, 90_000.0, row)[0]
             assert fit == pytest.approx(ledger.stored_wh, rel=1e-12)
 
     def test_batch_evaluation_flags_infeasible(self):
@@ -257,8 +277,7 @@ class TestPlant:
         kernel = plant.params.scalar_step
         soc, ipol = cfg.initial_soc, 0.0
         for p in (120_000.0, -80_000.0, 0.0, 30_000.0):
-            ledger = plant.step(plant.transformer_split(p), np.full(5, 0.2))
-            totals = plant.last_step_detail[1]
+            ledger, totals = _book_step(plant, p, np.full(5, 0.2))[:2]
             out = kernel(soc, ipol, plant.net_cluster_power(p) / 5)
             soc, ipol = out[0], out[1]
             for row, got in zip((E_AC, E_DC, STORED, ACDC, DCDC, OHMIC,
@@ -606,40 +625,47 @@ def idle_runs(draw):
     return cfg, soc, ipol, k / k.sum(), history, budget, n
 
 
-class TestIdle:
-    """Plant.idle(n) against n single zero-command Plant.step calls: the
-    same step details, state, elapsed time, ledger and worst residual, byte
-    for byte."""
-
-    @staticmethod
-    def _pair(cfg, soc, ipol, history):
-        plants = []
-        for _ in range(2):
-            plant = Plant(cfg)
+def _twins(cfg, history, soc=None, ipol=None):
+    """Two plants of config cfg in the same state: the ledger history
+    (t_elapsed, max_balance_residual_rel, cumulative) and, when given, soc
+    and ipol."""
+    plants = []
+    for _ in range(2):
+        plant = Plant(cfg)
+        if soc is not None:
             plant.soc, plant.ipol = soc.copy(), ipol.copy()
-            (plant.t_elapsed, plant.max_balance_residual_rel,
-             cumulative) = history
-            plant.cumulative = dataclasses.replace(cumulative)
-            plants.append(plant)
-        return plants
+        (plant.t_elapsed, plant.max_balance_residual_rel,
+         cumulative) = history
+        plant.cumulative = dataclasses.replace(cumulative)
+        plants.append(plant)
+    return plants
+
+
+class TestIdle:
+    """Plant.idle(n), booked in one call, against n single zero-command
+    Plant.step calls booked one at a time: the same step results, state,
+    elapsed time, ledger and worst residual, byte for byte."""
 
     @staticmethod
     def _assert_same_steps(batched, single, k, n):
-        details = batched.idle(n)
-        assert len(details) == n
-        for got in details:
-            single.step(single.transformer_split(0.0), k)
-            want = single.last_step_detail
-            assert _ledger_bits(got[0]) == _ledger_bits(want[0])
-            assert _bits(*got[1], got[2]) == _bits(*want[1], want[2])
-            assert got[3] is want[3] is False
+        totals, e_dc0, truncated = batched.idle(n)
+        assert totals.shape == (9, n)
+        columns = batched.book(totals, np.full(
+            n, batched.transformer_split(0.0)[1]))
+        for i in range(n):
+            want = _book_step(single, 0.0, k)
+            got = LossBreakdown(**{name: column[i]
+                                   for name, column in columns.items()})
+            assert _ledger_bits(got) == _ledger_bits(want[0])
+            assert _bits(*totals[:, i], e_dc0[i]) == _bits(*want[1], want[2])
+            assert not truncated[i] and want[3] is False
         _assert_same_plant(batched, single)
 
     @settings(max_examples=200)
     @given(idle_runs())
     def test_equals_single_zero_steps(self, run):
         cfg, soc, ipol, k, history, budget, n = run
-        batched, single = self._pair(cfg, soc, ipol, history)
+        batched, single = _twins(cfg, history, soc, ipol)
         with mock.patch.object(bessim.plant, "IDLE_CLUSTER_STEPS", budget):
             self._assert_same_steps(batched, single, k, n)
 
@@ -651,9 +677,74 @@ class TestIdle:
         soc = rng.uniform(SOC_MIN, SOC_MAX, 100)
         soc[:2] = SOC_MIN, SOC_MAX
         ipol = rng.uniform(-150.0, 150.0, 100)
-        batched, single = self._pair(cfg, soc, ipol,
-                                     (0.0, 0.0, LossBreakdown()))
+        batched, single = _twins(cfg, (0.0, 0.0, LossBreakdown()), soc, ipol)
         self._assert_same_steps(batched, single, np.full(100, 0.01), 130)
+
+
+ENERGIES_WH = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def bookings(draw):
+    """A one-cluster plant config with a drawn step length, a ledger
+    history, and n steps to book: (9, n) cluster totals (Wh) and (n,)
+    transformer loss powers (W), n from 0."""
+    n = draw(st.integers(0, 30))
+    cfg = uniform_plant_config(1, dt_s=draw(st.floats(1.0, 3600.0)))
+    totals = np.array(draw(st.lists(ENERGIES_WH, min_size=9 * n,
+                                    max_size=9 * n)), dtype=float)
+    tf_w = np.array(draw(st.lists(st.floats(0.0, 1e5), min_size=n,
+                                  max_size=n)), dtype=float)
+    history = (draw(st.floats(0.0, 1e8)), draw(st.floats(0.0, 1.0)),
+               LossBreakdown(*draw(st.lists(ENERGIES_WH, min_size=7,
+                                            max_size=7))))
+    return cfg, totals.reshape(9, n), tf_w, history
+
+
+# a ledger history to book onto: elapsed time, worst residual, running sums
+HISTORY = (1234.5, 3e-16, LossBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, -6.0, 7.0))
+
+
+class TestBook:
+    """Plant.book is the one ledger writer: booking n steps in one call is
+    bit for bit booking them one call per step, and a run that raises
+    books only the steps it completed."""
+
+    @settings(max_examples=200)
+    @given(bookings())
+    def test_one_call_equals_one_call_per_step(self, booking):
+        cfg, totals, tf_w, history = booking
+        batched, single = _twins(cfg, history)
+        columns = batched.book(totals, tf_w)
+        assert set(columns) == {f.name for f in dataclasses.fields(
+            LossBreakdown)}
+        for i in range(tf_w.size):
+            step = single.book(totals[:, i:i + 1], tf_w[i:i + 1])
+            for name, column in columns.items():
+                assert column[i:i + 1].tobytes() == step[name].tobytes(), name
+        _assert_same_plant(batched, single)
+
+    def test_empty_booking_leaves_plant_unchanged(self):
+        booked, untouched = _twins(uniform_plant_config(2), HISTORY)
+        columns = booked.book(np.zeros((9, 0)), np.zeros(0))
+        assert all(column.size == 0 for column in columns.values())
+        _assert_same_plant(booked, untouched)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_run_raising_at_first_step_books_nothing(self, uniform):
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        fast, general = TestGeneralPathMatchesFastPath._plants(
+            ClusterParams(), 0.5)
+        cfg = (fast if uniform else general).cfg
+        plant, untouched = _twins(cfg, HISTORY)
+        # the first call of the loop's kernel raises
+        owner, kernel = ((plant.params, "scalar_step") if uniform
+                         else (bessim.plant, "_step_arrays"))
+        with mock.patch.object(owner, kernel, side_effect=(
+                InfeasiblePowerError("first step"))):
+            with pytest.raises(InfeasiblePowerError, match="first step"):
+                run_simulation(plant, profile, 200e3, 800e3)
+        _assert_same_plant(plant, untouched)
 
 
 class TestRunSimulationReplay:
@@ -691,10 +782,9 @@ class TestRunSimulationReplay:
         step_h = self.CFG.dt_s / 3600.0
         rows = []
         for p, k in zip(result.demand_w.tolist(), result.alloc_matrix):
-            split = plant.transformer_split(p)
-            plant.step(split, k)
-            ledger, totals, e_dc0, truncated = plant.last_step_detail
-            rows.append((split[0], totals[E_AC] / step_h, e_dc0 / step_h,
+            ledger, totals, e_dc0, truncated = _book_step(plant, p, k)
+            rows.append((plant.transformer_split(p)[0], totals[E_AC] / step_h,
+                         e_dc0 / step_h,
                          ledger.grid_wh, ledger.stored_wh,
                          ledger.transformer_wh, ledger.acdc_wh,
                          ledger.dcdc_wh, ledger.battery_ohmic_wh,
