@@ -338,28 +338,25 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
 
 
 def _scalar_kernel(pp: _ParamArrays):
-    """One-cluster step kernel on Python floats, for a plant whose clusters
-    all share their constants (pp.identical, or one cluster).
+    """_step_arrays for one cluster on Python floats, for a plant whose
+    clusters all share their constants (pp.identical, or one cluster).
 
-    Builds every constant that depends only on the cluster and pp.dt once and
-    returns step(soc, ipol, p_ac) -> (soc', ipol', current, truncated,
-    e_ac, e_dc, stored, acdc, dcdc, ohmic, polarization, ss, ts), energies
-    in Wh. Same formulas and clamping order as _step_arrays; one call
-    stands for every cluster of a uniform plant under a balanced split.
+    An operation-for-operation transcription of _step_arrays on the same
+    constants (pp.step_consts and the shared tables); np.minimum(x, y) and
+    np.maximum(x, y) are written as the comparisons numpy makes, which
+    return y on a tie. Every output is bit for bit the array kernel's for
+    the same inputs. Returns step(soc, ipol, p_ac) -> (soc', ipol',
+    current, truncated, e_ac, e_dc, stored, acdc, dcdc, ohmic,
+    polarization, ss, ts), the energies being the rows E_AC ... TS in Wh.
     """
     a0, a1, a2, a3, a4 = pp.acdc_a
     c0, c1, c2, c3, c4 = pp.dcdc_a
     b0, b1, b2, b3 = pp.ocv_b
-    b1_2, b2_3 = b1 / 2, b2 / 3
-    rated, n_series = pp.rated, pp.n_series
-    r_ohm, r_pol, r_ohm4, r_sum = pp.r_ohm, pp.r_pol, pp.r_ohm4, pp.r_sum
-    soc_min, soc_max = pp.soc_min, pp.soc_max
-    tau, dt = pp.tau, pp.dt
-    coulomb = dt / (3600.0 * pp.cap_ah)
-    decay = math.exp(-dt / tau)
-    one_m_decay = 1.0 - decay
-    tau_half = tau / 2.0
-    one_m_decay2 = 1.0 - decay * decay
+    f0, f1, f2, f3 = pp.ocv_anti
+    (decay, coulomb, tau_1md, tau_half_1md2,
+     r_ohm_dt, r_pol_dt, r_sum_dt) = map(float, pp.step_consts)
+    rated, n_series, r_pol, r_ohm4 = pp.rated, pp.n_series, pp.r_pol, pp.r_ohm4
+    soc_min, soc_max, dt = pp.soc_min, pp.soc_max, pp.dt
     floor = PCS_EFFICIENCY_FLOOR
     sqrt = math.sqrt
     w = WH_PER_J
@@ -367,62 +364,68 @@ def _scalar_kernel(pp: _ParamArrays):
     def step(soc: float, ipol: float, p_ac: float) -> tuple:
         charging = p_ac >= 0.0
         lam = abs(p_ac) / rated
-        if lam > 1.0:
+        if lam >= 1.0:
             lam = 1.0
-        eta_ac = a0 + lam * (a1 + lam * (a2 + lam * (a3 + lam * a4)))
-        if eta_ac < floor:
+        eta_ac = (((lam * a4 + a3) * lam + a2) * lam + a1) * lam + a0
+        if eta_ac <= floor:
             eta_ac = floor
-        elif eta_ac > 1.0:
+        if eta_ac >= 1.0:
             eta_ac = 1.0
-        eta_dc = c0 + lam * (c1 + lam * (c2 + lam * (c3 + lam * c4)))
-        if eta_dc < floor:
+        eta_dc = (((lam * c4 + c3) * lam + c2) * lam + c1) * lam + c0
+        if eta_dc <= floor:
             eta_dc = floor
-        elif eta_dc > 1.0:
+        if eta_dc >= 1.0:
             eta_dc = 1.0
         eta2 = eta_ac * eta_dc
         p_dc = p_ac * eta2 if charging else p_ac / eta2
 
-        v_oc = n_series * (b0 + soc * (b1 + soc * (b2 + soc * b3)))
+        v_oc = n_series * ((((soc * b3 + b2) * soc + b1) * soc) + b0)
         b = v_oc + r_pol * ipol
-        disc = b * b + r_ohm4 * p_dc
+        disc = r_ohm4 * p_dc + b * b
         if disc < 0.0:
             raise InfeasiblePowerError(
                 "demanded power exceeds maximum deliverable battery power")
-        current = 2.0 * p_dc / (b + sqrt(disc))
+        current = (2.0 * p_dc) / (sqrt(disc) + b)
 
         i_lo = (soc_min - soc) / coulomb
-        if i_lo > 0.0:
+        if not i_lo < 0.0:
             i_lo = 0.0
         i_hi = (soc_max - soc) / coulomb
-        if i_hi < 0.0:
+        if not i_hi > 0.0:
             i_hi = 0.0
-        i_clamped = i_lo if current < i_lo else current
-        if i_clamped > i_hi:
+        i_clamped = current if current > i_lo else i_lo
+        if not i_clamped < i_hi:
             i_clamped = i_hi
         truncated = i_clamped != current
         current = i_clamped
         cur2 = current * current
+        cur_dt = current * dt
 
-        soc_new = soc + current * coulomb
+        soc_new = current * coulomb + soc
+
         d0 = ipol - current
-        ipol_new = current + d0 * decay
-        j1 = current * dt + d0 * tau * one_m_decay
-        j2 = (cur2 * dt + 2.0 * current * d0 * tau * one_m_decay
-              + d0 * d0 * tau_half * one_m_decay2)
+        ipol_new = d0 * decay + current
+        d0_tau = d0 * tau_1md
+        j1 = d0_tau + cur_dt
+        j2 = (d0 * d0) * tau_half_1md2 + (d0_tau * current) * 2.0 + cur2 * dt
 
         dsoc = soc_new - soc
+        sc = soc if soc > 0.0 else 0.0
+        if not sc < 1.0:
+            sc = 1.0
+        sn = soc_new if soc_new > 0.0 else 0.0
+        if not sn < 1.0:
+            sn = 1.0
+        anti_n = (((sn * f3 + f2) * sn + f1) * sn + f0) * sn
+        anti_c = (((sc * f3 + f2) * sc + f1) * sc + f0) * sc
         if abs(dsoc) > 1e-15:
-            sc = 0.0 if soc < 0.0 else 1.0 if soc > 1.0 else soc
-            sn = 0.0 if soc_new < 0.0 else 1.0 if soc_new > 1.0 else soc_new
-            anti_c = sc * (b0 + sc * (b1_2 + sc * (b2_3 + sc * b3 / 4)))
-            anti_n = sn * (b0 + sn * (b1_2 + sn * (b2_3 + sn * b3 / 4)))
-            v_mean = n_series * (anti_n - anti_c) / dsoc
+            v_mean = ((anti_n - anti_c) * n_series) / dsoc
         else:
             v_mean = v_oc
 
-        e_ohm = cur2 * r_ohm * dt
+        e_ohm = cur2 * r_ohm_dt
         e_pol = r_pol * j2
-        e_dc = current * v_mean * dt + e_ohm + current * r_pol * j1
+        e_dc = cur_dt * v_mean + e_ohm + (j1 * current) * r_pol
         e_stored = e_dc - e_ohm - e_pol
         if charging:
             e_mid = e_dc / eta_dc
@@ -432,8 +435,8 @@ def _scalar_kernel(pp: _ParamArrays):
             e_ac = e_mid * eta_ac
         return (soc_new, ipol_new, current, truncated, e_ac * w, e_dc * w,
                 e_stored * w, (e_ac - e_mid) * w, (e_mid - e_dc) * w,
-                e_ohm * w, e_pol * w, cur2 * r_sum * dt * w,
-                (e_pol - cur2 * r_pol * dt) * w)
+                e_ohm * w, e_pol * w, (cur2 * r_sum_dt) * w,
+                (e_pol - cur2 * r_pol_dt) * w)
 
     return step
 

@@ -141,7 +141,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         alloc=np.tile(balanced, (n, 1)) if record_alloc else None)
     try:
         if alloc_mode == "balanced" and plant.is_uniform():
-            _run_uniform(plant, steps)
+            _run_uniform(plant, steps, float(balanced[0]))
         else:
             _run_general(plant, steps, balanced, alloc_mode, pso_params,
                          max(int(round(realloc_cadence_s / dt)), 1))
@@ -226,13 +226,18 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
             steps.done = i + 1
 
 
-def _run_uniform(plant: Plant, steps: _Steps) -> None:
+def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     """Balanced run of a uniform plant (see Plant.is_uniform).
 
     A balanced split over identical clusters keeps every cluster in the
-    same state, so one scalar kernel call per step stands for all of them
-    and its energies scale by the cluster count; the outputs equal those of
-    the general loop with the balanced allocation. State stays in Python
+    same state, so one call of the scalar kernel (plant.params.scalar_step,
+    bit for bit _step_arrays on one cluster) per step stands for all of
+    them. Each cluster is commanded share * p_net, share being the entry of
+    the balanced allocation that the general loop gives every cluster, so
+    states, commands, truncation flags, cluster 0's energy and allocation
+    rows are bit for bit the general loop's; the cluster sums are the one
+    cluster's energies times the cluster count, which differs from the
+    general loop's sum over clusters by rounding. State stays in Python
     floats, inputs are read and the per-step results written through
     memoryviews of the arrays; the plant gets its state back when the loop
     ends or raises.
@@ -261,7 +266,7 @@ def _run_uniform(plant: Plant, steps: _Steps) -> None:
             dv[i] = p
 
             p_net, tf_w = split(p)
-            p_clu = p_net / m
+            p_clu = share * p_net
             if abs(p_clu) > rated_tol:
                 raise DomainError(
                     f"allocation infeasible: cluster 0 commanded {p_clu:.1f} W "

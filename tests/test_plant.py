@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 from types import SimpleNamespace
@@ -272,30 +273,37 @@ class TestPlant:
         assert np.isfinite(fits[1])
 
     def test_uniform_fast_step_matches_vectorized_step(self):
-        cfg = uniform_plant_config(5, transformer=TransformerParams())
+        # at four clusters the sum of four equal energies is exactly four
+        # times one, so the cluster sums agree bit for bit as well
+        cfg = uniform_plant_config(4, transformer=TransformerParams())
         plant = Plant(cfg)
         kernel = plant.params.scalar_step
+        k = np.full(4, 0.25)
         soc, ipol = cfg.initial_soc, 0.0
         for p in (120_000.0, -80_000.0, 0.0, 30_000.0):
-            ledger, totals = _book_step(plant, p, np.full(5, 0.2))[:2]
-            out = kernel(soc, ipol, plant.net_cluster_power(p) / 5)
+            ledger, totals, e_dc0, truncated = _book_step(plant, p, k)
+            out = kernel(soc, ipol, k[0] * plant.net_cluster_power(p))
             soc, ipol = out[0], out[1]
-            for row, got in zip((E_AC, E_DC, STORED, ACDC, DCDC, OHMIC,
-                                 POLARIZATION), out[4:]):
-                assert 5 * got == pytest.approx(totals[row], rel=1e-12)
-            assert (5 * out[4] + ledger.transformer_wh
-                    == pytest.approx(ledger.grid_wh, rel=1e-12))
-            assert np.allclose(plant.soc, soc, rtol=1e-12, atol=0.0)
-            assert np.allclose(plant.ipol, ipol, rtol=1e-12, atol=0.0)
+            assert _bits(*totals) == _bits(*(4 * got for got in out[4:]))
+            assert _bits(e_dc0) == _bits(out[5])
+            assert truncated == out[3]
+            assert ledger.grid_wh == 4 * out[4] + ledger.transformer_wh
+            assert plant.soc.tobytes() == np.full(4, soc).tobytes()
+            assert plant.ipol.tobytes() == np.full(4, ipol).tobytes()
+
+
+def _general_loop():
+    """Patch Plant.is_uniform to False: run_simulation then takes the
+    general per-cluster loop on any plant."""
+    return mock.patch.object(Plant, "is_uniform", return_value=False)
 
 
 class TestGeneralPathMatchesFastPath:
-    """A uniform plant runs the scalar fast path; changing only the metadata
-    field dc_bus_voltage_v on one cluster leaves the physics unchanged but
-    makes the plant non-identical, so the same run takes the general
-    per-cluster path. Both must produce the same per-step traces, record
-    the same allocation bytes and leave the same plant state, also when a
-    step raises mid-horizon."""
+    """A uniform plant runs the scalar fast path; the same run with
+    Plant.is_uniform patched to False takes the general per-cluster loop.
+    At four clusters both produce the same per-step traces, record the
+    same allocation bytes and leave the same plant state bit for bit, also
+    when a step raises mid-horizon."""
 
     TRACES_WH = ("grid_wh", "stored_wh", "transformer_wh", "acdc_wh",
                  "dcdc_wh", "ohmic_wh", "polarization_wh", "ss_wh", "ts_wh")
@@ -307,30 +315,27 @@ class TestGeneralPathMatchesFastPath:
 
     @staticmethod
     def _plants(c: ClusterParams, initial_soc: float, m: int = 4):
-        relabelled = dataclasses.replace(
-            c, dc_bus_voltage_v=c.dc_bus_voltage_v + 1.0)
-        fast = Plant(PlantConfig(clusters=(c,) * m, dt_s=300.0,
-                                 initial_soc=initial_soc))
-        general = Plant(PlantConfig(clusters=(c,) * (m - 1) + (relabelled,),
-                                    dt_s=300.0, initial_soc=initial_soc))
-        assert fast.is_uniform() and not general.is_uniform()
+        """Two fresh plants of m clusters c: the second is to be run under
+        _general_loop."""
+        cfg = PlantConfig(clusters=(c,) * m, dt_s=300.0,
+                          initial_soc=initial_soc)
+        fast, general = Plant(cfg), Plant(cfg)
+        assert fast.is_uniform()
         return fast, general
 
     @staticmethod
-    def _assert_same_state(fast: Plant, general: Plant, net_abs_wh=0.0):
-        """net_abs_wh is an absolute tolerance for the signed net sums
-        stored_wh and grid_wh only; the loss sums are held to 1e-12
-        relative."""
-        assert np.array_equal(fast.soc, general.soc)
-        assert np.allclose(fast.ipol, general.ipol, rtol=1e-12, atol=0.0)
-        assert fast.t_elapsed == general.t_elapsed
-        for f in dataclasses.fields(LossBreakdown):
-            got = getattr(fast.cumulative, f.name)
-            abs_wh = net_abs_wh if f.name in ("stored_wh", "grid_wh") else 0.0
-            assert got == pytest.approx(getattr(general.cumulative, f.name),
-                                        rel=1e-12, abs=abs_wh), f.name
+    def _runs(fast: Plant, general: Plant, profile, *args, **kwargs):
+        """run_simulation of profile on both plants, general's on the
+        general loop."""
+        rf = run_simulation(fast, profile, *args, **kwargs)
+        with _general_loop():
+            rg = run_simulation(general, profile, *args, **kwargs)
+        return rf, rg
+
+    @staticmethod
+    def _assert_same_state(fast: Plant, general: Plant):
+        _assert_same_plant(fast, general)
         assert fast.max_balance_residual_rel <= 1e-9
-        assert general.max_balance_residual_rel <= 1e-9
 
     # the band edges: at soc_max the SoC gate drops the first planned
     # charge, at soc_min the plant starts with nothing to discharge
@@ -338,38 +343,21 @@ class TestGeneralPathMatchesFastPath:
         0.1, 0.9, PlantConfig.soc_min, PlantConfig.soc_max])
     def test_multi_day_traces_agree(self, initial_soc):
         fast, general = self._plants(ClusterParams(), initial_soc)
-        rf = run_simulation(fast, self.PROFILE, 200e3, 800e3,
+        rf, rg = self._runs(fast, general, self.PROFILE, 200e3, 800e3,
                             record_alloc=True)
-        rg = run_simulation(general, self.PROFILE, 200e3, 800e3,
-                            record_alloc=True)
-        assert rf.alloc_matrix.tobytes() == rg.alloc_matrix.tobytes()
-
-        tol_wh = 1e-12 * np.abs(rf.grid_wh)
-        assert np.all(tol_wh > 0)
-        for name in self.TRACES_WH:
-            diff = np.abs(getattr(rf, name) - getattr(rg, name))
-            assert np.all(diff <= tol_wh), name
-        step_h = rf.dt_s / 3600.0
-        for name in self.TRACES_W:
-            diff = np.abs(getattr(rf, name) - getattr(rg, name)) * step_h
-            assert np.all(diff <= tol_wh), name
-        assert np.array_equal(rf.truncated, rg.truncated)
         assert np.count_nonzero(rf.demand_w) > 0
-        # from soc_min the run's net stored_wh cancels to about 1e-10 Wh,
-        # below the rounding of its gross flow, so at that edge the net sums
-        # are compared on the scale of the total loss
-        net_abs_wh = (1e-12 * fast.cumulative.total_loss_wh
-                      if initial_soc == PlantConfig.soc_min else 0.0)
-        self._assert_same_state(fast, general, net_abs_wh)
+        for name in ("alloc_matrix", "demand_w", "cluster_target_w",
+                     "truncated") + self.TRACES_WH + self.TRACES_W:
+            assert (getattr(rf, name).tobytes()
+                    == getattr(rg, name).tobytes()), name
+        self._assert_same_state(fast, general)
 
     # 1/m is not a dyadic fraction here, so a share derived twice (1/m, and
     # 1/m renormalised by repair) can differ in the last bit
     @pytest.mark.parametrize("m", [7, 37])
     def test_same_balanced_allocation_bytes(self, m):
         fast, general = self._plants(ClusterParams(), 0.5, m)
-        rf = run_simulation(fast, self.PROFILE, 200e3, 800e3,
-                            record_alloc=True)
-        rg = run_simulation(general, self.PROFILE, 200e3, 800e3,
+        rf, rg = self._runs(fast, general, self.PROFILE, 200e3, 800e3,
                             record_alloc=True)
         assert np.count_nonzero(rg.demand_w) > 0
         assert rf.alloc_matrix.tobytes() == rg.alloc_matrix.tobytes()
@@ -380,9 +368,10 @@ class TestGeneralPathMatchesFastPath:
         lossy = ClusterParams(cell=dataclasses.replace(
             ClusterParams().cell, r_ohm=0.3))
         fast, general = self._plants(lossy, 0.5)
-        for plant in (fast, general):
-            with pytest.raises(InfeasiblePowerError):
-                run_simulation(plant, self.PROFILE, 200e3, 800e3)
+        with pytest.raises(InfeasiblePowerError):
+            run_simulation(fast, self.PROFILE, 200e3, 800e3)
+        with _general_loop(), pytest.raises(InfeasiblePowerError):
+            run_simulation(general, self.PROFILE, 200e3, 800e3)
         horizon = self.PROFILE.n_samples * self.PROFILE.dt_s
         assert 0.0 < fast.t_elapsed < horizon
         assert fast.cumulative.stored_wh > 0.0
@@ -499,17 +488,62 @@ class TestStepArraysProperties:
                    for k in kinds]
         for (r, j), s0 in np.ndenumerate(soc):
             want = kernels[j](float(s0), float(ipol[r, j]), float(p_ac[r, j]))
-            # same formulas and clamping order: the state update is exact
-            # up to exp(), the energies to rounding of the regrouped terms
-            assert soc_new[r, j] == want[0]
-            assert current[r, j] == want[2]
-            assert truncated[r, j] == want[3]
-            assert ipol_new[r, j] == pytest.approx(want[1], rel=1e-14,
-                                                   abs=1e-12)
-            energies = E[:, r, j]
-            scale = max(np.abs(energies).max(), 1e-30)
-            assert np.allclose(energies, want[4:], rtol=0.0,
-                               atol=1e-12 * scale)
+            # one formula: every output bit for bit, signed zeros included
+            got = (soc_new[r, j], ipol_new[r, j], current[r, j],
+                   truncated[r, j], *E[:, r, j])
+            assert len(got) == len(want) == 13
+            assert _bits(*got) == _bits(*want)
+
+
+@st.composite
+def uniform_runs(draw):
+    """A fresh plant of m identical clusters of one kind, m from 1 to 64,
+    with a drawn step length and initial SoC (band edges included), and a
+    two-day load profile at that step scaled to the plant's rating."""
+    m = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(CLUSTER_KINDS))
+    dt = draw(st.sampled_from((60.0, 300.0, 600.0, 900.0)))
+    initial_soc = draw(st.one_of(st.sampled_from([SOC_MIN, SOC_MAX]),
+                                 st.floats(SOC_MIN, SOC_MAX)))
+    cfg = PlantConfig(clusters=(kind,) * m, dt_s=dt, soc_min=SOC_MIN,
+                      soc_max=SOC_MAX, initial_soc=initial_soc)
+    p_tot = m * kind.rated_power_w
+    profile = synth_load(SynthLoadSpec(
+        days=2, dt_s=dt, base_w=6.0 * p_tot, valley_depth_w=1.5 * p_tot,
+        valley_sigma_h=1.5, morning_peak_w=0.0, evening_peak_w=1.5 * p_tot,
+        evening_sigma_h=0.8, noise_rel=0.003, day_jitter=0.02),
+        draw(st.integers(0, 2**16)))
+    return cfg, profile, p_tot
+
+
+class TestUniformFastPathProperty:
+    """On any uniform plant the fast path and the general loop (Plant.is_uniform
+    patched to False) give bit-identical state traces, allocation rows and
+    final state. The cluster sums are m times one cluster's energies on the
+    fast path and a sum over m clusters on the general loop, so they agree
+    to rounding: within 1e-14 of the step's |grid_wh|."""
+
+    @settings(max_examples=40)
+    @given(uniform_runs())
+    def test_fast_path_is_the_general_loop(self, run):
+        cfg, profile, p_tot = run
+        fast, general = Plant(cfg), Plant(cfg)
+        rf, rg = TestGeneralPathMatchesFastPath._runs(
+            fast, general, profile, p_tot, 4 * p_tot, record_alloc=True)
+        for name in ("demand_w", "cluster_target_w", "truncated",
+                     "cluster0_dc_w", "alloc_matrix"):
+            assert (getattr(rf, name).tobytes()
+                    == getattr(rg, name).tobytes()), name
+        assert fast.soc.tobytes() == general.soc.tobytes()
+        assert fast.ipol.tobytes() == general.ipol.tobytes()
+        assert fast.t_elapsed == general.t_elapsed
+
+        tol_wh = 1e-14 * np.abs(rf.grid_wh)
+        for name in TestGeneralPathMatchesFastPath.TRACES_WH:
+            diff = np.abs(getattr(rf, name) - getattr(rg, name))
+            assert np.all(diff <= tol_wh), name
+        diff = np.abs(rf.delivered_w - rg.delivered_w) * (cfg.dt_s / 3600.0)
+        assert np.all(diff <= tol_wh)
 
 
 class TestKernelMatchesLossModels:
@@ -733,17 +767,16 @@ class TestBook:
     @pytest.mark.parametrize("uniform", [True, False])
     def test_run_raising_at_first_step_books_nothing(self, uniform):
         profile = TestGeneralPathMatchesFastPath.PROFILE
-        fast, general = TestGeneralPathMatchesFastPath._plants(
-            ClusterParams(), 0.5)
-        cfg = (fast if uniform else general).cfg
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0)
         plant, untouched = _twins(cfg, HISTORY)
         # the first call of the loop's kernel raises
         owner, kernel = ((plant.params, "scalar_step") if uniform
                          else (bessim.plant, "_step_arrays"))
         with mock.patch.object(owner, kernel, side_effect=(
                 InfeasiblePowerError("first step"))):
-            with pytest.raises(InfeasiblePowerError, match="first step"):
-                run_simulation(plant, profile, 200e3, 800e3)
+            with (contextlib.nullcontext() if uniform else _general_loop()):
+                with pytest.raises(InfeasiblePowerError, match="first step"):
+                    run_simulation(plant, profile, 200e3, 800e3)
         _assert_same_plant(plant, untouched)
 
 
