@@ -219,6 +219,33 @@ def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
     return np.minimum(eta, 1.0, out=eta)
 
 
+def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
+    """Mean of the cubic OCV fit over [soc_c, soc_n], per series cell: the
+    divided difference (F(soc_n) - F(soc_c)) / (soc_n - soc_c) of its
+    antiderivative F(s) = sum_j f_j s^(j+1), anti = (f_0, ..., f_3) as
+    _ParamArrays.ocv_anti holds them (shared floats or per-cluster rows).
+
+    Summed as sum_j f_j h_j with h_j = sum_i soc_n^i soc_c^(j-i), built as
+    h_j = h_(j-1) soc_n + soc_c^j: no difference quotient, so no
+    cancellation over a short interval, and the fit's own value over an
+    empty one. _scalar_kernel repeats these operations in this order.
+    """
+    f0, f1, f2, f3 = anti
+    c_pow = soc_c * soc_c
+    h = soc_n + soc_c
+    v = h * f1
+    v += f0
+    h *= soc_n
+    h += c_pow
+    v += h * f2
+    c_pow *= soc_c
+    h *= soc_n
+    h += c_pow
+    h *= f3
+    v += h
+    return v
+
+
 def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
     """Advance cluster states one step of pp.dt under commanded AC powers.
 
@@ -291,18 +318,10 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
     j2 += cur2 * dt                                              # int i_pol^2
 
     # Mean OCV over the traversed SoC interval (exact for the cubic fit).
-    dsoc = soc_new - soc
     soc_c = np.minimum(np.maximum(soc, 0.0), 1.0)
     soc_n = np.minimum(np.maximum(soc_new, 0.0), 1.0)
-    anti_n = _horner(pp.ocv_anti, soc_n)
-    anti_n *= soc_n
-    anti_c = _horner(pp.ocv_anti, soc_c)
-    anti_c *= soc_c
-    anti_n -= anti_c
-    anti_n *= pp.n_series
-    moved = np.abs(dsoc) > 1e-15
-    np.divide(anti_n, dsoc, out=anti_n, where=moved)
-    v_mean = np.where(moved, anti_n, v_oc)
+    v_mean = _mean_ocv(pp.ocv_anti, soc_c, soc_n)
+    v_mean *= pp.n_series
 
     # Energy pieces (J), written straight into the stack. stored is defined
     # as the residual of the exact DC-side energy so the ledger closes
@@ -409,19 +428,19 @@ def _scalar_kernel(pp: _ParamArrays):
         j1 = d0_tau + cur_dt
         j2 = (d0 * d0) * tau_half_1md2 + (d0_tau * current) * 2.0 + cur2 * dt
 
-        dsoc = soc_new - soc
         sc = soc if soc > 0.0 else 0.0
         if not sc < 1.0:
             sc = 1.0
         sn = soc_new if soc_new > 0.0 else 0.0
         if not sn < 1.0:
             sn = 1.0
-        anti_n = (((sn * f3 + f2) * sn + f1) * sn + f0) * sn
-        anti_c = (((sc * f3 + f2) * sc + f1) * sc + f0) * sc
-        if abs(dsoc) > 1e-15:
-            v_mean = ((anti_n - anti_c) * n_series) / dsoc
-        else:
-            v_mean = v_oc
+        sc2 = sc * sc
+        h = sn + sc
+        v_mean = h * f1 + f0
+        h = h * sn + sc2
+        v_mean += h * f2
+        h = h * sn + sc2 * sc
+        v_mean = (v_mean + h * f3) * n_series
 
         e_ohm = cur2 * r_ohm_dt
         e_pol = r_pol * j2

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import bessim.plant
 from bessim.errors import ConfigError, DomainError, InfeasiblePowerError
 from bessim.losses import (
+    OcvCoeffs,
     PcsEfficiencyCoeffs,
     RcState,
     TransformerParams,
@@ -37,6 +39,7 @@ from bessim.plant import (
     PlantConfig,
     uniform_plant_config,
     _ParamArrays,
+    _mean_ocv,
     _step_arrays,
 )
 from bessim.profiles import SynthLoadSpec, synth_load
@@ -544,6 +547,37 @@ class TestUniformFastPathProperty:
             assert np.all(diff <= tol_wh), name
         diff = np.abs(rf.delivered_w - rg.delivered_w) * (cfg.dt_s / 3600.0)
         assert np.all(diff <= tol_wh)
+
+
+class TestMeanOcv:
+    """plant._mean_ocv, the mean OCV over a step's SoC interval, against
+    the exact divided difference of the fit's antiderivative F in rational
+    arithmetic, (F(n) - F(c)) / (n - c), or F'(c) where n == c. The
+    intervals run from 1e-16 (a fraction of an ulp at mid SoC, so some
+    are empty) to 1e-2 wide, both directions, from starts across [0, 1]."""
+
+    @pytest.mark.parametrize("ocv", [
+        OcvCoeffs(), OcvCoeffs((3.0, 1.2, -0.6, 0.6))])
+    def test_matches_exact_divided_difference(self, ocv):
+        cell = dataclasses.replace(ClusterParams().cell, ocv=ocv)
+        anti = _ParamArrays((ClusterParams(cell=cell),), SOC_MIN, SOC_MAX,
+                            60.0).ocv_anti
+        f = [Fraction(x) for x in anti]
+        starts = np.concatenate([[0.0, SOC_MIN, 0.5, SOC_MAX, 1.0],
+                                 np.linspace(0.05, 0.95, 19)])
+        widths = np.outer(10.0 ** np.arange(-16, -1), [1.0, 3.7])
+        for width in np.concatenate([widths.ravel(), -widths.ravel()]):
+            soc_n = np.clip(starts + width, 0.0, 1.0)
+            got = _mean_ocv(anti, starts, soc_n)
+            for c, n, g in zip(map(Fraction, starts.tolist()),
+                               map(Fraction, soc_n.tolist()), got.tolist()):
+                if n == c:
+                    want = sum((j + 1) * fj * c ** j for j, fj in enumerate(f))
+                else:
+                    want = sum(fj * (n ** (j + 1) - c ** (j + 1))
+                               for j, fj in enumerate(f)) / (n - c)
+                assert abs(Fraction(g) - want) <= Fraction(1e-14) * want, (
+                    float(c), float(n))
 
 
 class TestKernelMatchesLossModels:
