@@ -50,7 +50,6 @@ class ClusterParams:
     n_parallel: int = 24
     rated_power_w: float = 50_000.0
     rated_energy_wh: float = 200_000.0
-    dc_bus_voltage_v: float = 700.0  # metadata; converters are power-level models
     dcdc_coeffs: PcsEfficiencyCoeffs = field(default_factory=PcsEfficiencyCoeffs)
     acdc_coeffs: PcsEfficiencyCoeffs = field(default_factory=PcsEfficiencyCoeffs)
 
@@ -220,16 +219,11 @@ def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
 
 
 def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
-    """Mean of the cubic OCV fit over [soc_c, soc_n], per series cell: the
-    divided difference (F(soc_n) - F(soc_c)) / (soc_n - soc_c) of its
-    antiderivative F(s) = sum_j f_j s^(j+1), anti = (f_0, ..., f_3) as
-    _ParamArrays.ocv_anti holds them (shared floats or per-cluster rows).
-
-    Summed as sum_j f_j h_j with h_j = sum_i soc_n^i soc_c^(j-i), built as
-    h_j = h_(j-1) soc_n + soc_c^j: no difference quotient, so no
-    cancellation over a short interval, and the fit's own value over an
-    empty one. _scalar_kernel repeats these operations in this order.
-    """
+    """Mean of the cubic OCV fit over [soc_c, soc_n] per series cell: the
+    divided difference of its antiderivative sum_j f_j s^(j+1), anti = f as
+    _ParamArrays.ocv_anti, summed as sum_j f_j h_j with h_j = sum_i soc_n^i
+    soc_c^(j-i) = h_(j-1) soc_n + soc_c^j. No difference quotient, so no
+    cancellation when a cluster barely moves."""
     f0, f1, f2, f3 = anti
     c_pow = soc_c * soc_c
     h = soc_n + soc_c
@@ -361,12 +355,11 @@ def _scalar_kernel(pp: _ParamArrays):
     clusters all share their constants (pp.identical, or one cluster).
 
     An operation-for-operation transcription of _step_arrays on the same
-    constants (pp.step_consts and the shared tables); np.minimum(x, y) and
-    np.maximum(x, y) are written as the comparisons numpy makes, which
-    return y on a tie. Every output is bit for bit the array kernel's for
-    the same inputs. Returns step(soc, ipol, p_ac) -> (soc', ipol',
-    current, truncated, e_ac, e_dc, stored, acdc, dcdc, ohmic,
-    polarization, ss, ts), the energies being the rows E_AC ... TS in Wh.
+    constants, np.minimum(x, y) and np.maximum(x, y) written as the
+    comparisons numpy makes (y on a tie): every output is bit for bit the
+    array kernel's. Returns step(soc, ipol, p_ac) -> (soc', ipol', current,
+    truncated, e_ac, e_dc, stored, acdc, dcdc, ohmic, polarization, ss,
+    ts), the energies being the rows E_AC ... TS in Wh.
     """
     a0, a1, a2, a3, a4 = pp.acdc_a
     c0, c1, c2, c3, c4 = pp.dcdc_a
@@ -383,22 +376,17 @@ def _scalar_kernel(pp: _ParamArrays):
     def step(soc: float, ipol: float, p_ac: float) -> tuple:
         charging = p_ac >= 0.0
         lam = abs(p_ac) / rated
-        if lam >= 1.0:
-            lam = 1.0
+        lam = lam if lam < 1.0 else 1.0
         eta_ac = (((lam * a4 + a3) * lam + a2) * lam + a1) * lam + a0
-        if eta_ac <= floor:
-            eta_ac = floor
-        if eta_ac >= 1.0:
-            eta_ac = 1.0
+        eta_ac = eta_ac if eta_ac > floor else floor
+        eta_ac = eta_ac if eta_ac < 1.0 else 1.0
         eta_dc = (((lam * c4 + c3) * lam + c2) * lam + c1) * lam + c0
-        if eta_dc <= floor:
-            eta_dc = floor
-        if eta_dc >= 1.0:
-            eta_dc = 1.0
+        eta_dc = eta_dc if eta_dc > floor else floor
+        eta_dc = eta_dc if eta_dc < 1.0 else 1.0
         eta2 = eta_ac * eta_dc
         p_dc = p_ac * eta2 if charging else p_ac / eta2
 
-        v_oc = n_series * ((((soc * b3 + b2) * soc + b1) * soc) + b0)
+        v_oc = n_series * (((soc * b3 + b2) * soc + b1) * soc + b0)
         b = v_oc + r_pol * ipol
         disc = r_ohm4 * p_dc + b * b
         if disc < 0.0:
@@ -407,19 +395,15 @@ def _scalar_kernel(pp: _ParamArrays):
         current = (2.0 * p_dc) / (sqrt(disc) + b)
 
         i_lo = (soc_min - soc) / coulomb
-        if not i_lo < 0.0:
-            i_lo = 0.0
+        i_lo = i_lo if i_lo < 0.0 else 0.0
         i_hi = (soc_max - soc) / coulomb
-        if not i_hi > 0.0:
-            i_hi = 0.0
+        i_hi = i_hi if i_hi > 0.0 else 0.0
         i_clamped = current if current > i_lo else i_lo
-        if not i_clamped < i_hi:
-            i_clamped = i_hi
+        i_clamped = i_clamped if i_clamped < i_hi else i_hi
         truncated = i_clamped != current
         current = i_clamped
         cur2 = current * current
         cur_dt = current * dt
-
         soc_new = current * coulomb + soc
 
         d0 = ipol - current
@@ -428,12 +412,11 @@ def _scalar_kernel(pp: _ParamArrays):
         j1 = d0_tau + cur_dt
         j2 = (d0 * d0) * tau_half_1md2 + (d0_tau * current) * 2.0 + cur2 * dt
 
+        # _mean_ocv, the same operations in the same order
         sc = soc if soc > 0.0 else 0.0
-        if not sc < 1.0:
-            sc = 1.0
+        sc = sc if sc < 1.0 else 1.0
         sn = soc_new if soc_new > 0.0 else 0.0
-        if not sn < 1.0:
-            sn = 1.0
+        sn = sn if sn < 1.0 else 1.0
         sc2 = sc * sc
         h = sn + sc
         v_mean = h * f1 + f0
@@ -446,12 +429,8 @@ def _scalar_kernel(pp: _ParamArrays):
         e_pol = r_pol * j2
         e_dc = cur_dt * v_mean + e_ohm + (j1 * current) * r_pol
         e_stored = e_dc - e_ohm - e_pol
-        if charging:
-            e_mid = e_dc / eta_dc
-            e_ac = e_mid / eta_ac
-        else:
-            e_mid = e_dc * eta_dc
-            e_ac = e_mid * eta_ac
+        e_mid = e_dc / eta_dc if charging else e_dc * eta_dc
+        e_ac = e_mid / eta_ac if charging else e_mid * eta_ac
         return (soc_new, ipol_new, current, truncated, e_ac * w, e_dc * w,
                 e_stored * w, (e_ac - e_mid) * w, (e_mid - e_dc) * w,
                 e_ohm * w, e_pol * w, (cur2 * r_sum_dt) * w,

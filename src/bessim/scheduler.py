@@ -88,13 +88,10 @@ class ShavingCycle:
 class ShavingPlan:
     cycles: list[ShavingCycle]
     intervals: list[Interval]
-    power_depth_w: float
     rated_power_w: float
     rated_energy_wh: float
     p_chr_ref0_w: float     # depth-defined initial references
     p_dis_ref0_w: float
-    dt_s: float
-    n_samples: int
     initial_energy_wh: float = 0.0
 
 
@@ -360,9 +357,8 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
         cyc.feasible = all(flags)
     return ShavingPlan(
         cycles=cycles, intervals=intervals,
-        power_depth_w=p_r_w, rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
+        rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
         p_chr_ref0_w=p_chr_ref0_w, p_dis_ref0_w=p_dis_ref0_w,
-        dt_s=profile.dt_s, n_samples=profile.n_samples,
         initial_energy_wh=initial_energy_wh)
 
 
@@ -403,9 +399,8 @@ def correct_references_original(profile: LoadProfile, p_r_w: float,
         cyc.feasible = ok_c and ok_d
     return ShavingPlan(
         cycles=cycles, intervals=intervals,
-        power_depth_w=p_r_w, rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
+        rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
         p_chr_ref0_w=p_chr_ref0_w, p_dis_ref0_w=p_dis_ref0_w,
-        dt_s=profile.dt_s, n_samples=profile.n_samples,
         initial_energy_wh=initial_energy_wh)
 
 

@@ -230,17 +230,13 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     """Balanced run of a uniform plant (see Plant.is_uniform).
 
     A balanced split over identical clusters keeps every cluster in the
-    same state, so one call of the scalar kernel (plant.params.scalar_step,
-    bit for bit _step_arrays on one cluster) per step stands for all of
-    them. Each cluster is commanded share * p_net, share being the entry of
-    the balanced allocation that the general loop gives every cluster, so
-    states, commands, truncation flags, cluster 0's energy and allocation
-    rows are bit for bit the general loop's; the cluster sums are the one
-    cluster's energies times the cluster count, which differs from the
-    general loop's sum over clusters by rounding. State stays in Python
-    floats, inputs are read and the per-step results written through
-    memoryviews of the arrays; the plant gets its state back when the loop
-    ends or raises.
+    same state, so one call of plant.params.scalar_step (bit for bit
+    _step_arrays on one cluster) per step stands for all of them, each
+    commanded share * p_net as on the general loop. States, commands and
+    flags are the general loop's bit for bit; the cluster sums are m times
+    one cluster's energies. State stays in Python floats, the arrays are
+    read and written through memoryviews, and the plant gets its state
+    back when the loop ends or raises.
     """
     kernel = plant.params.scalar_step
     split = plant.transformer_split

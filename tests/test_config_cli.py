@@ -173,6 +173,8 @@ class TestParseConfig:
         ({"allocator": {"pso": {"particle": 3}}}, "allocator.pso.particle"),
         ({"load": {"synth": {"day": 2}}}, "load.synth.day"),
         ({"output": {"format": ["json"]}}, "output.format"),
+        ({"plant": {"cluster": {"dc_bus_voltage_v": 700}}},
+         "plant.cluster.dc_bus_voltage_v"),
     ])
     def test_unknown_key_rejected_with_its_name(self, doc, field):
         with pytest.raises(ConfigError, match="unknown key") as e:
@@ -259,6 +261,7 @@ class TestErrorContract:
         ("plant.transformer", "rated_load_loss_w", 7e6),
         ("load.synth", "noise_ar1", 1.0),
         ("load.synth", "days", 0),
+        ("load.synth", "dt_s", 60),
     ])
     def test_out_of_range_value_exits_2_naming_its_field(
             self, tmp_path, capsys, section, key, value):
