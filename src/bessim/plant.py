@@ -175,10 +175,10 @@ class _ParamArrays:
         self.rated_w = np.array([c.rated_power_w for c in clusters])
         self.identical = all(c == clusters[0] for c in clusters[1:])
         self.rated = _shared(self.rated_w)
-        self.r_ohm = _shared(np.array([c.r_ohm_agg for c in clusters]))
+        r_ohm = _shared(np.array([c.r_ohm_agg for c in clusters]))
         self.r_pol = _shared(np.array([c.r_pol_agg for c in clusters]))
-        self.tau = _shared(np.array([c.time_constant_s for c in clusters]))
-        self.cap_ah = _shared(np.array([c.capacity_agg_ah for c in clusters]))
+        tau = _shared(np.array([c.time_constant_s for c in clusters]))
+        cap_ah = _shared(np.array([c.capacity_agg_ah for c in clusters]))
         self.n_series = _shared(np.array([float(c.n_series) for c in clusters]))
         # coefficient tables, shape (degree+1, m), low order first
         ocv_b = np.array([c.cell.ocv.b for c in clusters]).T
@@ -187,16 +187,14 @@ class _ParamArrays:
         self.ocv_anti = _shared(ocv_b / np.arange(1.0, 1.0 + len(ocv_b))[:, None])
         self.acdc_a = _shared(np.array([c.acdc_coeffs.a for c in clusters]).T)
         self.dcdc_a = _shared(np.array([c.dcdc_coeffs.a for c in clusters]).T)
-        self.r_sum = self.r_ohm + self.r_pol
-        self.r_ohm4 = 4.0 * self.r_ohm
+        self.r_ohm4 = 4.0 * r_ohm
         self.rated_tol_w = self.rated * (1.0 + 1e-9)
         # decay = exp(-dt/tau), coulomb (SoC change per ampere), tau (1 - decay),
         # tau/2 (1 - decay^2), and r_ohm dt, r_pol dt, (r_ohm + r_pol) dt
-        decay = np.exp(-dt / self.tau)
-        self.step_consts = (decay, dt / (3600.0 * self.cap_ah),
-                            self.tau * (1.0 - decay),
-                            (self.tau / 2.0) * (1.0 - decay * decay),
-                            self.r_ohm * dt, self.r_pol * dt, self.r_sum * dt)
+        decay = np.exp(-dt / tau)
+        self.step_consts = (decay, dt / (3600.0 * cap_ah), tau * (1.0 - decay),
+                            (tau / 2.0) * (1.0 - decay * decay), r_ohm * dt,
+                            self.r_pol * dt, (r_ohm + self.r_pol) * dt)
         self.scalar_step = _scalar_kernel(self) if self.identical else None
 
 

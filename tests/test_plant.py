@@ -520,9 +520,9 @@ def uniform_runs(draw):
 
 
 class TestUniformFastPathProperty:
-    """On any uniform plant the fast path and the general loop (Plant.is_uniform
-    patched to False) give bit-identical state traces, allocation rows and
-    final state. The cluster sums are m times one cluster's energies on the
+    """On any uniform plant the fast path and the general loop
+    (Plant.is_uniform patched to False) give bit-identical state traces,
+    allocation rows and final state. The cluster sums are m times one cluster's energies on the
     fast path and a sum over m clusters on the general loop, so they agree
     to rounding: within 1e-14 of the step's |grid_wh|."""
 
