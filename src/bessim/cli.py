@@ -113,11 +113,17 @@ def _resolve_outdir(args, cfg: RunConfig) -> str:
     return os.environ.get(OUTPUT_DIR_ENV, cfg.output.dir)
 
 
-def _load_profile(cfg: RunConfig, days: int | None) -> LoadProfile:
+def _load_profile(cfg: RunConfig, days: int | None,
+                  steps_plant: bool = False) -> LoadProfile:
+    """The configured load, cut to days. A CSV load must be at plant.dt_s;
+    a synthetic one too when the command steps the plant (steps_plant)."""
     if cfg.load.source == "csv":
         profile = load_profile_from_csv(cfg.load.csv_path, cfg.plant.dt_s)
     else:
         spec = cfg.load.synth
+        if steps_plant and spec.dt_s != cfg.plant.dt_s:
+            raise ConfigError("load.synth.dt_s",
+                              "must equal plant.dt_s to step the plant")
         if days is not None and days != spec.days:
             from dataclasses import replace
             spec = replace(spec, days=days)
@@ -136,7 +142,7 @@ def _day_metrics_csv(rows: list[str]) -> str:
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     outdir = _resolve_outdir(args, cfg)
-    profile = _load_profile(cfg, args.days)
+    profile = _load_profile(cfg, args.days, steps_plant=True)
     plant = Plant(cfg.plant)
     result = run_simulation(
         plant, profile, cfg.schedule.power_depth_w,
@@ -228,7 +234,7 @@ def cmd_compare(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _resolve_config(args)
     outdir = _resolve_outdir(args, cfg)
-    profile = _load_profile(cfg, args.days)
+    profile = _load_profile(cfg, args.days, steps_plant=True)
     results = {}
     for mode in ("balanced", "pso"):
         plant = Plant(cfg.plant)

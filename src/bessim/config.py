@@ -101,9 +101,6 @@ class RunConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.load.synth.dt_s != self.plant.dt_s:
-            raise ConfigError("load.synth.dt_s",
-                              "must equal plant.dt_s, the plant's step")
         if self.schedule.power_depth_w > self.plant.total_rated_power_w + 1e-6:
             raise ConfigError(
                 "schedule.power_depth_w",

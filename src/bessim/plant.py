@@ -217,11 +217,12 @@ def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
 
 
 def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
-    """Mean of the cubic OCV fit over [soc_c, soc_n] per series cell: the
-    divided difference of its antiderivative sum_j f_j s^(j+1), anti = f as
-    _ParamArrays.ocv_anti, summed as sum_j f_j h_j with h_j = sum_i soc_n^i
-    soc_c^(j-i) = h_(j-1) soc_n + soc_c^j. No difference quotient, so no
-    cancellation when a cluster barely moves."""
+    """Mean of the cubic OCV fit over [soc_c, soc_n] per series cell, for
+    arrays or floats: the divided difference of its antiderivative
+    sum_j f_j s^(j+1), anti = f as _ParamArrays.ocv_anti, summed as
+    sum_j f_j h_j with h_j = sum_i soc_n^i soc_c^(j-i) = h_(j-1) soc_n +
+    soc_c^j. No difference quotient, so no cancellation when a cluster
+    barely moves."""
     f0, f1, f2, f3 = anti
     c_pow = soc_c * soc_c
     h = soc_n + soc_c
@@ -353,16 +354,19 @@ def _scalar_kernel(pp: _ParamArrays):
     clusters all share their constants (pp.identical, or one cluster).
 
     An operation-for-operation transcription of _step_arrays on the same
-    constants, np.minimum(x, y) and np.maximum(x, y) written as the
-    comparisons numpy makes (y on a tie): every output is bit for bit the
-    array kernel's. Returns step(soc, ipol, p_ac) -> (soc', ipol', current,
-    truncated, e_ac, e_dc, stored, acdc, dcdc, ohmic, polarization, ss,
-    ts), the energies being the rows E_AC ... TS in Wh.
+    constants and the same _mean_ocv, np.minimum(x, y) / np.maximum(x, y)
+    written as x if x < y / x > y else y. numpy leaves open which operand
+    a tie returns; only -0.0 against +0.0 (a -0.0 current at a SoC bound)
+    ties with different bits. Bit equality with the array kernel is what
+    test_matches_scalar_twin and TestUniformFastPathProperty check on the
+    numpy build the tests run on. Returns step(soc, ipol, p_ac) -> (soc',
+    ipol', current, truncated, e_ac, e_dc, stored, acdc, dcdc, ohmic,
+    polarization, ss, ts), the energies being the rows E_AC ... TS in Wh.
     """
     a0, a1, a2, a3, a4 = pp.acdc_a
     c0, c1, c2, c3, c4 = pp.dcdc_a
     b0, b1, b2, b3 = pp.ocv_b
-    f0, f1, f2, f3 = pp.ocv_anti
+    anti, mean_ocv = pp.ocv_anti, _mean_ocv
     (decay, coulomb, tau_1md, tau_half_1md2,
      r_ohm_dt, r_pol_dt, r_sum_dt) = map(float, pp.step_consts)
     rated, n_series, r_pol, r_ohm4 = pp.rated, pp.n_series, pp.r_pol, pp.r_ohm4
@@ -410,18 +414,11 @@ def _scalar_kernel(pp: _ParamArrays):
         j1 = d0_tau + cur_dt
         j2 = (d0 * d0) * tau_half_1md2 + (d0_tau * current) * 2.0 + cur2 * dt
 
-        # _mean_ocv, the same operations in the same order
         sc = soc if soc > 0.0 else 0.0
         sc = sc if sc < 1.0 else 1.0
         sn = soc_new if soc_new > 0.0 else 0.0
         sn = sn if sn < 1.0 else 1.0
-        sc2 = sc * sc
-        h = sn + sc
-        v_mean = h * f1 + f0
-        h = h * sn + sc2
-        v_mean += h * f2
-        h = h * sn + sc2 * sc
-        v_mean = (v_mean + h * f3) * n_series
+        v_mean = mean_ocv(anti, sc, sn) * n_series
 
         e_ohm = cur2 * r_ohm_dt
         e_pol = r_pol * j2

@@ -261,7 +261,6 @@ class TestErrorContract:
         ("plant.transformer", "rated_load_loss_w", 7e6),
         ("load.synth", "noise_ar1", 1.0),
         ("load.synth", "days", 0),
-        ("load.synth", "dt_s", 60),
     ])
     def test_out_of_range_value_exits_2_naming_its_field(
             self, tmp_path, capsys, section, key, value):
@@ -276,6 +275,21 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
         assert err["field"] == f"{section}.{key}"
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_synth_step_other_than_the_plants_exits_2(self, tmp_path, capsys,
+                                                       command):
+        doc = base_doc()
+        doc["load"]["synth"]["dt_s"] = 60
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--output", str(outdir)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "load.synth.dt_s"
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("flags", [["--bogus"], ["--threads", "2"],
                                        ["--format", "json"]])
@@ -330,6 +344,27 @@ class TestGenLoadCommand:
         assert manifest["command"] == "gen-load"
         assert manifest["seed"] == 3
         assert "load.csv" in manifest["files"]
+
+    def test_writes_at_the_synth_step(self, tmp_path, capsys):
+        # a load step other than the plant's is valid: only the commands
+        # that step the plant refuse it, and a CSV source ignores it
+        doc = base_doc()
+        doc["load"]["synth"]["dt_s"] = 60
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-config", "--config", str(path)]) == 0
+        outdir = tmp_path / "out"
+        assert main(["gen-load", "--config", str(path),
+                     "--output", str(outdir)]) == 0
+        csv_text = (outdir / "load.csv").read_text()
+        assert len(csv_text.strip().split("\n")) == 1 + 1440
+
+        doc["plant"]["dt_s"] = 60
+        doc["load"].update(source="csv", csv_path=str(outdir / "load.csv"))
+        doc["load"]["synth"]["dt_s"] = 300
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path),
+                     "--output", str(tmp_path / "sim")]) == 0
 
     def test_seed_override_changes_data(self, cfg_path, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -275,24 +275,32 @@ class TestPlant:
         assert fits[0] == -np.inf
         assert np.isfinite(fits[1])
 
-    def test_uniform_fast_step_matches_vectorized_step(self):
-        # at four clusters the sum of four equal energies is exactly four
-        # times one, so the cluster sums agree bit for bit as well
-        cfg = uniform_plant_config(4, transformer=TransformerParams())
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_uniform_fast_step_matches_vectorized_step(self, m):
+        # states, flag and cluster 0's energy are bit for bit; the sum of
+        # m equal energies is m times one exactly at m = 4, and within
+        # rounding at m = 5
+        cfg = uniform_plant_config(m, transformer=TransformerParams())
         plant = Plant(cfg)
         kernel = plant.params.scalar_step
-        k = np.full(4, 0.25)
+        k = np.full(m, 1.0 / m)
         soc, ipol = cfg.initial_soc, 0.0
         for p in (120_000.0, -80_000.0, 0.0, 30_000.0):
             ledger, totals, e_dc0, truncated = _book_step(plant, p, k)
             out = kernel(soc, ipol, k[0] * plant.net_cluster_power(p))
             soc, ipol = out[0], out[1]
-            assert _bits(*totals) == _bits(*(4 * got for got in out[4:]))
             assert _bits(e_dc0) == _bits(out[5])
             assert truncated == out[3]
-            assert ledger.grid_wh == 4 * out[4] + ledger.transformer_wh
-            assert plant.soc.tobytes() == np.full(4, soc).tobytes()
-            assert plant.ipol.tobytes() == np.full(4, ipol).tobytes()
+            assert plant.soc.tobytes() == np.full(m, soc).tobytes()
+            assert plant.ipol.tobytes() == np.full(m, ipol).tobytes()
+            grid_wh = m * out[4] + ledger.transformer_wh
+            if m == 4:
+                assert _bits(*totals) == _bits(*(m * got for got in out[4:]))
+                assert ledger.grid_wh == grid_wh
+            else:
+                tol = 1e-14 * abs(ledger.grid_wh)
+                assert np.all(np.abs(totals - m * np.array(out[4:])) <= tol)
+                assert abs(ledger.grid_wh - grid_wh) <= tol
 
 
 def _general_loop():
