@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -607,14 +607,42 @@ class Plant:
         }
 
     def restore(self, snap: dict) -> None:
+        """Take the state of a snapshot(). A value outside the state's
+        domain is rejected by its field, e.g. `snapshot.soc[0]`: SoC
+        outside [soc_min, soc_max] (give or take SOC_GATE_TOL, since a
+        truncated step can land an ulp past the bound), a non-finite i_pol,
+        a negative or non-finite t_elapsed_s, and a missing or unknown
+        cumulative_wh key."""
         soc = np.asarray(snap["soc"], dtype=float)
         ipol = np.asarray(snap["i_pol"], dtype=float)
         if soc.shape != (self.params.m,) or ipol.shape != (self.params.m,):
             raise DomainError("snapshot cluster count does not match plant")
+        lo, hi = self.cfg.soc_min, self.cfg.soc_max
+        bad = np.flatnonzero(~((soc >= lo - SOC_GATE_TOL)
+                               & (soc <= hi + SOC_GATE_TOL)))
+        if bad.size:
+            raise DomainError(f"SoC {soc[bad[0]]} outside [{lo}, {hi}]",
+                              field=f"snapshot.soc[{bad[0]}]")
+        bad = np.flatnonzero(~np.isfinite(ipol))
+        if bad.size:
+            raise DomainError("polarization current must be finite",
+                              field=f"snapshot.i_pol[{bad[0]}]")
+        t_elapsed = float(snap["t_elapsed_s"])
+        if not (math.isfinite(t_elapsed) and t_elapsed >= 0.0):
+            raise DomainError("elapsed time must be finite and non-negative",
+                              field="snapshot.t_elapsed_s")
+        cumulative = snap["cumulative_wh"]
+        keys = [f.name for f in fields(LossBreakdown)]
+        missing = [k for k in keys if k not in cumulative]
+        unknown = [k for k in cumulative if k not in keys]
+        if missing or unknown:
+            raise DomainError(
+                f"{'missing' if missing else 'unknown'} ledger entry",
+                field=f"snapshot.cumulative_wh.{(missing or unknown)[0]}")
         self.soc = soc
         self.ipol = ipol
-        self.t_elapsed = float(snap["t_elapsed_s"])
-        self.cumulative = LossBreakdown(**snap["cumulative_wh"])
+        self.t_elapsed = t_elapsed
+        self.cumulative = LossBreakdown(**cumulative)
 
     def snapshot_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True)

@@ -429,22 +429,62 @@ def replay_plan(plan: ShavingPlan, profile: LoadProfile,
             profile.values_w[iv.start:iv.stop], iv.kind, iv.ref_w,
             plan.rated_power_w)
     step_wh = profile.dt_s / 3600.0
+    if gated:
+        d_wh = demand * step_wh
+        energy = _gate(d_wh, plan.initial_energy_wh, plan.rated_energy_wh)
+        return {"demand_w": d_wh / step_wh, "energy_wh": energy}
     energy = np.empty(profile.n_samples + 1)
     energy[0] = plan.initial_energy_wh
-    if gated:
-        e = plan.initial_energy_wh
-        for i in range(profile.n_samples):
-            d_wh = demand[i] * step_wh
-            if d_wh > 0:
-                d_wh = min(d_wh, plan.rated_energy_wh - e)
-            else:
-                d_wh = max(d_wh, -e)
-            demand[i] = d_wh / step_wh
-            e += d_wh
-            energy[i + 1] = e
-    else:
-        energy[1:] = plan.initial_energy_wh + np.cumsum(demand) * step_wh
+    energy[1:] = plan.initial_energy_wh + np.cumsum(demand) * step_wh
     return {"demand_w": demand, "energy_wh": energy}
+
+
+def _gate(d_wh: np.ndarray, e: float, e_r: float) -> np.ndarray:
+    """Truncate the per-sample energies d_wh in place so the store, starting
+    at e, stays inside [0, e_r]; return the store trace (n + 1 values).
+
+    Bit for bit the sample loop `d = min(d, e_r - e)` (charging, d > 0) or
+    `d = max(d, -e)` (otherwise), then `e += d`. Free stretches are one
+    np.add.accumulate from the current store, which adds in the loop's
+    order; the first sample whose clamp binds takes the scalar rule and the
+    scan restarts after it. Once a clamp leaves the store exactly at the
+    bound it hit, every further sample pushing that way clamps to a signed
+    zero (d * 0.0) and leaves the store where it is, so the whole pinned
+    run is written at once.
+    """
+    n = d_wh.size
+    charge = d_wh > 0
+    discharge = d_wh < 0
+    neg = -d_wh
+    energy = np.empty(n + 1)
+    buf = np.empty(n + 1)      # buf[i] = store before sample i, then d_wh[i:]
+    buf[1:] = d_wh
+    i = 0
+    while i < n:
+        buf[i] = e
+        np.add.accumulate(buf[i:], out=energy[i:])
+        before = energy[i:n]
+        binds = np.where(charge[i:], e_r - before < d_wh[i:], before < neg[i:])
+        k = int(binds.argmax())
+        if not binds[k]:
+            return energy
+        k += i
+        e = float(energy[k])
+        d_wh[k] = e_r - e if charge[k] else -e
+        e += d_wh[k]
+        i = k + 1
+        if charge[k] and e == e_r:
+            pushing = ~discharge[i:]
+        elif not charge[k] and e == 0.0:
+            pushing = ~charge[i:]
+        else:
+            continue
+        stop = i + int(pushing.argmin()) if not pushing.all() else n
+        d_wh[i:stop] *= 0.0
+        energy[i:stop + 1] = e
+        i = stop
+    energy[n] = e
+    return energy
 
 
 def compute_metrics(profile: LoadProfile, plan: ShavingPlan,

@@ -249,6 +249,45 @@ class TestPlant:
         with pytest.raises(DomainError):
             other.restore(snap)
 
+    # (snapshot edit, field named by the rejection)
+    BAD_SNAPSHOTS = [
+        (lambda s: s.update(soc=[1.5, 0.5]), "snapshot.soc[0]"),
+        (lambda s: s.update(soc=[0.5, -0.2]), "snapshot.soc[1]"),
+        (lambda s: s.update(i_pol=[float("nan"), 0.0]), "snapshot.i_pol[0]"),
+        (lambda s: s.update(i_pol=[0.0, float("inf")]), "snapshot.i_pol[1]"),
+        (lambda s: s.update(t_elapsed_s=-5.0), "snapshot.t_elapsed_s"),
+        (lambda s: s.update(t_elapsed_s=float("nan")), "snapshot.t_elapsed_s"),
+        (lambda s: s["cumulative_wh"].pop("grid_wh"),
+         "snapshot.cumulative_wh.grid_wh"),
+        (lambda s: s["cumulative_wh"].update(spare_wh=0.0),
+         "snapshot.cumulative_wh.spare_wh"),
+    ]
+
+    @pytest.mark.parametrize("edit, field", BAD_SNAPSHOTS,
+                             ids=["soc_high", "soc_low", "ipol_nan", "ipol_inf",
+                                  "t_negative", "t_nan", "ledger_missing",
+                                  "ledger_unknown"])
+    def test_restore_rejects_bad_state_by_field(self, edit, field):
+        plant = Plant(uniform_plant_config(2))
+        _book_step(plant, 50_000.0, np.full(2, 0.5))
+        snap = plant.snapshot()
+        edit(snap)
+        other = Plant(uniform_plant_config(2))
+        before = other.snapshot()
+        with pytest.raises(DomainError) as e:
+            other.restore(snap)
+        assert e.value.field == field
+        assert other.snapshot() == before
+
+    def test_restore_accepts_soc_an_ulp_past_the_bound(self):
+        # a step truncated at the bound can land there
+        plant = Plant(uniform_plant_config(2))
+        snap = plant.snapshot()
+        snap["soc"] = [np.nextafter(plant.cfg.soc_max, 1.0),
+                       np.nextafter(plant.cfg.soc_min, 0.0)]
+        plant.restore(snap)
+        assert plant.soc.tolist() == snap["soc"]
+
     def test_blocked_mask_direction(self):
         plant = Plant(uniform_plant_config(2))
         plant.soc = np.array([0.97, 0.5])

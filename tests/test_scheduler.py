@@ -3,8 +3,11 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bessim.errors import DomainError, EmptyPlanError
+from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import (
     LoadProfile,
     compute_metrics,
@@ -277,3 +280,110 @@ class TestMetrics:
         m = compute_metrics(p, p and plan, np.zeros(2), 10e6,
                             demanded_w=np.zeros(2))
         assert math.isnan(m.power_utilization)
+
+
+def _gated_loop(plan, profile):
+    """replay_plan(gated=True) as a sample loop: the oracle of the scan."""
+    demand = replay_plan(plan, profile, gated=False)["demand_w"]
+    step_wh = profile.dt_s / 3600.0
+    energy = np.empty(profile.n_samples + 1)
+    energy[0] = plan.initial_energy_wh
+    e = plan.initial_energy_wh
+    for i in range(profile.n_samples):
+        d_wh = demand[i] * step_wh
+        if d_wh > 0:
+            d_wh = min(d_wh, plan.rated_energy_wh - e)
+        else:
+            d_wh = max(d_wh, -e)
+        demand[i] = d_wh / step_wh
+        e += d_wh
+        energy[i + 1] = e
+    return demand, energy
+
+
+@st.composite
+def planned_days(draw):
+    """One synthetic day (every template field drawn), a power depth that
+    leaves the references inside the load range, a method, a store from a
+    hundredth of one full-power sample (pinned on every sample) to a
+    thousand of them, and an initial energy in it (bounds included)."""
+    hour, sigma = st.floats(0.0, 24.0), st.floats(0.3, 4.0)
+    spec = SynthLoadSpec(
+        base_w=draw(st.floats(10e6, 40e6)),
+        valley_depth_w=draw(st.floats(1e6, 9e6)),
+        valley_hour=draw(hour), valley_sigma_h=draw(sigma),
+        morning_peak_w=draw(st.floats(0.0, 5e6)),
+        morning_hour=draw(hour), morning_sigma_h=draw(sigma),
+        evening_peak_w=draw(st.floats(0.0, 8e6)),
+        evening_hour=draw(hour), evening_sigma_h=draw(sigma),
+        noise_rel=draw(st.floats(0.0, 0.02)),
+        noise_ar1=draw(st.floats(0.0, 0.95)),
+        day_jitter=draw(st.floats(0.0, 0.1)),
+        weekend_factor=draw(st.floats(0.8, 1.0)),
+        seasonal_amplitude=draw(st.floats(0.0, 0.1)),
+        dt_s=draw(st.sampled_from([60.0, 300.0, 900.0])))
+    day = synth_load(spec, draw(st.integers(0, 2**16)))
+    spread = float(day.values_w.max() - day.values_w.min())
+    depth = draw(st.floats(0.02, 0.45)) * spread
+    e_r = 10 ** draw(st.floats(-2.0, 3.0)) * depth * spec.dt_s / 3600.0
+    e0 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))) * e_r
+    correct = draw(st.sampled_from([correct_references_improved,
+                                    correct_references_original]))
+    plan = correct(day, depth, e_r, *depth_references(day, depth), e0)
+    return day, depth, plan
+
+
+class TestPlanProperties:
+    """Plan-layer invariants over drawn days, plants and methods."""
+
+    @settings(max_examples=150)
+    @given(planned_days())
+    def test_gated_replay(self, drawn):
+        day, _, plan = drawn
+        gated = replay_plan(plan, day, gated=True)
+        demand, energy = _gated_loop(plan, day)
+        # the scan is the sample loop bit for bit, signed zeros included
+        assert gated["demand_w"].tobytes() == demand.tobytes()
+        assert gated["energy_wh"].tobytes() == energy.tobytes()
+        # the store never goes below 0. It can end a step one ulp above
+        # e_r: e + d rounds up when d <= e_r - e holds only after rounding
+        # (about one drawn day in a thousand, e.g. e_r 246.16778161295318 Wh
+        # at 60 s steps); no further, since the next charging sample pulls
+        # it back to e_r exactly.
+        e_r = plan.rated_energy_wh
+        assert np.all(energy >= 0.0)
+        assert np.all(energy <= np.nextafter(e_r, np.inf))
+        # from a store inside [0, e_r] every demand is truncated, never
+        # turned: the gate sees it as (demand * step) / step, which may be
+        # an ulp above the demand itself
+        inside = energy[:-1] <= e_r
+        step_wh = day.dt_s / 3600.0
+        free = replay_plan(plan, day, gated=False)["demand_w"]
+        assert np.all(~inside | (demand == 0.0)
+                      | (np.sign(demand) == np.sign(free)))
+        assert np.all(~inside
+                      | (np.abs(demand) <= np.abs(free * step_wh / step_wh)))
+
+    def test_pinned_store(self):
+        # 200 kWh fills in three 5 MW samples at 60 s: the store sits at
+        # each bound for long runs of samples pushing past it
+        day = double_bump_day()
+        plan = correct_references_improved(day, 5e6, 200e3,
+                                           *depth_references(day, 5e6))
+        gated = replay_plan(plan, day, gated=True)
+        demand, energy = _gated_loop(plan, day)
+        assert gated["demand_w"].tobytes() == demand.tobytes()
+        assert gated["energy_wh"].tobytes() == energy.tobytes()
+        assert np.sum(energy == 200e3) > 100 and np.sum(energy == 0.0) > 100
+
+    @settings(max_examples=150)
+    @given(planned_days())
+    def test_intervals_partition_the_day(self, drawn):
+        day, depth, _ = drawn
+        intervals = segment_intervals(day, *depth_references(day, depth))
+        assert intervals[0].start == 0
+        assert intervals[-1].stop == day.n_samples
+        for a, b in zip(intervals, intervals[1:]):
+            assert a.start < a.stop == b.start
+            assert a.kind != b.kind
+        assert {iv.kind for iv in intervals} <= {"charge", "discharge"}
