@@ -200,10 +200,9 @@ def cmd_compare(args) -> int:
                              cfg.schedule.initial_plan_energy_wh)
         for d, day in enumerate(days):
             gated = replay_plan(plans[d], day, gated=True)
-            free = replay_plan(plans[d], day, gated=False)
             metrics = compute_metrics(day, plans[d], gated["demand_w"],
                                       cfg.schedule.rated_energy_wh,
-                                      demanded_w=free["demand_w"])
+                                      demanded_w=gated["demanded_w"])
             rows.append(metrics.csv_row(d, method))
             summary[method].append(metrics)
     _write_atomic(os.path.join(outdir, "compare.csv"), _day_metrics_csv(rows))

@@ -31,8 +31,8 @@ from .losses import (
 WH_PER_J = 1.0 / 3600.0
 # SoC margin inside which a cluster counts as pinned at a bound (blocked_mask)
 SOC_GATE_TOL = 1e-12
-# Cluster-steps per _step_arrays call of Plant.idle; bounds its stacks' memory
-IDLE_CLUSTER_STEPS = 4096
+# Cluster-steps per _step_arrays call of replay_steps; bounds its memory
+REPLAY_CLUSTER_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -217,12 +217,11 @@ def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
 
 
 def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
-    """Mean of the cubic OCV fit over [soc_c, soc_n] per series cell, for
-    arrays or floats: the divided difference of its antiderivative
-    sum_j f_j s^(j+1), anti = f as _ParamArrays.ocv_anti, summed as
-    sum_j f_j h_j with h_j = sum_i soc_n^i soc_c^(j-i) = h_(j-1) soc_n +
-    soc_c^j. No difference quotient, so no cancellation when a cluster
-    barely moves."""
+    """Mean of the cubic OCV fit over [soc_c, soc_n] per series cell: the
+    divided difference of its antiderivative sum_j f_j s^(j+1), anti = f
+    as _ParamArrays.ocv_anti, summed as sum_j f_j h_j with h_j = sum_i
+    soc_n^i soc_c^(j-i) = h_(j-1) soc_n + soc_c^j. No difference quotient,
+    so no cancellation when a cluster barely moves."""
     f0, f1, f2, f3 = anti
     c_pow = soc_c * soc_c
     h = soc_n + soc_c
@@ -350,33 +349,29 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
 
 
 def _scalar_kernel(pp: _ParamArrays):
-    """_step_arrays for one cluster on Python floats, for a plant whose
-    clusters all share their constants (pp.identical, or one cluster).
+    """The state half of _step_arrays for one cluster on Python floats,
+    for a plant whose clusters all share their constants (pp.identical, or
+    one cluster): efficiency, current solve and SoC clamp, then the next
+    state. The energies come from _step_arrays alone (see replay_steps).
 
     An operation-for-operation transcription of _step_arrays on the same
-    constants and the same _mean_ocv, np.minimum(x, y) / np.maximum(x, y)
-    written as x if x < y / x > y else y. numpy leaves open which operand
-    a tie returns; only -0.0 against +0.0 (a -0.0 current at a SoC bound)
-    ties with different bits. Bit equality with the array kernel is what
-    test_matches_scalar_twin and TestUniformFastPathProperty check on the
-    numpy build the tests run on. Returns step(soc, ipol, p_ac) -> (soc',
-    ipol', current, truncated, e_ac, e_dc, stored, acdc, dcdc, ohmic,
-    polarization, ss, ts), the energies being the rows E_AC ... TS in Wh.
+    constants, np.minimum(x, y) / np.maximum(x, y) written as x if x < y /
+    x > y else y. numpy leaves open which operand a tie returns; only -0.0
+    against +0.0 (a -0.0 current at a SoC bound) ties with different bits.
+    Bit equality with the array kernel is what test_matches_scalar_twin and
+    TestUniformFastPathProperty check on the numpy build the tests run on.
+    Returns step(soc, ipol, p_ac) -> (soc', ipol').
     """
     a0, a1, a2, a3, a4 = pp.acdc_a
     c0, c1, c2, c3, c4 = pp.dcdc_a
     b0, b1, b2, b3 = pp.ocv_b
-    anti, mean_ocv = pp.ocv_anti, _mean_ocv
-    (decay, coulomb, tau_1md, tau_half_1md2,
-     r_ohm_dt, r_pol_dt, r_sum_dt) = map(float, pp.step_consts)
+    decay, coulomb = map(float, pp.step_consts[:2])
     rated, n_series, r_pol, r_ohm4 = pp.rated, pp.n_series, pp.r_pol, pp.r_ohm4
-    soc_min, soc_max, dt = pp.soc_min, pp.soc_max, pp.dt
+    soc_min, soc_max = pp.soc_min, pp.soc_max
     floor = PCS_EFFICIENCY_FLOOR
     sqrt = math.sqrt
-    w = WH_PER_J
 
-    def step(soc: float, ipol: float, p_ac: float) -> tuple:
-        charging = p_ac >= 0.0
+    def step(soc: float, ipol: float, p_ac: float) -> tuple[float, float]:
         lam = abs(p_ac) / rated
         lam = lam if lam < 1.0 else 1.0
         eta_ac = (((lam * a4 + a3) * lam + a2) * lam + a1) * lam + a0
@@ -386,7 +381,7 @@ def _scalar_kernel(pp: _ParamArrays):
         eta_dc = eta_dc if eta_dc > floor else floor
         eta_dc = eta_dc if eta_dc < 1.0 else 1.0
         eta2 = eta_ac * eta_dc
-        p_dc = p_ac * eta2 if charging else p_ac / eta2
+        p_dc = p_ac * eta2 if p_ac >= 0.0 else p_ac / eta2
 
         v_oc = n_series * (((soc * b3 + b2) * soc + b1) * soc + b0)
         b = v_oc + r_pol * ipol
@@ -400,38 +395,34 @@ def _scalar_kernel(pp: _ParamArrays):
         i_lo = i_lo if i_lo < 0.0 else 0.0
         i_hi = (soc_max - soc) / coulomb
         i_hi = i_hi if i_hi > 0.0 else 0.0
-        i_clamped = current if current > i_lo else i_lo
-        i_clamped = i_clamped if i_clamped < i_hi else i_hi
-        truncated = i_clamped != current
-        current = i_clamped
-        cur2 = current * current
-        cur_dt = current * dt
-        soc_new = current * coulomb + soc
-
-        d0 = ipol - current
-        ipol_new = d0 * decay + current
-        d0_tau = d0 * tau_1md
-        j1 = d0_tau + cur_dt
-        j2 = (d0 * d0) * tau_half_1md2 + (d0_tau * current) * 2.0 + cur2 * dt
-
-        sc = soc if soc > 0.0 else 0.0
-        sc = sc if sc < 1.0 else 1.0
-        sn = soc_new if soc_new > 0.0 else 0.0
-        sn = sn if sn < 1.0 else 1.0
-        v_mean = mean_ocv(anti, sc, sn) * n_series
-
-        e_ohm = cur2 * r_ohm_dt
-        e_pol = r_pol * j2
-        e_dc = cur_dt * v_mean + e_ohm + (j1 * current) * r_pol
-        e_stored = e_dc - e_ohm - e_pol
-        e_mid = e_dc / eta_dc if charging else e_dc * eta_dc
-        e_ac = e_mid / eta_ac if charging else e_mid * eta_ac
-        return (soc_new, ipol_new, current, truncated, e_ac * w, e_dc * w,
-                e_stored * w, (e_ac - e_mid) * w, (e_mid - e_dc) * w,
-                e_ohm * w, e_pol * w, (cur2 * r_sum_dt) * w,
-                (e_pol - cur2 * r_pol_dt) * w)
+        current = current if current > i_lo else i_lo
+        current = current if current < i_hi else i_hi
+        return current * coulomb + soc, (ipol - current) * decay + current
 
     return step
+
+
+def replay_steps(soc, ipol, p_ac, pp: _ParamArrays, totals: np.ndarray,
+                 e_dc0: np.ndarray, truncated: np.ndarray) -> None:
+    """The energies of n recorded steps: _step_arrays from each step's
+    start state under its command. soc, ipol and p_ac are (n, c) arrays,
+    one row per step over c clusters (the plant's m, or one that stands
+    for a uniform plant's), or (c,) arrays that every step shares, which
+    the kernel then evaluates once per call rather than per step. Writes
+    the rows of the steps' energy stacks summed over the c clusters into
+    totals, (9, n) in Wh; cluster 0's battery port energies into e_dc0,
+    (n,); and whether any cluster hit a SoC bound into truncated, (n,).
+    Each kernel call takes REPLAY_CLUSTER_STEPS cluster-steps at most,
+    which bounds the memory of its stacks."""
+    n, c = np.broadcast_shapes(soc.shape, ipol.shape, p_ac.shape)
+    chunk = max(REPLAY_CLUSTER_STEPS // c, 1)
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        _, _, _, trunc, E = _step_arrays(
+            *(a[rows] if a.ndim == 2 else a for a in (soc, ipol, p_ac)), pp)
+        totals[:, rows] = E.sum(axis=-1)
+        e_dc0[rows] = E[E_DC, :, 0]
+        truncated[rows] = trunc.any(axis=-1)
 
 
 class Plant:
@@ -512,26 +503,22 @@ class Plant:
         """Advance n zero-command steps: bit for bit n calls of step(0.0, k),
         any allocation k, their results stacked as (9, n), (n,) and (n,)
         arrays. At zero current SoC stays put and ipol -> (ipol - 0) *
-        decay + 0, so the start states are a running product, stepped in
-        batches of IDLE_CLUSTER_STEPS cluster-steps."""
+        decay + 0, so the start states are a running product, built one
+        replay_steps kernel call at a time, which gives their energies."""
         pp = self.params
-        chunk = max(IDLE_CLUSTER_STEPS // pp.m, 1)
-        totals, e_dc0 = np.empty((9, n)), np.empty(n)
-        truncated = np.empty(n, dtype=bool)
+        out = np.empty((9, n)), np.empty(n), np.empty(n, dtype=bool)
+        chunk = max(REPLAY_CLUSTER_STEPS // pp.m, 1)
         for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            ipol = np.empty((stop - start, pp.m))
+            rows = slice(start, min(start + chunk, n))
+            ipol = np.empty((rows.stop - start + 1, pp.m))
             ipol[0] = self.ipol
             ipol[1:] = pp.step_consts[0]
             np.multiply.accumulate(ipol, out=ipol)
             ipol[1:] += 0.0     # the kernel's "+ current": -0.0 becomes 0.0
-            soc, ipol, _, trunc, E = _step_arrays(
-                self.soc, ipol, np.zeros(pp.m), pp)
-            self.soc, self.ipol = soc[-1].copy(), ipol[-1].copy()
-            totals[:, start:stop] = E.sum(axis=-1)
-            e_dc0[start:stop] = E[E_DC, :, 0]
-            truncated[start:stop] = trunc.any(axis=-1)
-        return totals, e_dc0, truncated
+            self.ipol = ipol[-1].copy()
+            replay_steps(self.soc, ipol[:-1], np.zeros(pp.m), pp,
+                         *(a[..., rows] for a in out))
+        return out
 
     def book(self, totals: np.ndarray, tf_w: np.ndarray) -> dict:
         """Book n steps: the columns of totals, (9, n) cluster sums as step

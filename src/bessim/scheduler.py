@@ -421,7 +421,8 @@ def replay_plan(plan: ShavingPlan, profile: LoadProfile,
     Returns the demand series (W, signed) and the planned stored-energy
     trace. With gated=True each sample's demand is truncated so the trace
     stays inside [0, rated_energy_wh], mirroring the SoC gate of the power
-    law at plan level.
+    law at plan level, and the untruncated demand, the demand_w of
+    gated=False, comes back too as demanded_w.
     """
     demand = np.zeros(profile.n_samples)
     for iv in plan.intervals:
@@ -432,7 +433,8 @@ def replay_plan(plan: ShavingPlan, profile: LoadProfile,
     if gated:
         d_wh = demand * step_wh
         energy = _gate(d_wh, plan.initial_energy_wh, plan.rated_energy_wh)
-        return {"demand_w": d_wh / step_wh, "energy_wh": energy}
+        return {"demand_w": d_wh / step_wh, "energy_wh": energy,
+                "demanded_w": demand}
     energy = np.empty(profile.n_samples + 1)
     energy[0] = plan.initial_energy_wh
     energy[1:] = plan.initial_energy_wh + np.cumsum(demand) * step_wh

@@ -14,7 +14,7 @@ import numpy as np
 
 from .allocator import PsoParams, pso_allocate, repair
 from .errors import DomainError
-from .plant import E_AC, SOC_GATE_TOL, SS, TS, Plant
+from .plant import E_AC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
@@ -115,10 +115,12 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     can exchange. alloc_mode is 'balanced' or 'pso'; with 'pso' the
     allocation is re-optimized every realloc_cadence_s of simulated time
     and repaired against the current blocked mask in between. A zero step
-    records the unblocked balanced allocation. Outside the uniform fast path
-    each run of planned zero demand is one Plant.idle call, bit for bit the
-    same steps: at 0 W nothing is blocked or capped and PSO does not run.
-    The steps completed are booked (Plant.book) when the run ends or raises.
+    records the unblocked balanced allocation. At 0 W SoC stays put, so a
+    run of planned zeros or of gate-dropped samples (the plant stays
+    blocked while the demand keeps its sign) is one Plant.idle call on the
+    general loop; the fast path steps the state alone. Both give energies
+    through replay_steps, bit for bit one Plant.step per sample. The steps
+    completed are booked (Plant.book) when the run ends or raises.
     """
     if alloc_mode not in ("balanced", "pso"):
         raise DomainError(f"unknown allocation mode {alloc_mode!r}")
@@ -174,12 +176,21 @@ def _cap_to_plant(p: float, avail_w: float, split) -> float:
     return 0.0
 
 
+def _idle(plant: Plant, steps: _Steps, start: int, stop: int) -> None:
+    """Steps start to stop as zero steps, in one Plant.idle call."""
+    steps.demand_w[start:stop] = 0.0    # as the cap writes it, not -0.0
+    (steps.totals[:, start:stop], steps.e_dc0[start:stop],
+     steps.truncated[start:stop]) = plant.idle(stop - start)
+    steps.tf_w[start:stop] = plant.transformer_split(0.0)[1]
+    steps.done = stop
+
+
 def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                  alloc_mode: str, pso_params: PsoParams | None,
                  cadence_steps: int) -> None:
     """The per-cluster loop: one Plant.step per sample, one Plant.idle per
-    run of planned zero demand. With 'pso' the allocation is re-optimized
-    every cadence_steps steps."""
+    run of planned zero demand or of gate-dropped samples. With 'pso' the
+    allocation is re-optimized every cadence_steps steps."""
     demand = steps.demand_w
     n = demand.size
     idle = demand == 0.0
@@ -187,18 +198,20 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
     k_current: np.ndarray | None = None
     for start, stop in zip([0] + cuts, cuts + [n]):
         if idle[start]:
-            demand[start:stop] = 0.0    # as the cap writes it, not -0.0
-            (steps.totals[:, start:stop], steps.e_dc0[start:stop],
-             steps.truncated[start:stop]) = plant.idle(stop - start)
-            steps.tf_w[start:stop] = plant.transformer_split(0.0)[1]
-            steps.done = stop
+            _idle(plant, steps, start, stop)
             continue
-        for i in range(start, stop):
+        i = start
+        while i < stop:
             p = float(demand[i])
             blocked = plant.blocked_mask(p)
             if blocked.all():
-                p = 0.0
-                blocked = plant.blocked_mask(p)
+                # SoC does not move at 0 W: the plant stays blocked until
+                # the demand changes sign
+                turn = np.flatnonzero((demand[i:stop] > 0.0) != (p > 0.0))
+                end = i + int(turn[0]) if turn.size else stop
+                _idle(plant, steps, i, end)
+                i = end
+                continue
             avail = float(plant.params.rated_w[~blocked].sum())
             p = _cap_to_plant(p, avail, plant.transformer_split)
             p_net, tf_w = plant.transformer_split(p)
@@ -224,66 +237,72 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
             if steps.alloc is not None:
                 steps.alloc[i] = k
             steps.done = i + 1
+            i += 1
 
 
 def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     """Balanced run of a uniform plant (see Plant.is_uniform).
 
     A balanced split over identical clusters keeps every cluster in the
-    same state, so one call of plant.params.scalar_step (bit for bit
-    _step_arrays on one cluster) per step stands for all of them, each
-    commanded share * p_net as on the general loop. States, commands and
-    flags are the general loop's bit for bit; the cluster sums are m times
-    one cluster's energies. State stays in Python floats, the arrays are
-    read and written through memoryviews, and the plant gets its state
-    back when the loop ends or raises.
+    same state, so one call of plant.params.scalar_step (the state half of
+    _step_arrays on one cluster) per step advances all of them, each
+    commanded share * p_net as on the general loop; a zero or gate-dropped
+    step only decays ipol, by the kernel's own operations at zero current.
+    The loop records each step's start state (the command is share *
+    target_w), and when it ends or raises one replay_steps call gives the
+    completed steps' energies, the cluster sums m times one cluster's.
+    State stays in Python floats, the arrays are read and written through
+    memoryviews, and the plant gets its state back when the loop ends or
+    raises.
     """
     kernel = plant.params.scalar_step
     split = plant.transformer_split
     m = float(plant.n_clusters)
+    decay = float(plant.params.step_consts[0])
+    tf_idle = split(0.0)[1]
     p_tot = float(np.sum(plant.params.rated_w))
     rated = plant.params.rated
     rated_tol = plant.params.rated_tol_w
     # the blocked mask of the one shared state
     soc_hi = plant.cfg.soc_max - SOC_GATE_TOL
     soc_lo = plant.cfg.soc_min + SOC_GATE_TOL
-    dv, tgv, tfv, c0v, trv = (memoryview(a) for a in (
-        steps.demand_w, steps.target_w, steps.tf_w, steps.e_dc0,
-        steps.truncated))
-    eacv, edcv, stv, acv, dcv, ohv, polv, ssv, tsv = (
-        memoryview(row) for row in steps.totals)
+    # each step's start state, for the replay
+    soc_at, ipol_at = np.empty((2, steps.demand_w.size))
+    dv, tgv, tfv, sv, iv = (memoryview(a) for a in (
+        steps.demand_w, steps.target_w, steps.tf_w, soc_at, ipol_at))
 
     soc, ipol = float(plant.soc[0]), float(plant.ipol[0])
+    done = 0
     try:
         for i, p in enumerate(dv):
-            if (p > 0.0 and soc >= soc_hi) or (p < 0.0 and soc <= soc_lo):
-                p = 0.0
-            p = _cap_to_plant(p, p_tot, split)
+            sv[i] = soc
+            iv[i] = ipol
+            if (p > 0.0 and soc < soc_hi) or (p < 0.0 and soc > soc_lo):
+                p = _cap_to_plant(p, p_tot, split)
+            else:
+                p = 0.0     # zero, or dropped by the SoC gate
             dv[i] = p
-
-            p_net, tf_w = split(p)
-            p_clu = share * p_net
-            if abs(p_clu) > rated_tol:
-                raise DomainError(
-                    f"allocation infeasible: cluster 0 commanded {p_clu:.1f} W "
-                    f"above its {rated:.0f} W rating")
-            (soc, ipol, _, truncated, e_ac, e_dc, e_stored, e_acdc, e_dcdc,
-             e_ohm, e_pol, e_ss, e_ts) = kernel(soc, ipol, p_clu)
-
-            tgv[i] = p_net
-            tfv[i] = tf_w
-            eacv[i] = m * e_ac
-            edcv[i] = m * e_dc
-            stv[i] = m * e_stored
-            acv[i] = m * e_acdc
-            dcv[i] = m * e_dcdc
-            ohv[i] = m * e_ohm
-            polv[i] = m * e_pol
-            ssv[i] = m * e_ss
-            tsv[i] = m * e_ts
-            c0v[i] = e_dc
-            trv[i] = truncated
-            steps.done = i + 1
+            if p == 0.0:
+                # target_w keeps its 0.0
+                tfv[i] = tf_idle
+                ipol = ipol * decay + 0.0
+            else:
+                p_net, tf_w = split(p)
+                p_clu = share * p_net
+                if abs(p_clu) > rated_tol:
+                    raise DomainError(
+                        f"allocation infeasible: cluster 0 commanded "
+                        f"{p_clu:.1f} W above its {rated:.0f} W rating")
+                soc, ipol = kernel(soc, ipol, p_clu)
+                tgv[i] = p_net
+                tfv[i] = tf_w
+            done = i + 1
     finally:
         plant.soc.fill(soc)
         plant.ipol.fill(ipol)
+        steps.done = done
+        totals = steps.totals[:, :done]
+        replay_steps(soc_at[:done, None], ipol_at[:done, None],
+                     (share * steps.target_w[:done])[:, None], plant.params,
+                     totals, steps.e_dc0[:done], steps.truncated[:done])
+        totals *= m

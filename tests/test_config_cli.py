@@ -8,6 +8,9 @@ from bessim.allocator import PsoParams
 from bessim.cli import main
 from bessim.config import load_config, parse_config
 from bessim.errors import ConfigError
+from bessim.profiles import synth_load
+from bessim.scheduler import compute_metrics, replay_plan
+from bessim.simulate import plan_horizon
 
 
 def base_doc(days=1):
@@ -430,6 +433,31 @@ class TestCompareCommand:
         assert set(summary) == {"improved", "original"}
         for agg in summary.values():
             assert 0.0 < agg["cur"] <= 1.0 + 1e-9
+
+    def test_rows_rate_the_gated_against_the_ungated_demand(self, tmp_path):
+        # a store this small truncates the plans, so the executed (gated)
+        # demand falls short of the planned (ungated) one
+        doc = base_doc(days=2)
+        doc["schedule"]["rated_energy_wh"] = 100e3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        outdir = str(tmp_path / "out")
+        assert main(["compare", "--config", str(path),
+                     "--output", outdir]) == 0
+        cfg = load_config(str(path))
+        days = synth_load(cfg.load.synth, cfg.load.seed).split_days()
+        rows, utilization = [], []
+        for method in ("improved", "original"):
+            plans = plan_horizon(days, 200e3, 100e3, method)
+            for d, (plan, day) in enumerate(zip(plans, days)):
+                metrics = compute_metrics(
+                    day, plan, replay_plan(plan, day, gated=True)["demand_w"],
+                    100e3, replay_plan(plan, day, gated=False)["demand_w"])
+                rows.append(metrics.csv_row(d, method))
+                utilization.append(metrics.power_utilization)
+        assert min(utilization) < 1.0
+        with open(os.path.join(outdir, "compare.csv")) as fh:
+            assert fh.read().splitlines()[1:] == rows
 
 
     # more energy than the store holds, or less than none

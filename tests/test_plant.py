@@ -44,7 +44,7 @@ from bessim.plant import (
 )
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import LoadProfile, replay_plan
-from bessim.simulate import run_simulation
+from bessim.simulate import _Steps, _run_general, _run_uniform, run_simulation
 
 
 class TestClusterAggregates:
@@ -316,30 +316,20 @@ class TestPlant:
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_uniform_fast_step_matches_vectorized_step(self, m):
-        # states, flag and cluster 0's energy are bit for bit; the sum of
-        # m equal energies is m times one exactly at m = 4, and within
-        # rounding at m = 5
+        # the scalar kernel is the state half of the array kernel: the next
+        # state bit for bit, signed zeros included
         cfg = uniform_plant_config(m, transformer=TransformerParams())
         plant = Plant(cfg)
         kernel = plant.params.scalar_step
         k = np.full(m, 1.0 / m)
         soc, ipol = cfg.initial_soc, 0.0
         for p in (120_000.0, -80_000.0, 0.0, 30_000.0):
-            ledger, totals, e_dc0, truncated = _book_step(plant, p, k)
+            _book_step(plant, p, k)
             out = kernel(soc, ipol, k[0] * plant.net_cluster_power(p))
-            soc, ipol = out[0], out[1]
-            assert _bits(e_dc0) == _bits(out[5])
-            assert truncated == out[3]
+            assert len(out) == 2
+            soc, ipol = out
             assert plant.soc.tobytes() == np.full(m, soc).tobytes()
             assert plant.ipol.tobytes() == np.full(m, ipol).tobytes()
-            grid_wh = m * out[4] + ledger.transformer_wh
-            if m == 4:
-                assert _bits(*totals) == _bits(*(m * got for got in out[4:]))
-                assert ledger.grid_wh == grid_wh
-            else:
-                tol = 1e-14 * abs(ledger.grid_wh)
-                assert np.all(np.abs(totals - m * np.array(out[4:])) <= tol)
-                assert abs(ledger.grid_wh - grid_wh) <= tol
 
 
 def _general_loop():
@@ -411,6 +401,37 @@ class TestGeneralPathMatchesFastPath:
                             record_alloc=True)
         assert np.count_nonzero(rg.demand_w) > 0
         assert rf.alloc_matrix.tobytes() == rg.alloc_matrix.tobytes()
+
+    @pytest.mark.parametrize("dt_s, initial_soc, demand", [
+        # from soc_max both loops drop the first two charges; the discharge
+        # right after them, with no zero sample between, is stepped
+        (300.0, PlantConfig.soc_max,
+         [50e3, 60e3, -70e3, 40e3, 0.0, -30e3, 20e3]),
+        # 60 idle hours after a discharge decay ipol through the
+        # subnormals to a zero, +0.0 on both loops
+        (3600.0, 0.5, [-50e3] + [0.0] * 60)])
+    def test_loops_agree_on_a_given_demand(self, dt_s, initial_soc, demand):
+        demand = np.array(demand)
+        n = demand.size
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=dt_s,
+                          initial_soc=initial_soc)
+        fast, general = Plant(cfg), Plant(cfg)
+        runs = [_Steps(demand_w=demand.copy(), target_w=np.zeros(n),
+                       tf_w=np.zeros(n), totals=np.zeros((9, n)),
+                       e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
+                       alloc=None) for _ in range(2)]
+        _run_uniform(fast, runs[0], 0.25)
+        _run_general(general, runs[1], np.full(4, 0.25), "balanced", None, 1)
+        if initial_soc == PlantConfig.soc_max:
+            assert runs[0].demand_w[:3].tolist() == [0.0, 0.0, -70e3]
+        else:
+            assert fast.ipol.tobytes() == np.zeros(4).tobytes()
+        for name in ("demand_w", "target_w", "tf_w", "totals", "e_dc0",
+                     "truncated"):
+            assert (getattr(runs[0], name).tobytes()
+                    == getattr(runs[1], name).tobytes()), name
+        assert runs[0].done == runs[1].done == n
+        _assert_same_plant(fast, general)
 
     def test_infeasible_step_leaves_same_state(self):
         # a cell block this resistive cannot deliver its discharge rating:
@@ -532,17 +553,15 @@ class TestStepArraysProperties:
     @given(step_batches())
     def test_matches_scalar_twin(self, batch):
         soc, ipol, p_ac, dt, pp, kinds = batch
-        soc_new, ipol_new, current, truncated, E = _step_arrays(
-            soc, ipol, p_ac, pp)
+        soc_new, ipol_new = _step_arrays(soc, ipol, p_ac, pp)[:2]
         kernels = [_ParamArrays((k,), SOC_MIN, SOC_MAX, dt).scalar_step
                    for k in kinds]
         for (r, j), s0 in np.ndenumerate(soc):
             want = kernels[j](float(s0), float(ipol[r, j]), float(p_ac[r, j]))
-            # one formula: every output bit for bit, signed zeros included
-            got = (soc_new[r, j], ipol_new[r, j], current[r, j],
-                   truncated[r, j], *E[:, r, j])
-            assert len(got) == len(want) == 13
-            assert _bits(*got) == _bits(*want)
+            # the state half of one formula: the next state bit for bit,
+            # signed zeros included
+            assert len(want) == 2
+            assert _bits(soc_new[r, j], ipol_new[r, j]) == _bits(*want)
 
 
 @st.composite
@@ -781,7 +800,7 @@ class TestIdle:
     def test_equals_single_zero_steps(self, run):
         cfg, soc, ipol, k, history, budget, n = run
         batched, single = _twins(cfg, history, soc, ipol)
-        with mock.patch.object(bessim.plant, "IDLE_CLUSTER_STEPS", budget):
+        with mock.patch.object(bessim.plant, "REPLAY_CLUSTER_STEPS", budget):
             self._assert_same_steps(batched, single, k, n)
 
     def test_equals_single_zero_steps_at_module_budget(self):
@@ -845,12 +864,20 @@ class TestBook:
         assert all(column.size == 0 for column in columns.values())
         _assert_same_plant(booked, untouched)
 
+    # the valley straddles midnight, so each run's first step charges
+    CHARGE_FIRST = synth_load(SynthLoadSpec(
+        days=4, dt_s=300.0, base_w=1.2e6, valley_depth_w=0.3e6,
+        valley_hour=1.0, valley_sigma_h=1.5, morning_peak_w=0.0,
+        evening_peak_w=0.3e6, evening_sigma_h=0.8, noise_rel=0.003,
+        day_jitter=0.02), 5)
+
     @pytest.mark.parametrize("uniform", [True, False])
     def test_run_raising_at_first_step_books_nothing(self, uniform):
-        profile = TestGeneralPathMatchesFastPath.PROFILE
+        profile = self.CHARGE_FIRST
         cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0)
         plant, untouched = _twins(cfg, HISTORY)
-        # the first call of the loop's kernel raises
+        # the first call of the loop's kernel raises; zero steps call none
+        # on the uniform loop, so the first planned sample is powered
         owner, kernel = ((plant.params, "scalar_step") if uniform
                          else (bessim.plant, "_step_arrays"))
         with mock.patch.object(owner, kernel, side_effect=(
@@ -859,6 +886,85 @@ class TestBook:
                 with pytest.raises(InfeasiblePowerError, match="first step"):
                     run_simulation(plant, profile, 200e3, 800e3)
         _assert_same_plant(plant, untouched)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_run_raising_mid_run_books_the_completed_steps(self, uniform):
+        # from soc_max the first planned charge is dropped by the SoC gate;
+        # the raise comes at the third powered step, after zero steps,
+        # gate-dropped steps and powered steps
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
+                          initial_soc=PlantConfig.soc_max)
+        loop = contextlib.nullcontext if uniform else _general_loop
+        with loop():
+            whole = run_simulation(Plant(cfg), profile, 200e3, 800e3,
+                                   record_alloc=True)
+        planned = np.concatenate([
+            replay_plan(plan, day, gated=False)["demand_w"]
+            for plan, day in zip(whole.plans, profile.split_days())])
+        powered = np.flatnonzero(whole.demand_w)
+        k = int(powered[2])
+        dropped = (planned[:k] != 0.0) & (whole.demand_w[:k] == 0.0)
+        assert np.count_nonzero(planned[:k] == 0.0) > 0
+        assert np.count_nonzero(dropped) > 0
+
+        plant, single = _twins(cfg, HISTORY)
+        calls = []
+
+        def raise_at_third(step):
+            def counted(*args):
+                if len(calls) == 2:
+                    raise InfeasiblePowerError("third powered step")
+                calls.append(None)
+                return step(*args)
+            return counted
+
+        if uniform:
+            patch = mock.patch.object(plant.params, "scalar_step",
+                                      raise_at_third(plant.params.scalar_step))
+        else:
+            patch = mock.patch.object(Plant, "step",
+                                      raise_at_third(Plant.step))
+        with patch, loop():
+            with pytest.raises(InfeasiblePowerError, match="third powered"):
+                run_simulation(plant, profile, 200e3, 800e3)
+        for p, alloc in zip(whole.demand_w[:k].tolist(), whole.alloc_matrix):
+            _book_step(single, p, alloc)
+        assert plant.t_elapsed == HISTORY[0] + k * cfg.dt_s
+        _assert_same_plant(plant, single)
+
+
+class TestReplayChunks:
+    """replay_steps calls the kernel on REPLAY_CLUSTER_STEPS cluster-steps
+    at most. One or three steps per call, or the module's budget, give the
+    same run bit for bit on both loops."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_chunk_size_does_not_change_the_run(self, uniform):
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
+                          initial_soc=PlantConfig.soc_max)
+        # the uniform loop replays one column, the general loop all four
+        columns = 1 if uniform else len(cfg.clusters)
+        runs = []
+        default = bessim.plant.REPLAY_CLUSTER_STEPS
+        for budget in (columns, 3 * columns, default):
+            plant = Plant(cfg)
+            with (mock.patch.object(bessim.plant, "REPLAY_CLUSTER_STEPS",
+                                    budget),
+                  contextlib.nullcontext() if uniform else _general_loop()):
+                result = run_simulation(plant, profile, 200e3, 800e3,
+                                        record_alloc=True)
+            runs.append((plant, result))
+        (first, want), rest = runs[0], runs[1:]
+        arrays = [f.name for f in dataclasses.fields(want)
+                  if isinstance(getattr(want, f.name), np.ndarray)]
+        assert len(arrays) == 15
+        for plant, result in rest:
+            for name in arrays:
+                assert (getattr(result, name).tobytes()
+                        == getattr(want, name).tobytes()), name
+            _assert_same_plant(plant, first)
 
 
 class TestRunSimulationReplay:

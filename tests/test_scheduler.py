@@ -359,6 +359,8 @@ class TestPlanProperties:
         inside = energy[:-1] <= e_r
         step_wh = day.dt_s / 3600.0
         free = replay_plan(plan, day, gated=False)["demand_w"]
+        # the gated call also returns the demand it truncated
+        assert gated["demanded_w"].tobytes() == free.tobytes()
         assert np.all(~inside | (demand == 0.0)
                       | (np.sign(demand) == np.sign(free)))
         assert np.all(~inside
