@@ -47,7 +47,6 @@ from .scheduler import (
     compute_metrics,
     correct_references_improved,
     correct_references_original,
-    cycle_energy,
     demand_power,
     depth_references,
     replay_plan,

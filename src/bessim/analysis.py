@@ -14,10 +14,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .config import ScheduleConfig
 from .errors import ConfigError, DomainError
-from .plant import ClusterParams, Plant, TransformerParams, uniform_plant_config
+from .plant import (ClusterParams, Plant, PlantConfig, TransformerParams,
+                    uniform_plant_config)
 from .scheduler import LoadProfile
-from .simulate import SimulationResult, run_simulation
+from .simulate import COMPONENT_ORDER, SimulationResult, run_simulation
 
 OPERATING_POWER_THRESHOLD_W = 1.0  # below this a cluster counts as idle
 
@@ -86,25 +88,18 @@ class EfficiencyScatter:
     bin_width_w: float
 
 
-def _battery_loss_series(result: SimulationResult, m: int):
-    """Per-cluster port power and loss powers (W).
-
-    Sweeps run balanced allocation over identical clusters, so every
-    cluster carries the same share; per-cluster series are the aggregates
-    divided by the cluster count, with cluster 0's port power recorded
-    directly as a cross-check.
-    """
-    step_h = result.dt_s / 3600.0
+def sweep_report_from_result(result: SimulationResult,
+                             depth_w: float) -> DepthSweepReport:
+    """Depth-sweep statistics of one run. Sweeps run balanced allocation
+    over identical clusters, so every cluster carries the same share: the
+    per-cluster loss powers (W) are the aggregates divided by the cluster
+    count, and the port power is cluster 0's, recorded directly."""
+    m = result.plant.n_clusters
+    cluster_h = m * (result.dt_s / 3600.0)
     p_clu = result.cluster0_dc_w
-    p_loss = (result.ohmic_wh + result.polarization_wh) / (m * step_h)
-    p_ss = result.ss_wh / (m * step_h)
-    p_ts = result.ts_wh / (m * step_h)
-    return p_clu, p_loss, p_ss, p_ts
-
-
-def sweep_report_from_result(result: SimulationResult, depth_w: float,
-                             m: int) -> DepthSweepReport:
-    p_clu, p_loss, p_ss, p_ts = _battery_loss_series(result, m)
+    p_loss = (result.ohmic_wh + result.polarization_wh) / cluster_h
+    p_ss = result.ss_wh / cluster_h
+    p_ts = result.ts_wh / cluster_h
     operating = np.abs(p_clu) > OPERATING_POWER_THRESHOLD_W
     dp_dt = np.diff(p_clu) / result.dt_s
     dp_operating = dp_dt[operating[1:] | operating[:-1]]
@@ -113,15 +108,10 @@ def sweep_report_from_result(result: SimulationResult, depth_w: float,
 
     e_ss = float(result.ss_wh.sum())
     e_ts = float(result.ts_wh.sum())
-    e_loss = float(result.ohmic_wh.sum() + result.polarization_wh.sum())
-    total = result.total_loss_wh
-    shares = {
-        "transformer": float(result.transformer_wh.sum()) / total,
-        "acdc": float(result.acdc_wh.sum()) / total,
-        "dcdc": float(result.dcdc_wh.sum()) / total,
-        "battery_ohmic": float(result.ohmic_wh.sum()) / total,
-        "battery_polarization": float(result.polarization_wh.sum()) / total,
-    }
+    losses = result.loss_wh
+    e_loss = losses["battery_ohmic"] + losses["battery_polarization"]
+    total = sum(losses.values())
+    shares = {name: losses[name] / total for name in COMPONENT_ORDER}
     return DepthSweepReport(
         depth_w=depth_w, cluster_count=m,
         p_clu_stats=box_stats(p_clu[operating]),
@@ -136,9 +126,10 @@ def sweep_report_from_result(result: SimulationResult, depth_w: float,
 
 def depth_sweep(profile: LoadProfile, depths_w: list[float],
                 cluster: ClusterParams | None = None,
-                soc_min: float = 0.03, soc_max: float = 0.97,
-                initial_soc: float = 0.5,
-                method: str = "improved") -> list[DepthSweepReport]:
+                soc_min: float = PlantConfig.soc_min,
+                soc_max: float = PlantConfig.soc_max,
+                initial_soc: float = PlantConfig.initial_soc,
+                method: str = ScheduleConfig.method) -> list[DepthSweepReport]:
     """Run the horizon once per depth with proportionally many clusters.
 
     Cluster count scales with depth so the per-cluster power share stays
@@ -171,7 +162,7 @@ def depth_sweep(profile: LoadProfile, depths_w: list[float],
         result = run_simulation(
             plant, profile, power_depth_w=depth,
             rated_energy_wh=m * cluster.rated_energy_wh, method=method)
-        reports.append(sweep_report_from_result(result, depth, m))
+        reports.append(sweep_report_from_result(result, depth))
     return reports
 
 
@@ -224,10 +215,6 @@ def scatter_csv(scatter: EfficiencyScatter) -> str:
     return "\n".join(lines) + "\n"
 
 
-COMPONENT_ORDER = ("transformer", "acdc", "dcdc", "battery_ohmic",
-                   "battery_polarization")
-
-
 def component_ledger_report(result: SimulationResult,
                             baseline: SimulationResult | None = None) -> dict:
     """Per-component energy loss table with shares and energy-weighted
@@ -247,15 +234,9 @@ def component_ledger_report(result: SimulationResult,
 
 
 def _single_ledger(result: SimulationResult) -> dict:
-    losses = {
-        "transformer": float(result.transformer_wh.sum()),
-        "acdc": float(result.acdc_wh.sum()),
-        "dcdc": float(result.dcdc_wh.sum()),
-        "battery_ohmic": float(result.ohmic_wh.sum()),
-        "battery_polarization": float(result.polarization_wh.sum()),
-    }
+    losses = result.loss_wh
     total = sum(losses.values())
-    effs = _component_efficiencies(result)
+    effs = _component_efficiencies(result, losses)
     components = {}
     for name in COMPONENT_ORDER:
         components[name] = {
@@ -272,8 +253,10 @@ def _single_ledger(result: SimulationResult) -> dict:
     return {"components": components, "total_loss_wh": total}
 
 
-def _component_efficiencies(result: SimulationResult) -> dict[str, float]:
-    """Energy-weighted efficiency: 1 - loss / energy entering the stage.
+def _component_efficiencies(result: SimulationResult,
+                            losses: dict[str, float]) -> dict[str, float]:
+    """Energy-weighted efficiency: 1 - loss / energy entering the stage,
+    the losses as result.loss_wh gives them.
 
     The entering energy is measured on the upstream side of each stage for
     the step's direction, summed over the run.
@@ -288,18 +271,16 @@ def _component_efficiencies(result: SimulationResult) -> dict[str, float]:
     bat_in = np.where(chg, np.abs(result.stored_wh) + bat_loss,
                       np.abs(result.stored_wh))
 
-    def eff(loss, inflow):
+    def eff(loss_wh: float, inflow) -> float:
         total_in = float(np.sum(inflow))
-        return 1.0 - float(np.sum(loss)) / total_in if total_in > 0 else math.nan
+        return 1.0 - loss_wh / total_in if total_in > 0 else math.nan
 
-    return {
-        "transformer": eff(result.transformer_wh, tf_in),
-        "acdc": eff(result.acdc_wh, acdc_in),
-        "dcdc": eff(result.dcdc_wh, dcdc_in),
-        "battery_ohmic": eff(result.ohmic_wh, bat_in),
-        "battery_polarization": eff(result.polarization_wh, bat_in),
-        "battery": eff(bat_loss, bat_in),
-    }
+    effs = {name: eff(losses[name], inflow) for name, inflow in zip(
+        COMPONENT_ORDER, (tf_in, acdc_in, dcdc_in, bat_in, bat_in))}
+    # np.sum of the element-wise sum: ledger.csv prints its bits, which
+    # differ from the two per-component sums added
+    effs["battery"] = eff(float(np.sum(bat_loss)), bat_in)
+    return effs
 
 
 def ledger_report_csv(report: dict) -> str:

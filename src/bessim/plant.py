@@ -138,8 +138,10 @@ class LossBreakdown:
         return self.grid_wh - self.stored_wh - self.total_loss_wh
 
 
-# Rows of the energy stack returned by _step_arrays (all in Wh).
-E_AC, E_DC, STORED, ACDC, DCDC, OHMIC, POLARIZATION, SS, TS = range(9)
+# Rows of the energy stack returned by _step_arrays (all in Wh). The rows
+# before E_DC are the ones a run totals over clusters (its ledger rows);
+# E_DC is read for cluster 0 alone.
+E_AC, STORED, ACDC, DCDC, OHMIC, POLARIZATION, SS, TS, E_DC = range(9)
 
 
 def _shared(values: np.ndarray):
@@ -248,8 +250,8 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
     current (A), the SoC-truncation flag, and the energy stack E of shape
     (9,) + broadcast shape, in Wh. Its rows, indexed by the module
     constants of the same names, are E_AC (grid side of the cluster),
-    E_DC (battery port), STORED, ACDC, DCDC, OHMIC, POLARIZATION, and the
-    steady/transient battery loss split SS and TS.
+    STORED, ACDC, DCDC, OHMIC, POLARIZATION, the steady/transient battery
+    loss split SS and TS, and E_DC (battery port).
     """
     p_ac = np.asarray(p_ac_cmd_w, dtype=float)
     soc = np.asarray(soc, dtype=float)
@@ -409,9 +411,10 @@ def replay_steps(soc, ipol, p_ac, pp: _ParamArrays, totals: np.ndarray,
     one row per step over c clusters (the plant's m, or one that stands
     for a uniform plant's), or (c,) arrays that every step shares, which
     the kernel then evaluates once per call rather than per step. Writes
-    the rows of the steps' energy stacks summed over the c clusters into
-    totals, (9, n) in Wh; cluster 0's battery port energies into e_dc0,
-    (n,); and whether any cluster hit a SoC bound into truncated, (n,).
+    the ledger rows (E_AC ... TS) of the steps' energy stacks summed over
+    the c clusters into totals, (E_DC, n) in Wh; cluster 0's battery port
+    energies into e_dc0, (n,); and whether any cluster hit a SoC bound
+    into truncated, (n,).
     Each kernel call takes REPLAY_CLUSTER_STEPS cluster-steps at most,
     which bounds the memory of its stacks."""
     n, c = np.broadcast_shapes(soc.shape, ipol.shape, p_ac.shape)
@@ -420,7 +423,7 @@ def replay_steps(soc, ipol, p_ac, pp: _ParamArrays, totals: np.ndarray,
         rows = slice(start, start + chunk)
         _, _, _, trunc, E = _step_arrays(
             *(a[rows] if a.ndim == 2 else a for a in (soc, ipol, p_ac)), pp)
-        totals[:, rows] = E.sum(axis=-1)
+        totals[:, rows] = E[:E_DC].sum(axis=-1)
         e_dc0[rows] = E[E_DC, :, 0]
         truncated[rows] = trunc.any(axis=-1)
 
@@ -491,22 +494,23 @@ class Plant:
     def step(self, p_net_w: float, alloc) -> tuple[np.ndarray, float, bool]:
         """Advance soc and ipol one step, the clusters exchanging p_net_w
         (transformer_split(p_sys)[0]) in shares alloc; books nothing (see
-        book). Returns the nine rows of the step's energy stack summed over
-        clusters (Wh, E_AC ... TS, no transformer), cluster 0's battery port
-        energy (Wh) and whether any cluster hit a SoC bound."""
+        book). Returns the step's eight ledger rows summed over clusters
+        (Wh, E_AC ... TS, no transformer), cluster 0's battery port energy
+        (Wh, its E_DC row) and whether any cluster hit a SoC bound."""
         targets = self._cluster_targets(p_net_w, alloc)
         self.soc, self.ipol, _, truncated, E = _step_arrays(
             self.soc, self.ipol, targets, self.params)
-        return E.sum(axis=-1), float(E[E_DC, 0]), bool(truncated.any())
+        return (E[:E_DC].sum(axis=-1), float(E[E_DC, 0]),
+                bool(truncated.any()))
 
     def idle(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance n zero-command steps: bit for bit n calls of step(0.0, k),
-        any allocation k, their results stacked as (9, n), (n,) and (n,)
+        any allocation k, their results stacked as (E_DC, n), (n,) and (n,)
         arrays. At zero current SoC stays put and ipol -> (ipol - 0) *
         decay + 0, so the start states are a running product, built one
         replay_steps kernel call at a time, which gives their energies."""
         pp = self.params
-        out = np.empty((9, n)), np.empty(n), np.empty(n, dtype=bool)
+        out = np.empty((E_DC, n)), np.empty(n), np.empty(n, dtype=bool)
         chunk = max(REPLAY_CLUSTER_STEPS // pp.m, 1)
         for start in range(0, n, chunk):
             rows = slice(start, min(start + chunk, n))
@@ -521,12 +525,14 @@ class Plant:
         return out
 
     def book(self, totals: np.ndarray, tf_w: np.ndarray) -> dict:
-        """Book n steps: the columns of totals, (9, n) cluster sums as step
-        and idle return them, with transformer loss powers tf_w (W). The one
-        writer, besides __init__ and restore, of t_elapsed, cumulative and
-        the worst relative ledger residual. Returns the per-step ledger columns (Wh)
-        keyed by LossBreakdown field name. Running sums use
-        np.add.accumulate, so one call is bit for bit n one-step calls."""
+        """Book n steps: the columns of totals, (E_DC, n) ledger rows as
+        step and idle return them, with transformer loss powers tf_w (W).
+        The one writer, besides __init__ and restore, of t_elapsed,
+        cumulative and the worst relative ledger residual. Returns the
+        per-step ledger columns (Wh) keyed by LossBreakdown field name.
+        Running sums use np.add.accumulate, so one call is bit for bit n
+        one-step calls; cumulative is the plant's checkpoint state, carried
+        across runs, not a run's totals (see SimulationResult.loss_wh)."""
         dt = self.cfg.dt_s
         tf_wh = tf_w * dt * WH_PER_J
         steps = LossBreakdown(

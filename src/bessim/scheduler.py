@@ -215,38 +215,6 @@ def _pair_cycles(intervals: list[Interval], p_chr_ref_w: float,
     return cycles
 
 
-def cycle_energy(profile: LoadProfile, cycle: ShavingCycle, p_r_w: float,
-                 initial_energy_wh: float = 0.0) -> dict:
-    """Accumulated storage energy trace over one cycle (Wh).
-
-    Integrates the ungated demand law over the cycle's intervals starting
-    from initial_energy_wh and reports the extrema reached.
-    """
-    spans = []
-    if cycle.first_kind == "charge":
-        if cycle.charge_interval:
-            spans.append(("charge", cycle.charge_interval, cycle.p_chr_ref_w))
-        if cycle.discharge_interval:
-            spans.append(("discharge", cycle.discharge_interval, cycle.p_dis_ref_w))
-    else:
-        if cycle.discharge_interval:
-            spans.append(("discharge", cycle.discharge_interval, cycle.p_dis_ref_w))
-        if cycle.charge_interval:
-            spans.append(("charge", cycle.charge_interval, cycle.p_chr_ref_w))
-    demand = []
-    for kind, (a, b), ref in spans:
-        demand.append(_interval_demand(profile.values_w[a:b], kind, ref, p_r_w))
-    demand = np.concatenate(demand) if demand else np.zeros(0)
-    trace = initial_energy_wh + np.cumsum(demand) * profile.dt_s / 3600.0
-    full = np.concatenate(([initial_energy_wh], trace))
-    return {
-        "trace_wh": full,
-        "max_wh": float(full.max()),
-        "min_wh": float(full.min()),
-        "final_wh": float(full[-1]),
-    }
-
-
 def _bisect_ref(energy_fn, lo: float, hi: float, target_wh: float,
                 tol_wh: float, increasing: bool) -> tuple[float, bool]:
     """Bisection for a monotone interval-energy function.

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocator import PsoParams, pso_allocate, repair
+from .config import AllocatorConfig, ScheduleConfig
 from .errors import DomainError
-from .plant import E_AC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
+from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
@@ -23,6 +24,9 @@ from .scheduler import (
     depth_references,
     replay_plan,
 )
+
+COMPONENT_ORDER = ("transformer", "acdc", "dcdc", "battery_ohmic",
+                   "battery_polarization")
 
 
 @dataclass
@@ -54,14 +58,21 @@ class SimulationResult:
         return self.demand_w.size
 
     @property
+    def loss_wh(self) -> dict[str, float]:
+        """The run's loss per component (Wh) in COMPONENT_ORDER, each
+        per-step series summed once by np.sum (pairwise): the one source
+        of a run's loss totals."""
+        series = (self.transformer_wh, self.acdc_wh, self.dcdc_wh,
+                  self.ohmic_wh, self.polarization_wh)
+        return dict(zip(COMPONENT_ORDER, (float(s.sum()) for s in series)))
+
+    @property
     def total_loss_wh(self) -> float:
-        return float(self.transformer_wh.sum() + self.acdc_wh.sum()
-                     + self.dcdc_wh.sum() + self.ohmic_wh.sum()
-                     + self.polarization_wh.sum())
+        return sum(self.loss_wh.values())
 
 
 def plan_horizon(days: list[LoadProfile], power_depth_w: float,
-                 rated_energy_wh: float, method: str = "improved",
+                 rated_energy_wh: float, method: str = ScheduleConfig.method,
                  initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
     """Independent day-ahead plan for each of the horizon's days (as
     LoadProfile.split_days gives them), in the same order."""
@@ -87,9 +98,9 @@ class _Steps:
     """What the loops of run_simulation write per step. demand_w starts as
     the planned demand and each step overwrites its sample with the power
     it commands; target_w and tf_w hold that power's p_net and transformer
-    loss (W); totals, e_dc0 and truncated what Plant.step returns; alloc the
-    allocation rows when recorded. done counts the steps completed, the
-    ones the run books."""
+    loss (W); totals ((E_DC, n) ledger rows), e_dc0 and truncated what
+    Plant.step returns; alloc the allocation rows when recorded. done
+    counts the steps completed, the ones the run books."""
 
     demand_w: np.ndarray
     target_w: np.ndarray
@@ -102,10 +113,10 @@ class _Steps:
 
 
 def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
-                   rated_energy_wh: float, method: str = "improved",
-                   alloc_mode: str = "balanced",
+                   rated_energy_wh: float, method: str = ScheduleConfig.method,
+                   alloc_mode: str = AllocatorConfig.mode,
                    pso_params: PsoParams | None = None,
-                   realloc_cadence_s: float = 900.0,
+                   realloc_cadence_s: float = AllocatorConfig.cadence_s,
                    record_alloc: bool = False) -> SimulationResult:
     """Plan the horizon and execute it against the plant.
 
@@ -138,7 +149,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         demand_w=np.concatenate([
             replay_plan(plan, day, gated=False)["demand_w"]
             for plan, day in zip(plans, days)]),
-        target_w=np.zeros(n), tf_w=np.zeros(n), totals=np.zeros((9, n)),
+        target_w=np.zeros(n), tf_w=np.zeros(n), totals=np.zeros((E_DC, n)),
         e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
         alloc=np.tile(balanced, (n, 1)) if record_alloc else None)
     try:
@@ -165,15 +176,21 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         alloc_matrix=steps.alloc, plant=plant)
 
 
-def _cap_to_plant(p: float, avail_w: float, split) -> float:
-    """System power p capped to what the available clusters can exchange;
-    when discharging they must also cover the transformer loss, taken from
-    split (Plant.transformer_split)."""
-    if p > 0.0:
-        return min(p, avail_w)
+def _cap_to_plant(p: float, avail_w: float,
+                  split) -> tuple[float, float, float]:
+    """System power p capped to what the available clusters can exchange,
+    with its split (p, p_net, tf_w) by split (Plant.transformer_split).
+    When discharging they must also cover the transformer loss, so p is
+    split first and split again only when the cap binds."""
     if p < 0.0:
-        return max(p, -max(avail_w - split(p)[1], 0.0))
-    return 0.0
+        p_net, tf_w = split(p)
+        cap = -max(avail_w - tf_w, 0.0)
+        if cap <= p:    # as max(p, cap), which keeps p on a tie
+            return p, p_net, tf_w
+        p = cap
+    elif p > 0.0:
+        p = min(p, avail_w)
+    return (p, *split(p))
 
 
 def _idle(plant: Plant, steps: _Steps, start: int, stop: int) -> None:
@@ -213,8 +230,7 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                 i = end
                 continue
             avail = float(plant.params.rated_w[~blocked].sum())
-            p = _cap_to_plant(p, avail, plant.transformer_split)
-            p_net, tf_w = plant.transformer_split(p)
+            p, p_net, tf_w = _cap_to_plant(p, avail, plant.transformer_split)
             max_share = (plant.params.rated_w / abs(p_net)
                          if p_net != 0.0 else None)
             if p == 0.0:
@@ -278,7 +294,7 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
             sv[i] = soc
             iv[i] = ipol
             if (p > 0.0 and soc < soc_hi) or (p < 0.0 and soc > soc_lo):
-                p = _cap_to_plant(p, p_tot, split)
+                p, p_net, tf_w = _cap_to_plant(p, p_tot, split)
             else:
                 p = 0.0     # zero, or dropped by the SoC gate
             dv[i] = p
@@ -287,7 +303,6 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
                 tfv[i] = tf_idle
                 ipol = ipol * decay + 0.0
             else:
-                p_net, tf_w = split(p)
                 p_clu = share * p_net
                 if abs(p_clu) > rated_tol:
                     raise DomainError(

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import bessim.analysis
 from bessim.analysis import (
     box_stats,
     component_ledger_report,
@@ -13,7 +16,7 @@ from bessim.analysis import (
 from bessim.errors import ConfigError, DomainError
 from bessim.plant import Plant, uniform_plant_config
 from bessim.profiles import SynthLoadSpec, synth_load
-from bessim.simulate import run_simulation
+from bessim.simulate import COMPONENT_ORDER, run_simulation
 
 
 def small_run(days=1, alloc_mode="balanced", seed=7):
@@ -149,3 +152,38 @@ class TestComponentLedger:
         lines = text.strip().split("\n")
         assert lines[0].startswith("component,loss_wh,share")
         assert lines[-1].startswith("total,")
+
+
+class TestOneLedger:
+    """SimulationResult.loss_wh sums each of a run's loss series once
+    (np.sum); the ledger report and the depth sweep read those values."""
+
+    def test_reports_read_the_run_totals(self):
+        res = small_run()
+        losses = res.loss_wh
+        assert list(losses) == list(COMPONENT_ORDER)
+        assert losses["acdc"] == float(np.sum(res.acdc_wh))
+        report = component_ledger_report(res)
+        for name in COMPONENT_ORDER:
+            assert report["components"][name]["loss_wh"] == losses[name]
+        assert report["components"]["battery"]["loss_wh"] == (
+            losses["battery_ohmic"] + losses["battery_polarization"])
+        assert report["total_loss_wh"] == res.total_loss_wh
+
+        runs = []
+
+        def capture(*args, **kwargs):
+            runs.append(run_simulation(*args, **kwargs))
+            return runs[-1]
+
+        profile = synth_load(SynthLoadSpec(days=1, dt_s=300.0,
+                                           noise_rel=0.0, day_jitter=0.0), 1)
+        with mock.patch.object(bessim.analysis, "run_simulation", capture):
+            reports = depth_sweep(profile, [1e6, 2e6])
+        assert len(runs) == len(reports) == 2
+        for r, run in zip(reports, runs):
+            losses, total = run.loss_wh, run.total_loss_wh
+            assert r.component_shares == {
+                name: losses[name] / total for name in COMPONENT_ORDER}
+            assert r.e_loss_wh == (losses["battery_ohmic"]
+                                   + losses["battery_polarization"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bessim.plant
+import bessim.simulate
 from bessim.errors import ConfigError, DomainError, InfeasiblePowerError
 from bessim.losses import (
     OcvCoeffs,
@@ -417,7 +418,7 @@ class TestGeneralPathMatchesFastPath:
                           initial_soc=initial_soc)
         fast, general = Plant(cfg), Plant(cfg)
         runs = [_Steps(demand_w=demand.copy(), target_w=np.zeros(n),
-                       tf_w=np.zeros(n), totals=np.zeros((9, n)),
+                       tf_w=np.zeros(n), totals=np.zeros((E_DC, n)),
                        e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
                        alloc=None) for _ in range(2)]
         _run_uniform(fast, runs[0], 0.25)
@@ -447,6 +448,34 @@ class TestGeneralPathMatchesFastPath:
         assert 0.0 < fast.t_elapsed < horizon
         assert fast.cumulative.stored_wh > 0.0
         self._assert_same_state(fast, general)
+
+
+class TestTransformerSplitOncePerStep:
+    """Both loops take a commanded step's transformer split once, and a
+    discharge step's again only when the plant cap binds. Every other
+    transformer_loss call is the split of 0 W that zero steps share: one
+    per run on the uniform loop, one per Plant.idle stretch on the general
+    loop."""
+
+    @pytest.mark.parametrize("general", [False, True])
+    def test_transformer_loss_calls(self, general):
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        plant = Plant(PlantConfig(clusters=(ClusterParams(),) * 4,
+                                  dt_s=300.0))
+        with (_general_loop() if general else contextlib.nullcontext(),
+              mock.patch.object(bessim.plant, "transformer_loss",
+                                wraps=bessim.plant.transformer_loss) as tf,
+              mock.patch.object(bessim.simulate, "_idle",
+                                wraps=bessim.simulate._idle) as idle):
+            r = run_simulation(plant, profile, 200e3, 800e3)
+        planned = np.concatenate([
+            replay_plan(plan, day, gated=False)["demand_w"]
+            for plan, day in zip(r.plans, profile.split_days())])
+        capped = (r.demand_w < 0.0) & (r.demand_w > planned)
+        assert capped.any()
+        zero_splits = idle.call_count if general else 1
+        assert tf.call_count == (np.count_nonzero(r.demand_w)
+                                 + np.count_nonzero(capped) + zero_splits)
 
 
 def _continue_from_snapshot(plant: Plant, profile, split_day: int):
@@ -783,7 +812,7 @@ class TestIdle:
     @staticmethod
     def _assert_same_steps(batched, single, k, n):
         totals, e_dc0, truncated = batched.idle(n)
-        assert totals.shape == (9, n)
+        assert totals.shape == (8, n)
         columns = batched.book(totals, np.full(
             n, batched.transformer_split(0.0)[1]))
         for i in range(n):
@@ -821,18 +850,18 @@ ENERGIES_WH = st.floats(-1e6, 1e6)
 @st.composite
 def bookings(draw):
     """A one-cluster plant config with a drawn step length, a ledger
-    history, and n steps to book: (9, n) cluster totals (Wh) and (n,)
+    history, and n steps to book: (E_DC, n) cluster totals (Wh) and (n,)
     transformer loss powers (W), n from 0."""
     n = draw(st.integers(0, 30))
     cfg = uniform_plant_config(1, dt_s=draw(st.floats(1.0, 3600.0)))
-    totals = np.array(draw(st.lists(ENERGIES_WH, min_size=9 * n,
-                                    max_size=9 * n)), dtype=float)
+    totals = np.array(draw(st.lists(ENERGIES_WH, min_size=E_DC * n,
+                                    max_size=E_DC * n)), dtype=float)
     tf_w = np.array(draw(st.lists(st.floats(0.0, 1e5), min_size=n,
                                   max_size=n)), dtype=float)
     history = (draw(st.floats(0.0, 1e8)), draw(st.floats(0.0, 1.0)),
                LossBreakdown(*draw(st.lists(ENERGIES_WH, min_size=7,
                                             max_size=7))))
-    return cfg, totals.reshape(9, n), tf_w, history
+    return cfg, totals.reshape(E_DC, n), tf_w, history
 
 
 # a ledger history to book onto: elapsed time, worst residual, running sums
@@ -860,7 +889,7 @@ class TestBook:
 
     def test_empty_booking_leaves_plant_unchanged(self):
         booked, untouched = _twins(uniform_plant_config(2), HISTORY)
-        columns = booked.book(np.zeros((9, 0)), np.zeros(0))
+        columns = booked.book(np.zeros((E_DC, 0)), np.zeros(0))
         assert all(column.size == 0 for column in columns.values())
         _assert_same_plant(booked, untouched)
 

@@ -10,10 +10,10 @@ from bessim.errors import DomainError, EmptyPlanError
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import (
     LoadProfile,
+    ShavingPlan,
     compute_metrics,
     correct_references_improved,
     correct_references_original,
-    cycle_energy,
     demand_power,
     depth_references,
     replay_plan,
@@ -142,27 +142,35 @@ class TestSegmentation:
             segment_intervals(profile_from_hours([10, 40]), 35e6, 15e6)
 
 
-class TestCycleEnergy:
-    def test_zero_demand(self):
-        p = profile_from_hours([25.0] * 4 + [40.0] * 2)
-        cyc = segment_cycles(p, 20e6, 35e6)[0]
-        res = cycle_energy(p, cyc, 5e6)
-        assert res["max_wh"] >= 0.0
+def fixed_reference_plan(profile, p_chr_ref_w, p_dis_ref_w, p_r_w, e_r_wh):
+    """The plan that keeps the references on the profile's intervals."""
+    return ShavingPlan(
+        cycles=segment_cycles(profile, p_chr_ref_w, p_dis_ref_w),
+        intervals=segment_intervals(profile, p_chr_ref_w, p_dis_ref_w),
+        rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
+        p_chr_ref0_w=p_chr_ref_w, p_dis_ref0_w=p_dis_ref_w)
+
+
+class TestUngatedReplay:
+    """replay_plan(gated=False) integrates the demand law without a
+    capacity gate: its trace is the running sum of the demand, past the
+    plan's 10 MWh here."""
 
     def test_rectangle_integral(self):
-        # constant 5 MW headroom for 4 hours
-        p = profile_from_hours([10.0] * 4 + [40.0] * 1)
-        cyc = segment_cycles(p, 15e6, 35e6)[0]
-        res = cycle_energy(p, cyc, 5e6)
-        assert res["max_wh"] == pytest.approx(20e6)
+        # constant 5 MW headroom for 4 hours, one charge interval
+        p = profile_from_hours([10.0] * 4)
+        plan = fixed_reference_plan(p, 15e6, 35e6, 5e6, 10e6)
+        assert len(plan.intervals) == 1
+        res = replay_plan(plan, p, gated=False)
+        assert res["demand_w"].tolist() == [5e6] * 4
+        assert res["energy_wh"].tolist() == [0.0, 5e6, 10e6, 15e6, 20e6]
 
     def test_peak_and_return(self):
         p = profile_from_hours([10.0] * 4 + [40.0] * 4)
-        cyc = segment_cycles(p, 15e6, 35e6)[0]
-        res = cycle_energy(p, cyc, 5e6)
-        assert res["max_wh"] == pytest.approx(20e6)
-        assert res["final_wh"] == pytest.approx(0.0, abs=1e-6)
-        assert res["min_wh"] == pytest.approx(0.0, abs=1e-6)
+        plan = fixed_reference_plan(p, 15e6, 35e6, 5e6, 10e6)
+        trace = replay_plan(plan, p, gated=False)["energy_wh"]
+        assert trace.tolist() == [0.0, 5e6, 10e6, 15e6, 20e6,
+                                  15e6, 10e6, 5e6, 0.0]
 
 
 class TestImprovedCorrection:
