@@ -127,8 +127,8 @@ def fitness(k, p_sys_w: float, plant: Plant) -> float:
     delivered, weighed against the battery energy drawn for it.
     Allocations driving any cluster above its power rating score -inf.
     """
-    arr = np.asarray(getattr(k, "k", k), dtype=float)
-    return float(plant.evaluate_allocations(p_sys_w, arr[None, :])[0])
+    p_net = plant.net_cluster_power(p_sys_w)
+    return float(plant.evaluate_allocations(p_net, getattr(k, "k", k))[0])
 
 
 def pso_allocate(p_sys_w: float, plant: Plant,
@@ -164,7 +164,7 @@ def pso_allocate(p_sys_w: float, plant: Plant,
     pos[1:] = repair(base + rng.uniform(-s, s, (n - 1, m)), blocked, max_share)
     vel = np.zeros((n, m))
 
-    fit = plant.evaluate_allocations(p_sys_w, pos)
+    fit = plant.evaluate_allocations(p_net, pos)
     pbest = pos.copy()
     pbest_fit = fit.copy()
     g = int(np.argmax(fit))
@@ -182,7 +182,7 @@ def pso_allocate(p_sys_w: float, plant: Plant,
                + params.social * r2 * (gbest - pos))
         np.clip(vel, -vb, vb, out=vel)
         pos = repair(pos + vel, blocked, max_share)
-        fit = plant.evaluate_allocations(p_sys_w, pos)
+        fit = plant.evaluate_allocations(p_net, pos)
         better = fit > pbest_fit
         pbest[better] = pos[better]
         pbest_fit[better] = fit[better]
@@ -219,10 +219,11 @@ def grid_search_allocation(p_sys_w: float, plant: Plant,
         k = np.concatenate(pts)
     blocked = plant.blocked_mask(p_sys_w)
     k = k[~np.any(k[:, blocked] > 0, axis=1)] if np.any(blocked) else k
+    p_net = plant.net_cluster_power(p_sys_w)
     fits = np.empty(k.shape[0])
     chunk = 200_000
     for i in range(0, k.shape[0], chunk):
-        fits[i:i + chunk] = plant.evaluate_allocations(p_sys_w, k[i:i + chunk])
+        fits[i:i + chunk] = plant.evaluate_allocations(p_net, k[i:i + chunk])
     best = int(np.argmax(fits))
     return k[best], float(fits[best])
 

@@ -561,11 +561,12 @@ class Plant:
                 and bool(np.all(self.soc == self.soc[0]))
                 and bool(np.all(self.ipol == self.ipol[0])))
 
-    def evaluate_allocations(self, p_sys_w: float, K: np.ndarray) -> np.ndarray:
+    def evaluate_allocations(self, p_net_w: float, K: np.ndarray) -> np.ndarray:
         """Fitness of candidate allocations without mutating plant state.
 
-        K has shape (n_candidates, m). Charging: net battery energy stored
-        (Wh). Discharging: net AC energy delivered, counting the battery
+        K has shape (n_candidates, m); each row shares p_net_w, the
+        net_cluster_power of the system command. Charging: net battery energy
+        stored (Wh). Discharging: net AC energy delivered, counting the battery
         energy expended against it (so for a fixed delivery target the
         least lossy split wins, while under-delivering through SoC
         truncation is weighted twice and never attractive). Candidates
@@ -573,15 +574,14 @@ class Plant:
         transformer term is constant across candidates and omitted.
         """
         K = np.atleast_2d(np.asarray(K, dtype=float))
-        p_net, tf_w = self.transformer_split(p_sys_w)
-        targets = K * p_net
+        targets = K * p_net_w
         rated = self.params.rated
         infeasible = (np.abs(targets) > self.params.rated_tol_w).any(axis=-1)
         # clamp to the rating so infeasible rows still step (scored -inf)
         safe_targets = np.minimum(targets, rated)
         np.maximum(safe_targets, -rated, out=safe_targets)
         E = _step_arrays(self.soc, self.ipol, safe_targets, self.params)[4]
-        if p_sys_w >= 0:
+        if p_net_w >= 0:
             fitness = E[STORED].sum(axis=-1)
         else:
             delivered = -E[E_AC].sum(axis=-1)

@@ -94,6 +94,11 @@ class ShavingPlan:
     p_dis_ref0_w: float
     initial_energy_wh: float = 0.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.initial_energy_wh <= self.rated_energy_wh:
+            raise DomainError("initial energy must lie in [0, rated energy]",
+                              field="initial_energy_wh")
+
 
 @dataclass
 class ShavingMetrics:
@@ -266,7 +271,7 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
     hi_bound = float(load.max())
     gap = max(1e-6 * (hi_bound - lo_bound), 1e-6)
     feasible_flags = []
-    energy = float(np.clip(initial_energy_wh, 0.0, e_r_wh))
+    energy = float(initial_energy_wh)
 
     for idx, iv in enumerate(intervals):
         seg = load[iv.start:iv.stop]
@@ -387,10 +392,13 @@ def replay_plan(plan: ShavingPlan, profile: LoadProfile,
     """Execute a plan against the load with an ideal plant.
 
     Returns the demand series (W, signed) and the planned stored-energy
-    trace. With gated=True each sample's demand is truncated so the trace
-    stays inside [0, rated_energy_wh], mirroring the SoC gate of the power
-    law at plan level, and the untruncated demand, the demand_w of
-    gated=False, comes back too as demanded_w.
+    trace. With gated=True the store e stays inside [0, e_r], e_r =
+    rated_energy_wh, mirroring the SoC gate of the power law at plan level:
+    of the sample energies d = demand * step_h, a charging one (d > 0) with
+    e + d > e_r takes d = e_r - e and leaves e = e_r, any other with
+    e + d < 0 takes d = -e and leaves e = 0.0, and the rest add d. Each
+    demand comes back as d / step_h, and the unclamped demand (demand_w of
+    gated=False) as demanded_w.
     """
     demand = np.zeros(profile.n_samples)
     for iv in plan.intervals:
@@ -398,63 +406,37 @@ def replay_plan(plan: ShavingPlan, profile: LoadProfile,
             profile.values_w[iv.start:iv.stop], iv.kind, iv.ref_w,
             plan.rated_power_w)
     step_wh = profile.dt_s / 3600.0
-    if gated:
-        d_wh = demand * step_wh
-        energy = _gate(d_wh, plan.initial_energy_wh, plan.rated_energy_wh)
-        return {"demand_w": d_wh / step_wh, "energy_wh": energy,
-                "demanded_w": demand}
     energy = np.empty(profile.n_samples + 1)
     energy[0] = plan.initial_energy_wh
-    energy[1:] = plan.initial_energy_wh + np.cumsum(demand) * step_wh
-    return {"demand_w": demand, "energy_wh": energy}
-
-
-def _gate(d_wh: np.ndarray, e: float, e_r: float) -> np.ndarray:
-    """Truncate the per-sample energies d_wh in place so the store, starting
-    at e, stays inside [0, e_r]; return the store trace (n + 1 values).
-
-    Bit for bit the sample loop `d = min(d, e_r - e)` (charging, d > 0) or
-    `d = max(d, -e)` (otherwise), then `e += d`. Free stretches are one
-    np.add.accumulate from the current store, which adds in the loop's
-    order; the first sample whose clamp binds takes the scalar rule and the
-    scan restarts after it. Once a clamp leaves the store exactly at the
-    bound it hit, every further sample pushing that way clamps to a signed
-    zero (d * 0.0) and leaves the store where it is, so the whole pinned
-    run is written at once.
-    """
-    n = d_wh.size
-    charge = d_wh > 0
-    discharge = d_wh < 0
-    neg = -d_wh
-    energy = np.empty(n + 1)
-    buf = np.empty(n + 1)      # buf[i] = store before sample i, then d_wh[i:]
-    buf[1:] = d_wh
-    i = 0
-    while i < n:
-        buf[i] = e
-        np.add.accumulate(buf[i:], out=energy[i:])
-        before = energy[i:n]
-        binds = np.where(charge[i:], e_r - before < d_wh[i:], before < neg[i:])
-        k = int(binds.argmax())
-        if not binds[k]:
-            return energy
-        k += i
-        e = float(energy[k])
-        d_wh[k] = e_r - e if charge[k] else -e
-        e += d_wh[k]
-        i = k + 1
-        if charge[k] and e == e_r:
-            pushing = ~discharge[i:]
-        elif not charge[k] and e == 0.0:
-            pushing = ~charge[i:]
-        else:
+    if not gated:
+        energy[1:] = plan.initial_energy_wh + np.cumsum(demand) * step_wh
+        return {"demand_w": demand, "energy_wh": energy}
+    e_r = plan.rated_energy_wh
+    d_wh = demand * step_wh
+    # An interval's samples all push one way (charge demand >= 0, discharge
+    # <= 0), so its bound binds at most once: a running sum from the store,
+    # in the sample loop's order, up to the first sample passing the bound.
+    # The store then stays there; a charge too small to move it keeps its d.
+    for iv in plan.intervals:
+        d = d_wh[iv.start:iv.stop]
+        trace = energy[iv.start:iv.stop + 1]    # trace[0]: the store so far
+        trace[1:] = d
+        np.add.accumulate(trace, out=trace)
+        charge = iv.kind == "charge"
+        passed = trace[1:] > e_r if charge else trace[1:] < 0.0
+        k = int(passed.argmax())
+        if not passed[k]:
             continue
-        stop = i + int(pushing.argmin()) if not pushing.all() else n
-        d_wh[i:stop] *= 0.0
-        energy[i:stop + 1] = e
-        i = stop
-    energy[n] = e
-    return energy
+        rest = d[k + 1:]
+        if charge:
+            d[k] = e_r - trace[k]
+            rest[e_r + rest > e_r] = 0.0
+        else:
+            d[k] = -trace[k]
+            rest[rest < 0.0] = -0.0
+        trace[k + 1:] = e_r if charge else 0.0
+    return {"demand_w": d_wh / step_wh, "energy_wh": energy,
+            "demanded_w": demand}
 
 
 def compute_metrics(profile: LoadProfile, plan: ShavingPlan,

@@ -205,30 +205,23 @@ def _idle(plant: Plant, steps: _Steps, start: int, stop: int) -> None:
 def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                  alloc_mode: str, pso_params: PsoParams | None,
                  cadence_steps: int) -> None:
-    """The per-cluster loop: one Plant.step per sample, one Plant.idle per
-    run of planned zero demand or of gate-dropped samples. With 'pso' the
+    """The per-cluster loop over runs of one demand sign (+-0 together):
+    one Plant.step per sample, and one Plant.idle from a sample of 0 W or
+    one where every cluster is blocked to the run's end. With 'pso' the
     allocation is re-optimized every cadence_steps steps."""
     demand = steps.demand_w
-    n = demand.size
-    idle = demand == 0.0
-    cuts = (np.flatnonzero(idle[1:] != idle[:-1]) + 1).tolist()
+    sign = np.sign(demand)
+    cuts = (np.flatnonzero(sign[1:] != sign[:-1]) + 1).tolist()
     k_current: np.ndarray | None = None
-    for start, stop in zip([0] + cuts, cuts + [n]):
-        if idle[start]:
-            _idle(plant, steps, start, stop)
-            continue
-        i = start
-        while i < stop:
+    for start, stop in zip([0] + cuts, cuts + [demand.size]):
+        for i in range(start, stop):
             p = float(demand[i])
             blocked = plant.blocked_mask(p)
-            if blocked.all():
-                # SoC does not move at 0 W: the plant stays blocked until
-                # the demand changes sign
-                turn = np.flatnonzero((demand[i:stop] > 0.0) != (p > 0.0))
-                end = i + int(turn[0]) if turn.size else stop
-                _idle(plant, steps, i, end)
-                i = end
-                continue
+            if p == 0.0 or blocked.all():
+                # SoC does not move at 0 W, so a blocked plant stays
+                # blocked while the demand keeps its sign
+                _idle(plant, steps, i, stop)
+                break
             avail = float(plant.params.rated_w[~blocked].sum())
             p, p_net, tf_w = _cap_to_plant(p, avail, plant.transformer_split)
             max_share = (plant.params.rated_w / abs(p_net)
@@ -253,7 +246,6 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
             if steps.alloc is not None:
                 steps.alloc[i] = k
             steps.done = i + 1
-            i += 1
 
 
 def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:

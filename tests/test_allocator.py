@@ -1,12 +1,14 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bessim.plant
 from bessim.allocator import (
     AllocationVector,
     PsoParams,
@@ -239,6 +241,21 @@ class TestPsoAllocate:
             PsoParams(**{field: value})
         assert e.value.field == field
         assert field in str(e.value)
+
+    @pytest.mark.parametrize("p_sys_w", [90_000.0, -90_000.0])
+    def test_power_is_split_once_per_call(self, p_sys_w):
+        # the swarm is scored at the clusters' net power, taken once, not
+        # once per evaluation; so are the grid and a single fitness
+        plant = Plant(uniform_plant_config(3))
+        plant.soc = np.array([0.4, 0.5, 0.7])
+        with mock.patch.object(bessim.plant, "transformer_loss",
+                               wraps=bessim.plant.transformer_loss) as tf:
+            pso_allocate(p_sys_w, plant, self.PARAMS)
+            assert tf.call_count == 1
+            grid_search_allocation(p_sys_w, plant, resolution=0.1)
+            assert tf.call_count == 2
+            fitness(np.full(3, 1 / 3), p_sys_w, plant)
+            assert tf.call_count == 3
 
     def test_zero_iterations_returns_initial_best(self):
         plant = Plant(uniform_plant_config(3))

@@ -300,7 +300,8 @@ class TestPlant:
         plant.soc = np.array([0.4, 0.5, 0.6])
         plant.ipol = np.array([1.0, -2.0, 0.5])
         K = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
-        fits = plant.evaluate_allocations(90_000.0, K)
+        fits = plant.evaluate_allocations(
+            plant.net_cluster_power(90_000.0), K)
         for row, fit in zip(K, fits):
             clone = Plant(uniform_plant_config(3))
             clone.soc = plant.soc.copy()
@@ -310,8 +311,9 @@ class TestPlant:
 
     def test_batch_evaluation_flags_infeasible(self):
         plant = Plant(uniform_plant_config(2))
-        fits = plant.evaluate_allocations(100_000.0,
-                                          np.array([[1.0, 0.0], [0.5, 0.5]]))
+        fits = plant.evaluate_allocations(
+            plant.net_cluster_power(100_000.0),
+            np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert fits[0] == -np.inf
         assert np.isfinite(fits[1])
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -243,6 +244,16 @@ class TestOriginalCorrection:
                 assert iv.ref_w >= mid
 
 
+@pytest.mark.parametrize("correct", [correct_references_improved,
+                                     correct_references_original])
+@pytest.mark.parametrize("e0", [-1e-9, 10e6 * (1 + 1e-15), math.nan])
+def test_plan_start_outside_the_store_rejected(correct, e0):
+    p = profile_from_hours([10.0] * 2 + [40.0] * 2)
+    with pytest.raises(DomainError) as e:
+        correct(p, 5e6, 10e6, 15e6, 35e6, e0)
+    assert e.value.field == "initial_energy_wh"
+
+
 class TestDepthReferences:
     def test_basic(self):
         p = profile_from_hours([10, 20, 40])
@@ -291,20 +302,22 @@ class TestMetrics:
 
 
 def _gated_loop(plan, profile):
-    """replay_plan(gated=True) as a sample loop: the oracle of the scan."""
+    """replay_plan(gated=True) as a sample loop: the oracle of the
+    per-interval clamp."""
     demand = replay_plan(plan, profile, gated=False)["demand_w"]
     step_wh = profile.dt_s / 3600.0
+    e_r = plan.rated_energy_wh
     energy = np.empty(profile.n_samples + 1)
-    energy[0] = plan.initial_energy_wh
-    e = plan.initial_energy_wh
+    energy[0] = e = plan.initial_energy_wh
     for i in range(profile.n_samples):
         d_wh = demand[i] * step_wh
-        if d_wh > 0:
-            d_wh = min(d_wh, plan.rated_energy_wh - e)
+        if d_wh > 0 and e + d_wh > e_r:
+            d_wh, e = e_r - e, e_r
+        elif e + d_wh < 0:
+            d_wh, e = -e, 0.0
         else:
-            d_wh = max(d_wh, -e)
+            e += d_wh
         demand[i] = d_wh / step_wh
-        e += d_wh
         energy[i + 1] = e
     return demand, energy
 
@@ -350,29 +363,51 @@ class TestPlanProperties:
         day, _, plan = drawn
         gated = replay_plan(plan, day, gated=True)
         demand, energy = _gated_loop(plan, day)
-        # the scan is the sample loop bit for bit, signed zeros included
+        # the per-interval clamp is the sample loop bit for bit, signed
+        # zeros included
         assert gated["demand_w"].tobytes() == demand.tobytes()
         assert gated["energy_wh"].tobytes() == energy.tobytes()
-        # the store never goes below 0. It can end a step one ulp above
-        # e_r: e + d rounds up when d <= e_r - e holds only after rounding
-        # (about one drawn day in a thousand, e.g. e_r 246.16778161295318 Wh
-        # at 60 s steps); no further, since the next charging sample pulls
-        # it back to e_r exactly.
         e_r = plan.rated_energy_wh
         assert np.all(energy >= 0.0)
-        assert np.all(energy <= np.nextafter(e_r, np.inf))
-        # from a store inside [0, e_r] every demand is truncated, never
-        # turned: the gate sees it as (demand * step) / step, which may be
-        # an ulp above the demand itself
-        inside = energy[:-1] <= e_r
+        assert np.all(energy <= e_r)
+        # every demand is truncated, never turned: the gate sees it as
+        # (demand * step) / step, which may be an ulp above the demand
         step_wh = day.dt_s / 3600.0
         free = replay_plan(plan, day, gated=False)["demand_w"]
         # the gated call also returns the demand it truncated
         assert gated["demanded_w"].tobytes() == free.tobytes()
-        assert np.all(~inside | (demand == 0.0)
-                      | (np.sign(demand) == np.sign(free)))
-        assert np.all(~inside
-                      | (np.abs(demand) <= np.abs(free * step_wh / step_wh)))
+        assert np.all((demand == 0.0) | (np.sign(demand) == np.sign(free)))
+        assert np.all(np.abs(demand) <= np.abs(free * step_wh / step_wh))
+
+    def test_store_ends_at_the_bound_it_passes(self):
+        # d <= e_r - e as computed, yet e + d rounds past e_r: the clamp
+        # leaves the store at e_r exactly, so the next charging sample is
+        # clamped to +0.0, not turned into a discharge
+        ref = 4.542716054405581
+        day = LoadProfile(START, 3600.0, np.array([0.0, ref - 1.0]))
+        plan = replace(fixed_reference_plan(day, ref, 100.0, 10.0,
+                                            7.402473781645857),
+                       initial_energy_wh=2.8597577272402765)
+        assert len(plan.intervals) == 1
+        gated = replay_plan(plan, day, gated=True)
+        demand, energy = _gated_loop(plan, day)
+        assert gated["demand_w"].tobytes() == demand.tobytes()
+        assert gated["energy_wh"].tobytes() == energy.tobytes()
+        assert energy.tolist() == [2.8597577272402765, 7.402473781645857,
+                                   7.402473781645857]
+        assert demand[1] == 0.0 and not np.signbit(demand[1])
+
+    def test_full_store_keeps_a_charge_too_small_to_move_it(self):
+        # 8 + 2.2e-16 rounds to 8: the rule adds such a d, it clamps none
+        day = LoadProfile(START, 3600.0, np.array([1.0, np.nextafter(2.0, 0)]))
+        plan = replace(fixed_reference_plan(day, 2.0, 100.0, 10.0, 8.0),
+                       initial_energy_wh=7.5)
+        gated = replay_plan(plan, day, gated=True)
+        demand, energy = _gated_loop(plan, day)
+        assert gated["demand_w"].tobytes() == demand.tobytes()
+        assert gated["energy_wh"].tobytes() == energy.tobytes()
+        assert demand.tolist() == [0.5, 2.0 - np.nextafter(2.0, 0)]
+        assert energy.tolist() == [7.5, 8.0, 8.0]
 
     def test_pinned_store(self):
         # 200 kWh fills in three 5 MW samples at 60 s: the store sits at
