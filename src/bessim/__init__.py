@@ -54,7 +54,6 @@ from .scheduler import (
     segment_intervals,
 )
 from .allocator import (
-    AllocationVector,
     PsoParams,
     balanced_allocation,
     fitness,

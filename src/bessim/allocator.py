@@ -18,24 +18,6 @@ from .plant import Plant
 
 
 @dataclass(frozen=True)
-class AllocationVector:
-    """Per-cluster power-sharing coefficients; entries in [0,1], sum 1."""
-
-    k: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.k, dtype=float)
-        object.__setattr__(self, "k", arr)
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-            raise DomainError("allocation coefficients must lie in [0, 1]")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise DomainError("allocation coefficients must sum to 1")
-
-    def __len__(self) -> int:
-        return self.k.size
-
-
-@dataclass(frozen=True)
 class PsoParams:
     inertia: float = 0.85
     cognitive: float = 0.4
@@ -64,14 +46,14 @@ class PsoParams:
                                   field=name)
 
 
-def balanced_allocation(blocked: np.ndarray) -> AllocationVector:
-    """Equal coefficients over unblocked clusters, zero over blocked ones."""
-    blocked = np.asarray(blocked, dtype=bool)
-    n_free = int(np.sum(~blocked))
+def balanced_allocation(blocked: np.ndarray) -> np.ndarray:
+    """Equal coefficients over unblocked clusters, zero over blocked ones:
+    the balanced split, free / n_free."""
+    free = ~np.asarray(blocked, dtype=bool)
+    n_free = np.count_nonzero(free)
     if n_free == 0:
         raise NoCapacityError("every cluster is blocked by a SoC bound")
-    k = np.where(blocked, 0.0, 1.0 / n_free)
-    return AllocationVector(k=k)
+    return free / n_free
 
 
 def repair(k_raw: np.ndarray, blocked: np.ndarray,
@@ -96,7 +78,7 @@ def repair(k_raw: np.ndarray, blocked: np.ndarray,
         k = k / total
     else:
         empty = total == 0.0
-        k = np.where(empty, balanced_allocation(blocked).k,
+        k = np.where(empty, balanced_allocation(blocked),
                      k / np.where(empty, 1.0, total))
     if max_share is not None:
         cap = np.where(blocked, 0.0, np.asarray(max_share, dtype=float))
@@ -120,7 +102,7 @@ def repair(k_raw: np.ndarray, blocked: np.ndarray,
     return k
 
 
-def fitness(k, p_sys_w: float, plant: Plant) -> float:
+def fitness(k: np.ndarray, p_sys_w: float, plant: Plant) -> float:
     """One-step plant evaluation of an allocation (Wh, larger is better).
 
     Charging: net battery energy stored. Discharging: net AC energy
@@ -128,25 +110,25 @@ def fitness(k, p_sys_w: float, plant: Plant) -> float:
     Allocations driving any cluster above its power rating score -inf.
     """
     p_net = plant.net_cluster_power(p_sys_w)
-    return float(plant.evaluate_allocations(p_net, getattr(k, "k", k))[0])
+    return float(plant.evaluate_allocations(p_net, k)[0])
 
 
 def pso_allocate(p_sys_w: float, plant: Plant,
-                 params: PsoParams) -> tuple[AllocationVector, np.ndarray]:
+                 params: PsoParams) -> tuple[np.ndarray, np.ndarray]:
     """Optimize the per-cluster split of p_sys with a particle swarm.
 
     The swarm is anchored at the balanced allocation (particle 0 is exactly
     balanced, the rest are seeded perturbations of it), velocities are
     clamped to +-velocity_bound, and the whole swarm is repaired to the
-    feasible set in one batched call each iteration. Returns the global
-    best and the per-iteration best-fitness trace (non-decreasing).
+    feasible set in one batched call each iteration. Returns (k, trace):
+    the global best allocation, shape (m,), and the per-iteration
+    best-fitness trace (non-decreasing).
     """
     m = plant.n_clusters
     blocked = plant.blocked_mask(p_sys_w)
-    base = balanced_allocation(blocked).k
+    base = balanced_allocation(blocked)
     if m == 1:
-        k = AllocationVector(k=np.ones(1))
-        return k, np.array([fitness(k, p_sys_w, plant)])
+        return base, np.array([fitness(base, p_sys_w, plant)])
 
     max_share = None
     p_net = plant.net_cluster_power(p_sys_w)
@@ -192,7 +174,7 @@ def pso_allocate(p_sys_w: float, plant: Plant,
             gbest = pbest[g].copy()
         trace[it + 1] = gbest_fit
 
-    return AllocationVector(k=gbest), trace
+    return gbest, trace
 
 
 def grid_search_allocation(p_sys_w: float, plant: Plant,

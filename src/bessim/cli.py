@@ -246,13 +246,11 @@ def cmd_optimize(args) -> int:
     report = component_ledger_report(results["pso"], baseline=results["balanced"])
     _write_atomic(os.path.join(outdir, "optimize_ledger.csv"),
                   ledger_report_csv(report))
-    files = ["optimize_ledger.csv"]
-    if results["pso"].alloc_matrix is not None:
-        times = np.arange(profile.n_samples) * profile.dt_s
-        _write_atomic(os.path.join(outdir, "allocation_matrix.csv"),
-                      allocation_matrix_csv(times, results["pso"].alloc_matrix))
-        files.append("allocation_matrix.csv")
-    _write_manifest(outdir, cfg, "optimize", cfg.allocator.pso.rng_seed, files)
+    times = np.arange(profile.n_samples) * profile.dt_s
+    _write_atomic(os.path.join(outdir, "allocation_matrix.csv"),
+                  allocation_matrix_csv(times, results["pso"].alloc_matrix))
+    _write_manifest(outdir, cfg, "optimize", cfg.allocator.pso.rng_seed,
+                    ["optimize_ledger.csv", "allocation_matrix.csv"])
     delta = report["delta_total_loss_wh"]
     print(f"optimize: total loss delta vs balanced {delta:+.1f} Wh "
           f"({report['total_loss_wh']:.1f} vs "

@@ -477,9 +477,9 @@ class Plant:
         """Total power the clusters exchange for a system-level command."""
         return self.transformer_split(p_sys_w)[0]
 
-    def _cluster_targets(self, p_net_w: float, alloc) -> np.ndarray:
+    def _cluster_targets(self, p_net_w: float, alloc: np.ndarray) -> np.ndarray:
         """Per-cluster AC targets alloc * p_net_w, checked against ratings."""
-        k = np.asarray(getattr(alloc, "k", alloc), dtype=float)
+        k = np.asarray(alloc, dtype=float)
         if k.shape[-1] != self.params.m:
             raise DomainError("allocation length does not match cluster count")
         targets = k * p_net_w
@@ -491,7 +491,8 @@ class Plant:
                 f"{targets[j]:.1f} W above its {self.params.rated_w[j]:.0f} W rating")
         return targets
 
-    def step(self, p_net_w: float, alloc) -> tuple[np.ndarray, float, bool]:
+    def step(self, p_net_w: float,
+             alloc: np.ndarray) -> tuple[np.ndarray, float, bool]:
         """Advance soc and ipol one step, the clusters exchanging p_net_w
         (transformer_split(p_sys)[0]) in shares alloc; books nothing (see
         book). Returns the step's eight ledger rows summed over clusters

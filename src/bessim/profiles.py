@@ -68,8 +68,7 @@ def _gauss(hours: np.ndarray, center: float, sigma: float) -> np.ndarray:
     return np.exp(-0.5 * (d / sigma) ** 2)
 
 
-def synth_load(spec: SynthLoadSpec, seed: int,
-               start_time: datetime | None = None) -> LoadProfile:
+def synth_load(spec: SynthLoadSpec, seed: int) -> LoadProfile:
     """Deterministic synthetic load profile for the given seed."""
     rng = np.random.default_rng(seed)
     per_day = int(round(86_400.0 / spec.dt_s))
@@ -98,8 +97,8 @@ def synth_load(spec: SynthLoadSpec, seed: int,
             day = day * (1.0 + spec.noise_rel * noise)
         chunks.append(day)
     values = np.maximum(np.concatenate(chunks), 0.0)
-    start = start_time or datetime(2024, 1, 1)
-    return LoadProfile(start_time=start, dt_s=spec.dt_s, values_w=values)
+    return LoadProfile(start_time=datetime(2024, 1, 1), dt_s=spec.dt_s,
+                       values_w=values)
 
 
 def load_profile_to_csv(profile: LoadProfile) -> str:

@@ -15,6 +15,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import DomainError, EmptyPlanError
+from .plant import PlantConfig
 
 # Bisection convergence tolerance as a fraction of rated energy, and the
 # iteration cap of the correction procedures.
@@ -124,7 +125,8 @@ class ShavingMetrics:
 
 def demand_power(load_w: float, p_chr_ref_w: float, p_dis_ref_w: float,
                  soc: float, p_r_w: float,
-                 soc_min: float = 0.03, soc_max: float = 0.97) -> float:
+                 soc_min: float = PlantConfig.soc_min,
+                 soc_max: float = PlantConfig.soc_max) -> float:
     """Signed storage power demand (W) for one sample.
 
     Charging (positive, gated by soc < soc_max): full p_r below the taper
@@ -274,20 +276,20 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
     energy = float(initial_energy_wh)
 
     for idx, iv in enumerate(intervals):
-        seg = load[iv.start:iv.stop]
         nxt = intervals[idx + 1] if idx + 1 < len(intervals) else None
+
+        def e_iv(r, seg=load[iv.start:iv.stop], kind=iv.kind):
+            return _interval_energy_wh(seg, kind, r, p_r_w, profile.dt_s)
+        e_next = (_interval_energy_wh(load[nxt.start:nxt.stop], nxt.kind,
+                                      nxt.ref_w, p_r_w, profile.dt_s)
+                  if nxt is not None else 0.0)
+        e_now = e_iv(iv.ref_w)
         ok = True
         if iv.kind == "charge":
-            def e_chr(r, seg=seg):
-                return _interval_energy_wh(seg, "charge", r, p_r_w, profile.dt_s)
-            e_next = (_interval_energy_wh(load[nxt.start:nxt.stop], "discharge",
-                                          nxt.ref_w, p_r_w, profile.dt_s)
-                      if nxt is not None else 0.0)
-            e_now = e_chr(iv.ref_w)
             if energy + e_now > e_r_wh + tol:
                 # overcharge: reduce the charge reference; no room at all
                 # means the cycle cannot be honored
-                iv.ref_w, ok = _bisect_ref(e_chr, lo_bound, iv.ref_w,
+                iv.ref_w, ok = _bisect_ref(e_iv, lo_bound, iv.ref_w,
                                            e_r_wh - energy, tol, True)
                 ok = ok and e_r_wh - energy > tol
             elif energy + e_now < e_next and energy + e_now < e_r_wh - tol:
@@ -296,21 +298,14 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
                 hi = (nxt.ref_w if nxt is not None else p_dis_ref0_w) - gap
                 target = min(e_next, e_r_wh) - energy
                 if hi > iv.ref_w:
-                    iv.ref_w, _ = _bisect_ref(e_chr, iv.ref_w, hi, target,
+                    iv.ref_w, _ = _bisect_ref(e_iv, iv.ref_w, hi, target,
                                               tol, True)
-            energy = min(energy + e_chr(iv.ref_w), e_r_wh)
+            energy = min(energy + e_iv(iv.ref_w), e_r_wh)
         else:
-            def e_dis(r, seg=seg):
-                return _interval_energy_wh(seg, "discharge", r, p_r_w,
-                                           profile.dt_s)
-            e_next = (_interval_energy_wh(load[nxt.start:nxt.stop], "charge",
-                                          nxt.ref_w, p_r_w, profile.dt_s)
-                      if nxt is not None else 0.0)
-            e_now = e_dis(iv.ref_w)
             if e_now > energy + tol:
                 # over-discharge: raise the discharge reference; an empty
                 # store means the cycle cannot be honored
-                iv.ref_w, ok = _bisect_ref(e_dis, iv.ref_w, hi_bound,
+                iv.ref_w, ok = _bisect_ref(e_iv, iv.ref_w, hi_bound,
                                            energy, tol, False)
                 ok = ok and energy > tol
             elif energy - e_now + e_next > e_r_wh + tol and energy - e_now > tol:
@@ -319,9 +314,9 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
                 lo = (nxt.ref_w if nxt is not None else p_chr_ref0_w) + gap
                 target = energy + e_next - e_r_wh
                 if lo < iv.ref_w:
-                    iv.ref_w, _ = _bisect_ref(e_dis, lo, iv.ref_w, target,
+                    iv.ref_w, _ = _bisect_ref(e_iv, lo, iv.ref_w, target,
                                               tol, False)
-            energy = max(energy - e_dis(iv.ref_w), 0.0)
+            energy = max(energy - e_iv(iv.ref_w), 0.0)
         feasible_flags.append(ok)
 
     cycles = _pair_cycles(intervals, p_chr_ref0_w, p_dis_ref0_w)
@@ -454,10 +449,13 @@ def compute_metrics(profile: LoadProfile, plan: ShavingPlan,
     step_wh = profile.dt_s / 3600.0
     e_chr = float(np.sum(executed_w[executed_w > 0]) * step_wh)
     e_dis = float(-np.sum(executed_w[executed_w < 0]) * step_wh)
-    load = profile.values_w
-    p_r = plan.rated_power_w
-    e_val = float(np.sum(np.clip(plan.p_chr_ref0_w - load, 0.0, p_r)) * step_wh)
-    e_pek = float(np.sum(np.clip(load - plan.p_dis_ref0_w, 0.0, p_r)) * step_wh)
+    load, p_r = profile.values_w, plan.rated_power_w
+    # the demand magnitudes at the initial references; abs rather than
+    # negating the sum keeps a zero E_pek +0.0
+    e_val = float(np.sum(_interval_demand(load, "charge", plan.p_chr_ref0_w,
+                                          p_r)) * step_wh)
+    e_pek = float(np.sum(np.abs(_interval_demand(
+        load, "discharge", plan.p_dis_ref0_w, p_r))) * step_wh)
     cr = e_chr / e_val if e_val > 0 else math.nan
     rr = e_dis / e_pek if e_pek > 0 else math.nan
     cur = e_chr / e_rate_wh

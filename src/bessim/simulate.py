@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocator import PsoParams, pso_allocate, repair
+from .allocator import PsoParams, balanced_allocation, pso_allocate, repair
 from .config import AllocatorConfig, ScheduleConfig
 from .errors import DomainError
 from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
@@ -33,7 +33,6 @@ COMPONENT_ORDER = ("transformer", "acdc", "dcdc", "battery_ohmic",
 class SimulationResult:
     """Per-step traces of one simulation run. All energies in Wh."""
 
-    profile: LoadProfile
     dt_s: float
     plans: list[ShavingPlan]
     demand_w: np.ndarray          # system power commanded (signed)
@@ -144,7 +143,8 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     plans = plan_horizon(days, power_depth_w, rated_energy_wh, method)
     n, m = profile.n_samples, plant.n_clusters
     # the balanced split with nothing blocked: the allocation of zero steps
-    balanced = repair(np.full(m, 1.0 / m), np.zeros(m, dtype=bool))
+    blocked = np.zeros(m, dtype=bool)
+    balanced = repair(balanced_allocation(blocked), blocked)
     steps = _Steps(
         demand_w=np.concatenate([
             replay_plan(plan, day, gated=False)["demand_w"]
@@ -164,7 +164,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
 
     step_h = dt / 3600.0
     return SimulationResult(
-        profile=profile, dt_s=dt, plans=plans, demand_w=steps.demand_w,
+        dt_s=dt, plans=plans, demand_w=steps.demand_w,
         cluster_target_w=steps.target_w,
         delivered_w=steps.totals[E_AC] / step_h,
         grid_wh=ledger["grid_wh"], stored_wh=ledger["stored_wh"],
@@ -229,16 +229,12 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
             if p == 0.0:
                 k = balanced
             elif alloc_mode == "balanced":
-                # equal shares over the free clusters (as
-                # balanced_allocation); repair renormalises, caps
-                free = ~blocked
-                k = repair(free / np.count_nonzero(free), blocked, max_share)
+                k = repair(balanced_allocation(blocked), blocked, max_share)
             else:
                 if k_current is None or i % cadence_steps == 0:
                     params = replace(pso_params,
                                      rng_seed=pso_params.rng_seed + i)
-                    best, _ = pso_allocate(p, plant, params)
-                    k_current = best.k
+                    k_current, _ = pso_allocate(p, plant, params)
                 k = repair(k_current, blocked, max_share)
             (steps.totals[:, i], steps.e_dc0[i],
              steps.truncated[i]) = plant.step(p_net, k)

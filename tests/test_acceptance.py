@@ -238,7 +238,7 @@ def test_criterion_07_pso_feasibility_and_dominance():
         p_sys = float(rng.uniform(0.1, 0.9) * m * rated
                       * (1 if rng.uniform() < 0.5 else -1))
         best, trace = pso_allocate(p_sys, plant, params)
-        k = best.k
+        k = best
         assert abs(k.sum() - 1.0) <= 1e-9
         assert np.all(k >= -1e-12) and np.all(k <= 1.0 + 1e-12)
         p_net = plant.net_cluster_power(p_sys)
@@ -246,7 +246,7 @@ def test_criterion_07_pso_feasibility_and_dominance():
         assert np.all(np.abs(k * p_net) <= rated + 1e-6)
         blocked = plant.blocked_mask(p_sys)
         max_share = plant.params.rated_w / max(abs(p_net), abs(p_sys))
-        f_bal = fitness(repair(balanced_allocation(blocked).k, blocked,
+        f_bal = fitness(repair(balanced_allocation(blocked), blocked,
                                max_share), p_sys, plant)
         assert trace[-1] >= f_bal - 1e-12
 

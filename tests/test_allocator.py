@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import bessim.plant
 from bessim.allocator import (
-    AllocationVector,
     PsoParams,
     allocation_matrix_csv,
     balanced_allocation,
@@ -23,28 +22,22 @@ from bessim.errors import DomainError, NoCapacityError
 from bessim.plant import Plant, uniform_plant_config
 
 
-class TestAllocationVector:
-    def test_sum_must_be_one(self):
-        with pytest.raises(DomainError):
-            AllocationVector(k=np.array([0.5, 0.4]))
-
-    def test_entries_must_be_in_unit_interval(self):
-        with pytest.raises(DomainError):
-            AllocationVector(k=np.array([1.2, -0.2]))
-
-    def test_len(self):
-        assert len(AllocationVector(k=np.array([0.5, 0.5]))) == 2
-
-
 class TestBalancedAllocation:
     def test_uniform_split(self):
-        k = balanced_allocation(np.zeros(100, dtype=bool)).k
+        k = balanced_allocation(np.zeros(100, dtype=bool))
         assert np.allclose(k, 0.01)
 
     def test_blocked_cluster_gets_zero(self):
-        k = balanced_allocation(np.array([False, True, False, False])).k
+        k = balanced_allocation(np.array([False, True, False, False]))
         assert k[1] == 0.0
         assert np.allclose(k[[0, 2, 3]], 1 / 3)
+
+    def test_equal_split_bits(self):
+        # a float array of 1/n_free over the free clusters, +0.0 elsewhere
+        blocked = np.array([False, True, False, False, True, False, False])
+        k = balanced_allocation(blocked)
+        assert k.dtype == np.float64
+        assert k.tobytes() == np.where(blocked, 0.0, 1.0 / 5).tobytes()
 
     def test_all_blocked_raises(self):
         with pytest.raises(NoCapacityError):
@@ -86,7 +79,7 @@ def _repair_row_reference(k_raw, blocked, max_share=None):
     k[blocked] = 0.0
     total = k.sum()
     if total <= 0.0:
-        k = balanced_allocation(blocked).k.copy()
+        k = balanced_allocation(blocked).copy()
     else:
         k = k / total
     if max_share is not None:
@@ -188,13 +181,13 @@ class TestPsoAllocate:
     def test_single_cluster_shortcut(self):
         plant = Plant(uniform_plant_config(1))
         k, trace = pso_allocate(30_000.0, plant, self.PARAMS)
-        assert k.k == pytest.approx([1.0])
+        assert k == pytest.approx([1.0])
         assert trace.size == 1
 
     def test_identical_clusters_prefer_even_split(self):
         plant = Plant(uniform_plant_config(2))
         k, _ = pso_allocate(60_000.0, plant, self.PARAMS)
-        assert k.k == pytest.approx([0.5, 0.5], abs=1e-3)
+        assert k == pytest.approx([0.5, 0.5], abs=1e-3)
         f_even = fitness(np.array([0.5, 0.5]), 60_000.0, plant)
         f_skew = fitness(np.array([0.8, 0.2]), 60_000.0, plant)
         assert f_even > f_skew
@@ -205,9 +198,9 @@ class TestPsoAllocate:
         plant.ipol = np.array([2.0, -1.0, 0.0, 0.5])
         k, trace = pso_allocate(-120_000.0, plant, self.PARAMS)
         blocked = plant.blocked_mask(-120_000.0)
-        f_bal = fitness(balanced_allocation(blocked).k, -120_000.0, plant)
+        f_bal = fitness(balanced_allocation(blocked), -120_000.0, plant)
         assert trace[-1] >= f_bal - 1e-12
-        assert k.k.sum() == pytest.approx(1.0, abs=1e-9)
+        assert k.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_non_decreasing(self):
         plant = Plant(uniform_plant_config(3))
@@ -221,7 +214,7 @@ class TestPsoAllocate:
         k, _ = pso_allocate(-60_000.0, plant,
                             PsoParams(particles=20, max_iterations=40,
                                       rng_seed=3))
-        assert k.k[1] >= k.k[0]
+        assert k[1] >= k[0]
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
@@ -280,7 +273,7 @@ def test_pso_allocate_reproduces_per_row_repair_results(case):
     best, trace = pso_allocate(case["p_sys_w"], plant,
                                PsoParams(rng_seed=case["pso_seed"]))
     assert trace[-1] == pytest.approx(case["fitness_wh"], rel=1e-9)
-    np.testing.assert_allclose(best.k, case["k"], rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(best, case["k"], rtol=0.0, atol=1e-9)
 
 
 class TestGridSearch:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bessim.plant
@@ -480,6 +480,15 @@ class TestTransformerSplitOncePerStep:
                                  + np.count_nonzero(capped) + zero_splits)
 
 
+SOC_MIN, SOC_MAX = 0.03, 0.97
+# the third kind has its own DC/DC efficiency curve, so batches mixing it
+# in step the AC/DC and DC/DC stages with different coefficient tables
+CLUSTER_KINDS = (ClusterParams(),
+                 ClusterParams(n_parallel=20, rated_power_w=40_000.0),
+                 ClusterParams(dcdc_coeffs=PcsEfficiencyCoeffs(
+                     (0.80, 0.7955, -2.073, 2.137, -0.8137))))
+
+
 def _continue_from_snapshot(plant: Plant, profile, split_day: int):
     """Run profile's first split_day days on plant, move the plant through
     its JSON snapshot into a fresh Plant and run the rest there."""
@@ -493,30 +502,54 @@ def _continue_from_snapshot(plant: Plant, profile, split_day: int):
     return first, second, resumed
 
 
+@st.composite
+def split_runs(draw, uniform: bool):
+    """Four clusters of kinds from CLUSTER_KINDS with their initial SoC,
+    and the day (1 to 3) at which to split the 4-day
+    TestGeneralPathMatchesFastPath.PROFILE. A uniform plant has one kind
+    and one SoC; otherwise kinds are drawn per cluster and the SoC is one
+    value or spread, short of a uniform plant."""
+    soc = st.one_of(st.sampled_from([SOC_MIN, SOC_MAX]),
+                    st.floats(SOC_MIN, SOC_MAX))
+    if uniform:
+        kinds = (draw(st.sampled_from(CLUSTER_KINDS)),) * 4
+        socs = [draw(soc)] * 4
+    else:
+        kinds = tuple(draw(st.lists(st.sampled_from(CLUSTER_KINDS),
+                                    min_size=4, max_size=4)))
+        socs = draw(st.one_of(soc.map(lambda s: [s] * 4),
+                              st.lists(soc, min_size=4, max_size=4)))
+        assume(len(set(kinds)) > 1 or len(set(socs)) > 1)
+    cfg = PlantConfig(clusters=kinds, dt_s=300.0, soc_min=SOC_MIN,
+                      soc_max=SOC_MAX, initial_soc=socs[0])
+    return cfg, np.array(socs), draw(st.integers(1, 3))
+
+
 class TestSnapshotContinuation:
-    """Snapshot mid-run, restore into a fresh plant, continue: the result
-    equals one uninterrupted run bit for bit, on the uniform fast path and
-    on the general path."""
+    """Snapshot mid-run, restore into a fresh plant, continue: the balanced
+    result equals one uninterrupted run bit for bit, on the uniform fast
+    path and on the general path."""
 
     TRACES = TestGeneralPathMatchesFastPath.TRACES_WH + (
         "demand_w", "delivered_w", "cluster0_dc_w", "truncated")
 
     @pytest.mark.parametrize("uniform", [True, False])
-    def test_two_halves_equal_one_run(self, uniform):
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_two_halves_equal_one_run(self, uniform, data):
+        cfg, soc, split_day = data.draw(split_runs(uniform))
         profile = TestGeneralPathMatchesFastPath.PROFILE
-        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
-                          initial_soc=0.5)
 
         def fresh():
             plant = Plant(cfg)
-            if not uniform:
-                plant.soc = np.array([0.35, 0.5, 0.55, 0.7])
+            plant.soc = soc.copy()
             assert plant.is_uniform() == uniform
             return plant
 
         whole_plant = fresh()
         whole = run_simulation(whole_plant, profile, 200e3, 800e3)
-        first, second, resumed = _continue_from_snapshot(fresh(), profile, 2)
+        first, second, resumed = _continue_from_snapshot(fresh(), profile,
+                                                         split_day)
         for name in self.TRACES:
             joined = np.concatenate([getattr(first, name),
                                      getattr(second, name)])
@@ -525,15 +558,6 @@ class TestSnapshotContinuation:
         assert np.array_equal(resumed.soc, whole_plant.soc)
         assert np.array_equal(resumed.ipol, whole_plant.ipol)
         assert resumed.t_elapsed == whole_plant.t_elapsed
-
-
-SOC_MIN, SOC_MAX = 0.03, 0.97
-# the third kind has its own DC/DC efficiency curve, so batches mixing it
-# in step the AC/DC and DC/DC stages with different coefficient tables
-CLUSTER_KINDS = (ClusterParams(),
-                 ClusterParams(n_parallel=20, rated_power_w=40_000.0),
-                 ClusterParams(dcdc_coeffs=PcsEfficiencyCoeffs(
-                     (0.80, 0.7955, -2.073, 2.137, -0.8137))))
 
 
 @st.composite

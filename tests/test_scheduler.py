@@ -4,7 +4,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bessim.errors import DomainError, EmptyPlanError
@@ -345,6 +345,8 @@ def planned_days(draw):
         dt_s=draw(st.sampled_from([60.0, 300.0, 900.0])))
     day = synth_load(spec, draw(st.integers(0, 2**16)))
     spread = float(day.values_w.max() - day.values_w.min())
+    # a flat day has depth 0, which depth_references rejects
+    assume(spread > 0)
     depth = draw(st.floats(0.02, 0.45)) * spread
     e_r = 10 ** draw(st.floats(-2.0, 3.0)) * depth * spec.dt_s / 3600.0
     e0 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))) * e_r
@@ -420,6 +422,16 @@ class TestPlanProperties:
         assert gated["demand_w"].tobytes() == demand.tobytes()
         assert gated["energy_wh"].tobytes() == energy.tobytes()
         assert np.sum(energy == 200e3) > 100 and np.sum(energy == 0.0) > 100
+
+    @settings(max_examples=150)
+    @given(planned_days())
+    def test_references_lie_within_the_load_range(self, drawn):
+        # corrections bisect between bounds inside [min, max] of the load
+        day, _, plan = drawn
+        lo, hi = day.values_w.min(), day.values_w.max()
+        refs = [iv.ref_w for iv in plan.intervals] + [
+            r for c in plan.cycles for r in (c.p_chr_ref_w, c.p_dis_ref_w)]
+        assert all(lo <= r <= hi for r in refs)
 
     @settings(max_examples=150)
     @given(planned_days())
