@@ -22,6 +22,17 @@ from bessim.errors import DomainError, NoCapacityError
 from bessim.plant import Plant, uniform_plant_config
 
 
+def _assert_feasible(k, blocked):
+    """An allocation is a plain (m,) float array on the simplex that gives
+    blocked clusters nothing."""
+    assert isinstance(k, np.ndarray)
+    assert k.dtype == np.float64
+    assert k.shape == blocked.shape
+    assert np.all((k >= 0.0) & (k <= 1.0))
+    assert k.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(k[blocked] == 0.0)
+
+
 class TestBalancedAllocation:
     def test_uniform_split(self):
         k = balanced_allocation(np.zeros(100, dtype=bool))
@@ -42,6 +53,13 @@ class TestBalancedAllocation:
     def test_all_blocked_raises(self):
         with pytest.raises(NoCapacityError):
             balanced_allocation(np.ones(3, dtype=bool))
+
+    @settings(max_examples=100)
+    @given(st.lists(st.booleans(), min_size=1, max_size=40), st.data())
+    def test_split_is_a_feasible_allocation(self, mask, data):
+        blocked = np.array(mask)
+        blocked[data.draw(st.integers(0, blocked.size - 1))] = False
+        _assert_feasible(balanced_allocation(blocked), blocked)
 
 
 class TestRepair:
@@ -250,6 +268,14 @@ class TestPsoAllocate:
             fitness(np.full(3, 1 / 3), p_sys_w, plant)
             assert tf.call_count == 3
 
+    def test_returns_a_feasible_array(self):
+        plant = Plant(uniform_plant_config(4))
+        plant.soc = np.array([0.02, 0.5, 0.6, 0.8])
+        blocked = plant.blocked_mask(-90_000.0)
+        assert blocked.any()
+        k, _ = pso_allocate(-90_000.0, plant, self.PARAMS)
+        _assert_feasible(k, blocked)
+
     def test_zero_iterations_returns_initial_best(self):
         plant = Plant(uniform_plant_config(3))
         plant.soc = np.array([0.4, 0.5, 0.7])
@@ -287,6 +313,14 @@ class TestGridSearch:
                                               max_iterations=30, rng_seed=0))
         assert trace[-1] >= f_grid - abs(f_grid) * 1e-2 - 1e-9
         assert k_grid.sum() == pytest.approx(1.0)
+
+    def test_returns_a_feasible_array(self):
+        plant = Plant(uniform_plant_config(3))
+        plant.soc = np.array([0.02, 0.5, 0.7])
+        blocked = plant.blocked_mask(-60_000.0)
+        assert blocked.any()
+        k, _ = grid_search_allocation(-60_000.0, plant, resolution=0.05)
+        _assert_feasible(k, blocked)
 
     def test_large_m_rejected(self):
         plant = Plant(uniform_plant_config(4))
