@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .config import ScheduleConfig
 from .errors import ConfigError, DomainError
 from .plant import (ClusterParams, Plant, PlantConfig, TransformerParams,
                     uniform_plant_config)
-from .scheduler import LoadProfile
+from .scheduler import LoadProfile, ShavingMetrics
 from .simulate import COMPONENT_ORDER, SimulationResult, run_simulation
 
 OPERATING_POWER_THRESHOLD_W = 1.0  # below this a cluster counts as idle
@@ -31,9 +31,6 @@ class BoxStats:
     median: float
     q3: float
     max: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.min, self.q1, self.median, self.q3, self.max)
 
 
 def box_stats(series) -> BoxStats:
@@ -60,24 +57,6 @@ class DepthSweepReport:
     e_loss_wh: float
     ts_reduction_fraction: float
     component_shares: dict[str, float]
-
-    CSV_HEADER = ("depth_w,cluster_count,e_ss_wh,e_ts_wh,e_loss_wh,"
-                  "ts_reduction_fraction,share_tfmr,share_acdc,share_dcdc,"
-                  "share_bat_ohmic,share_bat_polarization,"
-                  "p_clu_min,p_clu_q1,p_clu_median,p_clu_q3,p_clu_max,"
-                  "dp_dt_min,dp_dt_q1,dp_dt_median,dp_dt_q3,dp_dt_max")
-
-    def csv_row(self) -> str:
-        s = self.component_shares
-        vals = [self.depth_w, self.cluster_count, self.e_ss_wh, self.e_ts_wh,
-                self.e_loss_wh, self.ts_reduction_fraction,
-                s["transformer"], s["acdc"], s["dcdc"], s["battery_ohmic"],
-                s["battery_polarization"],
-                *self.p_clu_stats.as_tuple(), *self.dp_dt_stats.as_tuple()]
-        return ",".join(f"{v:.10g}" for v in vals)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -206,10 +185,38 @@ def _median_curve(points: np.ndarray, bin_width_w: float) -> np.ndarray:
 
 def _csv_table(header: str, fmt: str, *cols) -> str:
     """A header line, then one line per row: fmt formatted with the row's
-    entries of cols (arrays or lists of equal length)."""
+    entries of cols (arrays or sequences of equal length); no columns, no
+    rows."""
     rows = map(fmt.format, *(c.tolist() if isinstance(c, np.ndarray) else c
-                             for c in cols))
+                             for c in cols)) if cols else ()
     return "\n".join([header, *rows]) + "\n"
+
+
+def metrics_csv(rows) -> str:
+    """Per-day shaving metrics of (day, method, ShavingMetrics) rows: day,
+    method, then the ShavingMetrics fields in order."""
+    names = [f.name for f in fields(ShavingMetrics)]
+    table = ((day, method, *astuple(m)) for day, method, m in rows)
+    return _csv_table(",".join(["day", "method", *names]),
+                      "{},{}," + ",".join(["{:.10g}"] * len(names)),
+                      *zip(*table))
+
+
+def sweep_csv(reports: list[DepthSweepReport]) -> str:
+    """One row per depth: its scalars, the loss shares in COMPONENT_ORDER,
+    then the box stats of the port power and of its rate of change."""
+    scalars = ("depth_w", "cluster_count", "e_ss_wh", "e_ts_wh", "e_loss_wh",
+               "ts_reduction_fraction")
+    stats = [f.name for f in fields(BoxStats)]
+    header = [*scalars, "share_tfmr", "share_acdc", "share_dcdc",
+              "share_bat_ohmic", "share_bat_polarization",
+              *(f"p_clu_{s}" for s in stats), *(f"dp_dt_{s}" for s in stats)]
+    rows = ((*(getattr(r, name) for name in scalars),
+             *(r.component_shares[name] for name in COMPONENT_ORDER),
+             *astuple(r.p_clu_stats), *astuple(r.dp_dt_stats))
+            for r in reports)
+    return _csv_table(",".join(header), ",".join(["{:.10g}"] * len(header)),
+                      *zip(*rows))
 
 
 def scatter_csv(scatter: EfficiencyScatter) -> str:
@@ -308,4 +315,4 @@ def ledger_report_csv(report: dict) -> str:
 
 
 def sweep_reports_json(reports: list[DepthSweepReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
+    return json.dumps([asdict(r) for r in reports], sort_keys=True, indent=2)

@@ -28,13 +28,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    _csv_table,
     allocation_matrix_csv,
     component_ledger_report,
     depth_sweep,
     efficiency_scatter,
     ledger_report_csv,
+    metrics_csv,
     scatter_csv,
+    sweep_csv,
     sweep_reports_json,
 )
 from .config import RunConfig, load_config, parse_config
@@ -156,9 +157,9 @@ def cmd_simulate(args) -> int:
                                   result.delivered_w[sl],
                                   cfg.schedule.rated_energy_wh,
                                   demanded_w=result.cluster_target_w[sl])
-        rows.append(metrics.csv_row(d, cfg.schedule.method))
+        rows.append((d, cfg.schedule.method, metrics))
     report = component_ledger_report(result)
-    files = {"metrics.csv": _csv_table(ShavingMetrics.CSV_HEADER, "{}", rows),
+    files = {"metrics.csv": metrics_csv(rows),
              "ledger.csv": ledger_report_csv(report)}
     if "json" in cfg.output.formats:
         files["ledger.json"] = _json_text(report)
@@ -187,7 +188,7 @@ def cmd_compare(args) -> int:
             metrics = compute_metrics(day, plans[d], gated["demand_w"],
                                       cfg.schedule.rated_energy_wh,
                                       demanded_w=gated["demanded_w"])
-            rows.append(metrics.csv_row(d, method))
+            rows.append((d, method, metrics))
             summary[method].append(metrics)
 
     def mean(ms, key):
@@ -200,7 +201,7 @@ def cmd_compare(args) -> int:
         "equivalent_cycles_total": float(sum(m.equivalent_cycles for m in ms)),
     } for method, ms in summary.items()}
     _write_outputs(outdir, cfg, "compare", cfg.load.seed, {
-        "compare.csv": _csv_table(ShavingMetrics.CSV_HEADER, "{}", rows),
+        "compare.csv": metrics_csv(rows),
         "compare_summary.json": _json_text(agg)})
     print(f"compare: improved CUR {agg['improved']['cur']:.4f} vs "
           f"original {agg['original']['cur']:.4f}, outputs in {outdir}")
@@ -245,8 +246,7 @@ def cmd_sweep(args) -> int:
                           soc_min=cfg.plant.soc_min, soc_max=cfg.plant.soc_max,
                           initial_soc=cfg.plant.initial_soc,
                           method=cfg.schedule.method)
-    files = {"sweep.csv": _csv_table(reports[0].CSV_HEADER, "{}",
-                                     [r.csv_row() for r in reports])}
+    files = {"sweep.csv": sweep_csv(reports)}
     if "json" in cfg.output.formats:
         files["sweep.json"] = sweep_reports_json(reports)
     _write_outputs(outdir, cfg, "sweep", cfg.load.seed, files)

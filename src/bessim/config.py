@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, fields
 from .allocator import PsoParams
 from .errors import ConfigError, DomainError
 from .losses import (
-    DEFAULT_OCV_COEFFS,
-    DEFAULT_PCS_COEFFS,
     CellParams,
     OcvCoeffs,
     PcsEfficiencyCoeffs,
@@ -216,10 +214,10 @@ def _build_cluster(d: dict) -> ClusterParams:
     ocv = "plant.cluster.cell.ocv_coeffs"
     cell = _build(
         CellParams, "plant.cluster.cell", ocv=_build(OcvCoeffs, ocv, _get_list(
-            cell_d, "ocv_coeffs", DEFAULT_OCV_COEFFS, ocv, _finite)),
+            cell_d, "ocv_coeffs", OcvCoeffs.b, ocv, _finite)),
         **_scalars(CellParams, cell_d, "plant.cluster.cell", ("ocv_coeffs",)))
     pcs = {key: _build(PcsEfficiencyCoeffs, f"plant.cluster.{key}", _get_list(
-               d, key, DEFAULT_PCS_COEFFS, f"plant.cluster.{key}", _finite))
+               d, key, PcsEfficiencyCoeffs.a, f"plant.cluster.{key}", _finite))
            for key in ("acdc_coeffs", "dcdc_coeffs")}
     return _build(ClusterParams, "plant.cluster", cell=cell, **pcs,
                   **_scalars(ClusterParams, d, "plant.cluster",

@@ -22,18 +22,6 @@ from .errors import DomainError
 # only trusted on the sampled load range and must never reach zero.
 PCS_EFFICIENCY_FLOOR = 1e-3
 
-# Quartic efficiency fit for a 50 kW PCS stage (dimensionless, vs load factor).
-DEFAULT_PCS_COEFFS = (0.7868, 0.7955, -2.073, 2.137, -0.8137)
-
-# Cubic OCV fit for the reference LFP cell (volts, vs SoC).
-DEFAULT_OCV_COEFFS = (2.484, 2.608, -5.252, 3.603)
-
-# Reference cell electrical parameters.
-DEFAULT_CELL_R_OHM = 0.0232       # ohm
-DEFAULT_CELL_R_POL = 0.0185       # ohm
-DEFAULT_CELL_C_POL = 12091.0      # farad
-DEFAULT_CELL_CAPACITY_AH = 12.5   # amp hour
-
 
 @dataclass(frozen=True)
 class TransformerParams:
@@ -59,9 +47,11 @@ class TransformerParams:
 
 @dataclass(frozen=True)
 class PcsEfficiencyCoeffs:
-    """Coefficients a0..a4 of the converter efficiency quartic in load factor."""
+    """Coefficients a0..a4 of the converter efficiency quartic in load factor;
+    the default is the fit for a 50 kW PCS stage (dimensionless)."""
 
-    a: tuple[float, float, float, float, float] = DEFAULT_PCS_COEFFS
+    a: tuple[float, float, float, float, float] = (
+        0.7868, 0.7955, -2.073, 2.137, -0.8137)
 
     def __post_init__(self):
         if len(self.a) != 5:
@@ -79,9 +69,10 @@ class PcsEfficiencyCoeffs:
 
 @dataclass(frozen=True)
 class OcvCoeffs:
-    """Coefficients b0..b3 of the cubic open-circuit-voltage fit in SoC (V)."""
+    """Coefficients b0..b3 of the cubic open-circuit-voltage fit in SoC (V);
+    the default is the fit for the reference LFP cell."""
 
-    b: tuple[float, float, float, float] = DEFAULT_OCV_COEFFS
+    b: tuple[float, float, float, float] = (2.484, 2.608, -5.252, 3.603)
 
     def __post_init__(self):
         if len(self.b) != 4:
@@ -99,12 +90,13 @@ class OcvCoeffs:
 
 @dataclass(frozen=True)
 class CellParams:
-    """Electrical parameters of one cell: ohmic + RC polarization branch."""
+    """Electrical parameters of one cell: ohmic + RC polarization branch;
+    the defaults are the reference cell's."""
 
-    r_ohm: float = DEFAULT_CELL_R_OHM
-    r_pol: float = DEFAULT_CELL_R_POL
-    c_pol: float = DEFAULT_CELL_C_POL
-    capacity_ah: float = DEFAULT_CELL_CAPACITY_AH
+    r_ohm: float = 0.0232       # ohm
+    r_pol: float = 0.0185       # ohm
+    c_pol: float = 12091.0      # farad
+    capacity_ah: float = 12.5   # amp hour
     ocv: OcvCoeffs = field(default_factory=OcvCoeffs)
 
     def __post_init__(self):

@@ -71,10 +71,6 @@ class ClusterParams:
         return self.cell.r_pol * self.n_series / self.n_parallel
 
     @property
-    def c_pol_agg(self) -> float:
-        return self.cell.c_pol * self.n_parallel / self.n_series
-
-    @property
     def capacity_agg_ah(self) -> float:
         return self.cell.capacity_ah * self.n_parallel
 
@@ -106,10 +102,6 @@ class PlantConfig:
     @property
     def total_rated_power_w(self) -> float:
         return sum(c.rated_power_w for c in self.clusters)
-
-    @property
-    def total_rated_energy_wh(self) -> float:
-        return sum(c.rated_energy_wh for c in self.clusters)
 
 
 @dataclass

@@ -310,7 +310,6 @@ def _parse_rows(records, row: int) -> _Samples:
 # Byte positions of the digits of `YYYY-MM-DDTHH:MM:SS`, and its separators.
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _DASHES, _COLONS = [4, 7], [13, 16]
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _parse_plain(text: str, row: int) -> _Samples | None:
@@ -352,14 +351,11 @@ def _parse_plain(text: str, row: int) -> _Samples | None:
         if np.any(frac[:, 0] != ord(".")) or frac_digits.max() > 9:
             return None
         us[fraction] = frac_digits @ 10 ** np.arange(5, -1, -1)
-    pairs = digits.reshape(-1, 7, 2).astype(np.int64) @ [10, 1]
-    year = pairs[:, 0] * 100 + pairs[:, 1]
-    month, day, hour, minute, second = pairs[:, 2:].T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-                  & (hour <= 23) & (minute <= 59) & (second <= 59)):
-        return None
-    if np.any(day > _DAYS_IN_MONTH[month] + (leap & (month == 2))):
+    if not digits[:, :4].any(axis=1).all():
+        return None           # year 0000: numpy parses it, datetime does not
+    try:      # rejects the dates and times datetime rejects, such as hour 24
+        us += iso.view("S19")[:, 0].astype("datetime64[us]").astype(np.int64)
+    except ValueError:
         return None
     fields = text.replace(",", "\n").split("\n")
     try:
@@ -369,10 +365,6 @@ def _parse_plain(text: str, row: int) -> _Samples | None:
         return None
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         return None
-    months = (year - 1970) * 12 + month - 1
-    days = (months.astype("datetime64[M]").astype("datetime64[D]")
-            .astype(np.int64) + day - 1)
-    us += (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
     return _Samples(datetime.fromisoformat(fields[0]), us,
                     np.zeros(eol.size, dtype=bool), values,
                     np.arange(row, row + eol.size))

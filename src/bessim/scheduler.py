@@ -113,15 +113,6 @@ class ShavingMetrics:
     e_val_wh: float
     e_pek_wh: float
 
-    CSV_HEADER = ("day,method,cr,rr,cur,power_utilization,equivalent_cycles,"
-                  "e_chr_wh,e_dis_wh,e_val_wh,e_pek_wh")
-
-    def csv_row(self, day: int, method: str) -> str:
-        vals = [self.cr, self.rr, self.cur, self.power_utilization,
-                self.equivalent_cycles, self.e_chr_wh, self.e_dis_wh,
-                self.e_val_wh, self.e_pek_wh]
-        return f"{day},{method}," + ",".join(f"{v:.10g}" for v in vals)
-
 
 def demand_power(load_w: float, p_chr_ref_w: float, p_dis_ref_w: float,
                  soc: float, p_r_w: float,

@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 import bessim.analysis
 from bessim.analysis import (
+    BoxStats,
+    DepthSweepReport,
     EfficiencyScatter,
     allocation_matrix_csv,
     box_stats,
@@ -15,12 +18,15 @@ from bessim.analysis import (
     depth_sweep,
     efficiency_scatter,
     ledger_report_csv,
+    metrics_csv,
     scatter_csv,
+    sweep_csv,
     sweep_reports_json,
 )
 from bessim.errors import ConfigError, DomainError
 from bessim.plant import Plant, uniform_plant_config
 from bessim.profiles import SynthLoadSpec, synth_load
+from bessim.scheduler import ShavingMetrics
 from bessim.simulate import COMPONENT_ORDER, run_simulation
 
 
@@ -45,7 +51,7 @@ class TestBoxStats:
 
     def test_single_value(self):
         s = box_stats([3.0])
-        assert s.as_tuple() == (3.0, 3.0, 3.0, 3.0, 3.0)
+        assert astuple(s) == (3.0, 3.0, 3.0, 3.0, 3.0)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -74,8 +80,8 @@ class TestDepthSweep:
         profile = synth_load(SynthLoadSpec(days=1, dt_s=300.0,
                                            noise_rel=0.0, day_jitter=0.0), 1)
         r = depth_sweep(profile, [1e6])[0]
-        n_cols = len(r.CSV_HEADER.split(","))
-        assert len(r.csv_row().split(",")) == n_cols
+        header, row = sweep_csv([r]).splitlines()
+        assert len(row.split(",")) == len(header.split(","))
         # and the json form serializes
         assert "ts_reduction_fraction" in sweep_reports_json([r])
 
@@ -148,6 +154,50 @@ def allocation_matrix_csv_by_rows(times_s, K):
     return "\n".join(lines) + "\n"
 
 
+METRICS_HEADER = ("day,method,cr,rr,cur,power_utilization,equivalent_cycles,"
+                  "e_chr_wh,e_dis_wh,e_val_wh,e_pek_wh")
+
+
+def metrics_row_by_fstring(day, method, m):
+    """One metrics.csv/compare.csv row as an f-string: the oracle of
+    metrics_csv."""
+    vals = [m.cr, m.rr, m.cur, m.power_utilization, m.equivalent_cycles,
+            m.e_chr_wh, m.e_dis_wh, m.e_val_wh, m.e_pek_wh]
+    return f"{day},{method}," + ",".join(f"{v:.10g}" for v in vals)
+
+
+SWEEP_HEADER = ("depth_w,cluster_count,e_ss_wh,e_ts_wh,e_loss_wh,"
+                "ts_reduction_fraction,share_tfmr,share_acdc,share_dcdc,"
+                "share_bat_ohmic,share_bat_polarization,"
+                "p_clu_min,p_clu_q1,p_clu_median,p_clu_q3,p_clu_max,"
+                "dp_dt_min,dp_dt_q1,dp_dt_median,dp_dt_q3,dp_dt_max")
+
+
+def sweep_row_by_fstring(r):
+    """One sweep.csv row as an f-string: the oracle of sweep_csv."""
+    s, p, dp = r.component_shares, r.p_clu_stats, r.dp_dt_stats
+    vals = [r.depth_w, r.cluster_count, r.e_ss_wh, r.e_ts_wh, r.e_loss_wh,
+            r.ts_reduction_fraction, s["transformer"], s["acdc"], s["dcdc"],
+            s["battery_ohmic"], s["battery_polarization"],
+            p.min, p.q1, p.median, p.q3, p.max,
+            dp.min, dp.q1, dp.median, dp.q3, dp.max]
+    return ",".join(f"{v:.10g}" for v in vals)
+
+
+BOX_STATS = st.builds(BoxStats, *[EDGE_FLOATS] * 5)
+SWEEP_REPORTS = st.builds(
+    DepthSweepReport, depth_w=EDGE_FLOATS, cluster_count=st.integers(1, 10**9),
+    p_clu_stats=BOX_STATS, dp_dt_stats=BOX_STATS, p_loss_stats=BOX_STATS,
+    p_ss_stats=BOX_STATS, p_ts_stats=BOX_STATS, e_ss_wh=EDGE_FLOATS,
+    e_ts_wh=EDGE_FLOATS, e_loss_wh=EDGE_FLOATS,
+    ts_reduction_fraction=EDGE_FLOATS,
+    component_shares=st.fixed_dictionaries(
+        {name: EDGE_FLOATS for name in COMPONENT_ORDER}))
+METRICS_ROWS = st.tuples(st.integers(0, 10**5),
+                         st.sampled_from(["improved", "original"]),
+                         st.builds(ShavingMetrics, *[EDGE_FLOATS] * 9))
+
+
 class TestCsvEmitters:
     """The column-formatted emitters write what a row-by-row f-string loop
     writes, for every float64 and for empty tables."""
@@ -165,6 +215,22 @@ class TestCsvEmitters:
         times, K = table[:, 0], table[:, 1:]
         assert (allocation_matrix_csv(times, K)
                 == allocation_matrix_csv_by_rows(times, K))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(METRICS_ROWS, min_size=1, max_size=12))
+    def test_metrics_csv_matches_the_row_formatter(self, rows):
+        want = [METRICS_HEADER, *(metrics_row_by_fstring(*r) for r in rows)]
+        assert metrics_csv(rows) == "\n".join(want) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(reports=st.lists(SWEEP_REPORTS, min_size=1, max_size=12))
+    def test_sweep_csv_matches_the_row_formatter(self, reports):
+        want = [SWEEP_HEADER, *map(sweep_row_by_fstring, reports)]
+        assert sweep_csv(reports) == "\n".join(want) + "\n"
+
+    def test_no_rows_leave_the_header(self):
+        assert metrics_csv([]) == METRICS_HEADER + "\n"
+        assert sweep_csv([]) == SWEEP_HEADER + "\n"
 
 
 class TestComponentLedger:

@@ -12,6 +12,7 @@ from bessim.errors import ConfigError
 from bessim.profiles import synth_load
 from bessim.scheduler import compute_metrics, replay_plan
 from bessim.simulate import plan_horizon
+from test_analysis import metrics_row_by_fstring
 
 
 def base_doc(days=1):
@@ -206,6 +207,8 @@ class TestParseConfig:
         cfg = parse_config(doc)
         assert len(cfg.plant.clusters) == doc["plant"]["n_clusters"]
         assert cfg.output.formats == tuple(doc["output"]["formats"])
+        # the example shows the defaults
+        assert cfg == parse_config({})
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -499,7 +502,7 @@ class TestCompareCommand:
                 metrics = compute_metrics(
                     day, plan, replay_plan(plan, day, gated=True)["demand_w"],
                     100e3, replay_plan(plan, day, gated=False)["demand_w"])
-                rows.append(metrics.csv_row(d, method))
+                rows.append(metrics_row_by_fstring(d, method, metrics))
                 utilization.append(metrics.power_utilization)
         assert min(utilization) < 1.0
         with open(os.path.join(outdir, "compare.csv")) as fh:

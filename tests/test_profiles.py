@@ -315,6 +315,12 @@ INGEST_CASES = {
     "not_a_leap_day": (_csv(["2023-02-28T23:59:00,1",
                              "2023-02-29T00:00:00,2"]), None),
     "hour_24": (_csv([_T.format(0) + ",1", "2024-01-01T24:00:00,1"]), None),
+    "minute_60": (_csv([_T.format(0) + ",1", "2024-01-01T00:60:00,1"]), None),
+    "second_60": (_csv([_T.format(0) + ",1", "2024-01-01T00:01:60,1"]), None),
+    "month_13": (_csv([_T.format(0) + ",1", "2024-13-01T00:00:00,1"]), None),
+    "day_0": (_csv([_T.format(0) + ",1", "2024-01-00T00:00:00,1"]), None),
+    # numpy parses year 0000; datetime, and so the reader, does not
+    "year_0": (_csv(["0000-12-31T23:59:00,1", "0001-01-01T00:00:00,1"]), None),
     "nul": ("timestamp,load_w\n2024-01-01T00:00:00,1\0\n"
             "2024-01-01T00:01:00,2\n", None),
     "cr_blank_line": ("timestamp,load_w\n2024-01-01T00:00:00,1\r\r\n"
