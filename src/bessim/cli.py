@@ -118,8 +118,9 @@ def _resolve_outdir(args, cfg: RunConfig) -> str:
 
 def _load_profile(cfg: RunConfig, days: int | None,
                   steps_plant: bool = False) -> LoadProfile:
-    """The configured load, cut to days. A CSV load must be at plant.dt_s;
-    a synthetic one too when the command steps the plant (steps_plant)."""
+    """The configured load, cut to days. A CSV load must be at plant.dt_s
+    and span days days (as split_days counts them); a synthetic one must
+    be at plant.dt_s too when the command steps the plant (steps_plant)."""
     if cfg.load.source == "csv":
         profile = load_profile_from_csv(cfg.load.csv_path, cfg.plant.dt_s)
     else:
@@ -133,6 +134,10 @@ def _load_profile(cfg: RunConfig, days: int | None,
         profile = synth_load(spec, cfg.load.seed)
     if days is not None and cfg.load.source == "csv":
         per_day = profile.samples_per_day()
+        have = math.ceil(profile.n_samples / per_day)
+        if days > have:
+            raise ConfigError("argv", f"--days {days} exceeds the {have} "
+                              f"days of the CSV load")
         profile = LoadProfile(profile.start_time, profile.dt_s,
                               profile.values_w[:days * per_day])
     return profile

@@ -31,7 +31,8 @@ from .losses import (
 WH_PER_J = 1.0 / 3600.0
 # SoC margin inside which a cluster counts as pinned at a bound (blocked_mask)
 SOC_GATE_TOL = 1e-12
-# Cluster-steps per _step_arrays call of replay_steps; bounds its memory
+# Cluster-steps per _step_arrays call of replay_steps, and of the general
+# run loop's record of steps to replay; bounds the memory of both
 REPLAY_CLUSTER_STEPS = 4096
 
 
@@ -232,25 +233,11 @@ def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
     return v
 
 
-def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
-    """Advance cluster states one step of pp.dt under commanded AC powers.
-
-    All inputs broadcast against each other along the last (cluster) axis,
-    so a batch of candidate allocations can be evaluated in one call.
-
-    Returns (soc, ipol, current, truncated, E): next state, terminal
-    current (A), the SoC-truncation flag, and the energy stack E of shape
-    (9,) + broadcast shape, in Wh. Its rows, indexed by the module
-    constants of the same names, are E_AC (grid side of the cluster),
-    STORED, ACDC, DCDC, OHMIC, POLARIZATION, the steady/transient battery
-    loss split SS and TS, and E_DC (battery port).
-    """
-    p_ac = np.asarray(p_ac_cmd_w, dtype=float)
-    soc = np.asarray(soc, dtype=float)
-    ipol = np.asarray(ipol, dtype=float)
-    dt = pp.dt
-    (decay, coulomb, tau_1md, tau_half_1md2,
-     r_ohm_dt, r_pol_dt, r_sum_dt) = pp.step_consts
+def _advance(soc, ipol, p_ac, pp: _ParamArrays):
+    """The state half of _step_arrays: efficiency, current solve and SoC
+    clamp, then the next state. Returns (soc, ipol, current, truncated,
+    eta_ac, eta_dc), the last two for the energy half."""
+    decay, coulomb = pp.step_consts[:2]
 
     charging = p_ac >= 0.0
     lam = np.abs(p_ac) / pp.rated
@@ -284,16 +271,41 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
     np.minimum(i_clamped, i_hi, out=i_clamped)
     truncated = i_clamped != current
     current = i_clamped
-    cur2 = current * current
-    cur_dt = current * dt
 
     soc_new = current * coulomb
     soc_new += soc
+    ipol_new = ipol - current
+    ipol_new *= decay
+    ipol_new += current
+    return soc_new, ipol_new, current, truncated, eta_ac, eta_dc
+
+
+def _step_arrays(soc, ipol, p_ac, pp: _ParamArrays):
+    """Advance cluster states one step of pp.dt under commanded AC powers
+    (_advance), then take the step's energies.
+
+    The inputs are float arrays that broadcast against each other along
+    the last (cluster) axis, so a batch of candidate allocations can be
+    evaluated in one call.
+
+    Returns (soc, ipol, current, truncated, E): next state, terminal
+    current (A), the SoC-truncation flag, and the energy stack E of shape
+    (9,) + broadcast shape, in Wh. Its rows, indexed by the module
+    constants of the same names, are E_AC (grid side of the cluster),
+    STORED, ACDC, DCDC, OHMIC, POLARIZATION, the steady/transient battery
+    loss split SS and TS, and E_DC (battery port).
+    """
+    soc_new, ipol_new, current, truncated, eta_ac, eta_dc = _advance(
+        soc, ipol, p_ac, pp)
+    dt = pp.dt
+    _, _, tau_1md, tau_half_1md2, r_ohm_dt, r_pol_dt, r_sum_dt = pp.step_consts
+
+    charging = p_ac >= 0.0
+    cur2 = current * current
+    cur_dt = current * dt
 
     # Closed-form RC branch integrals for constant current over the step.
     d0 = ipol - current
-    ipol_new = d0 * decay
-    ipol_new += current
     d0_tau = d0 * tau_1md
     j1 = d0_tau + cur_dt                                         # int i_pol
     j2 = d0 * d0
@@ -343,12 +355,12 @@ def _step_arrays(soc, ipol, p_ac_cmd_w, pp: _ParamArrays):
 
 
 def _scalar_kernel(pp: _ParamArrays):
-    """The state half of _step_arrays for one cluster on Python floats,
-    for a plant whose clusters all share their constants (pp.identical, or
-    one cluster): efficiency, current solve and SoC clamp, then the next
+    """The scalar twin of _advance: one cluster on Python floats, for a
+    plant whose clusters all share their constants (pp.identical, or one
+    cluster): efficiency, current solve and SoC clamp, then the next
     state. The energies come from _step_arrays alone (see replay_steps).
 
-    An operation-for-operation transcription of _step_arrays on the same
+    An operation-for-operation transcription of _advance on the same
     constants, np.minimum(x, y) / np.maximum(x, y) written as x if x < y /
     x > y else y. numpy leaves open which operand a tie returns; only -0.0
     against +0.0 (a -0.0 current at a SoC bound) ties with different bits.
@@ -401,20 +413,16 @@ def replay_steps(soc, ipol, p_ac, pp: _ParamArrays, totals: np.ndarray,
     """The energies of n recorded steps: _step_arrays from each step's
     start state under its command. soc, ipol and p_ac are (n, c) arrays,
     one row per step over c clusters (the plant's m, or one that stands
-    for a uniform plant's), or (c,) arrays that every step shares, which
-    the kernel then evaluates once per call rather than per step. Writes
-    the ledger rows (E_AC ... TS) of the steps' energy stacks summed over
-    the c clusters into totals, (E_DC, n) in Wh; cluster 0's battery port
-    energies into e_dc0, (n,); and whether any cluster hit a SoC bound
-    into truncated, (n,).
-    Each kernel call takes REPLAY_CLUSTER_STEPS cluster-steps at most,
-    which bounds the memory of its stacks."""
-    n, c = np.broadcast_shapes(soc.shape, ipol.shape, p_ac.shape)
+    for a uniform plant's). Writes the ledger rows (E_AC ... TS) of the
+    steps' energy stacks summed over the c clusters into totals, (E_DC, n)
+    in Wh; cluster 0's battery port energies into e_dc0, (n,); and whether
+    any cluster hit a SoC bound into truncated, (n,). Each kernel call
+    takes REPLAY_CLUSTER_STEPS cluster-steps at most."""
+    n, c = p_ac.shape
     chunk = max(REPLAY_CLUSTER_STEPS // c, 1)
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
-        _, _, _, trunc, E = _step_arrays(
-            *(a[rows] if a.ndim == 2 else a for a in (soc, ipol, p_ac)), pp)
+        *_, trunc, E = _step_arrays(soc[rows], ipol[rows], p_ac[rows], pp)
         totals[:, rows] = E[:E_DC].sum(axis=-1)
         e_dc0[rows] = E[E_DC, :, 0]
         truncated[rows] = trunc.any(axis=-1)
@@ -489,43 +497,20 @@ class Plant:
                 f"{targets[j]:.1f} W above its {self.params.rated_w[j]:.0f} W rating")
         return targets
 
-    def step(self, p_net_w: float,
-             alloc: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        """Advance soc and ipol one step, the clusters exchanging p_net_w
-        (transformer_split(p_sys)[0]) in shares alloc; books nothing (see
-        book). Returns the step's eight ledger rows summed over clusters
-        (Wh, E_AC ... TS, no transformer), cluster 0's battery port energy
-        (Wh, its E_DC row) and whether any cluster hit a SoC bound."""
+    def step(self, p_net_w: float, alloc: np.ndarray) -> np.ndarray:
+        """Advance soc and ipol one step (_advance), the clusters exchanging
+        p_net_w (transformer_split(p_sys)[0]) in shares alloc, and return
+        their AC commands alloc * p_net_w (W). Computes no energies:
+        replay_steps gives them from the step's start state and these
+        commands, and book books them."""
         targets = self._cluster_targets(p_net_w, alloc)
-        self.soc, self.ipol, _, truncated, E = _step_arrays(
-            self.soc, self.ipol, targets, self.params)
-        return (E[:E_DC].sum(axis=-1), float(E[E_DC, 0]),
-                bool(truncated.any()))
-
-    def idle(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance n zero-command steps: bit for bit n calls of step(0.0, k),
-        any allocation k, their results stacked as (E_DC, n), (n,) and (n,)
-        arrays. At zero current SoC stays put and ipol -> (ipol - 0) *
-        decay + 0, so the start states are a running product, built one
-        replay_steps kernel call at a time, which gives their energies."""
-        pp = self.params
-        out = np.empty((E_DC, n)), np.empty(n), np.empty(n, dtype=bool)
-        chunk = max(REPLAY_CLUSTER_STEPS // pp.m, 1)
-        for start in range(0, n, chunk):
-            rows = slice(start, min(start + chunk, n))
-            ipol = np.empty((rows.stop - start + 1, pp.m))
-            ipol[0] = self.ipol
-            ipol[1:] = pp.step_consts[0]
-            np.multiply.accumulate(ipol, out=ipol)
-            ipol[1:] += 0.0     # the kernel's "+ current": -0.0 becomes 0.0
-            self.ipol = ipol[-1].copy()
-            replay_steps(self.soc, ipol[:-1], np.zeros(pp.m), pp,
-                         *(a[..., rows] for a in out))
-        return out
+        self.soc, self.ipol = _advance(self.soc, self.ipol, targets,
+                                       self.params)[:2]
+        return targets
 
     def book(self, totals: np.ndarray, tf_w: np.ndarray) -> dict:
         """Book n steps: the columns of totals, (E_DC, n) ledger rows as
-        step and idle return them, with transformer loss powers tf_w (W).
+        replay_steps writes them, with transformer loss powers tf_w (W).
         The one writer, besides __init__ and restore, of t_elapsed,
         cumulative and the worst relative ledger residual. Returns the
         per-step ledger columns (Wh) keyed by LossBreakdown field name.

@@ -15,6 +15,7 @@ import numpy as np
 from .allocator import PsoParams, balanced_allocation, pso_allocate, repair
 from .config import AllocatorConfig, ScheduleConfig
 from .errors import DomainError
+from . import plant as plant_module
 from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
@@ -97,9 +98,9 @@ class _Steps:
     """What the loops of run_simulation write per step. demand_w starts as
     the planned demand and each step overwrites its sample with the power
     it commands; target_w and tf_w hold that power's p_net and transformer
-    loss (W); totals ((E_DC, n) ledger rows), e_dc0 and truncated what
-    Plant.step returns; alloc the allocation rows when recorded. done
-    counts the steps completed, the ones the run books."""
+    loss (W), which zero steps keep at 0 W's; totals ((E_DC, n) ledger
+    rows), e_dc0 and truncated what replay_steps writes; alloc the
+    allocation rows when recorded. done counts the steps completed."""
 
     demand_w: np.ndarray
     target_w: np.ndarray
@@ -125,12 +126,10 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     can exchange. alloc_mode is 'balanced' or 'pso'; with 'pso' the
     allocation is re-optimized every realloc_cadence_s of simulated time
     and repaired against the current blocked mask in between. A zero step
-    records the unblocked balanced allocation. At 0 W SoC stays put, so a
-    run of planned zeros or of gate-dropped samples (the plant stays
-    blocked while the demand keeps its sign) is one Plant.idle call on the
-    general loop; the fast path steps the state alone. Both give energies
-    through replay_steps, bit for bit one Plant.step per sample. The steps
-    completed are booked (Plant.book) when the run ends or raises.
+    records the unblocked balanced allocation. Both loops advance the
+    state alone and take every step's energies from replay_steps, on its
+    recorded start state and command. The steps completed are booked
+    (Plant.book) when the run ends or raises.
     """
     if alloc_mode not in ("balanced", "pso"):
         raise DomainError(f"unknown allocation mode {alloc_mode!r}")
@@ -149,7 +148,8 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         demand_w=np.concatenate([
             replay_plan(plan, day, gated=False)["demand_w"]
             for plan, day in zip(plans, days)]),
-        target_w=np.zeros(n), tf_w=np.zeros(n), totals=np.zeros((E_DC, n)),
+        target_w=np.zeros(n), totals=np.zeros((E_DC, n)),
+        tf_w=np.full(n, plant.transformer_split(0.0)[1]),
         e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
         alloc=np.tile(balanced, (n, 1)) if record_alloc else None)
     try:
@@ -193,35 +193,44 @@ def _cap_to_plant(p: float, avail_w: float,
     return (p, *split(p))
 
 
-def _idle(plant: Plant, steps: _Steps, start: int, stop: int) -> None:
-    """Steps start to stop as zero steps, in one Plant.idle call."""
-    steps.demand_w[start:stop] = 0.0    # as the cap writes it, not -0.0
-    (steps.totals[:, start:stop], steps.e_dc0[start:stop],
-     steps.truncated[start:stop]) = plant.idle(stop - start)
-    steps.tf_w[start:stop] = plant.transformer_split(0.0)[1]
-    steps.done = stop
-
-
 def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                  alloc_mode: str, pso_params: PsoParams | None,
                  cadence_steps: int) -> None:
-    """The per-cluster loop over runs of one demand sign (+-0 together):
-    one Plant.step per sample, and one Plant.idle from a sample of 0 W or
-    one where every cluster is blocked to the run's end. With 'pso' the
-    allocation is re-optimized every cadence_steps steps."""
+    """The per-cluster loop: Plant.step advances the state and gives the
+    cluster commands; at 0 W, or with every cluster blocked, ipol only
+    decays (the kernel's own operations at zero current). With 'pso' the
+    allocation is re-optimized every cadence_steps steps. A record of
+    REPLAY_CLUSTER_STEPS // m steps' start states and commands is replayed
+    (replay_steps) whenever it is full and when the loop ends or raises."""
     demand = steps.demand_w
-    sign = np.sign(demand)
-    cuts = (np.flatnonzero(sign[1:] != sign[:-1]) + 1).tolist()
+    decay = plant.params.step_consts[0]
+    m = plant.n_clusters
+    rows = max(plant_module.REPLAY_CLUSTER_STEPS // m, 1)
+    soc_at, ipol_at, cmd_at = np.empty((3, rows, m))
+    first = 0       # the step in row 0 of the record
+
+    def replay(stop: int) -> None:
+        n = stop - first
+        replay_steps(soc_at[:n], ipol_at[:n], cmd_at[:n], plant.params,
+                     steps.totals[:, first:stop], steps.e_dc0[first:stop],
+                     steps.truncated[first:stop])
+
     k_current: np.ndarray | None = None
-    for start, stop in zip([0] + cuts, cuts + [demand.size]):
-        for i in range(start, stop):
+    try:
+        for i in range(demand.size):
+            steps.done = i
+            if i - first == rows:
+                replay(i)
+                first = i
+            row = i - first
+            soc_at[row], ipol_at[row] = plant.soc, plant.ipol
             p = float(demand[i])
             blocked = plant.blocked_mask(p)
             if p == 0.0 or blocked.all():
-                # SoC does not move at 0 W, so a blocked plant stays
-                # blocked while the demand keeps its sign
-                _idle(plant, steps, i, stop)
-                break
+                demand[i] = 0.0     # as the cap writes it, not -0.0
+                cmd_at[row] = 0.0
+                plant.ipol = plant.ipol * decay + 0.0
+                continue
             avail = float(plant.params.rated_w[~blocked].sum())
             p, p_net, tf_w = _cap_to_plant(p, avail, plant.transformer_split)
             max_share = (plant.params.rated_w / abs(p_net)
@@ -236,20 +245,21 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                                      rng_seed=pso_params.rng_seed + i)
                     k_current, _ = pso_allocate(p, plant, params)
                 k = repair(k_current, blocked, max_share)
-            (steps.totals[:, i], steps.e_dc0[i],
-             steps.truncated[i]) = plant.step(p_net, k)
+            cmd_at[row] = plant.step(p_net, k)
             demand[i], steps.target_w[i], steps.tf_w[i] = p, p_net, tf_w
             if steps.alloc is not None:
                 steps.alloc[i] = k
-            steps.done = i + 1
+        steps.done = demand.size
+    finally:
+        replay(steps.done)
 
 
 def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     """Balanced run of a uniform plant (see Plant.is_uniform).
 
     A balanced split over identical clusters keeps every cluster in the
-    same state, so one call of plant.params.scalar_step (the state half of
-    _step_arrays on one cluster) per step advances all of them, each
+    same state, so one call of plant.params.scalar_step (the scalar twin
+    of _advance) per step advances all of them, each
     commanded share * p_net as on the general loop; a zero or gate-dropped
     step only decays ipol, by the kernel's own operations at zero current.
     The loop records each step's start state (the command is share *
@@ -263,7 +273,6 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     split = plant.transformer_split
     m = float(plant.n_clusters)
     decay = float(plant.params.step_consts[0])
-    tf_idle = split(0.0)[1]
     p_tot = float(np.sum(plant.params.rated_w))
     rated = plant.params.rated
     rated_tol = plant.params.rated_tol_w
@@ -287,9 +296,7 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
                 p = 0.0     # zero, or dropped by the SoC gate
             dv[i] = p
             if p == 0.0:
-                # target_w keeps its 0.0
-                tfv[i] = tf_idle
-                ipol = ipol * decay + 0.0
+                ipol = ipol * decay + 0.0   # target_w, tf_w keep theirs
             else:
                 p_clu = share * p_net
                 if abs(p_clu) > rated_tol:

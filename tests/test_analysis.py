@@ -24,7 +24,7 @@ from bessim.analysis import (
     sweep_reports_json,
 )
 from bessim.errors import ConfigError, DomainError
-from bessim.plant import Plant, uniform_plant_config
+from bessim.plant import E_DC, Plant, replay_steps, uniform_plant_config
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import ShavingMetrics
 from bessim.simulate import COMPONENT_ORDER, run_simulation
@@ -247,8 +247,14 @@ class TestComponentLedger:
     def test_zero_power_steps_leave_only_transformer_loss(self):
         plant = Plant(uniform_plant_config(2, dt_s=300.0))
         p_net, tf_w = plant.transformer_split(0.0)
-        totals = np.column_stack([plant.step(p_net, np.array([0.5, 0.5]))[0]
-                                  for _ in range(10)])
+        # each step's start state and commands, replayed for its energies
+        soc, ipol, commands = np.empty((3, 10, 2))
+        for i in range(10):
+            soc[i], ipol[i] = plant.soc, plant.ipol
+            commands[i] = plant.step(p_net, np.array([0.5, 0.5]))
+        totals = np.empty((E_DC, 10))
+        replay_steps(soc, ipol, commands, plant.params, totals,
+                     np.empty(10), np.empty(10, dtype=bool))
         plant.book(totals, np.full(10, tf_w))
         total = plant.cumulative.total_loss_wh
         tf = plant.cumulative.transformer_wh

@@ -373,6 +373,29 @@ class TestGenLoadCommand:
         assert main(["simulate", "--config", str(path),
                      "--output", str(tmp_path / "sim")]) == 0
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_days_beyond_a_csv_load_exits_2(self, command, tmp_path,
+                                              capsys):
+        # a two-day CSV load: --days 2 runs, --days 3 is rejected
+        doc = base_doc(days=2)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gen-load", "--config", str(path),
+                     "--output", str(tmp_path)]) == 0
+        doc["load"].update(source="csv", csv_path=str(tmp_path / "load.csv"))
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path), "--days", "2",
+                     "--output", str(tmp_path / "two")]) == 0
+        outdir = tmp_path / "three"
+        capsys.readouterr()
+        assert main([command, "--config", str(path), "--days", "3",
+                     "--output", str(outdir)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "argv"
+        assert "--days 3" in err["message"]
+        assert not outdir.exists()
+
     def test_seed_override_changes_data(self, cfg_path, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["gen-load", "--config", cfg_path, "--output", out_a])

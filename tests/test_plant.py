@@ -42,6 +42,7 @@ from bessim.plant import (
     _ParamArrays,
     _mean_ocv,
     _step_arrays,
+    replay_steps,
 )
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import LoadProfile, replay_plan
@@ -105,12 +106,18 @@ def _step_one(c: ClusterParams, soc: float, ipol: float, p_ac_w: float,
 def _book_step(plant: Plant, p_sys_w: float, alloc):
     """Step plant one step under system power p_sys_w in shares alloc and
     book it alone: (ledger, totals, cluster0_dc_wh, any_truncated), the
-    step's LossBreakdown beside what Plant.step returns."""
+    step's LossBreakdown beside what replay_steps gives for it from its
+    start state and the commands Plant.step returns."""
     p_net, tf_w = plant.transformer_split(p_sys_w)
-    totals, e_dc0, truncated = plant.step(p_net, alloc)
-    columns = plant.book(totals[:, None], np.array([tf_w]))
+    soc, ipol = plant.soc.copy(), plant.ipol.copy()
+    commands = plant.step(p_net, alloc)
+    totals, e_dc0, truncated = (np.empty((E_DC, 1)), np.empty(1),
+                                np.empty(1, dtype=bool))
+    replay_steps(soc[None], ipol[None], commands[None], plant.params,
+                 totals, e_dc0, truncated)
+    columns = plant.book(totals, np.array([tf_w]))
     ledger = LossBreakdown(**{k: float(v[0]) for k, v in columns.items()})
-    return ledger, totals, e_dc0, truncated
+    return ledger, totals[:, 0], float(e_dc0[0]), bool(truncated[0])
 
 
 # converters of unit efficiency: the AC command is the DC power
@@ -438,8 +445,9 @@ class TestGeneralPathMatchesFastPath:
         cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=dt_s,
                           initial_soc=initial_soc)
         fast, general = Plant(cfg), Plant(cfg)
+        tf_idle = fast.transformer_split(0.0)[1]
         runs = [_Steps(demand_w=demand.copy(), target_w=np.zeros(n),
-                       tf_w=np.zeros(n), totals=np.zeros((E_DC, n)),
+                       tf_w=np.full(n, tf_idle), totals=np.zeros((E_DC, n)),
                        e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
                        alloc=None) for _ in range(2)]
         _run_uniform(fast, runs[0], 0.25)
@@ -473,10 +481,9 @@ class TestGeneralPathMatchesFastPath:
 
 class TestTransformerSplitOncePerStep:
     """Both loops take a commanded step's transformer split once, and a
-    discharge step's again only when the plant cap binds. Every other
-    transformer_loss call is the split of 0 W that zero steps share: one
-    per run on the uniform loop, one per Plant.idle stretch on the general
-    loop."""
+    discharge step's again only when the plant cap binds. The one other
+    transformer_loss call is the split of 0 W that a run's zero steps
+    share, on either loop."""
 
     @pytest.mark.parametrize("general", [False, True])
     def test_transformer_loss_calls(self, general):
@@ -485,18 +492,15 @@ class TestTransformerSplitOncePerStep:
                                   dt_s=300.0))
         with (_general_loop() if general else contextlib.nullcontext(),
               mock.patch.object(bessim.plant, "transformer_loss",
-                                wraps=bessim.plant.transformer_loss) as tf,
-              mock.patch.object(bessim.simulate, "_idle",
-                                wraps=bessim.simulate._idle) as idle):
+                                wraps=bessim.plant.transformer_loss) as tf):
             r = run_simulation(plant, profile, 200e3, 800e3)
         planned = np.concatenate([
             replay_plan(plan, day, gated=False)["demand_w"]
             for plan, day in zip(r.plans, profile.split_days())])
         capped = (r.demand_w < 0.0) & (r.demand_w > planned)
         assert capped.any()
-        zero_splits = idle.call_count if general else 1
         assert tf.call_count == (np.count_nonzero(r.demand_w)
-                                 + np.count_nonzero(capped) + zero_splits)
+                                 + np.count_nonzero(capped) + 1)
 
 
 SOC_MIN, SOC_MAX = 0.03, 0.97
@@ -809,8 +813,8 @@ TINY_IPOL = (-5e-324, -1e-310, -2.2250738585072014e-308, -0.0, 0.0, 5e-324)
 @st.composite
 def idle_runs(draw):
     """A plant of the three cluster kinds in a drawn state and history, an
-    allocation k, a step count n and a cluster-step budget per kernel call
-    small enough that n crosses several call boundaries."""
+    allocation k, a step count n and a cluster-step budget
+    (REPLAY_CLUSTER_STEPS) small enough that n crosses several records."""
     m = draw(st.integers(1, 6))
     kinds = tuple(draw(st.lists(st.sampled_from(CLUSTER_KINDS), min_size=m,
                                 max_size=m)))
@@ -849,24 +853,30 @@ def _twins(cfg, history, soc=None, ipol=None):
     return plants
 
 
-class TestIdle:
-    """Plant.idle(n), booked in one call, against n single zero-command
-    Plant.step calls booked one at a time: the same step results, state,
-    elapsed time, ledger and worst residual, byte for byte."""
+class TestZeroSteps:
+    """n zero steps of the general loop, booked in one call, against n
+    single zero-command Plant.step calls booked one at a time: the same
+    step results, state, elapsed time, ledger and worst residual, byte for
+    byte, whatever the size of the loop's record."""
 
     @staticmethod
     def _assert_same_steps(batched, single, k, n):
-        totals, e_dc0, truncated = batched.idle(n)
-        assert totals.shape == (8, n)
-        columns = batched.book(totals, np.full(
-            n, batched.transformer_split(0.0)[1]))
+        tf_idle = batched.transformer_split(0.0)[1]
+        steps = _Steps(demand_w=np.zeros(n), target_w=np.zeros(n),
+                       tf_w=np.full(n, tf_idle), totals=np.zeros((E_DC, n)),
+                       e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
+                       alloc=None)
+        _run_general(batched, steps, k, "balanced", None, 1)
+        assert steps.done == n
+        columns = batched.book(steps.totals, steps.tf_w)
         for i in range(n):
             want = _book_step(single, 0.0, k)
             got = LossBreakdown(**{name: column[i]
                                    for name, column in columns.items()})
             assert _ledger_bits(got) == _ledger_bits(want[0])
-            assert _bits(*totals[:, i], e_dc0[i]) == _bits(*want[1], want[2])
-            assert not truncated[i] and want[3] is False
+            assert (_bits(*steps.totals[:, i], steps.e_dc0[i])
+                    == _bits(*want[1], want[2]))
+            assert not steps.truncated[i] and want[3] is False
         _assert_same_plant(batched, single)
 
     @settings(max_examples=200)
@@ -878,8 +888,8 @@ class TestIdle:
             self._assert_same_steps(batched, single, k, n)
 
     def test_equals_single_zero_steps_at_module_budget(self):
-        # 100 clusters of the three kinds: 40 steps per kernel call, so 130
-        # steps take four calls
+        # 100 clusters of the three kinds: 40 steps per record, so 130
+        # steps take four replays
         cfg = PlantConfig(clusters=(CLUSTER_KINDS * 34)[:100], dt_s=60.0)
         rng = np.random.default_rng(3)
         soc = rng.uniform(SOC_MIN, SOC_MAX, 100)
@@ -950,10 +960,10 @@ class TestBook:
         profile = self.CHARGE_FIRST
         cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0)
         plant, untouched = _twins(cfg, HISTORY)
-        # the first call of the loop's kernel raises; zero steps call none
-        # on the uniform loop, so the first planned sample is powered
+        # the first call of the loop's kernel raises; zero steps call none,
+        # so the first planned sample is powered
         owner, kernel = ((plant.params, "scalar_step") if uniform
-                         else (bessim.plant, "_step_arrays"))
+                         else (bessim.plant, "_advance"))
         with mock.patch.object(owner, kernel, side_effect=(
                 InfeasiblePowerError("first step"))):
             with (contextlib.nullcontext() if uniform else _general_loop()):
@@ -983,22 +993,12 @@ class TestBook:
         assert np.count_nonzero(dropped) > 0
 
         plant, single = _twins(cfg, HISTORY)
-        calls = []
-
-        def raise_at_third(step):
-            def counted(*args):
-                if len(calls) == 2:
-                    raise InfeasiblePowerError("third powered step")
-                calls.append(None)
-                return step(*args)
-            return counted
-
         if uniform:
-            patch = mock.patch.object(plant.params, "scalar_step",
-                                      raise_at_third(plant.params.scalar_step))
+            patch = mock.patch.object(plant.params, "scalar_step", _raising_at(
+                plant.params.scalar_step, 2, "third powered step"))
         else:
-            patch = mock.patch.object(Plant, "step",
-                                      raise_at_third(Plant.step))
+            patch = mock.patch.object(Plant, "step", _raising_at(
+                Plant.step, 2, "third powered step"))
         with patch, loop():
             with pytest.raises(InfeasiblePowerError, match="third powered"):
                 run_simulation(plant, profile, 200e3, 800e3)
@@ -1008,10 +1008,26 @@ class TestBook:
         _assert_same_plant(plant, single)
 
 
+def _raising_at(fn, n: int, message: str):
+    """fn, except that its call number n (from 0) raises
+    InfeasiblePowerError(message)."""
+    calls = []
+
+    def counted(*args):
+        if len(calls) == n:
+            raise InfeasiblePowerError(message)
+        calls.append(None)
+        return fn(*args)
+    return counted
+
+
 class TestReplayChunks:
     """replay_steps calls the kernel on REPLAY_CLUSTER_STEPS cluster-steps
-    at most. One or three steps per call, or the module's budget, give the
-    same run bit for bit on both loops."""
+    at most, and the general loop replays its record of that many
+    cluster-steps whenever it is full. One or three steps per call, or the
+    module's budget, give the same run bit for bit on both loops, and a
+    run that raises at the edge of a record books the steps it
+    completed."""
 
     @pytest.mark.parametrize("uniform", [True, False])
     def test_chunk_size_does_not_change_the_run(self, uniform):
@@ -1026,9 +1042,17 @@ class TestReplayChunks:
             plant = Plant(cfg)
             with (mock.patch.object(bessim.plant, "REPLAY_CLUSTER_STEPS",
                                     budget),
+                  mock.patch.object(bessim.simulate, "replay_steps",
+                                    wraps=bessim.plant.replay_steps) as replay,
                   contextlib.nullcontext() if uniform else _general_loop()):
                 result = run_simulation(plant, profile, 200e3, 800e3,
                                         record_alloc=True)
+            # the uniform loop replays once when it ends; the general loop
+            # each time its record of budget // m steps is full, and once
+            # when it ends
+            record = budget // columns
+            assert replay.call_count == (
+                1 if uniform else -(-profile.n_samples // record))
             runs.append((plant, result))
         (first, want), rest = runs[0], runs[1:]
         arrays = [f.name for f in dataclasses.fields(want)
@@ -1039,6 +1063,36 @@ class TestReplayChunks:
                 assert (getattr(result, name).tobytes()
                         == getattr(want, name).tobytes()), name
             _assert_same_plant(plant, first)
+
+    # From soc_max the general loop's first powered steps are 220, 221 ...
+    # With a record of three steps, the raise at the fifth, sixth or
+    # seventh of them comes at the last step of a record, the first step of
+    # the next one, or the step after that; the records before the raise
+    # hold powered steps.
+    @pytest.mark.parametrize("call, row", [(4, 2), (5, 0), (6, 1)])
+    def test_general_run_raising_at_a_record_edge_books_the_completed_steps(
+            self, call, row):
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
+                          initial_soc=PlantConfig.soc_max)
+        with _general_loop():
+            whole = run_simulation(Plant(cfg), profile, 200e3, 800e3,
+                                   record_alloc=True)
+        powered = np.flatnonzero(whole.demand_w)
+        k = int(powered[call])
+        assert powered[0] == 220 and k == powered[0] + call and k % 3 == row
+
+        plant, single = _twins(cfg, HISTORY)
+        with (mock.patch.object(bessim.plant, "REPLAY_CLUSTER_STEPS", 3 * 4),
+              mock.patch.object(Plant, "step", _raising_at(
+                  Plant.step, call, "record edge")),
+              _general_loop()):
+            with pytest.raises(InfeasiblePowerError, match="record edge"):
+                run_simulation(plant, profile, 200e3, 800e3)
+        for p, alloc in zip(whole.demand_w[:k].tolist(), whole.alloc_matrix):
+            _book_step(single, p, alloc)
+        assert plant.t_elapsed == HISTORY[0] + k * cfg.dt_s
+        _assert_same_plant(plant, single)
 
 
 class TestRunSimulationReplay:
