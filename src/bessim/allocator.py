@@ -120,7 +120,10 @@ def pso_allocate(p_sys_w: float, plant: Plant,
     The swarm is anchored at the balanced allocation (particle 0 is exactly
     balanced, the rest are seeded perturbations of it), velocities are
     clamped to +-velocity_bound, and the whole swarm is repaired to the
-    feasible set in one batched call each iteration. Returns (k, trace):
+    feasible set and scored (Plant.evaluate_allocations) in one batched
+    call each per iteration. Each iteration draws both random factors in
+    one rng.random call, the stream of two uniform draws, and updates the
+    velocities in place. Returns (k, trace):
     the global best allocation, shape (m,), and the per-iteration
     best-fitness trace (non-decreasing).
     """
@@ -156,12 +159,18 @@ def pso_allocate(p_sys_w: float, plant: Plant,
     trace[0] = gbest_fit
 
     vb = params.velocity_bound
+    pull = np.empty((n, m))     # pbest - pos, then gbest - pos
     for it in range(params.max_iterations):
-        r1 = rng.uniform(size=(n, m))
-        r2 = rng.uniform(size=(n, m))
-        vel = (params.inertia * vel
-               + params.cognitive * r1 * (pbest - pos)
-               + params.social * r2 * (gbest - pos))
+        # vel = inertia vel + cognitive r1 (pbest - pos) + social r2 (gbest
+        # - pos), in place, operation for operation
+        r1, r2 = rng.random((2, n, m))
+        vel *= params.inertia
+        r1 *= params.cognitive
+        r1 *= np.subtract(pbest, pos, out=pull)
+        vel += r1
+        r2 *= params.social
+        r2 *= np.subtract(gbest, pos, out=pull)
+        vel += r2
         np.clip(vel, -vb, vb, out=vel)
         pos = repair(pos + vel, blocked, max_share)
         fit = plant.evaluate_allocations(p_net, pos)

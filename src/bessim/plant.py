@@ -235,16 +235,19 @@ def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
 
 def _advance(soc, ipol, p_ac, pp: _ParamArrays):
     """The state half of _step_arrays: efficiency, current solve and SoC
-    clamp, then the next state. Returns (soc, ipol, current, truncated,
+    clamp, then the next state. p_ac has the full broadcast shape of the
+    inputs, and intermediates are written into buffers of that shape that
+    earlier ones are done with. Returns (soc, ipol, current, truncated,
     eta_ac, eta_dc), the last two for the energy half."""
     decay, coulomb = pp.step_consts[:2]
 
     charging = p_ac >= 0.0
-    lam = np.abs(p_ac) / pp.rated
+    lam = np.abs(p_ac)
+    lam /= pp.rated
     np.minimum(lam, 1.0, out=lam)
     eta_ac = _efficiency(pp.acdc_a, lam)
     eta_dc = _efficiency(pp.dcdc_a, lam)
-    eta2 = eta_ac * eta_dc
+    eta2 = np.multiply(eta_ac, eta_dc, out=lam)
 
     # Commanded DC power: conversion losses come off the grid side when
     # charging and are supplied by the battery when discharging.
@@ -256,18 +259,20 @@ def _advance(soc, ipol, p_ac, pp: _ParamArrays):
     # smaller-magnitude root, sign matching P_dc (stable quadratic form).
     v_oc = pp.n_series * _horner(pp.ocv_b, soc)
     b = v_oc + pp.r_pol * ipol
-    disc = pp.r_ohm4 * p_dc + b * b     # full broadcast shape from here on
+    disc = np.multiply(pp.r_ohm4, p_dc, out=eta2)
+    disc += b * b
     if disc.min() < 0.0:
         raise InfeasiblePowerError(
             "demanded power exceeds maximum deliverable battery power")
     np.sqrt(disc, out=disc)
     disc += b
-    current = np.divide(2.0 * p_dc, disc, out=disc)
+    p_dc *= 2.0
+    current = np.divide(p_dc, disc, out=disc)
 
     # SoC bound truncation: largest feasible constant current for the full dt.
     i_lo = np.minimum((pp.soc_min - soc) / coulomb, 0.0)
     i_hi = np.maximum((pp.soc_max - soc) / coulomb, 0.0)
-    i_clamped = np.maximum(current, i_lo)
+    i_clamped = np.maximum(current, i_lo, out=p_dc)
     np.minimum(i_clamped, i_hi, out=i_clamped)
     truncated = i_clamped != current
     current = i_clamped
@@ -280,27 +285,20 @@ def _advance(soc, ipol, p_ac, pp: _ParamArrays):
     return soc_new, ipol_new, current, truncated, eta_ac, eta_dc
 
 
-def _step_arrays(soc, ipol, p_ac, pp: _ParamArrays):
-    """Advance cluster states one step of pp.dt under commanded AC powers
-    (_advance), then take the step's energies.
+def _battery_energies(soc, ipol, soc_new, current, pp: _ParamArrays):
+    """The battery part of a step's energies (J), from the step's start
+    state and _advance's next SoC and current: (cur2, e_ohm, e_pol, e_dc,
+    stored), cur2 the squared current the steady/transient split reads.
 
-    The inputs are float arrays that broadcast against each other along
-    the last (cluster) axis, so a batch of candidate allocations can be
-    evaluated in one call.
-
-    Returns (soc, ipol, current, truncated, E): next state, terminal
-    current (A), the SoC-truncation flag, and the energy stack E of shape
-    (9,) + broadcast shape, in Wh. Its rows, indexed by the module
-    constants of the same names, are E_AC (grid side of the cluster),
-    STORED, ACDC, DCDC, OHMIC, POLARIZATION, the steady/transient battery
-    loss split SS and TS, and E_DC (battery port).
+    The polarization branch and the OCV integral are closed-form for a
+    constant current over the step. stored is defined as the residual of
+    the exact DC-side energy e_dc so the ledger closes bit-exactly;
+    physically it equals chemical energy plus the polarization capacitor
+    energy change.
     """
-    soc_new, ipol_new, current, truncated, eta_ac, eta_dc = _advance(
-        soc, ipol, p_ac, pp)
     dt = pp.dt
-    _, _, tau_1md, tau_half_1md2, r_ohm_dt, r_pol_dt, r_sum_dt = pp.step_consts
+    _, _, tau_1md, tau_half_1md2, r_ohm_dt = pp.step_consts[:5]
 
-    charging = p_ac >= 0.0
     cur2 = current * current
     cur_dt = current * dt
 
@@ -308,48 +306,73 @@ def _step_arrays(soc, ipol, p_ac, pp: _ParamArrays):
     d0 = ipol - current
     d0_tau = d0 * tau_1md
     j1 = d0_tau + cur_dt                                         # int i_pol
-    j2 = d0 * d0
+    j2 = np.multiply(d0, d0, out=d0)
     j2 *= tau_half_1md2
     d0_tau *= current
     d0_tau *= 2.0
     j2 += d0_tau
-    j2 += cur2 * dt                                              # int i_pol^2
+    j2 += np.multiply(cur2, dt, out=d0_tau)                      # int i_pol^2
 
     # Mean OCV over the traversed SoC interval (exact for the cubic fit).
     soc_c = np.minimum(np.maximum(soc, 0.0), 1.0)
-    soc_n = np.minimum(np.maximum(soc_new, 0.0), 1.0)
+    soc_n = np.maximum(soc_new, 0.0)
+    np.minimum(soc_n, 1.0, out=soc_n)
     v_mean = _mean_ocv(pp.ocv_anti, soc_c, soc_n)
     v_mean *= pp.n_series
 
-    # Energy pieces (J), written straight into the stack. stored is defined
-    # as the residual of the exact DC-side energy so the ledger closes
-    # bit-exactly; physically it equals chemical energy plus the
-    # polarization capacitor energy change.
-    E = np.empty((9,) + current.shape)
-    e_ohm = np.multiply(cur2, r_ohm_dt, out=E[OHMIC])
-    e_pol = np.multiply(pp.r_pol, j2, out=E[POLARIZATION])
-    e_dc = np.multiply(cur_dt, v_mean, out=E[E_DC])
+    e_ohm = cur2 * r_ohm_dt
+    e_pol = np.multiply(j2, pp.r_pol, out=j2)
+    e_dc = np.multiply(cur_dt, v_mean, out=cur_dt)
     e_dc += e_ohm
     j1 *= current
     j1 *= pp.r_pol
     e_dc += j1
-    e_stored = np.subtract(e_dc, e_ohm, out=E[STORED])
-    e_stored -= e_pol
+    stored = e_dc - e_ohm
+    stored -= e_pol
+    return cur2, e_ohm, e_pol, e_dc, stored
 
-    # Converter chain; with signed energies the stage losses are the
-    # differences e_ac - e_mid and e_mid - e_dc in both directions, so the
-    # ledger closes exactly.
+
+def _converter_energies(e_dc, p_ac, eta_ac, eta_dc):
+    """The converter part of a step's energies (J): (e_mid, e_ac), the
+    energy between the two converters and on the grid side of the
+    cluster, from the battery port energy e_dc and _advance's
+    efficiencies. With signed energies the stage losses are the
+    differences e_ac - e_mid and e_mid - e_dc in both directions, so the
+    ledger closes exactly."""
+    charging = p_ac >= 0.0
     e_mid = e_dc * eta_dc
     np.divide(e_dc, eta_dc, out=e_mid, where=charging)
-    np.subtract(e_mid, e_dc, out=E[DCDC])
-    e_ac = np.multiply(e_mid, eta_ac, out=E[E_AC])
+    e_ac = e_mid * eta_ac
     np.divide(e_mid, eta_ac, out=e_ac, where=charging)
-    np.subtract(e_ac, e_mid, out=E[ACDC])
+    return e_mid, e_ac
 
-    np.multiply(cur2, r_sum_dt, out=E[SS])
-    cur2 *= r_pol_dt
-    np.subtract(e_pol, cur2, out=E[TS])
 
+def _step_arrays(soc, ipol, p_ac, pp: _ParamArrays):
+    """Advance cluster states one step of pp.dt under commanded AC powers
+    (_advance), then take the step's energies: the battery part
+    (_battery_energies), the converter part (_converter_energies) and the
+    steady/transient split of the battery loss.
+
+    The inputs are float arrays that broadcast against each other along
+    the last (cluster) axis, p_ac at the full broadcast shape, so a batch
+    of candidate allocations can be evaluated in one call.
+
+    Returns (soc, ipol, current, truncated, E): next state, terminal
+    current (A), the SoC-truncation flag, and the energy stack E of shape
+    (9,) + broadcast shape, in Wh. Its rows, indexed by the module
+    constants of the same names, are E_AC (grid side of the cluster),
+    STORED, ACDC, DCDC, OHMIC, POLARIZATION, the steady/transient battery
+    loss split SS and TS, and E_DC (battery port). Each row is its joule
+    value times WH_PER_J.
+    """
+    soc_new, ipol_new, current, truncated, eta_ac, eta_dc = _advance(
+        soc, ipol, p_ac, pp)
+    r_pol_dt, r_sum_dt = pp.step_consts[5:]
+    cur2, e_ohm, e_pol, e_dc, stored = _battery_energies(
+        soc, ipol, soc_new, current, pp)
+    e_mid, e_ac = _converter_energies(e_dc, p_ac, eta_ac, eta_dc)
+    E = np.stack((e_ac, stored, e_ac - e_mid, e_mid - e_dc, e_ohm, e_pol,
+                  cur2 * r_sum_dt, e_pol - cur2 * r_pol_dt, e_dc))
     E *= WH_PER_J
     return soc_new, ipol_new, current, truncated, E
 
@@ -483,12 +506,16 @@ class Plant:
         """Total power the clusters exchange for a system-level command."""
         return self.transformer_split(p_sys_w)[0]
 
+    def _shares(self, alloc) -> np.ndarray:
+        """alloc as a float array whose last axis is one share per cluster."""
+        k = np.asarray(alloc, dtype=float)
+        if k.ndim == 0 or k.shape[-1] != self.params.m:
+            raise DomainError("allocation length does not match cluster count")
+        return k
+
     def _cluster_targets(self, p_net_w: float, alloc: np.ndarray) -> np.ndarray:
         """Per-cluster AC targets alloc * p_net_w, checked against ratings."""
-        k = np.asarray(alloc, dtype=float)
-        if k.shape[-1] != self.params.m:
-            raise DomainError("allocation length does not match cluster count")
-        targets = k * p_net_w
+        targets = self._shares(alloc) * p_net_w
         over = np.abs(targets) > self.params.rated_tol_w
         if over.any():
             j = int(np.argmax(over))
@@ -548,28 +575,41 @@ class Plant:
     def evaluate_allocations(self, p_net_w: float, K: np.ndarray) -> np.ndarray:
         """Fitness of candidate allocations without mutating plant state.
 
-        K has shape (n_candidates, m); each row shares p_net_w, the
-        net_cluster_power of the system command. Charging: net battery energy
-        stored (Wh). Discharging: net AC energy delivered, counting the battery
-        energy expended against it (so for a fixed delivery target the
-        least lossy split wins, while under-delivering through SoC
-        truncation is weighted twice and never attractive). Candidates
-        commanding any cluster above its rating score -inf. The shared
-        transformer term is constant across candidates and omitted.
+        K has shape (n_candidates, m), or (m,) for one candidate; a width
+        other than the cluster count is a DomainError. Each row shares
+        p_net_w, the net_cluster_power of the system command. Charging: net
+        battery energy stored (Wh). Discharging: net AC energy delivered,
+        counting the battery energy expended against it (so for a fixed
+        delivery target the least lossy split wins, while under-delivering
+        through SoC truncation is weighted twice and never attractive).
+        Candidates commanding any cluster above its rating score -inf. The
+        shared transformer term is constant across candidates and omitted.
+
+        The rows are scored on _step_arrays' own formulas, taking only what
+        the fitness reads: _advance, the battery part of the energies and,
+        when discharging, the converter part; each energy row is scaled to
+        Wh before its sum over clusters, as in the energy stack, so a score
+        is bit for bit the one the stack's STORED and E_AC rows give.
         """
-        K = np.atleast_2d(np.asarray(K, dtype=float))
+        K = np.atleast_2d(self._shares(K))
         targets = K * p_net_w
         rated = self.params.rated
         infeasible = (np.abs(targets) > self.params.rated_tol_w).any(axis=-1)
         # clamp to the rating so infeasible rows still step (scored -inf)
-        safe_targets = np.minimum(targets, rated)
+        safe_targets = np.minimum(targets, rated, out=targets)
         np.maximum(safe_targets, -rated, out=safe_targets)
-        E = _step_arrays(self.soc, self.ipol, safe_targets, self.params)[4]
+        soc_new, _, current, _, eta_ac, eta_dc = _advance(
+            self.soc, self.ipol, safe_targets, self.params)
+        *_, e_dc, stored = _battery_energies(self.soc, self.ipol, soc_new,
+                                             current, self.params)
+        stored *= WH_PER_J
         if p_net_w >= 0:
-            fitness = E[STORED].sum(axis=-1)
+            fitness = stored.sum(axis=-1)
         else:
-            delivered = -E[E_AC].sum(axis=-1)
-            drawn = -E[STORED].sum(axis=-1)
+            e_ac = _converter_energies(e_dc, safe_targets, eta_ac, eta_dc)[1]
+            e_ac *= WH_PER_J
+            delivered = -e_ac.sum(axis=-1)
+            drawn = -stored.sum(axis=-1)
             fitness = 2.0 * delivered - drawn
         fitness[infeasible] = -np.inf
         return fitness

@@ -26,6 +26,10 @@ from .scheduler import (
     replay_plan,
 )
 
+# Blocked masks whose balanced row a general balanced run keeps at once
+# (_balanced_share); a few days of a 100-cluster run meet about 70
+BALANCED_ROWS_KEPT = 256
+
 COMPONENT_ORDER = ("transformer", "acdc", "dcdc", "battery_ohmic",
                    "battery_polarization")
 
@@ -193,6 +197,25 @@ def _cap_to_plant(p: float, avail_w: float,
     return (p, *split(p))
 
 
+def _balanced_share(rows: dict[bytes, np.ndarray], blocked: np.ndarray,
+                    max_share: np.ndarray | None) -> np.ndarray:
+    """repair(balanced_allocation(blocked), blocked, max_share), with the
+    uncapped row kept in rows per blocked mask (BALANCED_ROWS_KEPT masks
+    at most; a full rows is emptied). A row at or below every cap is what
+    repair returns under those caps, bit for bit: nothing is over a cap
+    and the final cut to the caps keeps it. Otherwise repair runs with the
+    caps, and raises as it does."""
+    key = blocked.tobytes()
+    k = rows.get(key)
+    if k is None:
+        if len(rows) >= BALANCED_ROWS_KEPT:
+            rows.clear()
+        k = rows[key] = repair(balanced_allocation(blocked), blocked)
+    if max_share is None or (k <= max_share).all():
+        return k
+    return repair(balanced_allocation(blocked), blocked, max_share)
+
+
 def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                  alloc_mode: str, pso_params: PsoParams | None,
                  cadence_steps: int) -> None:
@@ -216,6 +239,7 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                      steps.truncated[first:stop])
 
     k_current: np.ndarray | None = None
+    balanced_rows: dict[bytes, np.ndarray] = {}
     try:
         for i in range(demand.size):
             steps.done = i
@@ -238,7 +262,7 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
             if p == 0.0:
                 k = balanced
             elif alloc_mode == "balanced":
-                k = repair(balanced_allocation(blocked), blocked, max_share)
+                k = _balanced_share(balanced_rows, blocked, max_share)
             else:
                 if k_current is None or i % cadence_steps == 0:
                     params = replace(pso_params,

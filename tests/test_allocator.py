@@ -19,7 +19,16 @@ from bessim.allocator import (
 )
 from bessim.analysis import allocation_matrix_csv
 from bessim.errors import DomainError, NoCapacityError
-from bessim.plant import Plant, uniform_plant_config
+from bessim.plant import (
+    E_AC,
+    STORED,
+    ClusterParams,
+    Plant,
+    PlantConfig,
+    _step_arrays,
+    uniform_plant_config,
+)
+from bessim.simulate import BALANCED_ROWS_KEPT, _balanced_share
 
 
 def _assert_feasible(k, blocked):
@@ -176,6 +185,52 @@ class TestRepairProperties:
             repair(k_raw, blocked, cap)
 
 
+class TestBalancedShare:
+    """simulate._balanced_share, the balanced branch's cached row, against
+    repair(balanced_allocation(blocked), blocked, max_share)."""
+
+    @settings(max_examples=300)
+    @given(repair_batches(), st.sampled_from(["drawn", "at_row", "below"]))
+    def test_is_repair_under_the_caps_bit_for_bit(self, batch, caps):
+        _, blocked, cap = batch
+        row = balanced_allocation(blocked)
+        if caps != "drawn":
+            # every free cap equal to the balanced row (ties keep the
+            # cached row), or one of them an ulp below it (repair runs)
+            cap = np.where(blocked, 1.0, row)
+            if caps == "below":
+                j = int(np.argmax(~blocked))
+                cap[j] = np.nextafter(cap[j], 0.0)
+        want = repair(row, blocked, cap)
+        rows = {}
+        for _ in range(2):      # a cold, then a warm cache
+            got = _balanced_share(rows, blocked, cap)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert list(rows) == [blocked.tobytes()]
+
+    def test_uncapped_row_is_the_cached_one(self):
+        blocked = np.array([False, True, False])
+        rows = {}
+        k = _balanced_share(rows, blocked, None)
+        assert k is _balanced_share(rows, blocked, np.ones(3))
+        assert k.tobytes() == repair(balanced_allocation(blocked),
+                                     blocked).tobytes()
+
+    def test_short_caps_still_raise(self):
+        blocked = np.zeros(3, dtype=bool)
+        rows = {}
+        _balanced_share(rows, blocked, None)
+        with pytest.raises(NoCapacityError):
+            _balanced_share(rows, blocked, np.full(3, 0.3))
+
+    def test_a_full_cache_is_emptied(self):
+        rows = {bytes([i]): None for i in range(BALANCED_ROWS_KEPT)}
+        blocked = np.array([False, True])
+        _balanced_share(rows, blocked, None)
+        assert list(rows) == [blocked.tobytes()]
+
+
 class TestFitness:
     def test_balanced_charge_fitness_positive(self):
         plant = Plant(uniform_plant_config(2))
@@ -282,6 +337,93 @@ class TestPsoAllocate:
         _, trace = pso_allocate(90_000.0, plant,
                                 PsoParams(particles=4, max_iterations=0))
         assert trace.size == 1
+
+
+def _stack_fitness(plant: Plant, p_net: float, K: np.ndarray) -> np.ndarray:
+    """evaluate_allocations' fitness read off _step_arrays' whole energy
+    stack (STORED, and E_AC when discharging), -inf above a rating."""
+    targets = K * p_net
+    rated = plant.params.rated
+    infeasible = (np.abs(targets) > plant.params.rated_tol_w).any(axis=-1)
+    safe_targets = np.maximum(np.minimum(targets, rated), -rated)
+    E = _step_arrays(plant.soc, plant.ipol, safe_targets, plant.params)[4]
+    if p_net >= 0:
+        fitness = E[STORED].sum(axis=-1)
+    else:
+        delivered = -E[E_AC].sum(axis=-1)
+        drawn = -E[STORED].sum(axis=-1)
+        fitness = 2.0 * delivered - drawn
+    fitness[infeasible] = -np.inf
+    return fitness
+
+
+def _pso_reference(p_sys_w: float, plant: Plant, params: PsoParams):
+    """pso_allocate with two uniform draws per iteration, the velocity
+    update as one expression and the fitness of the whole energy stack:
+    the reference its (k, trace) must match bit for bit."""
+    m = plant.n_clusters
+    blocked = plant.blocked_mask(p_sys_w)
+    p_net = plant.net_cluster_power(p_sys_w)
+    max_share = plant.params.rated_w / max(abs(p_net), abs(p_sys_w))
+    base = repair(balanced_allocation(blocked), blocked, max_share)
+    rng = np.random.default_rng(params.rng_seed)
+    n, s = params.particles, params.init_spread
+    pos = np.empty((n, m))
+    pos[0] = base
+    pos[1:] = repair(base + rng.uniform(-s, s, (n - 1, m)), blocked, max_share)
+    vel = np.zeros((n, m))
+    fit = _stack_fitness(plant, p_net, pos)
+    pbest, pbest_fit = pos.copy(), fit.copy()
+    g = int(np.argmax(fit))
+    gbest, gbest_fit = pos[g].copy(), float(fit[g])
+    trace = [gbest_fit]
+    vb = params.velocity_bound
+    for _ in range(params.max_iterations):
+        r1 = rng.uniform(size=(n, m))
+        r2 = rng.uniform(size=(n, m))
+        vel = (params.inertia * vel
+               + params.cognitive * r1 * (pbest - pos)
+               + params.social * r2 * (gbest - pos))
+        np.clip(vel, -vb, vb, out=vel)
+        pos = repair(pos + vel, blocked, max_share)
+        fit = _stack_fitness(plant, p_net, pos)
+        better = fit > pbest_fit
+        pbest[better] = pos[better]
+        pbest_fit[better] = fit[better]
+        g = int(np.argmax(pbest_fit))
+        if pbest_fit[g] > gbest_fit:
+            gbest_fit = float(pbest_fit[g])
+            gbest = pbest[g].copy()
+        trace.append(gbest_fit)
+    return gbest, np.array(trace)
+
+
+@pytest.mark.parametrize("m", [2, 8, 100])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("blocked", [False, True])
+def test_pso_allocate_is_the_reference_loop(m, sign, blocked):
+    # two cluster kinds of different ratings, so the caps differ per
+    # cluster; 40% of the plant's rating (two-thirds of it with one of two
+    # clusters blocked), so that swarm rows meet the caps
+    kinds = (ClusterParams(), ClusterParams(n_parallel=20,
+                                            rated_power_w=40_000.0))
+    cfg = PlantConfig(clusters=tuple(kinds[j % 2] for j in range(m)))
+    plant = Plant(cfg)
+    rng = np.random.default_rng(m)
+    plant.soc = rng.uniform(0.3, 0.7, m)
+    plant.ipol = rng.uniform(-20.0, 20.0, m)
+    if blocked:
+        plant.soc[m // 2] = cfg.soc_max if sign > 0 else cfg.soc_min
+    p_sys = sign * 0.4 * cfg.total_rated_power_w
+    assert plant.blocked_mask(p_sys).sum() == int(blocked)
+    params = PsoParams(rng_seed=m + 3)
+    k, trace = pso_allocate(p_sys, plant, params)
+    k_ref, trace_ref = _pso_reference(p_sys, plant, params)
+    assert k.tobytes() == k_ref.tobytes()
+    assert trace.tobytes() == trace_ref.tobytes()
+    # the swarm improves on its start wherever two clusters are free, so
+    # the loops are compared over moving particles
+    assert trace[-1] > trace[0] or (m == 2 and blocked)
 
 
 PSO_REGRESSION = json.loads(

@@ -34,12 +34,15 @@ from bessim.plant import (
     SS,
     STORED,
     TS,
+    WH_PER_J,
     ClusterParams,
     LossBreakdown,
     Plant,
     PlantConfig,
     uniform_plant_config,
     _ParamArrays,
+    _efficiency,
+    _horner,
     _mean_ocv,
     _step_arrays,
     replay_steps,
@@ -343,6 +346,19 @@ class TestPlant:
         assert fits[0] == -np.inf
         assert np.isfinite(fits[1])
 
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 3), ()])
+    def test_batch_evaluation_rejects_a_wrong_width(self, shape):
+        # (2, 1) or a scalar would broadcast over all four clusters, (2, 3)
+        # would fail inside numpy; each is the width error Plant.step raises
+        plant = Plant(uniform_plant_config(4))
+        K = np.full(shape, 0.5)
+        with pytest.raises(DomainError) as step_error:
+            plant.step(1000.0, K[0] if K.ndim else K)
+        with pytest.raises(DomainError) as e:
+            plant.evaluate_allocations(1000.0, K)
+        assert str(e.value) == str(step_error.value)
+        assert plant.soc.tolist() == [plant.cfg.initial_soc] * 4
+
     @pytest.mark.parametrize("m", [4, 5])
     def test_uniform_fast_step_matches_vectorized_step(self, m):
         # the scalar kernel is the state half of the array kernel: the next
@@ -640,6 +656,147 @@ class TestStepArraysProperties:
             # signed zeros included
             assert len(want) == 2
             assert _bits(soc_new[r, j], ipol_new[r, j]) == _bits(*want)
+
+
+def _reference_step_arrays(soc, ipol, p_ac, pp):
+    """The step kernel as one expression per quantity, every energy row
+    written into one (9,) + shape stack and the stack scaled to Wh at the
+    end: the operations of _step_arrays before its energy half was split
+    into _battery_energies and _converter_energies, kept as the oracle
+    that the kernel and evaluate_allocations must match bit for bit."""
+    (decay, coulomb, tau_1md, tau_half_1md2, r_ohm_dt, r_pol_dt,
+     r_sum_dt) = pp.step_consts
+    dt = pp.dt
+    charging = p_ac >= 0.0
+    lam = np.minimum(np.abs(p_ac) / pp.rated, 1.0)
+    eta_ac = _efficiency(pp.acdc_a, lam)
+    eta_dc = _efficiency(pp.dcdc_a, lam)
+    eta2 = eta_ac * eta_dc
+    p_dc = np.where(charging, p_ac * eta2, p_ac / eta2)
+    b = pp.n_series * _horner(pp.ocv_b, soc) + pp.r_pol * ipol
+    disc = pp.r_ohm4 * p_dc + b * b
+    current = 2.0 * p_dc / (np.sqrt(disc) + b)
+    i_lo = np.minimum((pp.soc_min - soc) / coulomb, 0.0)
+    i_hi = np.maximum((pp.soc_max - soc) / coulomb, 0.0)
+    clamped = np.minimum(np.maximum(current, i_lo), i_hi)
+    truncated = clamped != current
+    current = clamped
+    soc_new = current * coulomb + soc
+    ipol_new = (ipol - current) * decay + current
+
+    cur2 = current * current
+    d0 = ipol - current
+    j1 = d0 * tau_1md + current * dt
+    j2 = d0 * d0 * tau_half_1md2 + d0 * tau_1md * current * 2.0 + cur2 * dt
+    v_mean = _mean_ocv(pp.ocv_anti, np.minimum(np.maximum(soc, 0.0), 1.0),
+                       np.minimum(np.maximum(soc_new, 0.0), 1.0))
+    v_mean *= pp.n_series
+    e_ohm = cur2 * r_ohm_dt
+    e_pol = pp.r_pol * j2
+    e_dc = current * dt * v_mean + e_ohm + j1 * current * pp.r_pol
+    e_mid = np.where(charging, e_dc / eta_dc, e_dc * eta_dc)
+    e_ac = np.where(charging, e_mid / eta_ac, e_mid * eta_ac)
+    E = np.empty((9,) + current.shape)
+    E[E_AC], E[STORED] = e_ac, e_dc - e_ohm - e_pol
+    E[ACDC], E[DCDC] = e_ac - e_mid, e_mid - e_dc
+    E[OHMIC], E[POLARIZATION], E[E_DC] = e_ohm, e_pol, e_dc
+    E[SS], E[TS] = cur2 * r_sum_dt, e_pol - cur2 * r_pol_dt
+    E *= WH_PER_J
+    return soc_new, ipol_new, current, truncated, E
+
+
+def _stack_fitness(plant: Plant, p_net_w: float, K: np.ndarray) -> np.ndarray:
+    """evaluate_allocations' fitness read off the oracle's whole energy
+    stack: STORED summed over clusters when charging, 2 delivered - drawn
+    from E_AC and STORED when discharging, -inf above a rating."""
+    targets = K * p_net_w
+    rated = plant.params.rated
+    infeasible = (np.abs(targets) > plant.params.rated_tol_w).any(axis=-1)
+    safe_targets = np.maximum(np.minimum(targets, rated), -rated)
+    E = _reference_step_arrays(plant.soc, plant.ipol, safe_targets,
+                               plant.params)[4]
+    if p_net_w >= 0:
+        fitness = E[STORED].sum(axis=-1)
+    else:
+        delivered = -E[E_AC].sum(axis=-1)
+        drawn = -E[STORED].sum(axis=-1)
+        fitness = 2.0 * delivered - drawn
+    fitness[infeasible] = -np.inf
+    return fitness
+
+
+class TestReferenceKernel:
+    @settings(max_examples=200)
+    @given(step_batches())
+    def test_step_arrays_is_the_reference(self, batch):
+        soc, ipol, p_ac, _, pp, _ = batch
+        for got, want in zip(_step_arrays(soc, ipol, p_ac, pp),
+                             _reference_step_arrays(soc, ipol, p_ac, pp)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def candidate_batches(draw):
+    """(plant, p_net, K): a plant of 1 to 6 clusters, of one kind from
+    CLUSTER_KINDS (so the kernel constants are shared scalars) or of one
+    kind per cluster, in a drawn state with SoC at the band edges among
+    the draws; a net cluster power of either sign up to the plant's
+    rating, signed zeros included; and (n, m) candidate shares up to 1.5,
+    with zeros and rows commanding a cluster above its rating."""
+    m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        kinds = (draw(st.sampled_from(CLUSTER_KINDS)),) * m
+    else:
+        kinds = tuple(draw(st.lists(st.sampled_from(CLUSTER_KINDS),
+                                    min_size=m, max_size=m)))
+    dt = draw(st.sampled_from((60.0, 300.0, 900.0)))
+    plant = Plant(PlantConfig(clusters=kinds, dt_s=dt, soc_min=SOC_MIN,
+                              soc_max=SOC_MAX))
+    soc = st.one_of(st.sampled_from([SOC_MIN, SOC_MAX]),
+                    st.floats(SOC_MIN, SOC_MAX))
+    plant.soc = np.array(draw(st.lists(soc, min_size=m, max_size=m)))
+    plant.ipol = np.array(draw(st.lists(st.floats(-150.0, 150.0),
+                                        min_size=m, max_size=m)))
+    scale = draw(st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-1.0, 1.0)))
+    p_net = scale * plant.cfg.total_rated_power_w
+    n = draw(st.integers(1, 5))
+    share = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
+    K = np.array(draw(st.lists(st.lists(share, min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    return plant, p_net, K
+
+
+class TestEvaluateAllocationsProperty:
+    @settings(max_examples=300)
+    @given(candidate_batches())
+    def test_scores_are_the_energy_stack_fitness(self, case):
+        plant, p_net, K = case
+        soc, ipol = plant.soc.copy(), plant.ipol.copy()
+        got = plant.evaluate_allocations(p_net, K)
+        assert got.tobytes() == _stack_fitness(plant, p_net, K).tobytes()
+        assert plant.soc.tobytes() == soc.tobytes()
+        assert plant.ipol.tobytes() == ipol.tobytes()
+
+    def test_cases_reach_every_branch(self):
+        # the draws above cover -0.0 targets on the charging branch,
+        # truncated steps and infeasible rows; one case of each here
+        plant = Plant(PlantConfig(clusters=CLUSTER_KINDS[:2], dt_s=900.0,
+                                  soc_min=SOC_MIN, soc_max=SOC_MAX))
+        plant.soc = np.array([SOC_MIN, 0.5])
+        K = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        for p_net in (-45_000.0, 45_000.0, -0.0):
+            got = plant.evaluate_allocations(p_net, K)
+            assert got.tobytes() == _stack_fitness(plant, p_net, K).tobytes()
+        # at -45 kW: row 0 gives cluster 1 a -0.0 target, cluster 0 at
+        # soc_min truncates the balanced discharge, and row 2 is above
+        # the 40 kW rating of cluster 1
+        fits = plant.evaluate_allocations(-45_000.0, K)
+        assert np.isfinite(fits[:2]).all() and fits[2] == -np.inf
+        assert _bits(*(K[0] * -45_000.0)) == _bits(-45_000.0, -0.0)
+        assert _step_arrays(plant.soc, plant.ipol, K[1] * -45_000.0,
+                            plant.params)[3][0]
 
 
 @st.composite
