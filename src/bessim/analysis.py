@@ -255,19 +255,12 @@ def _single_ledger(result: SimulationResult) -> dict:
     losses = result.loss_wh
     total = sum(losses.values())
     effs = _component_efficiencies(result, losses)
-    components = {}
-    for name in COMPONENT_ORDER:
-        components[name] = {
-            "loss_wh": losses[name],
-            "share": losses[name] / total if total > 0 else math.nan,
-            "energy_weighted_efficiency": effs[name],
-        }
-    components["battery"] = {
-        "loss_wh": losses["battery_ohmic"] + losses["battery_polarization"],
-        "share": ((losses["battery_ohmic"] + losses["battery_polarization"])
-                  / total if total > 0 else math.nan),
-        "energy_weighted_efficiency": effs["battery"],
-    }
+    losses["battery"] = losses["battery_ohmic"] + losses["battery_polarization"]
+    components = {name: {
+        "loss_wh": loss,
+        "share": loss / total if total > 0 else math.nan,
+        "energy_weighted_efficiency": effs[name],
+    } for name, loss in losses.items()}
     return {"components": components, "total_loss_wh": total}
 
 

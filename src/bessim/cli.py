@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -129,7 +130,6 @@ def _load_profile(cfg: RunConfig, days: int | None,
             raise ConfigError("load.synth.dt_s",
                               "must equal plant.dt_s to step the plant")
         if days is not None and days != spec.days:
-            from dataclasses import replace
             spec = replace(spec, days=days)
         profile = synth_load(spec, cfg.load.seed)
     if days is not None and cfg.load.source == "csv":

@@ -3,7 +3,8 @@
 Pure functions for every loss source in the storage plant: transformer
 core/copper losses, converter efficiency polynomial, battery open-circuit
 voltage, and the steady/transient split of battery resistive loss driven
-by a first-order RC polarization branch.
+by a first-order RC polarization branch. The plant's step kernel imports
+its formulas from here: _horner, _efficiency and _rc_decay.
 
 Sign convention (global): positive current and power charge the battery,
 discharge is negative.
@@ -21,6 +22,29 @@ from .errors import DomainError
 # Floor applied to the converter efficiency polynomial; the quartic fit is
 # only trusted on the sampled load range and must never reach zero.
 PCS_EFFICIENCY_FLOOR = 1e-3
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """Evaluate per-cluster polynomials; coeffs shape (deg+1, m) or a list
+    of deg+1 shared coefficients, low order first."""
+    y = x * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        y += c
+        y *= x
+    y += coeffs[0]
+    return y
+
+
+def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
+    """Converter efficiency at load factors lam (array), kept in [floor, 1]."""
+    eta = _horner(coeffs, lam)
+    np.maximum(eta, PCS_EFFICIENCY_FLOOR, out=eta)
+    return np.minimum(eta, 1.0, out=eta)
+
+
+def _rc_decay(dt, tau):
+    """Decay factor exp(-dt / tau) of the RC branch over a step of dt s."""
+    return np.exp(-dt / tau)
 
 
 @dataclass(frozen=True)
@@ -57,14 +81,11 @@ class PcsEfficiencyCoeffs:
         if len(self.a) != 5:
             raise DomainError("exactly five coefficients a0..a4 required")
         lam = np.linspace(1e-6, 1.0, 2001)
-        eta = np.polyval(self.a[::-1], lam)
+        eta = _horner(self.a, lam)
         if np.any(eta <= 0.0) or np.any(eta > 1.0):
             raise DomainError(
                 "efficiency polynomial must lie in (0, 1] for load factors in (0, 1]"
             )
-
-    def __call__(self, load_factor):
-        return pcs_efficiency(load_factor, self)
 
 
 @dataclass(frozen=True)
@@ -78,14 +99,11 @@ class OcvCoeffs:
         if len(self.b) != 4:
             raise DomainError("exactly four coefficients b0..b3 required")
         soc = np.linspace(0.0, 1.0, 2001)
-        v = np.polyval(self.b[::-1], soc)
+        v = _horner(self.b, soc)
         if np.any(v <= 0.0):
             raise DomainError("OCV must be strictly positive on [0, 1]")
         if np.any(np.diff(v) < -1e-12):
             raise DomainError("OCV must be monotonically non-decreasing on [0, 1]")
-
-    def __call__(self, soc):
-        return open_circuit_voltage(soc, self)
 
 
 @dataclass(frozen=True)
@@ -127,9 +145,9 @@ def transformer_loss(load_factor: float, p: TransformerParams) -> float:
 
     Accepts a modest overload up to lam = 1.2.
     """
-    if load_factor < 0:
+    if not (load_factor >= 0):
         raise DomainError("load_factor must be non-negative")
-    if load_factor > 1.2:
+    if not (load_factor <= 1.2):
         raise DomainError("load_factor above the 1.2 overload tolerance")
     return p.no_load_loss_w + load_factor * load_factor * p.rated_load_loss_w
 
@@ -140,20 +158,19 @@ def pcs_efficiency(load_factor, c: PcsEfficiencyCoeffs):
     Evaluates the quartic fit and clamps the result into
     [PCS_EFFICIENCY_FLOOR, 1]. Accepts scalars or numpy arrays.
     """
-    lam = np.asarray(load_factor, dtype=float)
-    if np.any(lam < 0) or np.any(lam > 1):
+    lam = np.atleast_1d(np.asarray(load_factor, dtype=float))
+    if not (np.all(lam >= 0) and np.all(lam <= 1)):
         raise DomainError("load_factor must lie in [0, 1]")
-    eta = np.polyval(c.a[::-1], lam)
-    eta = np.clip(eta, PCS_EFFICIENCY_FLOOR, 1.0)
-    return float(eta) if np.ndim(load_factor) == 0 else eta
+    eta = _efficiency(c.a, lam)
+    return float(eta[0]) if np.ndim(load_factor) == 0 else eta
 
 
 def open_circuit_voltage(soc, c: OcvCoeffs):
     """Cell open-circuit voltage (V) at a SoC in [0, 1]."""
     s = np.asarray(soc, dtype=float)
-    if np.any(s < 0) or np.any(s > 1):
+    if not (np.all(s >= 0) and np.all(s <= 1)):
         raise DomainError("soc must lie in [0, 1]")
-    v = np.polyval(c.b[::-1], s)
+    v = _horner(c.b, s)
     return float(v) if np.ndim(soc) == 0 else v
 
 
@@ -161,13 +178,13 @@ def step_polarization(state: RcState, terminal_current: float, dt: float,
                       p: CellParams) -> RcState:
     """Advance the RC branch one step under constant terminal current.
 
-    Exact exponential integrator for the first-order branch:
-    i_pol' = I + (i_pol - I) * exp(-dt / (r_pol * c_pol)).
+    Exact exponential integrator for the first-order branch, the kernel's:
+    i_pol' = (i_pol - I) * _rc_decay(dt, r_pol * c_pol) + I.
     """
-    if dt < 0:
+    if not (dt >= 0):
         raise DomainError("dt must be non-negative")
-    decay = math.exp(-dt / p.time_constant_s)
-    i_new = terminal_current + (state.i_pol - terminal_current) * decay
+    decay = _rc_decay(dt, p.time_constant_s)
+    i_new = float((state.i_pol - terminal_current) * decay + terminal_current)
     return RcState(i_pol=i_new, t_elapsed=state.t_elapsed + dt)
 
 

@@ -26,6 +26,9 @@ from .losses import (
     TransformerParams,
     transformer_loss,
     PCS_EFFICIENCY_FLOOR,
+    _efficiency,
+    _horner,
+    _rc_decay,
 )
 
 WH_PER_J = 1.0 / 3600.0
@@ -34,6 +37,16 @@ SOC_GATE_TOL = 1e-12
 # Cluster-steps per _step_arrays call of replay_steps, and of the general
 # run loop's record of steps to replay; bounds the memory of both
 REPLAY_CLUSTER_STEPS = 4096
+
+
+def steps_per_day(dt_s: float) -> int:
+    """Steps of dt_s seconds in one day: a whole number (within 1e-9), at
+    least one, or a DomainError naming dt_s."""
+    per_day = 86_400.0 / dt_s if dt_s > 0 else math.nan
+    if not (0.5 <= per_day < math.inf
+            and abs(per_day - round(per_day)) <= 1e-9):
+        raise DomainError("dt_s must divide one day evenly", field="dt_s")
+    return round(per_day)
 
 
 @dataclass(frozen=True)
@@ -92,8 +105,7 @@ class PlantConfig:
     def __post_init__(self):
         if len(self.clusters) < 1:
             raise ConfigError("clusters", "at least one cluster required")
-        if self.dt_s <= 0:
-            raise ConfigError("dt_s", "must be strictly positive")
+        steps_per_day(self.dt_s)
         if not (0.0 <= self.soc_min < self.soc_max <= 1.0):
             raise ConfigError("soc_min/soc_max",
                               "need 0 <= soc_min < soc_max <= 1")
@@ -186,29 +198,11 @@ class _ParamArrays:
         self.rated_tol_w = self.rated * (1.0 + 1e-9)
         # decay = exp(-dt/tau), coulomb (SoC change per ampere), tau (1 - decay),
         # tau/2 (1 - decay^2), and r_ohm dt, r_pol dt, (r_ohm + r_pol) dt
-        decay = np.exp(-dt / tau)
+        decay = _rc_decay(dt, tau)
         self.step_consts = (decay, dt / (3600.0 * cap_ah), tau * (1.0 - decay),
                             (tau / 2.0) * (1.0 - decay * decay), r_ohm * dt,
                             self.r_pol * dt, (r_ohm + self.r_pol) * dt)
         self.scalar_step = _scalar_kernel(self) if self.identical else None
-
-
-def _horner(coeffs, x: np.ndarray) -> np.ndarray:
-    """Evaluate per-cluster polynomials; coeffs shape (deg+1, m) or a list
-    of deg+1 shared coefficients, low order first."""
-    y = x * coeffs[-1]
-    for c in coeffs[-2:0:-1]:
-        y += c
-        y *= x
-    y += coeffs[0]
-    return y
-
-
-def _efficiency(coeffs, lam: np.ndarray) -> np.ndarray:
-    """Converter efficiency at load factor lam, kept in [floor, 1]."""
-    eta = _horner(coeffs, lam)
-    np.maximum(eta, PCS_EFFICIENCY_FLOOR, out=eta)
-    return np.minimum(eta, 1.0, out=eta)
 
 
 def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:

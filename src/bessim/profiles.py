@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IngestionError, DomainError
+from .plant import steps_per_day
 from .scheduler import LoadProfile
 
 log = logging.getLogger(__name__)
@@ -56,8 +57,7 @@ class SynthLoadSpec:
     def __post_init__(self):
         if self.days < 1:
             raise DomainError("days must be at least 1", field="days")
-        if self.dt_s <= 0:
-            raise DomainError("dt_s must be strictly positive", field="dt_s")
+        steps_per_day(self.dt_s)
         if not 0.0 <= self.noise_ar1 < 1.0:
             raise DomainError("noise_ar1 must lie in [0, 1)", field="noise_ar1")
 
@@ -71,7 +71,7 @@ def _gauss(hours: np.ndarray, center: float, sigma: float) -> np.ndarray:
 def synth_load(spec: SynthLoadSpec, seed: int) -> LoadProfile:
     """Deterministic synthetic load profile for the given seed."""
     rng = np.random.default_rng(seed)
-    per_day = int(round(86_400.0 / spec.dt_s))
+    per_day = steps_per_day(spec.dt_s)
     hours = (np.arange(per_day) * spec.dt_s) / 3600.0
     chunks = []
     ar = 0.0

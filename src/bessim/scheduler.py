@@ -15,7 +15,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import DomainError, EmptyPlanError
-from .plant import PlantConfig
+from .plant import PlantConfig, steps_per_day
 
 # Bisection convergence tolerance as a fraction of rated energy, and the
 # iteration cap of the correction procedures.
@@ -46,10 +46,7 @@ class LoadProfile:
         return self.values_w.size
 
     def samples_per_day(self) -> int:
-        per_day = 86_400.0 / self.dt_s
-        if abs(per_day - round(per_day)) > 1e-9:
-            raise DomainError("dt_s does not divide one day evenly")
-        return int(round(per_day))
+        return steps_per_day(self.dt_s)
 
     def split_days(self) -> list["LoadProfile"]:
         n = self.samples_per_day()
@@ -123,19 +120,20 @@ def demand_power(load_w: float, p_chr_ref_w: float, p_dis_ref_w: float,
     Charging (positive, gated by soc < soc_max): full p_r below the taper
     band, p_chr_ref - load inside it, zero above the reference.
     Discharging (negative, gated by soc > soc_min): mirrored around
-    p_dis_ref. Output always lies in [-p_r, +p_r].
+    p_dis_ref. Output always lies in [-p_r, +p_r]. The law is
+    _interval_demand's, the one the plans and the run use.
     """
-    if load_w < 0:
+    if not (load_w >= 0):
         raise DomainError("load_w must be non-negative")
     if load_w < p_chr_ref_w:
-        if soc >= soc_max:
-            return 0.0
-        return min(p_chr_ref_w - load_w, p_r_w)
-    if load_w > p_dis_ref_w:
-        if soc <= soc_min:
-            return 0.0
-        return -min(load_w - p_dis_ref_w, p_r_w)
-    return 0.0
+        kind, ref_w, gated = "charge", p_chr_ref_w, soc >= soc_max
+    elif load_w > p_dis_ref_w:
+        kind, ref_w, gated = "discharge", p_dis_ref_w, soc <= soc_min
+    else:
+        return 0.0
+    if gated:
+        return 0.0
+    return float(_interval_demand(load_w, kind, ref_w, p_r_w))
 
 
 def _interval_demand(load: np.ndarray, kind: str, ref_w: float,

@@ -82,19 +82,11 @@ def plan_horizon(days: list[LoadProfile], power_depth_w: float,
     LoadProfile.split_days gives them), in the same order."""
     if method not in ("improved", "original"):
         raise DomainError(f"unknown scheduling method {method!r}")
-    plans = []
-    for day in days:
-        r_chr, r_dis = depth_references(day, power_depth_w)
-        if method == "improved":
-            plan = correct_references_improved(
-                day, power_depth_w, rated_energy_wh, r_chr, r_dis,
-                initial_energy_wh)
-        else:
-            plan = correct_references_original(
-                day, power_depth_w, rated_energy_wh, r_chr, r_dis,
-                initial_energy_wh)
-        plans.append(plan)
-    return plans
+    correct = (correct_references_improved if method == "improved"
+               else correct_references_original)
+    return [correct(day, power_depth_w, rated_energy_wh,
+                    *depth_references(day, power_depth_w), initial_energy_wh)
+            for day in days]
 
 
 @dataclass

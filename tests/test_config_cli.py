@@ -298,6 +298,28 @@ class TestErrorContract:
         assert err["field"] == "load.synth.dt_s"
         assert not outdir.exists()
 
+    # a 7 s step does not divide one day: it is rejected when the config
+    # is read, before any command plans, steps or writes a load
+    @pytest.mark.parametrize("section", ["plant", "load.synth"])
+    @pytest.mark.parametrize("command", ["validate-config", "simulate",
+                                         "gen-load"])
+    def test_step_not_dividing_a_day_exits_2_naming_its_field(
+            self, tmp_path, capsys, command, section):
+        doc = base_doc()
+        d = doc
+        for part in section.split("."):
+            d = d.setdefault(part, {})
+        d["dt_s"] = 7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--output", str(outdir)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == f"{section}.dt_s"
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("flags", [["--bogus"], ["--threads", "2"],
                                        ["--format", "json"]])
     def test_usage_error_exits_2_with_json_error(self, flags, capsys):

@@ -1,9 +1,12 @@
 
+import math
+
 import numpy as np
 import pytest
 
 from bessim.errors import DomainError
 from bessim.losses import (
+    PCS_EFFICIENCY_FLOOR,
     CellParams,
     OcvCoeffs,
     PcsEfficiencyCoeffs,
@@ -16,8 +19,10 @@ from bessim.losses import (
     total_battery_loss,
     transformer_loss,
     transient_loss,
+    _efficiency,
+    _horner,
 )
-from bessim.plant import ClusterParams, _ParamArrays, _horner
+from bessim.plant import ClusterParams, _ParamArrays, _advance
 
 
 class TestTransformerLoss:
@@ -40,6 +45,10 @@ class TestTransformerLoss:
     def test_overload_beyond_tolerance_rejected(self):
         with pytest.raises(DomainError):
             transformer_loss(1.21, TransformerParams())
+
+    def test_nan_load_factor_rejected(self):
+        with pytest.raises(DomainError):
+            transformer_loss(math.nan, TransformerParams())
 
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
@@ -75,9 +84,12 @@ class TestPcsEfficiency:
         with pytest.raises(DomainError):
             PcsEfficiencyCoeffs((0.0, 0.0, 0.0, 0.0, 0.0))
 
-    def test_callable_form(self):
+    def test_nan_load_factor_rejected(self):
         c = PcsEfficiencyCoeffs()
-        assert c(0.5) == pcs_efficiency(0.5, c)
+        with pytest.raises(DomainError):
+            pcs_efficiency(math.nan, c)
+        with pytest.raises(DomainError):
+            pcs_efficiency(np.array([0.5, math.nan]), c)
 
 
 class TestOpenCircuitVoltage:
@@ -90,6 +102,10 @@ class TestOpenCircuitVoltage:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             open_circuit_voltage(1.01, OcvCoeffs())
+
+    def test_nan_soc_rejected(self):
+        with pytest.raises(DomainError):
+            open_circuit_voltage(math.nan, OcvCoeffs())
 
     def test_non_monotone_fit_rejected(self):
         with pytest.raises(DomainError):
@@ -136,6 +152,51 @@ class TestPolarizationStep:
     def test_negative_dt_rejected(self):
         with pytest.raises(DomainError):
             step_polarization(RcState(), 1.0, -1.0, CellParams())
+
+    def test_nan_dt_rejected(self):
+        with pytest.raises(DomainError):
+            step_polarization(RcState(), 1.0, math.nan, CellParams())
+
+
+class TestKernelAgreement:
+    """The public models evaluate the step kernel's formulas, bit for bit."""
+
+    # 48 s and 50 s are steps at which math.exp and np.exp round the
+    # default cell's decay differently
+    @pytest.mark.parametrize("dt", [48.0, 50.0, 60.0, 300.0])
+    def test_polarization_step_is_the_kernels(self, dt):
+        cluster = ClusterParams()
+        pp = _ParamArrays((cluster,), 0.03, 0.97, dt)
+        rng = np.random.default_rng(int(dt))
+        soc = rng.uniform(0.1, 0.9, (200, 1))
+        ipol = rng.uniform(-150.0, 150.0, (200, 1))
+        p_ac = rng.uniform(-1.0, 1.0, (200, 1)) * cluster.rated_power_w
+        _, ipol_new, current, *_ = _advance(soc, ipol, p_ac, pp)
+        got = [step_polarization(RcState(i_pol=i0), i, dt, cluster.cell).i_pol
+               for i0, i in zip(ipol.ravel().tolist(),
+                                current.ravel().tolist())]
+        assert np.array(got).tobytes() == ipol_new.ravel().tobytes()
+
+    # np.polyval is the oracle of the Horner form here, nowhere else
+    @pytest.mark.parametrize("a", [PcsEfficiencyCoeffs.a,
+                                   (0.9, 0.1, -0.1, 0.05, -0.02)])
+    def test_efficiency_is_the_polyval_fit(self, a):
+        c = PcsEfficiencyCoeffs(a)
+        lam = np.linspace(0.0, 1.0, 2001)
+        want = np.clip(np.polyval(a[::-1], lam), PCS_EFFICIENCY_FLOOR, 1.0)
+        assert pcs_efficiency(lam, c).tobytes() == want.tobytes()
+        assert _efficiency(a, lam).tobytes() == want.tobytes()
+        assert [pcs_efficiency(x, c) for x in lam[::40].tolist()] == (
+            want[::40].tolist())
+
+    def test_ocv_is_the_polyval_fit(self):
+        c = OcvCoeffs()
+        soc = np.linspace(0.0, 1.0, 2001)
+        want = np.polyval(c.b[::-1], soc)
+        assert open_circuit_voltage(soc, c).tobytes() == want.tobytes()
+        assert _horner(c.b, soc).tobytes() == want.tobytes()
+        assert [open_circuit_voltage(x, c) for x in soc[::40].tolist()] == (
+            want[::40].tolist())
 
 
 class TestLossSplit:

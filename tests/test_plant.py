@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -23,6 +24,8 @@ from bessim.losses import (
     steady_state_loss,
     step_polarization,
     transient_loss,
+    _efficiency,
+    _horner,
 )
 from bessim.plant import (
     ACDC,
@@ -41,8 +44,6 @@ from bessim.plant import (
     PlantConfig,
     uniform_plant_config,
     _ParamArrays,
-    _efficiency,
-    _horner,
     _mean_ocv,
     _step_arrays,
     replay_steps,
@@ -87,6 +88,18 @@ class TestPlantConfig:
         with pytest.raises(ConfigError) as e:
             uniform_plant_config(2, initial_soc=0.99)
         assert e.value.field == "initial_soc"
+
+    @pytest.mark.parametrize("dt_s", [7.0, 7000.0, 172_800.0, 0.0, -60.0,
+                                      math.inf, math.nan])
+    def test_step_not_dividing_a_day_rejected(self, dt_s):
+        with pytest.raises(DomainError) as e:
+            uniform_plant_config(2, dt_s=dt_s)
+        assert e.value.field == "dt_s"
+
+    @pytest.mark.parametrize("dt_s", [1.0, 86_400.0 / 7_000, 3600.0,
+                                      86_400.0])
+    def test_step_dividing_a_day_accepted(self, dt_s):
+        assert uniform_plant_config(2, dt_s=dt_s).dt_s == dt_s
 
 
 def _step_one(c: ClusterParams, soc: float, ipol: float, p_ac_w: float,
@@ -962,6 +975,9 @@ def _assert_same_plant(got: Plant, want: Plant):
     assert _ledger_bits(got.cumulative) == _ledger_bits(want.cumulative)
 
 
+# step lengths from 1 s to 1 h that divide one day, as a plant's must
+DAY_STEPS = st.integers(24, 86_400).map(lambda n: 86_400.0 / n)
+
 # tiny polarization currents: products with the decay factor reach -0.0
 # through the subnormals, where the kernel's "+ current" turns it into 0.0
 TINY_IPOL = (-5e-324, -1e-310, -2.2250738585072014e-308, -0.0, 0.0, 5e-324)
@@ -975,7 +991,7 @@ def idle_runs(draw):
     m = draw(st.integers(1, 6))
     kinds = tuple(draw(st.lists(st.sampled_from(CLUSTER_KINDS), min_size=m,
                                 max_size=m)))
-    cfg = PlantConfig(clusters=kinds, dt_s=draw(st.floats(1.0, 3600.0)),
+    cfg = PlantConfig(clusters=kinds, dt_s=draw(DAY_STEPS),
                       soc_min=SOC_MIN, soc_max=SOC_MAX)
 
     def floats(elements):
@@ -1065,7 +1081,7 @@ def bookings(draw):
     history, and n steps to book: (E_DC, n) cluster totals (Wh) and (n,)
     transformer loss powers (W), n from 0."""
     n = draw(st.integers(0, 30))
-    cfg = uniform_plant_config(1, dt_s=draw(st.floats(1.0, 3600.0)))
+    cfg = uniform_plant_config(1, dt_s=draw(DAY_STEPS))
     totals = np.array(draw(st.lists(ENERGIES_WH, min_size=E_DC * n,
                                     max_size=E_DC * n)), dtype=float)
     tf_w = np.array(draw(st.lists(st.floats(0.0, 1e5), min_size=n,

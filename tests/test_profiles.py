@@ -68,6 +68,11 @@ class TestSynthLoad:
         with pytest.raises(DomainError):
             SynthLoadSpec(noise_ar1=1.0)
 
+    def test_step_not_dividing_a_day_rejected(self):
+        with pytest.raises(DomainError) as e:
+            SynthLoadSpec(dt_s=7.0)
+        assert e.value.field == "dt_s"
+
 
 class TestCsvRoundtrip:
     def test_roundtrip(self, tmp_path):

@@ -85,6 +85,10 @@ class TestDemandPower:
         with pytest.raises(DomainError):
             demand_power(-1.0, 20e6, 30e6, 0.5, self.P_R)
 
+    def test_nan_load_rejected(self):
+        with pytest.raises(DomainError):
+            demand_power(math.nan, 20e6, 30e6, 0.5, self.P_R)
+
     @pytest.mark.parametrize("method", ["improved", "original"])
     def test_plan_demand_is_the_power_law(self, method):
         # run_simulation executes the plan's ungated demand; sample by sample
