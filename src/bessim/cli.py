@@ -86,11 +86,10 @@ def _write_outputs(outdir: str, cfg: RunConfig, command: str, seed: int,
 
 def _emit_error(exc: Exception) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, ConfigError):
-        payload["field"] = exc.field
-    row = getattr(exc, "row", None)
-    if row is not None:
-        payload["row"] = row
+    for key in ("field", "row"):
+        value = getattr(exc, key, None)
+        if value is not None:
+            payload[key] = value
     print(json.dumps(payload), file=sys.stderr)
     return 2 if isinstance(exc, ConfigError) else 1
 

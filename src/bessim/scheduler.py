@@ -3,7 +3,8 @@ law, reference correction (per-cycle improved method and the day-level
 symmetric baseline) and the peak-shaving performance metrics.
 
 Planning works on the forecast load with perfect foresight (the forecast
-equals the actual load).
+equals the actual load). Each day is corrected on its own, but plan_days
+corrects all of a horizon's days at once, their bisections in lockstep.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import DomainError, EmptyPlanError
+from .errors import BessimError, DomainError, EmptyPlanError
 from .plant import PlantConfig, steps_per_day
 
 # Bisection convergence tolerance as a fraction of rated energy, and the
@@ -144,11 +145,133 @@ def _interval_demand(load: np.ndarray, kind: str, ref_w: float,
     return -np.clip(load - ref_w, 0.0, p_r_w)
 
 
-def _interval_energy_wh(load: np.ndarray, kind: str, ref_w: float,
-                        p_r_w: float, dt_s: float) -> float:
-    """Magnitude of the interval's demand energy (Wh) at reference ref_w."""
-    return float(np.sum(np.abs(_interval_demand(load, kind, ref_w, p_r_w)))
-                 * dt_s / 3600.0)
+def _interval_energy_wh(load: np.ndarray, kind: str, ref_w: np.ndarray,
+                        p_r_w: float, dt_s: float) -> np.ndarray:
+    """Magnitude of the demand energy (Wh) of each row of load, a
+    C-contiguous (lanes, n) matrix of one interval kind, at its reference
+    (ref_w, (lanes, 1)): |_interval_demand| summed along the row. numpy
+    sums each row of such a matrix by the pairwise tree of a 1-D sum, so a
+    row's energy is bit for bit its own 1-D sum's."""
+    d = _interval_demand(load, kind, ref_w, p_r_w)
+    return np.abs(d, out=d).sum(axis=-1) * dt_s / 3600.0
+
+
+class _Lanes:
+    """Load segments of one sampling step, each a lane of the correction.
+    Every array given or returned is per segment, in the segments' order.
+    Inside, the segments stand grouped by (kind, length), stably, one
+    (kind, (lanes, n) matrix) per group, each group evaluated in one pass;
+    segment _order[i] is lane i of the groups taken in turn."""
+
+    def __init__(self, charge: np.ndarray, order: np.ndarray,
+                 groups: list[tuple[str, np.ndarray]], p_r_w: float,
+                 dt_s: float):
+        self.charge = charge
+        self._order = order
+        self._groups = groups
+        self._p_r_w = p_r_w
+        self._dt_s = dt_s
+
+    @classmethod
+    def of(cls, load: np.ndarray, charge: np.ndarray, starts: np.ndarray,
+           lengths: np.ndarray, p_r_w: float, dt_s: float) -> "_Lanes":
+        """The segments load[starts[i]:starts[i] + lengths[i]], a charge
+        interval's where charge[i] and else a discharge interval's."""
+        key = 2 * lengths + ~charge
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), key.size]
+        groups = []
+        for s, e in zip(bounds, bounds[1:]):
+            idx = order[s:e]
+            groups.append((
+                "charge" if charge[idx[0]] else "discharge",
+                load[starts[idx, None] + np.arange(lengths[idx[0]])]))
+        return cls(charge, order, groups, p_r_w, dt_s)
+
+    def take(self, keep: np.ndarray) -> "_Lanes":
+        """The segments where keep is True, in their order."""
+        if keep.all():
+            return self
+        kept = keep[self._order]
+        groups = []
+        s = 0
+        for kind, mat in self._groups:
+            e = s + len(mat)
+            k = kept[s:e]
+            if k.all():
+                groups.append((kind, mat))
+            elif k.any():
+                groups.append((kind, mat[k]))
+            s = e
+        rank = np.cumsum(keep) - 1
+        return _Lanes(self.charge[keep], rank[self._order[kept]], groups,
+                      self._p_r_w, self._dt_s)
+
+    def energy_wh(self, ref_w: np.ndarray) -> np.ndarray:
+        """Each segment's demand energy magnitude (Wh) at its reference."""
+        ref_w = ref_w[self._order]
+        out = np.empty(ref_w.size)
+        s = 0
+        for kind, mat in self._groups:
+            e = s + len(mat)
+            out[s:e] = _interval_energy_wh(mat, kind, ref_w[s:e, None],
+                                           self._p_r_w, self._dt_s)
+            s = e
+        energy = np.empty_like(out)
+        energy[self._order] = out
+        return energy
+
+
+def _bisect(lanes: _Lanes, lo: np.ndarray, hi: np.ndarray,
+            e_lo: np.ndarray, e_hi: np.ndarray, target_wh: np.ndarray,
+            tol_wh: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisection of each lane's monotone interval energy (rising with the
+    reference on a charge lane, falling on a discharge lane) between its
+    references lo and hi, with the energies e_lo and e_hi there, toward
+    its target, every lane's steps in lockstep.
+
+    Returns each lane's (reference, converged, energy at the reference).
+    A target within tol of the most the lane can reach, or above it, takes
+    that end, converged only if the end comes within tol; one within tol
+    of the least takes the other end, converged. The rest bisect: each
+    step takes the midpoint 0.5 * (a + b), stops there if its energy is
+    within tol of the target, and else keeps the half toward the target.
+    After CORRECTION_MAX_ITERATIONS steps a lane takes the last interval's
+    midpoint, not converged.
+    """
+    rising = lanes.charge
+    up_ref, up_e = np.where(rising, hi, lo), np.where(rising, e_hi, e_lo)
+    down_ref, down_e = np.where(rising, lo, hi), np.where(rising, e_lo, e_hi)
+    top = target_wh >= up_e - tol_wh
+    bottom = ~top & (target_wh <= down_e + tol_wh)
+    ref = np.where(top, up_ref, down_ref)
+    energy = np.where(top, up_e, down_e)
+    ok = ~top | (up_e >= target_wh - tol_wh)
+    keep = ~(top | bottom)
+    run = np.flatnonzero(keep)
+    lanes = lanes.take(keep)
+    a, b, t, rising = lo[run], hi[run], target_wh[run], rising[run]
+    for _ in range(CORRECTION_MAX_ITERATIONS):
+        if not run.size:
+            break
+        mid = 0.5 * (a + b)
+        e = lanes.energy_wh(mid)
+        hit = np.abs(e - t) <= tol_wh
+        if hit.any():
+            done = run[hit]
+            ref[done], energy[done] = mid[hit], e[hit]
+            keep = ~hit
+            lanes = lanes.take(keep)
+            run, a, b, t, rising, mid, e = (
+                x[keep] for x in (run, a, b, t, rising, mid, e))
+        low = (e < t) == rising
+        a = np.where(low, mid, a)
+        b = np.where(low, b, mid)
+    if run.size:
+        mid = 0.5 * (a + b)
+        ref[run], ok[run], energy[run] = mid, False, lanes.energy_wh(mid)
+    return ref, ok, energy
 
 
 def segment_cycles(profile: LoadProfile, p_chr_ref_w: float,
@@ -211,33 +334,51 @@ def _pair_cycles(intervals: list[Interval], p_chr_ref_w: float,
     return cycles
 
 
-def _bisect_ref(energy_fn, lo: float, hi: float, target_wh: float,
-                tol_wh: float, increasing: bool) -> tuple[float, bool]:
-    """Bisection for a monotone interval-energy function.
+def _horizon(days: list[LoadProfile]):
+    """The days' load end to end, and each day's first sample in it,
+    sample count, load minimum and load maximum (arrays)."""
+    load = (np.concatenate([day.values_w for day in days]) if len(days) > 1
+            else days[0].values_w)
+    lengths = np.array([day.n_samples for day in days])
+    starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
+    return (load, starts, lengths, np.minimum.reduceat(load, starts),
+            np.maximum.reduceat(load, starts))
 
-    Returns (reference, converged). If the target is outside the achievable
-    range the nearest bound is returned with converged=False only when the
-    bound undershoots a *required* target (caller decides feasibility).
+
+def plan_days(days: list[LoadProfile], p_r_w: float, e_r_wh: float, refs0,
+              method: str,
+              initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
+    """The corrected plan of each of days, days of one sampling step, all
+    planned at once by method: 'improved' (correct_references_improved)
+    or 'original' (correct_references_original), bit for bit as one day at
+    a time.
+
+    refs0, an iterable of (charge, discharge) pairs, gives each day's
+    initial references in day order and is read one day at a time. The
+    first day for which it, or the segmentation at those references,
+    raises ends the horizon there: the days before it are planned and
+    their plans built in order, so that an error of theirs comes first,
+    and then that day's error is raised.
     """
-    e_lo, e_hi = energy_fn(lo), energy_fn(hi)
-    lo_val, hi_val = (e_lo, e_hi) if increasing else (e_hi, e_lo)
-    if target_wh >= hi_val - tol_wh:
-        best = hi if increasing else lo
-        return best, hi_val >= target_wh - tol_wh
-    if target_wh <= lo_val + tol_wh:
-        best = lo if increasing else hi
-        return best, True
-    a, b = lo, hi
-    for _ in range(CORRECTION_MAX_ITERATIONS):
-        mid = 0.5 * (a + b)
-        e = energy_fn(mid)
-        if abs(e - target_wh) <= tol_wh:
-            return mid, True
-        if (e < target_wh) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b), False
+    if method not in ("improved", "original"):
+        raise DomainError(f"unknown scheduling method {method!r}")
+    prepared: list[tuple[LoadProfile, float, float, list[Interval]]] = []
+    error = None
+    try:
+        for day, (chr0, dis0) in zip(days, refs0):
+            if day.dt_s != days[0].dt_s:
+                raise DomainError("days must share one sampling step")
+            prepared.append((day, chr0, dis0,
+                             segment_intervals(day, chr0, dis0)
+                             if method == "improved" else []))
+    except BessimError as exc:
+        error = exc
+    correct = _correct_improved if method == "improved" else _correct_original
+    plans = (correct(prepared, p_r_w, e_r_wh, initial_energy_wh)
+             if prepared else [])
+    if error is not None:
+        raise error
+    return plans
 
 
 def correct_references_improved(profile: LoadProfile, p_r_w: float,
@@ -254,69 +395,119 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
     paired charge would overflow) lowers it. Each correction is a bisection
     capped at CORRECTION_MAX_ITERATIONS; a cycle that cannot be brought
     inside [0, e_r] within tolerance is flagged infeasible, not raised.
+    The one-day case of plan_days, which walks every day's intervals at
+    once by these rules.
     """
-    intervals = segment_intervals(profile, p_chr_ref0_w, p_dis_ref0_w)
+    return plan_days([profile], p_r_w, e_r_wh, [(p_chr_ref0_w, p_dis_ref0_w)],
+                     "improved", initial_energy_wh)[0]
+
+
+def _correct_improved(prepared, p_r_w: float, e_r_wh: float,
+                      initial_energy_wh: float) -> list[ShavingPlan]:
+    """correct_references_improved for each prepared day, walking interval
+    position j over all days together. Every interval's energy at its
+    initial reference is taken once, in one pass: it is E_now at j and
+    E_next at j - 1. The bisections of j run in lockstep, and an
+    interval's energy at its final reference is the bisection's, or E_now
+    when it kept its reference."""
+    days = [p[0] for p in prepared]
+    day_ivs = [p[3] for p in prepared]
+    load, starts, _, lo, hi = _horizon(days)
+    dt = days[0].dt_s
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
-    load = profile.values_w
-    lo_bound = float(load.min())
-    hi_bound = float(load.max())
-    gap = max(1e-6 * (hi_bound - lo_bound), 1e-6)
-    feasible_flags = []
-    energy = float(initial_energy_wh)
+    flat = [iv for ivs in day_ivs for iv in ivs]
+    first = np.cumsum([0, *map(len, day_ivs)]).tolist()
+    e_init = _Lanes.of(
+        load, np.array([iv.kind == "charge" for iv in flat]),
+        np.array([int(s) + iv.start for s, ivs in zip(starts, day_ivs)
+                  for iv in ivs]),
+        np.array([iv.stop - iv.start for iv in flat]), p_r_w, dt,
+    ).energy_wh(np.array([iv.ref_w for iv in flat])).tolist()
+    lo_bound, hi_bound = lo.tolist(), hi.tolist()
+    energy = [float(initial_energy_wh)] * len(days)
+    flags: list[list[bool]] = [[] for _ in days]
 
-    for idx, iv in enumerate(intervals):
-        nxt = intervals[idx + 1] if idx + 1 < len(intervals) else None
+    for j in range(max(map(len, day_ivs))):
+        # (day, interval, lo, hi, energy at iv.ref_w, whether that is lo,
+        #  target, room) of each bisection: room says whether the store
+        #  leaves room for the cycle, None where the bisection's
+        #  convergence does not count toward feasibility
+        wait = []
+        for d, ivs in enumerate(day_ivs):
+            if j >= len(ivs):
+                continue
+            iv = ivs[j]
+            nxt = ivs[j + 1] if j + 1 < len(ivs) else None
+            e_now = e_init[first[d] + j]
+            e_next = e_init[first[d] + j + 1] if nxt is not None else 0.0
+            e = energy[d]
+            gap = max(1e-6 * (hi_bound[d] - lo_bound[d]), 1e-6)
+            if iv.kind == "charge":
+                if e + e_now > e_r_wh + tol:
+                    # overcharge: reduce the charge reference; no room at
+                    # all means the cycle cannot be honored
+                    wait.append((d, iv, lo_bound[d], iv.ref_w, e_now, False,
+                                 e_r_wh - e, e_r_wh - e > tol))
+                    continue
+                if e + e_now < e_next and e + e_now < e_r_wh - tol:
+                    # undercharge: raise the charge reference toward the
+                    # next interval's demand, bounded by capacity and the
+                    # discharge ref
+                    top = (nxt.ref_w if nxt is not None
+                           else prepared[d][2]) - gap
+                    if top > iv.ref_w:
+                        wait.append((d, iv, iv.ref_w, top, e_now, True,
+                                     min(e_next, e_r_wh) - e, None))
+                        continue
+                energy[d] = min(e + e_now, e_r_wh)
+            else:
+                if e_now > e + tol:
+                    # over-discharge: raise the discharge reference; an
+                    # empty store means the cycle cannot be honored
+                    wait.append((d, iv, iv.ref_w, hi_bound[d], e_now, True,
+                                 e, e > tol))
+                    continue
+                if e - e_now + e_next > e_r_wh + tol and e - e_now > tol:
+                    # under-discharge: lower the discharge reference so the
+                    # next charge interval does not overflow capacity
+                    bottom = (nxt.ref_w if nxt is not None
+                              else prepared[d][1]) + gap
+                    if bottom < iv.ref_w:
+                        wait.append((d, iv, bottom, iv.ref_w, e_now, False,
+                                     e + e_next - e_r_wh, None))
+                        continue
+                energy[d] = max(e - e_now, 0.0)
+            flags[d].append(True)
+        if not wait:
+            continue
+        ds, w_ivs, *columns, room = zip(*wait)
+        lo_j, hi_j, known, at_lo, targets = map(np.array, columns)
+        lanes = _Lanes.of(
+            load, np.array([iv.kind == "charge" for iv in w_ivs]),
+            np.array([int(starts[d]) + iv.start for d, iv in zip(ds, w_ivs)]),
+            np.array([iv.stop - iv.start for iv in w_ivs]), p_r_w, dt)
+        e_other = lanes.energy_wh(np.where(at_lo, hi_j, lo_j))
+        ref, ok, e_ref = (x.tolist() for x in _bisect(
+            lanes, lo_j, hi_j, np.where(at_lo, known, e_other),
+            np.where(at_lo, e_other, known), targets, tol))
+        for d, iv, r, k, e_iv, fits in zip(ds, w_ivs, ref, ok, e_ref, room):
+            iv.ref_w = r
+            flags[d].append(True if fits is None else k and fits)
+            energy[d] = (min(energy[d] + e_iv, e_r_wh) if iv.kind == "charge"
+                         else max(energy[d] - e_iv, 0.0))
 
-        def e_iv(r, seg=load[iv.start:iv.stop], kind=iv.kind):
-            return _interval_energy_wh(seg, kind, r, p_r_w, profile.dt_s)
-        e_next = (_interval_energy_wh(load[nxt.start:nxt.stop], nxt.kind,
-                                      nxt.ref_w, p_r_w, profile.dt_s)
-                  if nxt is not None else 0.0)
-        e_now = e_iv(iv.ref_w)
-        ok = True
-        if iv.kind == "charge":
-            if energy + e_now > e_r_wh + tol:
-                # overcharge: reduce the charge reference; no room at all
-                # means the cycle cannot be honored
-                iv.ref_w, ok = _bisect_ref(e_iv, lo_bound, iv.ref_w,
-                                           e_r_wh - energy, tol, True)
-                ok = ok and e_r_wh - energy > tol
-            elif energy + e_now < e_next and energy + e_now < e_r_wh - tol:
-                # undercharge: raise the charge reference toward the next
-                # interval's demand, bounded by capacity and the discharge ref
-                hi = (nxt.ref_w if nxt is not None else p_dis_ref0_w) - gap
-                target = min(e_next, e_r_wh) - energy
-                if hi > iv.ref_w:
-                    iv.ref_w, _ = _bisect_ref(e_iv, iv.ref_w, hi, target,
-                                              tol, True)
-            energy = min(energy + e_iv(iv.ref_w), e_r_wh)
-        else:
-            if e_now > energy + tol:
-                # over-discharge: raise the discharge reference; an empty
-                # store means the cycle cannot be honored
-                iv.ref_w, ok = _bisect_ref(e_iv, iv.ref_w, hi_bound,
-                                           energy, tol, False)
-                ok = ok and energy > tol
-            elif energy - e_now + e_next > e_r_wh + tol and energy - e_now > tol:
-                # under-discharge: lower the discharge reference so the next
-                # charge interval does not overflow capacity
-                lo = (nxt.ref_w if nxt is not None else p_chr_ref0_w) + gap
-                target = energy + e_next - e_r_wh
-                if lo < iv.ref_w:
-                    iv.ref_w, _ = _bisect_ref(e_iv, lo, iv.ref_w, target,
-                                              tol, False)
-            energy = max(energy - e_iv(iv.ref_w), 0.0)
-        feasible_flags.append(ok)
-
-    cycles = _pair_cycles(intervals, p_chr_ref0_w, p_dis_ref0_w)
-    for n, cyc in enumerate(cycles):
-        flags = feasible_flags[n:n + 2] if len(intervals) > 1 else feasible_flags
-        cyc.feasible = all(flags)
-    return ShavingPlan(
-        cycles=cycles, intervals=intervals,
-        rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
-        p_chr_ref0_w=p_chr_ref0_w, p_dis_ref0_w=p_dis_ref0_w,
-        initial_energy_wh=initial_energy_wh)
+    plans = []
+    for (day, chr0, dis0, intervals), day_flags in zip(prepared, flags):
+        cycles = _pair_cycles(intervals, chr0, dis0)
+        for n, cyc in enumerate(cycles):
+            cyc.feasible = all(day_flags[n:n + 2] if len(intervals) > 1
+                               else day_flags)
+        plans.append(ShavingPlan(
+            cycles=cycles, intervals=intervals,
+            rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
+            p_chr_ref0_w=chr0, p_dis_ref0_w=dis0,
+            initial_energy_wh=initial_energy_wh))
+    return plans
 
 
 def correct_references_original(profile: LoadProfile, p_r_w: float,
@@ -330,35 +521,54 @@ def correct_references_original(profile: LoadProfile, p_r_w: float,
     min(maximum capturable valley energy, maximum releasable peak energy,
     e_r), with each reference allowed to advance into the load up to the
     daily mid-level. Over-adjustment relative to the depth-defined
-    references is characteristic of this baseline.
+    references is characteristic of this baseline. The one-day case of
+    plan_days, which bisects every day's two references at once.
     """
-    load = profile.values_w
-    lo, hi = float(load.min()), float(load.max())
+    return plan_days([profile], p_r_w, e_r_wh, [(p_chr_ref0_w, p_dis_ref0_w)],
+                     "original", initial_energy_wh)[0]
+
+
+def _correct_original(prepared, p_r_w: float, e_r_wh: float,
+                      initial_energy_wh: float) -> list[ShavingPlan]:
+    """correct_references_original for each prepared day: every day's
+    charge and discharge reference is one lane of one lockstep bisection
+    (a charge lane i and a discharge lane n + i per day i)."""
+    days = [p[0] for p in prepared]
+    n = len(days)
+    load, starts, lengths, lo, hi = _horizon(days)
+    tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     mid = 0.5 * (lo + hi)
     gap = 0.005 * (hi - lo)
-    tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
+    # each lane's bisection runs from its outer end (the day's load minimum
+    # or maximum) to its inner end (up to the mid-level)
+    inner = np.concatenate([
+        np.maximum(mid - gap, np.array([p[1] for p in prepared])),
+        np.minimum(mid + gap, np.array([p[2] for p in prepared]))])
+    outer = np.concatenate([lo, hi])
+    charge = np.arange(2 * n) < n
+    lanes = _Lanes.of(load, charge, np.tile(starts, 2), np.tile(lengths, 2),
+                   p_r_w, days[0].dt_s)
+    e_inner = lanes.energy_wh(inner)
+    e_outer = lanes.energy_wh(outer)
+    target = np.minimum(np.minimum(e_inner[:n], e_inner[n:]), e_r_wh)
+    ref, ok, _ = (x.tolist() for x in _bisect(
+        lanes, np.where(charge, outer, inner), np.where(charge, inner, outer),
+        np.where(charge, e_outer, e_inner), np.where(charge, e_inner, e_outer),
+        np.tile(target, 2), tol))
 
-    def e_chr(r):
-        return _interval_energy_wh(load, "charge", r, p_r_w, profile.dt_s)
-
-    def e_dis(r):
-        return _interval_energy_wh(load, "discharge", r, p_r_w, profile.dt_s)
-
-    chr_hi = max(mid - gap, p_chr_ref0_w)
-    dis_lo = min(mid + gap, p_dis_ref0_w)
-    target = min(e_chr(chr_hi), e_dis(dis_lo), e_r_wh)
-    r_chr, ok_c = _bisect_ref(e_chr, lo, chr_hi, target, tol, True)
-    r_dis, ok_d = _bisect_ref(e_dis, dis_lo, hi, target, tol, False)
-
-    intervals = segment_intervals(profile, r_chr, r_dis)
-    cycles = _pair_cycles(intervals, r_chr, r_dis)
-    for cyc in cycles:
-        cyc.feasible = ok_c and ok_d
-    return ShavingPlan(
-        cycles=cycles, intervals=intervals,
-        rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
-        p_chr_ref0_w=p_chr_ref0_w, p_dis_ref0_w=p_dis_ref0_w,
-        initial_energy_wh=initial_energy_wh)
+    plans = []
+    for i, (day, chr0, dis0, _) in enumerate(prepared):
+        r_chr, r_dis = ref[i], ref[n + i]
+        intervals = segment_intervals(day, r_chr, r_dis)
+        cycles = _pair_cycles(intervals, r_chr, r_dis)
+        for cyc in cycles:
+            cyc.feasible = ok[i] and ok[n + i]
+        plans.append(ShavingPlan(
+            cycles=cycles, intervals=intervals,
+            rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
+            p_chr_ref0_w=chr0, p_dis_ref0_w=dis0,
+            initial_energy_wh=initial_energy_wh))
+    return plans
 
 
 def depth_references(profile: LoadProfile, power_depth_w: float) -> tuple[float, float]:
@@ -367,7 +577,7 @@ def depth_references(profile: LoadProfile, power_depth_w: float) -> tuple[float,
     if hi - lo <= 2.0 * power_depth_w:
         raise DomainError(
             "daily load range must exceed twice the power depth for the "
-            "references to bracket the load")
+            "references to bracket the load", field="power_depth_w")
     return lo + power_depth_w, hi - power_depth_w
 
 

@@ -1,9 +1,9 @@
 """Closed-loop simulation: day-ahead plans driving the plant model.
 
 Each day of the horizon is planned independently (perfect foresight on
-that day's load), then executed step by step against the plant with the
-chosen allocation mode. Per-step energies are recorded for the analysis
-module.
+that day's load), all days at once, then executed step by step against
+the plant with the chosen allocation mode. Per-step energies are recorded
+for the analysis module.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
-    correct_references_improved,
-    correct_references_original,
     depth_references,
+    plan_days,
     replay_plan,
 )
 
@@ -79,14 +78,24 @@ def plan_horizon(days: list[LoadProfile], power_depth_w: float,
                  rated_energy_wh: float, method: str = ScheduleConfig.method,
                  initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
     """Independent day-ahead plan for each of the horizon's days (as
-    LoadProfile.split_days gives them), in the same order."""
-    if method not in ("improved", "original"):
-        raise DomainError(f"unknown scheduling method {method!r}")
-    correct = (correct_references_improved if method == "improved"
-               else correct_references_original)
-    return [correct(day, power_depth_w, rated_energy_wh,
-                    *depth_references(day, power_depth_w), initial_energy_wh)
-            for day in days]
+    LoadProfile.split_days gives them), in the same order. All days are
+    planned at once (scheduler.plan_days), by the correction rules of the
+    one-day methods and bit for bit as they plan each day. A day whose
+    load range is at most twice power_depth_w raises DomainError on
+    power_depth_w naming the day, after the days before it are planned
+    and before any later day is."""
+    return plan_days(days, power_depth_w, rated_energy_wh,
+                     _depth_references(days, power_depth_w), method,
+                     initial_energy_wh)
+
+
+def _depth_references(days: list[LoadProfile], power_depth_w: float):
+    """Each day's depth_references in turn, a failing day named."""
+    for k, day in enumerate(days):
+        try:
+            yield depth_references(day, power_depth_w)
+        except DomainError as exc:
+            raise DomainError(f"day {k}: {exc}", field=exc.field) from None
 
 
 @dataclass

@@ -9,8 +9,8 @@ from bessim.allocator import PsoParams
 from bessim.cli import main
 from bessim.config import load_config, parse_config
 from bessim.errors import ConfigError
-from bessim.profiles import synth_load
-from bessim.scheduler import compute_metrics, replay_plan
+from bessim.profiles import load_profile_to_csv, synth_load
+from bessim.scheduler import LoadProfile, compute_metrics, replay_plan
 from bessim.simulate import plan_horizon
 from test_analysis import metrics_row_by_fstring
 
@@ -553,6 +553,29 @@ class TestCompareCommand:
         with open(os.path.join(outdir, "compare.csv")) as fh:
             assert fh.read().splitlines()[1:] == rows
 
+
+    def test_flat_day_exits_1_naming_the_day(self, tmp_path, capsys):
+        # day 1 of three cannot bracket the power depth
+        doc = base_doc(days=3)
+        cfg = parse_config(doc)
+        load = synth_load(cfg.load.synth, cfg.load.seed)
+        values = load.values_w.copy()
+        values[288:576] = 1.2e6
+        csv_path = tmp_path / "load.csv"
+        csv_path.write_text(load_profile_to_csv(
+            LoadProfile(load.start_time, load.dt_s, values)))
+        doc["load"].update(source="csv", csv_path=str(csv_path))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path),
+                     "--output", str(outdir)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert err["field"] == "power_depth_w"
+        assert err["message"].startswith("day 1: daily load range")
+        assert not outdir.exists()
 
     # more energy than the store holds, or less than none
     @pytest.mark.parametrize("value", [-5e6, -1.0, 800e3 + 1.0])

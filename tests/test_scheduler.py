@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bessim.errors import DomainError, EmptyPlanError
+from bessim import scheduler
+from bessim.errors import BessimError, DomainError, EmptyPlanError
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import (
     LoadProfile,
@@ -21,6 +22,7 @@ from bessim.scheduler import (
     segment_cycles,
     segment_intervals,
 )
+from bessim.simulate import plan_horizon
 
 START = datetime(2024, 1, 1)
 
@@ -267,8 +269,9 @@ class TestDepthReferences:
 
     def test_shallow_range_rejected(self):
         p = profile_from_hours([10, 12])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as e:
             depth_references(p, 5e6)
+        assert e.value.field == "power_depth_w"
 
 
 class TestMetrics:
@@ -448,3 +451,330 @@ class TestPlanProperties:
             assert a.start < a.stop == b.start
             assert a.kind != b.kind
         assert {iv.kind for iv in intervals} <= {"charge", "discharge"}
+
+
+# The per-day correction procedures, one scalar bisection at a time: the
+# oracle of the planner, which plans all days at once. They read the
+# tolerance and the iteration cap from the module, as the planner does.
+
+def _oracle_energy_wh(load, kind, ref_w, p_r_w, dt_s):
+    demand = (np.clip(ref_w - load, 0.0, p_r_w) if kind == "charge"
+              else -np.clip(load - ref_w, 0.0, p_r_w))
+    return float(np.sum(np.abs(demand)) * dt_s / 3600.0)
+
+
+def _oracle_bisect(energy_fn, lo, hi, target_wh, tol_wh, increasing,
+                   outcomes=None):
+    """Bisection of a monotone interval energy; outcomes, when given,
+    collects how each call ended: 'bound', 'middle' or 'cap'."""
+    log = outcomes.append if outcomes is not None else (lambda _: None)
+    e_lo, e_hi = energy_fn(lo), energy_fn(hi)
+    lo_val, hi_val = (e_lo, e_hi) if increasing else (e_hi, e_lo)
+    if target_wh >= hi_val - tol_wh:
+        log("bound")
+        return (hi if increasing else lo), hi_val >= target_wh - tol_wh
+    if target_wh <= lo_val + tol_wh:
+        log("bound")
+        return (lo if increasing else hi), True
+    a, b = lo, hi
+    for _ in range(scheduler.CORRECTION_MAX_ITERATIONS):
+        mid = 0.5 * (a + b)
+        e = energy_fn(mid)
+        if abs(e - target_wh) <= tol_wh:
+            log("middle")
+            return mid, True
+        if (e < target_wh) == increasing:
+            a = mid
+        else:
+            b = mid
+    log("cap")
+    return 0.5 * (a + b), False
+
+
+def _oracle_improved(profile, p_r_w, e_r_wh, p_chr_ref0_w, p_dis_ref0_w,
+                     initial_energy_wh=0.0, outcomes=None):
+    intervals = segment_intervals(profile, p_chr_ref0_w, p_dis_ref0_w)
+    tol = scheduler.CORRECTION_TOLERANCE_FRAC * e_r_wh
+    load = profile.values_w
+    lo_bound = float(load.min())
+    hi_bound = float(load.max())
+    gap = max(1e-6 * (hi_bound - lo_bound), 1e-6)
+    feasible_flags = []
+    energy = float(initial_energy_wh)
+
+    def bisect(*args):
+        return _oracle_bisect(*args, outcomes=outcomes)
+
+    for idx, iv in enumerate(intervals):
+        nxt = intervals[idx + 1] if idx + 1 < len(intervals) else None
+
+        def e_iv(r, seg=load[iv.start:iv.stop], kind=iv.kind):
+            return _oracle_energy_wh(seg, kind, r, p_r_w, profile.dt_s)
+        e_next = (_oracle_energy_wh(load[nxt.start:nxt.stop], nxt.kind,
+                                    nxt.ref_w, p_r_w, profile.dt_s)
+                  if nxt is not None else 0.0)
+        e_now = e_iv(iv.ref_w)
+        ok = True
+        if iv.kind == "charge":
+            if energy + e_now > e_r_wh + tol:
+                iv.ref_w, ok = bisect(e_iv, lo_bound, iv.ref_w,
+                                      e_r_wh - energy, tol, True)
+                ok = ok and e_r_wh - energy > tol
+            elif energy + e_now < e_next and energy + e_now < e_r_wh - tol:
+                hi = (nxt.ref_w if nxt is not None else p_dis_ref0_w) - gap
+                target = min(e_next, e_r_wh) - energy
+                if hi > iv.ref_w:
+                    iv.ref_w, _ = bisect(e_iv, iv.ref_w, hi, target, tol,
+                                         True)
+            energy = min(energy + e_iv(iv.ref_w), e_r_wh)
+        else:
+            if e_now > energy + tol:
+                iv.ref_w, ok = bisect(e_iv, iv.ref_w, hi_bound, energy, tol,
+                                      False)
+                ok = ok and energy > tol
+            elif energy - e_now + e_next > e_r_wh + tol and energy - e_now > tol:
+                lo = (nxt.ref_w if nxt is not None else p_chr_ref0_w) + gap
+                target = energy + e_next - e_r_wh
+                if lo < iv.ref_w:
+                    iv.ref_w, _ = bisect(e_iv, lo, iv.ref_w, target, tol,
+                                         False)
+            energy = max(energy - e_iv(iv.ref_w), 0.0)
+        feasible_flags.append(ok)
+
+    cycles = scheduler._pair_cycles(intervals, p_chr_ref0_w, p_dis_ref0_w)
+    for n, cyc in enumerate(cycles):
+        flags = feasible_flags[n:n + 2] if len(intervals) > 1 else feasible_flags
+        cyc.feasible = all(flags)
+    return ShavingPlan(
+        cycles=cycles, intervals=intervals,
+        rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
+        p_chr_ref0_w=p_chr_ref0_w, p_dis_ref0_w=p_dis_ref0_w,
+        initial_energy_wh=initial_energy_wh)
+
+
+def _oracle_original(profile, p_r_w, e_r_wh, p_chr_ref0_w, p_dis_ref0_w,
+                     initial_energy_wh=0.0, outcomes=None):
+    load = profile.values_w
+    lo, hi = float(load.min()), float(load.max())
+    mid = 0.5 * (lo + hi)
+    gap = 0.005 * (hi - lo)
+    tol = scheduler.CORRECTION_TOLERANCE_FRAC * e_r_wh
+
+    def e_chr(r):
+        return _oracle_energy_wh(load, "charge", r, p_r_w, profile.dt_s)
+
+    def e_dis(r):
+        return _oracle_energy_wh(load, "discharge", r, p_r_w, profile.dt_s)
+
+    chr_hi = max(mid - gap, p_chr_ref0_w)
+    dis_lo = min(mid + gap, p_dis_ref0_w)
+    target = min(e_chr(chr_hi), e_dis(dis_lo), e_r_wh)
+    r_chr, ok_c = _oracle_bisect(e_chr, lo, chr_hi, target, tol, True,
+                                 outcomes)
+    r_dis, ok_d = _oracle_bisect(e_dis, dis_lo, hi, target, tol, False,
+                                 outcomes)
+
+    intervals = segment_intervals(profile, r_chr, r_dis)
+    cycles = scheduler._pair_cycles(intervals, r_chr, r_dis)
+    for cyc in cycles:
+        cyc.feasible = ok_c and ok_d
+    return ShavingPlan(
+        cycles=cycles, intervals=intervals,
+        rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
+        p_chr_ref0_w=p_chr_ref0_w, p_dis_ref0_w=p_dis_ref0_w,
+        initial_energy_wh=initial_energy_wh)
+
+
+def _oracle_plan_horizon(days, power_depth_w, rated_energy_wh, method,
+                         initial_energy_wh=0.0, outcomes=None):
+    """plan_horizon one day at a time."""
+    correct = {"improved": _oracle_improved,
+               "original": _oracle_original}[method]
+    plans = []
+    for k, day in enumerate(days):
+        try:
+            refs = depth_references(day, power_depth_w)
+        except DomainError as exc:
+            raise DomainError(f"day {k}: {exc}", field=exc.field) from None
+        plans.append(correct(day, power_depth_w, rated_energy_wh, *refs,
+                             initial_energy_wh, outcomes))
+    return plans
+
+
+def _plan_bits(plan):
+    """Everything a plan says, references by float.hex, with the Python
+    types of the references and flags."""
+    return (
+        [(iv.kind, iv.start, iv.stop, type(iv.ref_w), float.hex(iv.ref_w))
+         for iv in plan.intervals],
+        [(c.index, c.first_kind, c.charge_interval, c.discharge_interval,
+          type(c.p_chr_ref_w), float.hex(c.p_chr_ref_w),
+          type(c.p_dis_ref_w), float.hex(c.p_dis_ref_w),
+          type(c.feasible), c.feasible) for c in plan.cycles],
+        (plan.rated_power_w, plan.rated_energy_wh, plan.p_chr_ref0_w,
+         plan.p_dis_ref0_w, plan.initial_energy_wh))
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's plans as _plan_bits, or the type, message and field of what it
+    raised."""
+    try:
+        return [_plan_bits(p) for p in fn(*args, **kwargs)]
+    except BessimError as exc:
+        return type(exc), str(exc), getattr(exc, "field", None)
+
+
+@st.composite
+def horizons(draw):
+    """1-10 synthetic days at 300, 600 or 900 s, the last one cut short by
+    up to all but two samples, with a morning peak or none (2 to 9
+    intervals a day), a power depth inside every day's load range, a
+    store of 1e5-3e7 Wh and an initial energy in it (bounds included)."""
+    dt_s = draw(st.sampled_from([300.0, 600.0, 900.0]))
+    spec = SynthLoadSpec(
+        days=draw(st.integers(1, 10)), dt_s=dt_s,
+        valley_depth_w=draw(st.floats(1e6, 9e6)),
+        morning_peak_w=draw(st.sampled_from([0.0, 6e6])),
+        morning_hour=draw(st.floats(7.0, 13.0)),
+        noise_rel=draw(st.floats(0.0, 0.02)),
+        day_jitter=draw(st.floats(0.0, 0.1)))
+    profile = synth_load(spec, draw(st.integers(0, 2**16)))
+    cut = draw(st.integers(0, int(86400 / dt_s) - 2))
+    days = LoadProfile(START, dt_s,
+                       profile.values_w[:profile.n_samples - cut]).split_days()
+    spread = min(float(d.values_w.max() - d.values_w.min()) for d in days)
+    assume(spread > 0)
+    depth = draw(st.floats(0.02, 0.45)) * spread
+    e_r = draw(st.floats(1e5, 3e7))
+    e0 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))) * e_r
+    return days, depth, e_r, e0
+
+
+class TestPlanHorizonOracle:
+    """plan_horizon plans every day at once, bit for bit as the per-day
+    procedures above."""
+
+    @settings(max_examples=120)
+    @given(horizons())
+    def test_equals_the_per_day_oracle(self, drawn):
+        days, depth, e_r, e0 = drawn
+        for method in ("improved", "original"):
+            got = _outcome(plan_horizon, days, depth, e_r, method, e0)
+            want = _outcome(_oracle_plan_horizon, days, depth, e_r, method, e0)
+            assert got == want
+
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    @pytest.mark.parametrize("load_mw, refs", [
+        (None, None),
+        # one discharge interval, or one charge interval, a day
+        ([40.0] * 6 + [25.0] * 18, (20e6, 35e6)),
+        ([10.0] * 6 + [25.0] * 18, (15e6, 30e6)),
+    ])
+    def test_one_day_methods_are_the_oracle(self, method, load_mw, refs):
+        day = (double_bump_day() if load_mw is None
+               else profile_from_hours(load_mw))
+        refs = refs or depth_references(day, 5e6)
+        correct = {"improved": correct_references_improved,
+                   "original": correct_references_original}[method]
+        oracle = {"improved": _oracle_improved,
+                  "original": _oracle_original}[method]
+        for e_r in (200e3, 10e6, 80e6):
+            for e0 in (0.0, 0.5 * e_r, e_r):
+                got = _outcome(lambda: [correct(day, 5e6, e_r, *refs, e0)])
+                want = _outcome(lambda: [oracle(day, 5e6, e_r, *refs, e0)])
+                assert got == want
+
+    def test_iteration_cap_and_mixed_convergence(self, monkeypatch):
+        # With no tolerance a lane stops inside its range only on an exact
+        # hit. Each day's charge lane meets its target (its 10 MW samples
+        # saturated at 5 MW) at its inner end. Day 0's discharge lane
+        # meets it on a plateau of its energy (the 40 MW samples saturated,
+        # none of the 33 MW ones discharging) at the third midpoint; day
+        # 1's would need 15/7 MW below the peak and stops at the cap. The
+        # same batch bisects all four.
+        monkeypatch.setattr(scheduler, "CORRECTION_TOLERANCE_FRAC", 0.0)
+        plateau = profile_from_hours([10.0] * 4 + [25.0] * 12
+                                     + [33.0] * 4 + [40.0] * 4)
+        capped = profile_from_hours([10.0] * 3 + [25.0] * 14 + [40.0] * 7)
+        days = [plateau, capped]
+        outcomes = []
+        want = _oracle_plan_horizon(days, 5e6, 1e12, "original",
+                                    outcomes=outcomes)
+        assert outcomes == ["bound", "middle", "bound", "cap"]
+        got = plan_horizon(days, 5e6, 1e12, "original")
+        assert [_plan_bits(p) for p in got] == [_plan_bits(p) for p in want]
+        assert [c.feasible for p in got for c in p.cycles] == [True, False]
+        # the improved method, its lanes capped too, on the same days
+        outcomes = []
+        want = _oracle_plan_horizon(days, 5e6, 30e6, "improved", 10e6,
+                                    outcomes=outcomes)
+        assert "cap" in outcomes
+        got = plan_horizon(days, 5e6, 30e6, "improved", 10e6)
+        assert [_plan_bits(p) for p in got] == [_plan_bits(p) for p in want]
+
+
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    def test_few_iterations(self, method, monkeypatch):
+        # a cap of 3 steps stops most lanes far from their target, where
+        # the energy at the final midpoint moves the store of the days
+        monkeypatch.setattr(scheduler, "CORRECTION_MAX_ITERATIONS", 3)
+        spec = SynthLoadSpec(days=6, dt_s=900.0, valley_depth_w=3e6,
+                             morning_peak_w=6e6, morning_hour=9.0)
+        days = synth_load(spec, 5).split_days()
+        for e_r in (1e6, 3e6, 10e6):
+            outcomes = []
+            want = _oracle_plan_horizon(days, 4e6, e_r, method, 0.5 * e_r,
+                                        outcomes=outcomes)
+            assert "cap" in outcomes
+            got = plan_horizon(days, 4e6, e_r, method, 0.5 * e_r)
+            assert ([_plan_bits(p) for p in got]
+                    == [_plan_bits(p) for p in want])
+
+
+    def test_days_of_two_steps_rejected(self):
+        days = [profile_from_hours([10.0, 40.0] * 12),
+                profile_from_hours([10.0, 40.0] * 24, dt_s=1800.0)]
+        with pytest.raises(DomainError, match="one sampling step"):
+            plan_horizon(days, 5e6, 10e6)
+
+
+class TestFlatDay:
+    """A day that cannot bracket the depth stops the horizon there."""
+
+    @staticmethod
+    def horizon(flat_day):
+        return [profile_from_hours([25.0] * 24 if k == flat_day
+                                   else [10.0] * 12 + [40.0] * 12)
+                for k in range(4)]
+
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    @pytest.mark.parametrize("flat_day", [0, 2, 3])
+    def test_named_after_the_days_before_it(self, method, flat_day,
+                                            monkeypatch):
+        days = self.horizon(flat_day)
+        segmented = []
+        segment = scheduler.segment_intervals
+
+        def spy(profile, *refs):
+            segmented.append(profile)
+            return segment(profile, *refs)
+        monkeypatch.setattr(scheduler, "segment_intervals", spy)
+        with pytest.raises(DomainError) as e:
+            plan_horizon(days, 5e6, 10e6, method)
+        assert e.value.field == "power_depth_w"
+        assert str(e.value).startswith(f"day {flat_day}: daily load range")
+        # the days before it are planned, no day after it
+        assert {id(p) for p in segmented} == {id(d) for d in days[:flat_day]}
+
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    @pytest.mark.parametrize("flat_day", [0, 2])
+    def test_error_order_is_the_oracle(self, method, flat_day):
+        # an initial energy outside the store fails day 0's plan: after a
+        # flat day 0, before a flat day 2
+        days = self.horizon(flat_day)
+        for e0 in (5e6, -1.0):
+            got = _outcome(plan_horizon, days, 5e6, 10e6, method, e0)
+            want = _outcome(_oracle_plan_horizon, days, 5e6, 10e6, method, e0)
+            assert got == want
+        assert got[2] == ("power_depth_w" if flat_day == 0
+                          else "initial_energy_wh")
