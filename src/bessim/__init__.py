@@ -49,6 +49,8 @@ from .scheduler import (
     correct_references_original,
     demand_power,
     depth_references,
+    horizon_metrics,
+    replay_horizon,
     replay_plan,
     segment_cycles,
     segment_intervals,

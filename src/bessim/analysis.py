@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -196,7 +196,8 @@ def metrics_csv(rows) -> str:
     """Per-day shaving metrics of (day, method, ShavingMetrics) rows: day,
     method, then the ShavingMetrics fields in order."""
     names = [f.name for f in fields(ShavingMetrics)]
-    table = ((day, method, *astuple(m)) for day, method, m in rows)
+    table = ((day, method, *(getattr(m, name) for name in names))
+             for day, method, m in rows)
     return _csv_table(",".join(["day", "method", *names]),
                       "{},{}," + ",".join(["{:.10g}"] * len(names)),
                       *zip(*table))
@@ -213,7 +214,8 @@ def sweep_csv(reports: list[DepthSweepReport]) -> str:
               *(f"p_clu_{s}" for s in stats), *(f"dp_dt_{s}" for s in stats)]
     rows = ((*(getattr(r, name) for name in scalars),
              *(r.component_shares[name] for name in COMPONENT_ORDER),
-             *astuple(r.p_clu_stats), *astuple(r.dp_dt_stats))
+             *(getattr(r.p_clu_stats, name) for name in stats),
+             *(getattr(r.dp_dt_stats, name) for name in stats))
             for r in reports)
     return _csv_table(",".join(header), ",".join(["{:.10g}"] * len(header)),
                       *zip(*rows))

@@ -43,12 +43,7 @@ from .config import RunConfig, load_config, parse_config
 from .errors import ConfigError
 from .plant import Plant
 from .profiles import load_profile_from_csv, load_profile_to_csv, synth_load
-from .scheduler import (
-    LoadProfile,
-    ShavingMetrics,
-    compute_metrics,
-    replay_plan,
-)
+from .scheduler import LoadProfile, horizon_metrics, replay_horizon
 from .simulate import plan_horizon, run_simulation
 
 OUTPUT_DIR_ENV = "BESSIM_OUTPUT_DIR"
@@ -153,17 +148,12 @@ def cmd_simulate(args) -> int:
         alloc_mode=cfg.allocator.mode, pso_params=cfg.allocator.pso,
         realloc_cadence_s=cfg.allocator.cadence_s)
 
-    per_day = profile.samples_per_day()
-    rows = []
-    for d, day in enumerate(profile.split_days()):
-        sl = slice(d * per_day, d * per_day + day.n_samples)
-        metrics = compute_metrics(day, result.plans[d],
-                                  result.delivered_w[sl],
-                                  cfg.schedule.rated_energy_wh,
-                                  demanded_w=result.cluster_target_w[sl])
-        rows.append((d, cfg.schedule.method, metrics))
+    metrics = horizon_metrics(profile, result.plans, result.delivered_w,
+                              cfg.schedule.rated_energy_wh,
+                              demanded_w=result.cluster_target_w)
     report = component_ledger_report(result)
-    files = {"metrics.csv": metrics_csv(rows),
+    files = {"metrics.csv": metrics_csv(
+                 [(d, cfg.schedule.method, m) for d, m in enumerate(metrics)]),
              "ledger.csv": ledger_report_csv(report)}
     if "json" in cfg.output.formats:
         files["ledger.json"] = _json_text(report)
@@ -180,20 +170,23 @@ def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     outdir = _resolve_outdir(args, cfg)
     profile = _load_profile(cfg, args.days)
-    rows = []
-    summary: dict[str, list[ShavingMetrics]] = {"improved": [], "original": []}
     days = profile.split_days()
-    for method in ("improved", "original"):
+
+    def gated_metrics(method):
         plans = plan_horizon(days, cfg.schedule.power_depth_w,
                              cfg.schedule.rated_energy_wh, method,
                              cfg.schedule.initial_plan_energy_wh)
-        for d, day in enumerate(days):
-            gated = replay_plan(plans[d], day, gated=True)
-            metrics = compute_metrics(day, plans[d], gated["demand_w"],
-                                      cfg.schedule.rated_energy_wh,
-                                      demanded_w=gated["demanded_w"])
-            rows.append((d, method, metrics))
-            summary[method].append(metrics)
+        gated = replay_horizon(plans, profile, gated=True)
+        executed, demanded = gated["demand_w"], gated["demanded_w"]
+        del gated   # the energy trace, which the metrics do not read
+        return horizon_metrics(profile, plans, executed,
+                               cfg.schedule.rated_energy_wh,
+                               demanded_w=demanded)
+
+    summary = {method: gated_metrics(method)
+               for method in ("improved", "original")}
+    rows = [(d, method, m) for method, ms in summary.items()
+            for d, m in enumerate(ms)]
 
     def mean(ms, key):
         arr = np.array([getattr(m, key) for m in ms], dtype=float)

@@ -39,9 +39,16 @@ SOC_GATE_TOL = 1e-12
 REPLAY_CLUSTER_STEPS = 4096
 
 
+# The shortest step (s) a day may be split into
+MIN_DT_S = 1.0
+
+
 def steps_per_day(dt_s: float) -> int:
     """Steps of dt_s seconds in one day: a whole number (within 1e-9), at
-    least one, or a DomainError naming dt_s."""
+    least one, of at least MIN_DT_S each, or a DomainError naming dt_s."""
+    if 0.0 < dt_s < MIN_DT_S:
+        raise DomainError(f"dt_s must be at least {MIN_DT_S:g} s",
+                          field="dt_s")
     per_day = 86_400.0 / dt_s if dt_s > 0 else math.nan
     if not (0.5 <= per_day < math.inf
             and abs(per_day - round(per_day)) <= 1e-9):

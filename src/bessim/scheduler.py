@@ -3,8 +3,10 @@ law, reference correction (per-cycle improved method and the day-level
 symmetric baseline) and the peak-shaving performance metrics.
 
 Planning works on the forecast load with perfect foresight (the forecast
-equals the actual load). Each day is corrected on its own, but plan_days
-corrects all of a horizon's days at once, their bisections in lockstep.
+equals the actual load). Each day is planned on its own, but plan_days
+segments and corrects all of a horizon's days at once, their bisections
+in lockstep, and replay_horizon and horizon_metrics replay and score them
+at once; the one-day functions are their one-day cases.
 """
 
 from __future__ import annotations
@@ -137,12 +139,15 @@ def demand_power(load_w: float, p_chr_ref_w: float, p_dis_ref_w: float,
     return float(_interval_demand(load_w, kind, ref_w, p_r_w))
 
 
-def _interval_demand(load: np.ndarray, kind: str, ref_w: float,
-                     p_r_w: float) -> np.ndarray:
-    """Ungated demand array (W, signed) for one interval at reference ref_w."""
+def _interval_demand(load: np.ndarray, kind: str, ref_w, p_r_w,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Ungated demand (W, signed) of samples of one interval kind at the
+    reference ref_w (both broadcast against load); out, when given, takes
+    the result."""
     if kind == "charge":
-        return np.clip(ref_w - load, 0.0, p_r_w)
-    return -np.clip(load - ref_w, 0.0, p_r_w)
+        return np.clip(np.subtract(ref_w, load, out=out), 0.0, p_r_w, out=out)
+    d = np.clip(np.subtract(load, ref_w, out=out), 0.0, p_r_w, out=out)
+    return np.negative(d, out=out)
 
 
 def _interval_energy_wh(load: np.ndarray, kind: str, ref_w: np.ndarray,
@@ -288,25 +293,95 @@ def segment_cycles(profile: LoadProfile, p_chr_ref_w: float,
 
 def segment_intervals(profile: LoadProfile, p_chr_ref_w: float,
                       p_dis_ref_w: float) -> list[Interval]:
-    if p_chr_ref_w >= p_dis_ref_w:
-        raise DomainError("p_chr_ref must be below p_dis_ref")
-    load = profile.values_w
-    labels = np.where(load < p_chr_ref_w, 1,
-                      np.where(load > p_dis_ref_w, -1, 0))
-    labelled = np.flatnonzero(labels)
-    if not labelled.size:
-        raise EmptyPlanError("references produce no eligible interval")
-    # dead-band samples inherit the preceding label; leading ones the first:
-    # index each sample by the last labelled sample at or before it.
-    last = np.where(labels != 0, np.arange(labels.size), labelled[0])
-    filled = labels[np.maximum.accumulate(last)]
-    bounds = [0, *(np.flatnonzero(np.diff(filled)) + 1).tolist(), filled.size]
-    intervals: list[Interval] = []
-    for start, stop in zip(bounds, bounds[1:]):
-        kind = "charge" if filled[start] == 1 else "discharge"
-        ref = p_chr_ref_w if kind == "charge" else p_dis_ref_w
-        intervals.append(Interval(kind, start, stop, ref))
-    return intervals
+    """The profile's maximal runs of charge-eligible (load below
+    p_chr_ref_w) and discharge-eligible (load above p_dis_ref_w) samples,
+    in order, each with its reference; dead-band samples attach to the
+    preceding interval, leading ones to the first interval found. The
+    one-day case of _segment_horizon."""
+    intervals, error = _segment_horizon(profile.values_w,
+                                        np.array([profile.n_samples]),
+                                        [p_chr_ref_w], [p_dis_ref_w])
+    if error is not None:
+        raise error
+    return intervals[0]
+
+
+def _day_runs(lengths: np.ndarray) -> list[tuple[int, int, int]]:
+    """(first day, day count, samples a day) of each run of consecutive
+    days of one length: one run for the days of LoadProfile.split_days,
+    or two when the last day is cut short."""
+    cut = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(),
+           lengths.size]
+    return [(a, b - a, int(lengths[a])) for a, b in zip(cut, cut[1:])]
+
+
+def _day_rows(x: np.ndarray, runs, extra: int = 0):
+    """x, the 1-D array of days of the runs (_day_runs) end to end, n +
+    extra entries for a day of n samples, as a (first day, (days, n +
+    extra) view) per run."""
+    rows, pos = [], 0
+    for a, c, n in runs:
+        rows.append((a, x[pos:pos + c * (n + extra)].reshape(c, n + extra)))
+        pos += c * (n + extra)
+    return rows
+
+
+def _segment_horizon(load: np.ndarray, lengths: np.ndarray, p_chr_ref_w,
+                     p_dis_ref_w) -> tuple[list[list[Interval]],
+                                           BessimError | None]:
+    """segment_intervals of each day of load (days of the given lengths
+    end to end) at its references (sequences, one per day), all days at
+    once. Returns the intervals of each day up to the first day whose
+    segmentation raises, and that day's error (None when none does).
+
+    A sample is labelled charge (load below its day's charge reference) or
+    discharge (above the discharge reference). The forward fill codes
+    labelled sample i as the int32 2 i + (1 if charge) (a day holds fewer
+    than 2**30 samples), every other sample -1, and
+    seeds each day's first sample with its first labelled sample's code;
+    a running maximum along the day then holds the code of the last
+    labelled sample at or before each sample, whose low bit is its kind.
+    """
+    chr_ref = np.array(p_chr_ref_w, dtype=float)
+    dis_ref = np.array(p_dis_ref_w, dtype=float)
+    days: list[list[Interval]] = []
+    for a, mat in _day_rows(load, _day_runs(lengths)):
+        c, n = mat.shape
+        charge = mat < chr_ref[a:a + c, None]
+        labelled = mat > dis_ref[a:a + c, None]
+        labelled |= charge
+        first = labelled.argmax(axis=1)
+        bad = (chr_ref[a:a + c] >= dis_ref[a:a + c]) | ~labelled[
+            np.arange(c), first]
+        code = np.where(labelled, np.arange(0, 2 * n, 2, dtype=np.int32),
+                        np.int32(-1))
+        code += charge
+        code[:, 0] = code[np.arange(c), first]
+        np.maximum.accumulate(code, axis=1, out=code)
+        kind = np.bitwise_and(code, 1, out=code)
+        rows, cols = np.nonzero(kind[:, 1:] != kind[:, :-1])
+        counts = np.bincount(rows, minlength=c).tolist()
+        bounds = (cols + 1).tolist()
+        pos = 0
+        for r, (k, is_charge, is_bad) in enumerate(zip(
+                counts, kind[:, 0].tolist(), bad.tolist())):
+            d = a + r
+            if is_bad:
+                return days, (
+                    DomainError("p_chr_ref must be below p_dis_ref")
+                    if chr_ref[d] >= dis_ref[d] else
+                    EmptyPlanError("references produce no eligible interval"))
+            cuts = [0, *bounds[pos:pos + k], n]
+            pos += k
+            intervals = []
+            for start, stop in zip(cuts, cuts[1:]):
+                intervals.append(
+                    Interval("charge", start, stop, p_chr_ref_w[d])
+                    if is_charge else
+                    Interval("discharge", start, stop, p_dis_ref_w[d]))
+                is_charge = not is_charge
+            days.append(intervals)
+    return days, None
 
 
 def _pair_cycles(intervals: list[Interval], p_chr_ref_w: float,
@@ -334,48 +409,78 @@ def _pair_cycles(intervals: list[Interval], p_chr_ref_w: float,
     return cycles
 
 
-def _horizon(days: list[LoadProfile]):
-    """The days' load end to end, and each day's first sample in it,
+class _Horizon:
+    """Days end to end: their load, and each day's first sample in it,
     sample count, load minimum and load maximum (arrays)."""
-    load = (np.concatenate([day.values_w for day in days]) if len(days) > 1
-            else days[0].values_w)
-    lengths = np.array([day.n_samples for day in days])
-    starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-    return (load, starts, lengths, np.minimum.reduceat(load, starts),
-            np.maximum.reduceat(load, starts))
+
+    def __init__(self, load: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.load, self.starts, self.lengths = load, starts, lengths
+        self.lo, self.hi = lo, hi
+
+    @classmethod
+    def of(cls, days: list[LoadProfile]) -> "_Horizon":
+        load = (np.concatenate([day.values_w for day in days])
+                if len(days) > 1 else days[0].values_w)
+        lengths = np.array([day.n_samples for day in days])
+        starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
+        return cls(load, starts, lengths, np.minimum.reduceat(load, starts),
+                   np.maximum.reduceat(load, starts))
+
+    def head(self, n: int) -> "_Horizon":
+        """The first n days."""
+        return _Horizon(self.load[:int(self.lengths[:n].sum())],
+                        self.starts[:n], self.lengths[:n], self.lo[:n],
+                        self.hi[:n])
 
 
-def plan_days(days: list[LoadProfile], p_r_w: float, e_r_wh: float, refs0,
-              method: str,
-              initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
+def plan_days(days: list[LoadProfile], p_r_w: float, e_r_wh: float,
+              method: str, initial_energy_wh: float = 0.0,
+              refs0=None) -> list[ShavingPlan]:
     """The corrected plan of each of days, days of one sampling step, all
     planned at once by method: 'improved' (correct_references_improved)
     or 'original' (correct_references_original), bit for bit as one day at
     a time.
 
-    refs0, an iterable of (charge, discharge) pairs, gives each day's
-    initial references in day order and is read one day at a time. The
-    first day for which it, or the segmentation at those references,
-    raises ends the horizon there: the days before it are planned and
-    their plans built in order, so that an error of theirs comes first,
-    and then that day's error is raised.
+    refs0, a (charge, discharge) pair of sequences, gives each day's
+    initial references. By default they are each day's depth_references
+    at the depth p_r_w, taken from the day's load minimum and maximum; a
+    day that cannot bracket the depth fails with DomainError on
+    power_depth_w, named. The first day whose references, sampling step or
+    segmentation fails, in that order, ends the horizon there: the days
+    before it are planned and their plans built in order, so that an
+    error of theirs comes first, and then that day's error is raised.
     """
     if method not in ("improved", "original"):
         raise DomainError(f"unknown scheduling method {method!r}")
-    prepared: list[tuple[LoadProfile, float, float, list[Interval]]] = []
-    error = None
-    try:
-        for day, (chr0, dis0) in zip(days, refs0):
-            if day.dt_s != days[0].dt_s:
-                raise DomainError("days must share one sampling step")
-            prepared.append((day, chr0, dis0,
-                             segment_intervals(day, chr0, dis0)
-                             if method == "improved" else []))
-    except BessimError as exc:
-        error = exc
-    correct = _correct_improved if method == "improved" else _correct_original
-    plans = (correct(prepared, p_r_w, e_r_wh, initial_energy_wh)
-             if prepared else [])
+    if not days:
+        return []
+    h = _Horizon.of(days)
+    n, error = len(days), None
+    if refs0 is None:
+        chr0, dis0, shallow = _depth_references(h.lo, h.hi, p_r_w)
+        chr0, dis0 = chr0.tolist(), dis0.tolist()
+        if shallow is not None:
+            n, error = shallow, _shallow_day(shallow)
+    else:
+        chr0, dis0 = refs0
+    dt = days[0].dt_s
+    other = next((k for k in range(n) if days[k].dt_s != dt), None)
+    if other is not None:
+        n, error = other, DomainError("days must share one sampling step")
+    h = h.head(n)
+    plans, seg_error = [], None
+    if n and method == "improved":
+        intervals, seg_error = _segment_horizon(h.load, h.lengths,
+                                                chr0[:n], dis0[:n])
+        if intervals:
+            plans = _correct_improved(
+                h.head(len(intervals)), chr0, dis0, intervals, p_r_w, e_r_wh,
+                initial_energy_wh, dt)
+    elif n:
+        plans, seg_error = _correct_original(h, chr0, dis0, p_r_w, e_r_wh,
+                                             initial_energy_wh, dt)
+    error = seg_error or error
     if error is not None:
         raise error
     return plans
@@ -398,22 +503,21 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
     The one-day case of plan_days, which walks every day's intervals at
     once by these rules.
     """
-    return plan_days([profile], p_r_w, e_r_wh, [(p_chr_ref0_w, p_dis_ref0_w)],
-                     "improved", initial_energy_wh)[0]
+    return plan_days([profile], p_r_w, e_r_wh, "improved", initial_energy_wh,
+                     ([p_chr_ref0_w], [p_dis_ref0_w]))[0]
 
 
-def _correct_improved(prepared, p_r_w: float, e_r_wh: float,
-                      initial_energy_wh: float) -> list[ShavingPlan]:
-    """correct_references_improved for each prepared day, walking interval
+def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
+                      p_r_w: float, e_r_wh: float, initial_energy_wh: float,
+                      dt: float) -> list[ShavingPlan]:
+    """correct_references_improved for each day of h, at the initial
+    references chr0 and dis0, from its intervals day_ivs, walking interval
     position j over all days together. Every interval's energy at its
     initial reference is taken once, in one pass: it is E_now at j and
     E_next at j - 1. The bisections of j run in lockstep, and an
     interval's energy at its final reference is the bisection's, or E_now
     when it kept its reference."""
-    days = [p[0] for p in prepared]
-    day_ivs = [p[3] for p in prepared]
-    load, starts, _, lo, hi = _horizon(days)
-    dt = days[0].dt_s
+    load, starts, lo, hi = h.load, h.starts, h.lo, h.hi
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     flat = [iv for ivs in day_ivs for iv in ivs]
     first = np.cumsum([0, *map(len, day_ivs)]).tolist()
@@ -424,8 +528,8 @@ def _correct_improved(prepared, p_r_w: float, e_r_wh: float,
         np.array([iv.stop - iv.start for iv in flat]), p_r_w, dt,
     ).energy_wh(np.array([iv.ref_w for iv in flat])).tolist()
     lo_bound, hi_bound = lo.tolist(), hi.tolist()
-    energy = [float(initial_energy_wh)] * len(days)
-    flags: list[list[bool]] = [[] for _ in days]
+    energy = [float(initial_energy_wh)] * len(day_ivs)
+    flags: list[list[bool]] = [[] for _ in day_ivs]
 
     for j in range(max(map(len, day_ivs))):
         # (day, interval, lo, hi, energy at iv.ref_w, whether that is lo,
@@ -454,7 +558,7 @@ def _correct_improved(prepared, p_r_w: float, e_r_wh: float,
                     # next interval's demand, bounded by capacity and the
                     # discharge ref
                     top = (nxt.ref_w if nxt is not None
-                           else prepared[d][2]) - gap
+                           else dis0[d]) - gap
                     if top > iv.ref_w:
                         wait.append((d, iv, iv.ref_w, top, e_now, True,
                                      min(e_next, e_r_wh) - e, None))
@@ -471,7 +575,7 @@ def _correct_improved(prepared, p_r_w: float, e_r_wh: float,
                     # under-discharge: lower the discharge reference so the
                     # next charge interval does not overflow capacity
                     bottom = (nxt.ref_w if nxt is not None
-                              else prepared[d][1]) + gap
+                              else chr0[d]) + gap
                     if bottom < iv.ref_w:
                         wait.append((d, iv, bottom, iv.ref_w, e_now, False,
                                      e + e_next - e_r_wh, None))
@@ -497,15 +601,15 @@ def _correct_improved(prepared, p_r_w: float, e_r_wh: float,
                          else max(energy[d] - e_iv, 0.0))
 
     plans = []
-    for (day, chr0, dis0, intervals), day_flags in zip(prepared, flags):
-        cycles = _pair_cycles(intervals, chr0, dis0)
+    for intervals, c0, d0, day_flags in zip(day_ivs, chr0, dis0, flags):
+        cycles = _pair_cycles(intervals, c0, d0)
         for n, cyc in enumerate(cycles):
             cyc.feasible = all(day_flags[n:n + 2] if len(intervals) > 1
                                else day_flags)
         plans.append(ShavingPlan(
             cycles=cycles, intervals=intervals,
             rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
-            p_chr_ref0_w=chr0, p_dis_ref0_w=dis0,
+            p_chr_ref0_w=c0, p_dis_ref0_w=d0,
             initial_energy_wh=initial_energy_wh))
     return plans
 
@@ -524,30 +628,31 @@ def correct_references_original(profile: LoadProfile, p_r_w: float,
     references is characteristic of this baseline. The one-day case of
     plan_days, which bisects every day's two references at once.
     """
-    return plan_days([profile], p_r_w, e_r_wh, [(p_chr_ref0_w, p_dis_ref0_w)],
-                     "original", initial_energy_wh)[0]
+    return plan_days([profile], p_r_w, e_r_wh, "original", initial_energy_wh,
+                     ([p_chr_ref0_w], [p_dis_ref0_w]))[0]
 
 
-def _correct_original(prepared, p_r_w: float, e_r_wh: float,
-                      initial_energy_wh: float) -> list[ShavingPlan]:
-    """correct_references_original for each prepared day: every day's
-    charge and discharge reference is one lane of one lockstep bisection
-    (a charge lane i and a discharge lane n + i per day i)."""
-    days = [p[0] for p in prepared]
-    n = len(days)
-    load, starts, lengths, lo, hi = _horizon(days)
+def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
+                      initial_energy_wh: float, dt: float):
+    """correct_references_original for each day of h at the initial
+    references chr0 and dis0: every day's charge and discharge reference
+    is one lane of one lockstep bisection (a charge lane i and a discharge
+    lane n + i per day i). Returns the plans of the days up to the first
+    whose segmentation at its corrected references raises, and that error
+    (None when none does)."""
+    n = len(h.lengths)
+    load, starts, lengths, lo, hi = h.load, h.starts, h.lengths, h.lo, h.hi
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     mid = 0.5 * (lo + hi)
     gap = 0.005 * (hi - lo)
     # each lane's bisection runs from its outer end (the day's load minimum
     # or maximum) to its inner end (up to the mid-level)
-    inner = np.concatenate([
-        np.maximum(mid - gap, np.array([p[1] for p in prepared])),
-        np.minimum(mid + gap, np.array([p[2] for p in prepared]))])
+    inner = np.concatenate([np.maximum(mid - gap, np.array(chr0[:n])),
+                            np.minimum(mid + gap, np.array(dis0[:n]))])
     outer = np.concatenate([lo, hi])
     charge = np.arange(2 * n) < n
     lanes = _Lanes.of(load, charge, np.tile(starts, 2), np.tile(lengths, 2),
-                   p_r_w, days[0].dt_s)
+                      p_r_w, dt)
     e_inner = lanes.energy_wh(inner)
     e_outer = lanes.energy_wh(outer)
     target = np.minimum(np.minimum(e_inner[:n], e_inner[n:]), e_r_wh)
@@ -555,30 +660,50 @@ def _correct_original(prepared, p_r_w: float, e_r_wh: float,
         lanes, np.where(charge, outer, inner), np.where(charge, inner, outer),
         np.where(charge, e_outer, e_inner), np.where(charge, e_inner, e_outer),
         np.tile(target, 2), tol))
+    day_ivs, error = _segment_horizon(load, lengths, ref[:n], ref[n:])
 
     plans = []
-    for i, (day, chr0, dis0, _) in enumerate(prepared):
+    for i, intervals in enumerate(day_ivs):
         r_chr, r_dis = ref[i], ref[n + i]
-        intervals = segment_intervals(day, r_chr, r_dis)
         cycles = _pair_cycles(intervals, r_chr, r_dis)
         for cyc in cycles:
             cyc.feasible = ok[i] and ok[n + i]
         plans.append(ShavingPlan(
             cycles=cycles, intervals=intervals,
             rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
-            p_chr_ref0_w=chr0, p_dis_ref0_w=dis0,
+            p_chr_ref0_w=chr0[i], p_dis_ref0_w=dis0[i],
             initial_energy_wh=initial_energy_wh))
-    return plans
+    return plans, error
 
 
-def depth_references(profile: LoadProfile, power_depth_w: float) -> tuple[float, float]:
-    """Depth-defined initial references: min + depth and max - depth."""
-    lo, hi = float(profile.values_w.min()), float(profile.values_w.max())
-    if hi - lo <= 2.0 * power_depth_w:
-        raise DomainError(
-            "daily load range must exceed twice the power depth for the "
-            "references to bracket the load", field="power_depth_w")
-    return lo + power_depth_w, hi - power_depth_w
+def depth_references(profile: LoadProfile,
+                     power_depth_w: float) -> tuple[float, float]:
+    """Depth-defined initial references: min + depth and max - depth. The
+    one-day case of _depth_references."""
+    v = profile.values_w
+    (chr0,), (dis0,), shallow = _depth_references(
+        v.min(keepdims=True), v.max(keepdims=True), power_depth_w)
+    if shallow is not None:
+        raise _shallow_day()
+    return float(chr0), float(dis0)
+
+
+def _depth_references(lo: np.ndarray, hi: np.ndarray, power_depth_w: float):
+    """Each day's depth references from its load minimum lo and maximum hi
+    (arrays), and the first day whose load range is at most twice the
+    depth, which the references cannot bracket (None when there is none)."""
+    shallow = np.flatnonzero(hi - lo <= 2.0 * power_depth_w)
+    return (lo + power_depth_w, hi - power_depth_w,
+            int(shallow[0]) if shallow.size else None)
+
+
+def _shallow_day(day: int | None = None) -> DomainError:
+    """The error of a day whose load range the depth references cannot
+    bracket, naming the day when one is given."""
+    reason = ("daily load range must exceed twice the power depth for the "
+              "references to bracket the load")
+    return DomainError(reason if day is None else f"day {day}: {reason}",
+                       field="power_depth_w")
 
 
 def replay_plan(plan: ShavingPlan, profile: LoadProfile,
@@ -592,45 +717,133 @@ def replay_plan(plan: ShavingPlan, profile: LoadProfile,
     e + d > e_r takes d = e_r - e and leaves e = e_r, any other with
     e + d < 0 takes d = -e and leaves e = 0.0, and the rest add d. Each
     demand comes back as d / step_h, and the unclamped demand (demand_w of
-    gated=False) as demanded_w.
+    gated=False) as demanded_w. The one-day case of replay_horizon.
     """
-    demand = np.zeros(profile.n_samples)
-    for iv in plan.intervals:
-        demand[iv.start:iv.stop] = _interval_demand(
-            profile.values_w[iv.start:iv.stop], iv.kind, iv.ref_w,
-            plan.rated_power_w)
+    return replay_horizon([plan], profile, gated)
+
+
+def _day_lengths(plans: list[ShavingPlan], profile: LoadProfile) -> np.ndarray:
+    """The sample count of each plan's day (its last interval's stop),
+    which must make up the profile end to end."""
+    lengths = np.array([plan.intervals[-1].stop for plan in plans])
+    if lengths.sum() != profile.n_samples:
+        raise DomainError("the plans' days must make up the profile")
+    return lengths
+
+
+def replay_horizon(plans: list[ShavingPlan], profile: LoadProfile,
+                   gated: bool = True) -> dict:
+    """replay_plan of every plan on its day of profile, all days at once,
+    bit for bit as one day at a time: profile holds the plans' days end to
+    end, each as long as its plan's intervals. demand_w (and demanded_w)
+    run over the profile; energy_wh holds each day's trace, n + 1 entries
+    for a day of n samples, end to end.
+
+    The demand is _interval_demand of each sample's interval kind at its
+    reference. Each day's trace is one np.add.accumulate of
+    [e0, d...] along its row of a (days, n + 1) matrix, which adds in the
+    sample loop's order. The gate then works in rounds over the days whose
+    trace passes a bound: all samples of an interval push the store one
+    way, so the first passing sample of a day lies in the first interval
+    whose bound binds, and the bound it passes (above e_r, below 0) tells
+    the interval's kind. That sample takes the clamp, the rest of its
+    interval keeps only the samples that cannot move the store past the
+    bound, the store is pinned to the bound through the interval's end,
+    and the day is accumulated again from there.
+    """
+    lengths = _day_lengths(plans, profile)
+    runs = _day_runs(lengths)
+    load = profile.values_w
+    intervals = [iv for plan in plans for iv in plan.intervals]
+    iv_lengths = np.array([iv.stop - iv.start for iv in intervals])
+    # each sample's ungated demand at its interval's reference: the
+    # discharge law, and the charge law where the interval charges
+    ref = np.repeat(np.array([iv.ref_w for iv in intervals]), iv_lengths)
+    demand = np.empty(ref.size)
+    p_r = np.array([plan.rated_power_w for plan in plans])[:, None]
+    for (a, r), (_, x), (_, d) in zip(_day_rows(ref, runs),
+                                      _day_rows(load, runs),
+                                      _day_rows(demand, runs)):
+        _interval_demand(x, "discharge", r, p_r[a:a + len(r)], out=d)
+        _interval_demand(x, "charge", r, p_r[a:a + len(r)], out=r)
+    np.copyto(demand, ref, where=np.repeat(
+        np.array([iv.kind == "charge" for iv in intervals]), iv_lengths))
+    del ref
+
     step_wh = profile.dt_s / 3600.0
-    energy = np.empty(profile.n_samples + 1)
-    energy[0] = plan.initial_energy_wh
+    e0 = np.array([plan.initial_energy_wh for plan in plans])
+    energy = np.empty(lengths.sum() + lengths.size)
     if not gated:
-        energy[1:] = plan.initial_energy_wh + np.cumsum(demand) * step_wh
+        for (a, e), (_, d) in zip(_day_rows(energy, runs, 1),
+                                  _day_rows(demand, runs)):
+            np.cumsum(d, axis=1, out=e[:, 1:])
+            e[:, 1:] *= step_wh
+            e[:, 1:] += e0[a:a + len(e), None]
+            e[:, 0] = e0[a:a + len(e)]
         return {"demand_w": demand, "energy_wh": energy}
-    e_r = plan.rated_energy_wh
+    e_r = np.array([plan.rated_energy_wh for plan in plans])
+    # the interval ends of the whole profile, in order
+    stops = np.cumsum(iv_lengths)
+    starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
     d_wh = demand * step_wh
-    # An interval's samples all push one way (charge demand >= 0, discharge
-    # <= 0), so its bound binds at most once: a running sum from the store,
-    # in the sample loop's order, up to the first sample passing the bound.
-    # The store then stays there; a charge too small to move it keeps its d.
-    for iv in plan.intervals:
-        d = d_wh[iv.start:iv.stop]
-        trace = energy[iv.start:iv.stop + 1]    # trace[0]: the store so far
-        trace[1:] = d
-        np.add.accumulate(trace, out=trace)
-        charge = iv.kind == "charge"
-        passed = trace[1:] > e_r if charge else trace[1:] < 0.0
-        k = int(passed.argmax())
-        if not passed[k]:
-            continue
-        rest = d[k + 1:]
-        if charge:
-            d[k] = e_r - trace[k]
-            rest[e_r + rest > e_r] = 0.0
-        else:
-            d[k] = -trace[k]
-            rest[rest < 0.0] = -0.0
-        trace[k + 1:] = e_r if charge else 0.0
-    return {"demand_w": d_wh / step_wh, "energy_wh": energy,
-            "demanded_w": demand}
+    for (a, e), (_, d) in zip(_day_rows(energy, runs, 1),
+                              _day_rows(d_wh, runs)):
+        e[:, 0] = e0[a:a + len(e)]
+        e[:, 1:] = d
+        np.add.accumulate(e, axis=1, out=e)
+        _gate(d, e, e_r[a:a + len(e)], starts[a:a + len(e)], stops)
+    return {"demand_w": np.divide(d_wh, step_wh, out=d_wh),
+            "energy_wh": energy, "demanded_w": demand}
+
+
+def _gate(d: np.ndarray, e: np.ndarray, e_r: np.ndarray, starts: np.ndarray,
+          stops: np.ndarray) -> None:
+    """The clamp rounds of replay_horizon on days of one length, in place:
+    d (days, n) the sample energies, e (days, n + 1) their accumulated
+    traces, e_r and starts (days,) each day's store size and first sample
+    in the profile, stops the profile's interval ends."""
+    cols = np.arange(e.shape[1])    # trace positions: sample i ends at i + 1
+    rows = np.arange(len(e))
+    trace = e                       # the trace searched for each of rows
+    while True:
+        er = e_r[rows, None]
+        passed = trace > er
+        passed |= trace < 0.0
+        j = passed.argmax(axis=1)   # the position after the passing sample
+        at = np.arange(rows.size)
+        hit = passed[at, j]
+        if not hit.any():
+            return
+        store = trace[at, j - 1][hit]
+        charge = (trace[at, j] > er[:, 0])[hit]
+        rows, k, er, at = rows[hit], j[hit] - 1, er[hit], at[:hit.sum()]
+        # the end of the interval of sample k, in the day
+        end = stops[np.searchsorted(stops, starts[rows] + k, side="right")]
+        end -= starts[rows]
+        bound = np.where(charge, er[:, 0], 0.0)[:, None]
+        dr = d[rows]
+        dr[at, k] = np.where(charge, er[:, 0] - store, -store)
+        k, end, charge = k[:, None], end[:, None], charge[:, None]
+        # the rest of the interval keeps a charge too small to move the
+        # full store and no discharge
+        again = np.empty((rows.size, e.shape[1]))
+        drop = np.add(dr, er, out=again[:, 1:]) > er
+        drop &= charge
+        drop |= (dr < 0.0) & ~charge
+        drop &= (cols[:-1] > k) & (cols[:-1] < end)
+        np.copyto(dr, np.where(charge, 0.0, -0.0), where=drop)
+        d[rows] = dr
+        # the store pinned to the bound through the interval's end, and
+        # accumulated again from there
+        again[:, 1:] = dr
+        np.copyto(again, 0.0, where=cols < end)
+        again[at, end[:, 0]] = bound[:, 0]
+        np.add.accumulate(again, axis=1, out=again)
+        np.copyto(again, bound, where=(cols > k) & (cols < end))
+        trace = e[rows]
+        np.copyto(trace, again, where=cols > k)
+        e[rows] = trace
+        trace = again
 
 
 def compute_metrics(profile: LoadProfile, plan: ShavingPlan,
@@ -642,31 +855,78 @@ def compute_metrics(profile: LoadProfile, plan: ShavingPlan,
     initial references; CR, RR, CUR follow their ratio definitions.
     Equivalent cycles use the total-throughput convention
     (E_chr + E_dis) / (2 * E_rate). Zero valley or peak energy yields NaN
-    for the corresponding rate instead of an error.
+    for the corresponding rate instead of an error. The one-day case of
+    horizon_metrics.
     """
+    return horizon_metrics(profile, [plan], executed_w, e_rate_wh,
+                           demanded_w)[0]
+
+
+def horizon_metrics(profile: LoadProfile, plans: list[ShavingPlan],
+                    executed_w: np.ndarray, e_rate_wh: float,
+                    demanded_w: np.ndarray | None = None
+                    ) -> list[ShavingMetrics]:
+    """compute_metrics of every plan's day of profile (the days end to
+    end, as replay_horizon reads them), with executed_w and demanded_w
+    over the whole profile, all days at once and bit for bit as one day at
+    a time.
+
+    E_val and E_pek are row sums of a (days, n) matrix, which numpy sums
+    by each row's own pairwise tree. E_chr, E_dis and the power
+    utilization compress the whole profile once (x[x > 0], ...); each
+    day's contiguous slice of that is exactly the day's own compressed
+    array, and is summed alone.
+    """
+    runs = _day_runs(_day_lengths(plans, profile))
     executed_w = np.asarray(executed_w, dtype=float)
-    step_wh = profile.dt_s / 3600.0
-    e_chr = float(np.sum(executed_w[executed_w > 0]) * step_wh)
-    e_dis = float(-np.sum(executed_w[executed_w < 0]) * step_wh)
-    load, p_r = profile.values_w, plan.rated_power_w
-    # the demand magnitudes at the initial references; abs rather than
-    # negating the sum keeps a zero E_pek +0.0
-    e_val = float(np.sum(_interval_demand(load, "charge", plan.p_chr_ref0_w,
-                                          p_r)) * step_wh)
-    e_pek = float(np.sum(np.abs(_interval_demand(
-        load, "discharge", plan.p_dis_ref0_w, p_r))) * step_wh)
-    cr = e_chr / e_val if e_val > 0 else math.nan
-    rr = e_dis / e_pek if e_pek > 0 else math.nan
-    cur = e_chr / e_rate_wh
-    if demanded_w is None:
-        util = 1.0
-    else:
+    if demanded_w is not None:
         demanded_w = np.asarray(demanded_w, dtype=float)
+    for series in (executed_w, demanded_w):
+        if series is not None and series.shape != profile.values_w.shape:
+            raise DomainError("a power series must cover the profile")
+    step_wh = profile.dt_s / 3600.0
+    p_r = np.array([plan.rated_power_w for plan in plans])[:, None]
+    chr0 = np.array([plan.p_chr_ref0_w for plan in plans])[:, None]
+    dis0 = np.array([plan.p_dis_ref0_w for plan in plans])[:, None]
+    e_val, e_pek = np.empty((2, len(plans)))
+    for a, load in _day_rows(profile.values_w, runs):
+        b = a + len(load)
+        # the demand magnitudes at the initial references; abs rather than
+        # negating the sum keeps a zero E_pek +0.0
+        v = _interval_demand(load, "charge", chr0[a:b], p_r[a:b])
+        e_val[a:b] = v.sum(axis=1)
+        _interval_demand(load, "discharge", dis0[a:b], p_r[a:b], out=v)
+        e_pek[a:b] = np.abs(v, out=v).sum(axis=1)
+    e_val = (e_val * step_wh).tolist()
+    e_pek = (e_pek * step_wh).tolist()
+
+    def by_day(series, mask):
+        """series where mask holds, compressed once and cut into days."""
+        kept = series[mask]
+        at = np.cumsum([0, *(n for _, m in _day_rows(mask, runs)
+                             for n in np.count_nonzero(m, axis=1).tolist())])
+        return [kept[i:j] for i, j in zip(at.tolist(), at[1:].tolist())]
+
+    charged = by_day(executed_w, executed_w > 0)
+    discharged = by_day(executed_w, executed_w < 0)
+    if demanded_w is None:
+        utils = [1.0] * len(plans)
+    else:
         active = demanded_w != 0
-        util = (float(np.mean(np.abs(executed_w[active])
-                              / np.abs(demanded_w[active])))
-                if np.any(active) else math.nan)
-    cycles = (e_chr + e_dis) / (2.0 * e_rate_wh)
-    return ShavingMetrics(cr=cr, rr=rr, cur=cur, power_utilization=util,
-                          equivalent_cycles=cycles, e_chr_wh=e_chr,
-                          e_dis_wh=e_dis, e_val_wh=e_val, e_pek_wh=e_pek)
+        ratio = np.abs(executed_w)
+        np.divide(ratio, np.abs(demanded_w), out=ratio, where=active)
+        utils = [float(r.sum() / r.size) if r.size else math.nan
+                 for r in by_day(ratio, active)]
+
+    metrics = []
+    for val, pek, chg, dis, util in zip(e_val, e_pek, charged, discharged,
+                                        utils):
+        e_chr = float(chg.sum() * step_wh)
+        e_dis = float(-dis.sum() * step_wh)
+        metrics.append(ShavingMetrics(
+            cr=e_chr / val if val > 0 else math.nan,
+            rr=e_dis / pek if pek > 0 else math.nan,
+            cur=e_chr / e_rate_wh, power_utilization=util,
+            equivalent_cycles=(e_chr + e_dis) / (2.0 * e_rate_wh),
+            e_chr_wh=e_chr, e_dis_wh=e_dis, e_val_wh=val, e_pek_wh=pek))
+    return metrics

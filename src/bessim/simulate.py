@@ -20,9 +20,8 @@ from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
-    depth_references,
     plan_days,
-    replay_plan,
+    replay_horizon,
 )
 
 # Blocked masks whose balanced row a general balanced run keeps at once
@@ -84,18 +83,8 @@ def plan_horizon(days: list[LoadProfile], power_depth_w: float,
     load range is at most twice power_depth_w raises DomainError on
     power_depth_w naming the day, after the days before it are planned
     and before any later day is."""
-    return plan_days(days, power_depth_w, rated_energy_wh,
-                     _depth_references(days, power_depth_w), method,
+    return plan_days(days, power_depth_w, rated_energy_wh, method,
                      initial_energy_wh)
-
-
-def _depth_references(days: list[LoadProfile], power_depth_w: float):
-    """Each day's depth_references in turn, a failing day named."""
-    for k, day in enumerate(days):
-        try:
-            yield depth_references(day, power_depth_w)
-        except DomainError as exc:
-            raise DomainError(f"day {k}: {exc}", field=exc.field) from None
 
 
 @dataclass
@@ -125,7 +114,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
                    record_alloc: bool = False) -> SimulationResult:
     """Plan the horizon and execute it against the plant.
 
-    Each step executes the plan's ungated demand (replay_plan with
+    Each step executes the plan's ungated demand (replay_horizon with
     gated=False), dropped when every cluster is blocked by a SoC bound for
     its direction (Plant.blocked_mask) and capped to what the free clusters
     can exchange. alloc_mode is 'balanced' or 'pso'; with 'pso' the
@@ -143,16 +132,14 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     dt = plant.cfg.dt_s
     if abs(profile.dt_s - dt) > 1e-9:
         raise DomainError("profile sampling must match the plant step")
-    days = profile.split_days()
-    plans = plan_horizon(days, power_depth_w, rated_energy_wh, method)
+    plans = plan_horizon(profile.split_days(), power_depth_w,
+                         rated_energy_wh, method)
     n, m = profile.n_samples, plant.n_clusters
     # the balanced split with nothing blocked: the allocation of zero steps
     blocked = np.zeros(m, dtype=bool)
     balanced = repair(balanced_allocation(blocked), blocked)
     steps = _Steps(
-        demand_w=np.concatenate([
-            replay_plan(plan, day, gated=False)["demand_w"]
-            for plan, day in zip(plans, days)]),
+        demand_w=replay_horizon(plans, profile, gated=False)["demand_w"],
         target_w=np.zeros(n), totals=np.zeros((E_DC, n)),
         tf_w=np.full(n, plant.transformer_split(0.0)[1]),
         e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),

@@ -38,10 +38,11 @@ from bessim.losses import (
 from bessim.plant import Plant, uniform_plant_config
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import (
-    compute_metrics,
     correct_references_improved,
     demand_power,
     depth_references,
+    horizon_metrics,
+    replay_horizon,
     replay_plan,
 )
 from bessim.simulate import plan_horizon, run_simulation
@@ -186,12 +187,10 @@ def test_criterion_05_scheduler_contract():
 
 
 def _year_metrics(profile, method, p_d, e_r):
-    days = profile.split_days()
-    plans = plan_horizon(days, p_d, e_r, method)
+    plans = plan_horizon(profile.split_days(), p_d, e_r, method)
+    gated = replay_horizon(plans, profile, gated=True)
     crs, curs, cycles = [], [], 0.0
-    for plan, day in zip(plans, days):
-        gated = replay_plan(plan, day, gated=True)
-        m = compute_metrics(day, plan, gated["demand_w"], e_r)
+    for m in horizon_metrics(profile, plans, gated["demand_w"], e_r):
         crs.append(m.cr)
         curs.append(m.cur)
         cycles += m.equivalent_cycles

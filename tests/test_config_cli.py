@@ -320,6 +320,39 @@ class TestErrorContract:
         assert err["field"] == f"{section}.dt_s"
         assert not outdir.exists()
 
+    # a step below the 1 s floor is rejected when the config is read; only
+    # commands that stop there, or would write a small load, are run
+    @pytest.mark.parametrize("section", ["plant", "load.synth"])
+    @pytest.mark.parametrize("command,dt_s", [
+        ("validate-config", 1e-3), ("validate-config", 0.5),
+        ("gen-load", 0.5)])
+    def test_step_below_one_second_exits_2_naming_its_field(
+            self, tmp_path, capsys, command, dt_s, section):
+        doc = base_doc()
+        d = doc
+        for part in section.split("."):
+            d = d.setdefault(part, {})
+        d["dt_s"] = dt_s
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert e.value.field == f"{section}.dt_s"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--output", str(outdir)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == f"{section}.dt_s"
+        assert "at least 1 s" in err["message"]
+        assert not outdir.exists()
+
+    def test_one_second_step_is_accepted(self):
+        doc = base_doc()
+        doc["plant"]["dt_s"] = doc["load"]["synth"]["dt_s"] = 1
+        cfg = parse_config(doc)
+        assert cfg.plant.dt_s == cfg.load.synth.dt_s == 1.0
+
     @pytest.mark.parametrize("flags", [["--bogus"], ["--threads", "2"],
                                        ["--format", "json"]])
     def test_usage_error_exits_2_with_json_error(self, flags, capsys):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime
 
 import numpy as np
@@ -11,13 +11,17 @@ from bessim import scheduler
 from bessim.errors import BessimError, DomainError, EmptyPlanError
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import (
+    Interval,
     LoadProfile,
+    ShavingMetrics,
     ShavingPlan,
     compute_metrics,
     correct_references_improved,
     correct_references_original,
     demand_power,
     depth_references,
+    horizon_metrics,
+    replay_horizon,
     replay_plan,
     segment_cycles,
     segment_intervals,
@@ -453,13 +457,113 @@ class TestPlanProperties:
         assert {iv.kind for iv in intervals} <= {"charge", "discharge"}
 
 
-# The per-day correction procedures, one scalar bisection at a time: the
-# oracle of the planner, which plans all days at once. They read the
-# tolerance and the iteration cap from the module, as the planner does.
+# The per-day procedures: the oracle of the planner, the replay and the
+# metrics, which take all days at once. The corrections run one scalar
+# bisection at a time and read the tolerance and the iteration cap from
+# the module, as the planner does.
+
+def _oracle_demand(load, kind, ref_w, p_r_w):
+    if kind == "charge":
+        return np.clip(ref_w - load, 0.0, p_r_w)
+    return -np.clip(load - ref_w, 0.0, p_r_w)
+
+
+def _oracle_depth_references(profile, power_depth_w):
+    lo, hi = float(profile.values_w.min()), float(profile.values_w.max())
+    if hi - lo <= 2.0 * power_depth_w:
+        raise DomainError(
+            "daily load range must exceed twice the power depth for the "
+            "references to bracket the load", field="power_depth_w")
+    return lo + power_depth_w, hi - power_depth_w
+
+
+def _oracle_segment(profile, p_chr_ref_w, p_dis_ref_w):
+    if p_chr_ref_w >= p_dis_ref_w:
+        raise DomainError("p_chr_ref must be below p_dis_ref")
+    load = profile.values_w
+    labels = np.where(load < p_chr_ref_w, 1,
+                      np.where(load > p_dis_ref_w, -1, 0))
+    labelled = np.flatnonzero(labels)
+    if not labelled.size:
+        raise EmptyPlanError("references produce no eligible interval")
+    # dead-band samples inherit the preceding label; leading ones the first:
+    # index each sample by the last labelled sample at or before it.
+    last = np.where(labels != 0, np.arange(labels.size), labelled[0])
+    filled = labels[np.maximum.accumulate(last)]
+    bounds = [0, *(np.flatnonzero(np.diff(filled)) + 1).tolist(), filled.size]
+    intervals = []
+    for start, stop in zip(bounds, bounds[1:]):
+        kind = "charge" if filled[start] == 1 else "discharge"
+        ref = p_chr_ref_w if kind == "charge" else p_dis_ref_w
+        intervals.append(Interval(kind, start, stop, ref))
+    return intervals
+
+
+def _oracle_replay(plan, profile, gated=True):
+    demand = np.zeros(profile.n_samples)
+    for iv in plan.intervals:
+        demand[iv.start:iv.stop] = _oracle_demand(
+            profile.values_w[iv.start:iv.stop], iv.kind, iv.ref_w,
+            plan.rated_power_w)
+    step_wh = profile.dt_s / 3600.0
+    energy = np.empty(profile.n_samples + 1)
+    energy[0] = plan.initial_energy_wh
+    if not gated:
+        energy[1:] = plan.initial_energy_wh + np.cumsum(demand) * step_wh
+        return {"demand_w": demand, "energy_wh": energy}
+    e_r = plan.rated_energy_wh
+    d_wh = demand * step_wh
+    for iv in plan.intervals:
+        d = d_wh[iv.start:iv.stop]
+        trace = energy[iv.start:iv.stop + 1]    # trace[0]: the store so far
+        trace[1:] = d
+        np.add.accumulate(trace, out=trace)
+        charge = iv.kind == "charge"
+        passed = trace[1:] > e_r if charge else trace[1:] < 0.0
+        k = int(passed.argmax())
+        if not passed[k]:
+            continue
+        rest = d[k + 1:]
+        if charge:
+            d[k] = e_r - trace[k]
+            rest[e_r + rest > e_r] = 0.0
+        else:
+            d[k] = -trace[k]
+            rest[rest < 0.0] = -0.0
+        trace[k + 1:] = e_r if charge else 0.0
+    return {"demand_w": d_wh / step_wh, "energy_wh": energy,
+            "demanded_w": demand}
+
+
+def _oracle_metrics(profile, plan, executed_w, e_rate_wh, demanded_w=None):
+    executed_w = np.asarray(executed_w, dtype=float)
+    step_wh = profile.dt_s / 3600.0
+    e_chr = float(np.sum(executed_w[executed_w > 0]) * step_wh)
+    e_dis = float(-np.sum(executed_w[executed_w < 0]) * step_wh)
+    load, p_r = profile.values_w, plan.rated_power_w
+    e_val = float(np.sum(_oracle_demand(
+        load, "charge", plan.p_chr_ref0_w, p_r)) * step_wh)
+    e_pek = float(np.sum(np.abs(_oracle_demand(
+        load, "discharge", plan.p_dis_ref0_w, p_r))) * step_wh)
+    cr = e_chr / e_val if e_val > 0 else math.nan
+    rr = e_dis / e_pek if e_pek > 0 else math.nan
+    cur = e_chr / e_rate_wh
+    if demanded_w is None:
+        util = 1.0
+    else:
+        demanded_w = np.asarray(demanded_w, dtype=float)
+        active = demanded_w != 0
+        util = (float(np.mean(np.abs(executed_w[active])
+                              / np.abs(demanded_w[active])))
+                if np.any(active) else math.nan)
+    cycles = (e_chr + e_dis) / (2.0 * e_rate_wh)
+    return ShavingMetrics(cr=cr, rr=rr, cur=cur, power_utilization=util,
+                          equivalent_cycles=cycles, e_chr_wh=e_chr,
+                          e_dis_wh=e_dis, e_val_wh=e_val, e_pek_wh=e_pek)
+
 
 def _oracle_energy_wh(load, kind, ref_w, p_r_w, dt_s):
-    demand = (np.clip(ref_w - load, 0.0, p_r_w) if kind == "charge"
-              else -np.clip(load - ref_w, 0.0, p_r_w))
+    demand = _oracle_demand(load, kind, ref_w, p_r_w)
     return float(np.sum(np.abs(demand)) * dt_s / 3600.0)
 
 
@@ -493,7 +597,7 @@ def _oracle_bisect(energy_fn, lo, hi, target_wh, tol_wh, increasing,
 
 def _oracle_improved(profile, p_r_w, e_r_wh, p_chr_ref0_w, p_dis_ref0_w,
                      initial_energy_wh=0.0, outcomes=None):
-    intervals = segment_intervals(profile, p_chr_ref0_w, p_dis_ref0_w)
+    intervals = _oracle_segment(profile, p_chr_ref0_w, p_dis_ref0_w)
     tol = scheduler.CORRECTION_TOLERANCE_FRAC * e_r_wh
     load = profile.values_w
     lo_bound = float(load.min())
@@ -574,7 +678,7 @@ def _oracle_original(profile, p_r_w, e_r_wh, p_chr_ref0_w, p_dis_ref0_w,
     r_dis, ok_d = _oracle_bisect(e_dis, dis_lo, hi, target, tol, False,
                                  outcomes)
 
-    intervals = segment_intervals(profile, r_chr, r_dis)
+    intervals = _oracle_segment(profile, r_chr, r_dis)
     cycles = scheduler._pair_cycles(intervals, r_chr, r_dis)
     for cyc in cycles:
         cyc.feasible = ok_c and ok_d
@@ -593,7 +697,7 @@ def _oracle_plan_horizon(days, power_depth_w, rated_energy_wh, method,
     plans = []
     for k, day in enumerate(days):
         try:
-            refs = depth_references(day, power_depth_w)
+            refs = _oracle_depth_references(day, power_depth_w)
         except DomainError as exc:
             raise DomainError(f"day {k}: {exc}", field=exc.field) from None
         plans.append(correct(day, power_depth_w, rated_energy_wh, *refs,
@@ -731,6 +835,10 @@ class TestPlanHorizonOracle:
                     == [_plan_bits(p) for p in want])
 
 
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    def test_no_days_no_plans(self, method):
+        assert plan_horizon([], 5e6, 10e6, method) == []
+
     def test_days_of_two_steps_rejected(self):
         days = [profile_from_hours([10.0, 40.0] * 12),
                 profile_from_hours([10.0, 40.0] * 24, dt_s=1800.0)]
@@ -753,18 +861,20 @@ class TestFlatDay:
                                             monkeypatch):
         days = self.horizon(flat_day)
         segmented = []
-        segment = scheduler.segment_intervals
+        segment = scheduler._segment_horizon
 
-        def spy(profile, *refs):
-            segmented.append(profile)
-            return segment(profile, *refs)
-        monkeypatch.setattr(scheduler, "segment_intervals", spy)
+        def spy(load, lengths, *refs):
+            segmented.append((load.tolist(), lengths.tolist()))
+            return segment(load, lengths, *refs)
+        monkeypatch.setattr(scheduler, "_segment_horizon", spy)
         with pytest.raises(DomainError) as e:
             plan_horizon(days, 5e6, 10e6, method)
         assert e.value.field == "power_depth_w"
         assert str(e.value).startswith(f"day {flat_day}: daily load range")
         # the days before it are planned, no day after it
-        assert {id(p) for p in segmented} == {id(d) for d in days[:flat_day]}
+        before = days[:flat_day]
+        assert segmented == ([(np.concatenate([d.values_w for d in before])
+                               .tolist(), [24] * flat_day)] if before else [])
 
     @pytest.mark.parametrize("method", ["improved", "original"])
     @pytest.mark.parametrize("flat_day", [0, 2])
@@ -778,3 +888,143 @@ class TestFlatDay:
             assert got == want
         assert got[2] == ("power_depth_w" if flat_day == 0
                           else "initial_energy_wh")
+
+
+def _float_bits(values):
+    """The float64 bits of values, signed zeros and NaNs told apart."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _metrics_bits(m):
+    return [(type(v), _float_bits([v])) for v in
+            (getattr(m, f.name) for f in fields(ShavingMetrics))]
+
+
+@st.composite
+def day_tables(draw):
+    """1-10 synthetic days at 60, 300 or 900 s, the last one cut short by
+    up to all but two samples, and a plan for each: either 1-4 intervals
+    a day (cut points, first kind and references inside the day's load
+    range drawn) with initial references that may leave no valley or no
+    peak, or the plans of either method. The rated power is at most the
+    load's swing, the store a few full-power samples at most, so that
+    clamps bind, and the initial energy 0, half the store or all of it."""
+    dt_s = draw(st.sampled_from([60.0, 300.0, 900.0]))
+    spec = SynthLoadSpec(
+        days=draw(st.integers(1, 10)), dt_s=dt_s,
+        valley_depth_w=draw(st.floats(1e6, 9e6)),
+        morning_peak_w=draw(st.sampled_from([0.0, 6e6])),
+        noise_rel=draw(st.floats(0.0, 0.02)))
+    full = synth_load(spec, draw(st.integers(0, 2**16)))
+    cut = draw(st.integers(0, int(86400 / dt_s) - 2))
+    profile = LoadProfile(START, dt_s, full.values_w[:full.n_samples - cut])
+    days = profile.split_days()
+    spread = min(float(d.values_w.max() - d.values_w.min()) for d in days)
+    assume(spread > 0)
+    p_r = 10 ** draw(st.floats(-2.0, 0.0)) * spread
+    e_r = 10 ** draw(st.floats(-1.0, 1.5)) * p_r * dt_s / 3600.0
+    e0 = draw(st.sampled_from([0.0, 0.5, 1.0])) * e_r
+    source = draw(st.sampled_from(["drawn", "improved", "original"]))
+    if source != "drawn":
+        depth = draw(st.floats(0.02, 0.45)) * spread
+        try:
+            plans = plan_horizon(days, depth, e_r, source, e0)
+        except BessimError:
+            assume(False)
+        return profile, days, [replace(p, rated_power_w=p_r) for p in plans]
+    plans = []
+    for day in days:
+        n = day.n_samples
+        lo, hi = float(day.values_w.min()), float(day.values_w.max())
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), unique=True,
+                                    max_size=min(3, n - 1))))
+        charge = draw(st.booleans())
+        intervals = []
+        for start, stop in zip([0, *cuts], [*cuts, n]):
+            ref = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+            intervals.append(Interval("charge" if charge else "discharge",
+                                      start, stop, ref))
+            charge = not charge
+        # below the minimum: no valley; above the maximum: no peak
+        chr0 = lo + draw(st.floats(-0.1, 0.5)) * (hi - lo)
+        dis0 = lo + draw(st.floats(0.5, 1.1)) * (hi - lo)
+        plans.append(ShavingPlan(cycles=[], intervals=intervals,
+                                 rated_power_w=p_r, rated_energy_wh=e_r,
+                                 p_chr_ref0_w=chr0, p_dis_ref0_w=dis0,
+                                 initial_energy_wh=e0))
+    return profile, days, plans
+
+
+class TestHorizonOracle:
+    """Segmentation, replay and metrics take every day at once, bit for
+    bit as the per-day procedures above."""
+
+    @settings(max_examples=150)
+    @given(day_tables(), st.data())
+    def test_replay_and_metrics(self, drawn, data):
+        profile, days, plans = drawn
+        for gated in (False, True):
+            got = replay_horizon(plans, profile, gated)
+            want = [_oracle_replay(p, d, gated) for p, d in zip(plans, days)]
+            assert set(got) == set(want[0])
+            for key in got:
+                assert (_float_bits(got[key])
+                        == _float_bits(np.concatenate([w[key] for w in want])))
+        executed = got["demand_w"]
+        demanded = data.draw(st.sampled_from(["free", "none", "idle day"]))
+        demanded = {"free": got["demanded_w"], "none": None,
+                    "idle day": np.where(
+                        np.arange(profile.n_samples)
+                        // profile.samples_per_day() == 0,
+                        0.0, got["demanded_w"])}[demanded]
+        e_rate = plans[0].rated_energy_wh
+        metrics = horizon_metrics(profile, plans, executed, e_rate, demanded)
+        at = np.cumsum([0, *(d.n_samples for d in days)])
+        for k, (m, plan, day) in enumerate(zip(metrics, plans, days)):
+            part = slice(at[k], at[k + 1])
+            want = _oracle_metrics(
+                day, plan, executed[part], e_rate,
+                None if demanded is None else demanded[part])
+            assert _metrics_bits(m) == _metrics_bits(want)
+        # the one-day functions are the batched ones on one day
+        plan, day = plans[-1], days[-1]
+        one = replay_plan(plan, day, gated=True)
+        want = _oracle_replay(plan, day, gated=True)
+        assert all(_float_bits(one[k]) == _float_bits(want[k]) for k in one)
+        assert (_metrics_bits(compute_metrics(day, plan, one["demand_w"],
+                                              e_rate))
+                == _metrics_bits(_oracle_metrics(day, plan, one["demand_w"],
+                                                 e_rate)))
+
+    @settings(max_examples=100)
+    @given(day_tables(), st.data())
+    def test_segmentation(self, drawn, data):
+        # references anywhere around each day's load range: inverted pairs
+        # and pairs that label no sample fail the day, and the first
+        # failing day ends the horizon
+        _, days, _ = drawn
+        refs = []
+        for day in days:
+            lo, hi = float(day.values_w.min()), float(day.values_w.max())
+            refs.append(sorted(lo + data.draw(st.floats(-0.2, 1.2))
+                               * (hi - lo) for _ in range(2))[::data.draw(
+                                   st.sampled_from([1, 1, 1, -1]))])
+        chr0, dis0 = (list(r) for r in zip(*refs))
+        got, error = scheduler._segment_horizon(
+            np.concatenate([d.values_w for d in days]),
+            np.array([d.n_samples for d in days]), chr0, dis0)
+        want = []
+        for day, (c, d) in zip(days, refs):
+            try:
+                want.append(_oracle_segment(day, c, d))
+            except BessimError as exc:
+                assert (type(error), str(error)) == (type(exc), str(exc))
+                break
+        else:
+            assert error is None
+        assert ([[(iv.kind, iv.start, iv.stop, float.hex(iv.ref_w))
+                  for iv in ivs] for ivs in got]
+                == [[(iv.kind, iv.start, iv.stop, float.hex(iv.ref_w))
+                     for iv in ivs] for ivs in want])
+        assert all(type(x) is int for ivs in got for iv in ivs
+                   for x in (iv.start, iv.stop))
