@@ -50,6 +50,7 @@ from .scheduler import (
     demand_power,
     depth_references,
     horizon_metrics,
+    plan_horizon,
     replay_horizon,
     replay_plan,
     segment_cycles,
@@ -64,7 +65,7 @@ from .allocator import (
     repair,
 )
 from .profiles import SynthLoadSpec, load_profile_from_csv, load_profile_to_csv, synth_load
-from .simulate import SimulationResult, plan_horizon, run_simulation
+from .simulate import SimulationResult, run_simulation
 from .analysis import (
     BoxStats,
     DepthSweepReport,

@@ -114,8 +114,9 @@ def _resolve_outdir(args, cfg: RunConfig) -> str:
 def _load_profile(cfg: RunConfig, days: int | None,
                   steps_plant: bool = False) -> LoadProfile:
     """The configured load, cut to days. A CSV load must be at plant.dt_s
-    and span days days (as split_days counts them); a synthetic one must
-    be at plant.dt_s too when the command steps the plant (steps_plant)."""
+    and span days days (a short last day counts, as in plan_horizon); a
+    synthetic one must be at plant.dt_s too when the command steps the
+    plant (steps_plant)."""
     if cfg.load.source == "csv":
         profile = load_profile_from_csv(cfg.load.csv_path, cfg.plant.dt_s)
     else:
@@ -170,10 +171,9 @@ def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     outdir = _resolve_outdir(args, cfg)
     profile = _load_profile(cfg, args.days)
-    days = profile.split_days()
 
     def gated_metrics(method):
-        plans = plan_horizon(days, cfg.schedule.power_depth_w,
+        plans = plan_horizon(profile, cfg.schedule.power_depth_w,
                              cfg.schedule.rated_energy_wh, method,
                              cfg.schedule.initial_plan_energy_wh)
         gated = replay_horizon(plans, profile, gated=True)

@@ -3,10 +3,11 @@ law, reference correction (per-cycle improved method and the day-level
 symmetric baseline) and the peak-shaving performance metrics.
 
 Planning works on the forecast load with perfect foresight (the forecast
-equals the actual load). Each day is planned on its own, but plan_days
-segments and corrects all of a horizon's days at once, their bisections
+equals the actual load). Each day is planned on its own, but plan_horizon
+segments and corrects all of a profile's days at once, their bisections
 in lockstep, and replay_horizon and horizon_metrics replay and score them
-at once; the one-day functions are their one-day cases.
+at once. The one-day functions run the same code on the whole profile
+they are given as one day.
 """
 
 from __future__ import annotations
@@ -50,14 +51,6 @@ class LoadProfile:
 
     def samples_per_day(self) -> int:
         return steps_per_day(self.dt_s)
-
-    def split_days(self) -> list["LoadProfile"]:
-        n = self.samples_per_day()
-        days = []
-        for d in range(math.ceil(self.n_samples / n)):
-            chunk = self.values_w[d * n:(d + 1) * n]
-            days.append(LoadProfile(self.start_time, self.dt_s, chunk))
-        return days
 
 
 @dataclass
@@ -308,8 +301,8 @@ def segment_intervals(profile: LoadProfile, p_chr_ref_w: float,
 
 def _day_runs(lengths: np.ndarray) -> list[tuple[int, int, int]]:
     """(first day, day count, samples a day) of each run of consecutive
-    days of one length: one run for the days of LoadProfile.split_days,
-    or two when the last day is cut short."""
+    days of one length: one run for the full days of a profile, or two
+    when the last day is cut short."""
     cut = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(),
            lengths.size]
     return [(a, b - a, int(lengths[a])) for a, b in zip(cut, cut[1:])]
@@ -419,10 +412,8 @@ class _Horizon:
         self.lo, self.hi = lo, hi
 
     @classmethod
-    def of(cls, days: list[LoadProfile]) -> "_Horizon":
-        load = (np.concatenate([day.values_w for day in days])
-                if len(days) > 1 else days[0].values_w)
-        lengths = np.array([day.n_samples for day in days])
+    def of(cls, load: np.ndarray, lengths: np.ndarray) -> "_Horizon":
+        """The days of the given lengths that make up load."""
         starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
         return cls(load, starts, lengths, np.minimum.reduceat(load, starts),
                    np.maximum.reduceat(load, starts))
@@ -434,53 +425,52 @@ class _Horizon:
                         self.hi[:n])
 
 
-def plan_days(days: list[LoadProfile], p_r_w: float, e_r_wh: float,
-              method: str, initial_energy_wh: float = 0.0,
-              refs0=None) -> list[ShavingPlan]:
-    """The corrected plan of each of days, days of one sampling step, all
-    planned at once by method: 'improved' (correct_references_improved)
-    or 'original' (correct_references_original), bit for bit as one day at
-    a time.
+def plan_horizon(profile: LoadProfile, power_depth_w: float,
+                 rated_energy_wh: float, method: str,
+                 initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
+    """Independent day-ahead plan of each of the profile's days (its full
+    days of samples_per_day samples, then a short last day if there is
+    one), in order, all planned at once by method: 'improved'
+    (correct_references_improved) or 'original'
+    (correct_references_original), bit for bit as one day at a time.
 
-    refs0, a (charge, discharge) pair of sequences, gives each day's
-    initial references. By default they are each day's depth_references
-    at the depth p_r_w, taken from the day's load minimum and maximum; a
-    day that cannot bracket the depth fails with DomainError on
-    power_depth_w, named. The first day whose references, sampling step or
-    segmentation fails, in that order, ends the horizon there: the days
-    before it are planned and their plans built in order, so that an
-    error of theirs comes first, and then that day's error is raised.
+    Each day starts from its depth_references at power_depth_w, taken from
+    the day's load minimum and maximum. A day whose load range is at most
+    twice power_depth_w raises DomainError on power_depth_w naming the
+    day, after the days before it are planned and their plans built, so
+    that an error of theirs comes first; the same holds for the first day
+    whose segmentation fails.
     """
     if method not in ("improved", "original"):
         raise DomainError(f"unknown scheduling method {method!r}")
-    if not days:
-        return []
-    h = _Horizon.of(days)
-    n, error = len(days), None
-    if refs0 is None:
-        chr0, dis0, shallow = _depth_references(h.lo, h.hi, p_r_w)
-        chr0, dis0 = chr0.tolist(), dis0.tolist()
-        if shallow is not None:
-            n, error = shallow, _shallow_day(shallow)
+    per_day = profile.samples_per_day()
+    full, rest = divmod(profile.n_samples, per_day)
+    h = _Horizon.of(profile.values_w,
+                    np.array([per_day] * full + [rest] * (rest > 0)))
+    chr0, dis0, shallow = _depth_references(h.lo, h.hi, power_depth_w)
+    n = len(h.lengths) if shallow is None else shallow
+    plans = _plan(h.head(n), chr0[:n].tolist(), dis0[:n].tolist(),
+                  power_depth_w, rated_energy_wh, method, initial_energy_wh,
+                  profile.dt_s) if n else []
+    if shallow is not None:
+        raise _shallow_day(shallow)
+    return plans
+
+
+def _plan(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
+          method: str, initial_energy_wh: float,
+          dt: float) -> list[ShavingPlan]:
+    """The plan of each day of h by method, from its initial references
+    chr0 and dis0 (sequences, one per day). The first day whose
+    segmentation fails raises, once the days before it are planned."""
+    if method == "improved":
+        intervals, error = _segment_horizon(h.load, h.lengths, chr0, dis0)
+        plans = _correct_improved(
+            h.head(len(intervals)), chr0, dis0, intervals, p_r_w, e_r_wh,
+            initial_energy_wh, dt) if intervals else []
     else:
-        chr0, dis0 = refs0
-    dt = days[0].dt_s
-    other = next((k for k in range(n) if days[k].dt_s != dt), None)
-    if other is not None:
-        n, error = other, DomainError("days must share one sampling step")
-    h = h.head(n)
-    plans, seg_error = [], None
-    if n and method == "improved":
-        intervals, seg_error = _segment_horizon(h.load, h.lengths,
-                                                chr0[:n], dis0[:n])
-        if intervals:
-            plans = _correct_improved(
-                h.head(len(intervals)), chr0, dis0, intervals, p_r_w, e_r_wh,
-                initial_energy_wh, dt)
-    elif n:
-        plans, seg_error = _correct_original(h, chr0, dis0, p_r_w, e_r_wh,
-                                             initial_energy_wh, dt)
-    error = seg_error or error
+        plans, error = _correct_original(h, chr0, dis0, p_r_w, e_r_wh,
+                                         initial_energy_wh, dt)
     if error is not None:
         raise error
     return plans
@@ -500,11 +490,12 @@ def correct_references_improved(profile: LoadProfile, p_r_w: float,
     paired charge would overflow) lowers it. Each correction is a bisection
     capped at CORRECTION_MAX_ITERATIONS; a cycle that cannot be brought
     inside [0, e_r] within tolerance is flagged infeasible, not raised.
-    The one-day case of plan_days, which walks every day's intervals at
-    once by these rules.
+    The whole profile is one day, whatever its length; plan_horizon walks
+    every day's intervals at once by these rules.
     """
-    return plan_days([profile], p_r_w, e_r_wh, "improved", initial_energy_wh,
-                     ([p_chr_ref0_w], [p_dis_ref0_w]))[0]
+    return _plan(_Horizon.of(profile.values_w, np.array([profile.n_samples])),
+                 [p_chr_ref0_w], [p_dis_ref0_w], p_r_w, e_r_wh, "improved",
+                 initial_energy_wh, profile.dt_s)[0]
 
 
 def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
@@ -625,11 +616,13 @@ def correct_references_original(profile: LoadProfile, p_r_w: float,
     min(maximum capturable valley energy, maximum releasable peak energy,
     e_r), with each reference allowed to advance into the load up to the
     daily mid-level. Over-adjustment relative to the depth-defined
-    references is characteristic of this baseline. The one-day case of
-    plan_days, which bisects every day's two references at once.
+    references is characteristic of this baseline. The whole profile is
+    one day, whatever its length; plan_horizon bisects every day's two
+    references at once.
     """
-    return plan_days([profile], p_r_w, e_r_wh, "original", initial_energy_wh,
-                     ([p_chr_ref0_w], [p_dis_ref0_w]))[0]
+    return _plan(_Horizon.of(profile.values_w, np.array([profile.n_samples])),
+                 [p_chr_ref0_w], [p_dis_ref0_w], p_r_w, e_r_wh, "original",
+                 initial_energy_wh, profile.dt_s)[0]
 
 
 def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
@@ -641,18 +634,22 @@ def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
     whose segmentation at its corrected references raises, and that error
     (None when none does)."""
     n = len(h.lengths)
-    load, starts, lengths, lo, hi = h.load, h.starts, h.lengths, h.lo, h.hi
+    load, lengths, lo, hi = h.load, h.lengths, h.lo, h.hi
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     mid = 0.5 * (lo + hi)
     gap = 0.005 * (hi - lo)
     # each lane's bisection runs from its outer end (the day's load minimum
     # or maximum) to its inner end (up to the mid-level)
-    inner = np.concatenate([np.maximum(mid - gap, np.array(chr0[:n])),
-                            np.minimum(mid + gap, np.array(dis0[:n]))])
+    inner = np.concatenate([np.maximum(mid - gap, chr0),
+                            np.minimum(mid + gap, dis0)])
     outer = np.concatenate([lo, hi])
     charge = np.arange(2 * n) < n
-    lanes = _Lanes.of(load, charge, np.tile(starts, 2), np.tile(lengths, 2),
-                      p_r_w, dt)
+    # the lanes are views of the days' rows of load: every day's charge
+    # lane, then every day's discharge lane, already in lane order
+    rows = [mat for _, mat in _day_rows(load, _day_runs(lengths))]
+    lanes = _Lanes(charge, np.arange(2 * n),
+                   [("charge", mat) for mat in rows]
+                   + [("discharge", mat) for mat in rows], p_r_w, dt)
     e_inner = lanes.energy_wh(inner)
     e_outer = lanes.energy_wh(outer)
     target = np.minimum(np.minimum(e_inner[:n], e_inner[n:]), e_r_wh)

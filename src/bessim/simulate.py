@@ -20,7 +20,7 @@ from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
     ShavingPlan,
-    plan_days,
+    plan_horizon,
     replay_horizon,
 )
 
@@ -73,20 +73,6 @@ class SimulationResult:
         return sum(self.loss_wh.values())
 
 
-def plan_horizon(days: list[LoadProfile], power_depth_w: float,
-                 rated_energy_wh: float, method: str = ScheduleConfig.method,
-                 initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
-    """Independent day-ahead plan for each of the horizon's days (as
-    LoadProfile.split_days gives them), in the same order. All days are
-    planned at once (scheduler.plan_days), by the correction rules of the
-    one-day methods and bit for bit as they plan each day. A day whose
-    load range is at most twice power_depth_w raises DomainError on
-    power_depth_w naming the day, after the days before it are planned
-    and before any later day is."""
-    return plan_days(days, power_depth_w, rated_energy_wh, method,
-                     initial_energy_wh)
-
-
 @dataclass
 class _Steps:
     """What the loops of run_simulation write per step. demand_w starts as
@@ -132,8 +118,7 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     dt = plant.cfg.dt_s
     if abs(profile.dt_s - dt) > 1e-9:
         raise DomainError("profile sampling must match the plant step")
-    plans = plan_horizon(profile.split_days(), power_depth_w,
-                         rated_energy_wh, method)
+    plans = plan_horizon(profile, power_depth_w, rated_energy_wh, method)
     n, m = profile.n_samples, plant.n_clusters
     # the balanced split with nothing blocked: the allocation of zero steps
     blocked = np.zeros(m, dtype=bool)

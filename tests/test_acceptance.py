@@ -187,7 +187,7 @@ def test_criterion_05_scheduler_contract():
 
 
 def _year_metrics(profile, method, p_d, e_r):
-    plans = plan_horizon(profile.split_days(), p_d, e_r, method)
+    plans = plan_horizon(profile, p_d, e_r, method)
     gated = replay_horizon(plans, profile, gated=True)
     crs, curs, cycles = [], [], 0.0
     for m in horizon_metrics(profile, plans, gated["demand_w"], e_r):

@@ -13,6 +13,7 @@ from bessim.profiles import load_profile_to_csv, synth_load
 from bessim.scheduler import LoadProfile, compute_metrics, replay_plan
 from bessim.simulate import plan_horizon
 from test_analysis import metrics_row_by_fstring
+from test_scheduler import days_of
 
 
 def base_doc(days=1):
@@ -572,11 +573,11 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(path),
                      "--output", outdir]) == 0
         cfg = load_config(str(path))
-        days = synth_load(cfg.load.synth, cfg.load.seed).split_days()
+        profile = synth_load(cfg.load.synth, cfg.load.seed)
         rows, utilization = [], []
         for method in ("improved", "original"):
-            plans = plan_horizon(days, 200e3, 100e3, method)
-            for d, (plan, day) in enumerate(zip(plans, days)):
+            plans = plan_horizon(profile, 200e3, 100e3, method)
+            for d, (plan, day) in enumerate(zip(plans, days_of(profile))):
                 metrics = compute_metrics(
                     day, plan, replay_plan(plan, day, gated=True)["demand_w"],
                     100e3, replay_plan(plan, day, gated=False)["demand_w"])

@@ -51,6 +51,7 @@ from bessim.plant import (
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import LoadProfile, replay_plan
 from bessim.simulate import _Steps, _run_general, _run_uniform, run_simulation
+from test_scheduler import days_of
 
 
 class TestClusterAggregates:
@@ -525,7 +526,7 @@ class TestTransformerSplitOncePerStep:
             r = run_simulation(plant, profile, 200e3, 800e3)
         planned = np.concatenate([
             replay_plan(plan, day, gated=False)["demand_w"]
-            for plan, day in zip(r.plans, profile.split_days())])
+            for plan, day in zip(r.plans, days_of(profile))])
         capped = (r.demand_w < 0.0) & (r.demand_w > planned)
         assert capped.any()
         assert tf.call_count == (np.count_nonzero(r.demand_w)
@@ -1158,7 +1159,7 @@ class TestBook:
                                    record_alloc=True)
         planned = np.concatenate([
             replay_plan(plan, day, gated=False)["demand_w"]
-            for plan, day in zip(whole.plans, profile.split_days())])
+            for plan, day in zip(whole.plans, days_of(profile))])
         powered = np.flatnonzero(whole.demand_w)
         k = int(powered[2])
         dropped = (planned[:k] != 0.0) & (whole.demand_w[:k] == 0.0)
@@ -1292,7 +1293,7 @@ class TestRunSimulationReplay:
                                 alloc_mode=alloc_mode, record_alloc=True)
         planned = np.concatenate([
             replay_plan(plan, day, gated=False)["demand_w"]
-            for plan, day in zip(result.plans, self.PROFILE.split_days())])
+            for plan, day in zip(result.plans, days_of(self.PROFILE))])
         # the plan holds runs of zero demand, some of them -0.0
         assert np.count_nonzero(planned == 0.0) > 100
         assert np.signbit(planned[planned == 0.0]).any()

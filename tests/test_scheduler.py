@@ -49,13 +49,6 @@ class TestLoadProfile:
         with pytest.raises(DomainError):
             profile_from_hours([1.0, -1.0])
 
-    def test_split_days(self):
-        p = double_bump_day()
-        days = LoadProfile(START, p.dt_s,
-                           np.concatenate([p.values_w, p.values_w])).split_days()
-        assert len(days) == 2
-        assert days[0].n_samples == p.n_samples
-
     def test_uneven_day_rejected(self):
         with pytest.raises(DomainError):
             profile_from_hours([1, 2, 3], dt_s=7000.0).samples_per_day()
@@ -462,6 +455,15 @@ class TestPlanProperties:
 # bisection at a time and read the tolerance and the iteration cap from
 # the module, as the planner does.
 
+def days_of(profile):
+    """The profile's days, one LoadProfile each: its full days of
+    samples_per_day samples, then a short last day if there is one."""
+    n = profile.samples_per_day()
+    return [LoadProfile(profile.start_time, profile.dt_s,
+                        profile.values_w[k:k + n])
+            for k in range(0, profile.n_samples, n)]
+
+
 def _oracle_demand(load, kind, ref_w, p_r_w):
     if kind == "charge":
         return np.clip(ref_w - load, 0.0, p_r_w)
@@ -689,13 +691,13 @@ def _oracle_original(profile, p_r_w, e_r_wh, p_chr_ref0_w, p_dis_ref0_w,
         initial_energy_wh=initial_energy_wh)
 
 
-def _oracle_plan_horizon(days, power_depth_w, rated_energy_wh, method,
+def _oracle_plan_horizon(profile, power_depth_w, rated_energy_wh, method,
                          initial_energy_wh=0.0, outcomes=None):
     """plan_horizon one day at a time."""
     correct = {"improved": _oracle_improved,
                "original": _oracle_original}[method]
     plans = []
-    for k, day in enumerate(days):
+    for k, day in enumerate(days_of(profile)):
         try:
             refs = _oracle_depth_references(day, power_depth_w)
         except DomainError as exc:
@@ -744,14 +746,15 @@ def horizons(draw):
         day_jitter=draw(st.floats(0.0, 0.1)))
     profile = synth_load(spec, draw(st.integers(0, 2**16)))
     cut = draw(st.integers(0, int(86400 / dt_s) - 2))
-    days = LoadProfile(START, dt_s,
-                       profile.values_w[:profile.n_samples - cut]).split_days()
-    spread = min(float(d.values_w.max() - d.values_w.min()) for d in days)
+    profile = LoadProfile(START, dt_s,
+                          profile.values_w[:profile.n_samples - cut])
+    spread = min(float(d.values_w.max() - d.values_w.min())
+                 for d in days_of(profile))
     assume(spread > 0)
     depth = draw(st.floats(0.02, 0.45)) * spread
     e_r = draw(st.floats(1e5, 3e7))
     e0 = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))) * e_r
-    return days, depth, e_r, e0
+    return profile, depth, e_r, e0
 
 
 class TestPlanHorizonOracle:
@@ -761,10 +764,11 @@ class TestPlanHorizonOracle:
     @settings(max_examples=120)
     @given(horizons())
     def test_equals_the_per_day_oracle(self, drawn):
-        days, depth, e_r, e0 = drawn
+        profile, depth, e_r, e0 = drawn
         for method in ("improved", "original"):
-            got = _outcome(plan_horizon, days, depth, e_r, method, e0)
-            want = _outcome(_oracle_plan_horizon, days, depth, e_r, method, e0)
+            got = _outcome(plan_horizon, profile, depth, e_r, method, e0)
+            want = _outcome(_oracle_plan_horizon, profile, depth, e_r, method,
+                            e0)
             assert got == want
 
     @pytest.mark.parametrize("method", ["improved", "original"])
@@ -797,23 +801,22 @@ class TestPlanHorizonOracle:
         # 1's would need 15/7 MW below the peak and stops at the cap. The
         # same batch bisects all four.
         monkeypatch.setattr(scheduler, "CORRECTION_TOLERANCE_FRAC", 0.0)
-        plateau = profile_from_hours([10.0] * 4 + [25.0] * 12
-                                     + [33.0] * 4 + [40.0] * 4)
-        capped = profile_from_hours([10.0] * 3 + [25.0] * 14 + [40.0] * 7)
-        days = [plateau, capped]
+        plateau = [10.0] * 4 + [25.0] * 12 + [33.0] * 4 + [40.0] * 4
+        capped = [10.0] * 3 + [25.0] * 14 + [40.0] * 7
+        profile = profile_from_hours(plateau + capped)
         outcomes = []
-        want = _oracle_plan_horizon(days, 5e6, 1e12, "original",
+        want = _oracle_plan_horizon(profile, 5e6, 1e12, "original",
                                     outcomes=outcomes)
         assert outcomes == ["bound", "middle", "bound", "cap"]
-        got = plan_horizon(days, 5e6, 1e12, "original")
+        got = plan_horizon(profile, 5e6, 1e12, "original")
         assert [_plan_bits(p) for p in got] == [_plan_bits(p) for p in want]
         assert [c.feasible for p in got for c in p.cycles] == [True, False]
         # the improved method, its lanes capped too, on the same days
         outcomes = []
-        want = _oracle_plan_horizon(days, 5e6, 30e6, "improved", 10e6,
+        want = _oracle_plan_horizon(profile, 5e6, 30e6, "improved", 10e6,
                                     outcomes=outcomes)
         assert "cap" in outcomes
-        got = plan_horizon(days, 5e6, 30e6, "improved", 10e6)
+        got = plan_horizon(profile, 5e6, 30e6, "improved", 10e6)
         assert [_plan_bits(p) for p in got] == [_plan_bits(p) for p in want]
 
 
@@ -824,26 +827,63 @@ class TestPlanHorizonOracle:
         monkeypatch.setattr(scheduler, "CORRECTION_MAX_ITERATIONS", 3)
         spec = SynthLoadSpec(days=6, dt_s=900.0, valley_depth_w=3e6,
                              morning_peak_w=6e6, morning_hour=9.0)
-        days = synth_load(spec, 5).split_days()
+        profile = synth_load(spec, 5)
         for e_r in (1e6, 3e6, 10e6):
             outcomes = []
-            want = _oracle_plan_horizon(days, 4e6, e_r, method, 0.5 * e_r,
+            want = _oracle_plan_horizon(profile, 4e6, e_r, method, 0.5 * e_r,
                                         outcomes=outcomes)
             assert "cap" in outcomes
-            got = plan_horizon(days, 4e6, e_r, method, 0.5 * e_r)
+            got = plan_horizon(profile, 4e6, e_r, method, 0.5 * e_r)
             assert ([_plan_bits(p) for p in got]
                     == [_plan_bits(p) for p in want])
 
 
-    @pytest.mark.parametrize("method", ["improved", "original"])
-    def test_no_days_no_plans(self, method):
-        assert plan_horizon([], 5e6, 10e6, method) == []
+class TestOneDayFunctions:
+    """The one-day functions read the whole profile they are given as one
+    day, whatever its length and step: none splits it by samples_per_day."""
 
-    def test_days_of_two_steps_rejected(self):
-        days = [profile_from_hours([10.0, 40.0] * 12),
-                profile_from_hours([10.0, 40.0] * 24, dt_s=1800.0)]
-        with pytest.raises(DomainError, match="one sampling step"):
-            plan_horizon(days, 5e6, 10e6)
+    PROFILES = {
+        "1.5 days at 300 s": LoadProfile(START, 300.0, synth_load(
+            SynthLoadSpec(days=2, dt_s=300.0, morning_peak_w=6e6,
+                          morning_hour=9.0), 4).values_w[:432]),
+        # 7000 s does not divide a day
+        "30 samples at 7000 s": profile_from_hours(
+            30.0 + 6.0 * np.sin(np.arange(30) * 7000.0 / 3600.0 * np.pi / 12),
+            dt_s=7000.0),
+    }
+
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    @pytest.mark.parametrize("name", list(PROFILES))
+    def test_whole_profile_is_the_oracle(self, name, method):
+        profile = self.PROFILES[name]
+        load = profile.values_w
+        depth = 0.2 * float(load.max() - load.min())
+        refs = depth_references(profile, depth)
+        assert refs == _oracle_depth_references(profile, depth)
+        assert ([(iv.kind, iv.start, iv.stop, float.hex(iv.ref_w))
+                 for iv in segment_intervals(profile, *refs)]
+                == [(iv.kind, iv.start, iv.stop, float.hex(iv.ref_w))
+                    for iv in _oracle_segment(profile, *refs)])
+        correct = {"improved": correct_references_improved,
+                   "original": correct_references_original}[method]
+        oracle = {"improved": _oracle_improved,
+                  "original": _oracle_original}[method]
+        for e_r in (200e3, 3e6, 30e6):
+            plan = correct(profile, depth, e_r, *refs, 0.5 * e_r)
+            assert _plan_bits(plan) == _plan_bits(
+                oracle(profile, depth, e_r, *refs, 0.5 * e_r))
+            assert plan.intervals[-1].stop == profile.n_samples
+            for gated in (False, True):
+                got = replay_plan(plan, profile, gated)
+                want = _oracle_replay(plan, profile, gated)
+                assert set(got) == set(want)
+                assert all(_float_bits(got[k]) == _float_bits(want[k])
+                           for k in got)
+            executed, demanded = got["demand_w"], got["demanded_w"]
+            assert (_metrics_bits(compute_metrics(profile, plan, executed,
+                                                  e_r, demanded))
+                    == _metrics_bits(_oracle_metrics(profile, plan, executed,
+                                                     e_r, demanded)))
 
 
 class TestFlatDay:
@@ -851,15 +891,15 @@ class TestFlatDay:
 
     @staticmethod
     def horizon(flat_day):
-        return [profile_from_hours([25.0] * 24 if k == flat_day
-                                   else [10.0] * 12 + [40.0] * 12)
-                for k in range(4)]
+        return profile_from_hours(np.concatenate([
+            [25.0] * 24 if k == flat_day else [10.0] * 12 + [40.0] * 12
+            for k in range(4)]))
 
     @pytest.mark.parametrize("method", ["improved", "original"])
     @pytest.mark.parametrize("flat_day", [0, 2, 3])
     def test_named_after_the_days_before_it(self, method, flat_day,
                                             monkeypatch):
-        days = self.horizon(flat_day)
+        profile = self.horizon(flat_day)
         segmented = []
         segment = scheduler._segment_horizon
 
@@ -868,23 +908,24 @@ class TestFlatDay:
             return segment(load, lengths, *refs)
         monkeypatch.setattr(scheduler, "_segment_horizon", spy)
         with pytest.raises(DomainError) as e:
-            plan_horizon(days, 5e6, 10e6, method)
+            plan_horizon(profile, 5e6, 10e6, method)
         assert e.value.field == "power_depth_w"
         assert str(e.value).startswith(f"day {flat_day}: daily load range")
         # the days before it are planned, no day after it
-        before = days[:flat_day]
-        assert segmented == ([(np.concatenate([d.values_w for d in before])
-                               .tolist(), [24] * flat_day)] if before else [])
+        before = profile.values_w[:24 * flat_day]
+        assert segmented == ([(before.tolist(), [24] * flat_day)]
+                             if flat_day else [])
 
     @pytest.mark.parametrize("method", ["improved", "original"])
     @pytest.mark.parametrize("flat_day", [0, 2])
     def test_error_order_is_the_oracle(self, method, flat_day):
         # an initial energy outside the store fails day 0's plan: after a
         # flat day 0, before a flat day 2
-        days = self.horizon(flat_day)
+        profile = self.horizon(flat_day)
         for e0 in (5e6, -1.0):
-            got = _outcome(plan_horizon, days, 5e6, 10e6, method, e0)
-            want = _outcome(_oracle_plan_horizon, days, 5e6, 10e6, method, e0)
+            got = _outcome(plan_horizon, profile, 5e6, 10e6, method, e0)
+            want = _outcome(_oracle_plan_horizon, profile, 5e6, 10e6, method,
+                            e0)
             assert got == want
         assert got[2] == ("power_depth_w" if flat_day == 0
                           else "initial_energy_wh")
@@ -918,7 +959,7 @@ def day_tables(draw):
     full = synth_load(spec, draw(st.integers(0, 2**16)))
     cut = draw(st.integers(0, int(86400 / dt_s) - 2))
     profile = LoadProfile(START, dt_s, full.values_w[:full.n_samples - cut])
-    days = profile.split_days()
+    days = days_of(profile)
     spread = min(float(d.values_w.max() - d.values_w.min()) for d in days)
     assume(spread > 0)
     p_r = 10 ** draw(st.floats(-2.0, 0.0)) * spread
@@ -928,7 +969,7 @@ def day_tables(draw):
     if source != "drawn":
         depth = draw(st.floats(0.02, 0.45)) * spread
         try:
-            plans = plan_horizon(days, depth, e_r, source, e0)
+            plans = plan_horizon(profile, depth, e_r, source, e0)
         except BessimError:
             assume(False)
         return profile, days, [replace(p, rated_power_w=p_r) for p in plans]
@@ -1002,7 +1043,7 @@ class TestHorizonOracle:
         # references anywhere around each day's load range: inverted pairs
         # and pairs that label no sample fail the day, and the first
         # failing day ends the horizon
-        _, days, _ = drawn
+        profile, days, _ = drawn
         refs = []
         for day in days:
             lo, hi = float(day.values_w.min()), float(day.values_w.max())
@@ -1011,8 +1052,8 @@ class TestHorizonOracle:
                                    st.sampled_from([1, 1, 1, -1]))])
         chr0, dis0 = (list(r) for r in zip(*refs))
         got, error = scheduler._segment_horizon(
-            np.concatenate([d.values_w for d in days]),
-            np.array([d.n_samples for d in days]), chr0, dis0)
+            profile.values_w, np.array([d.n_samples for d in days]), chr0,
+            dis0)
         want = []
         for day, (c, d) in zip(days, refs):
             try:
