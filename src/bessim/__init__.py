@@ -44,17 +44,10 @@ from .scheduler import (
     ShavingCycle,
     ShavingMetrics,
     ShavingPlan,
-    compute_metrics,
-    correct_references_improved,
-    correct_references_original,
     demand_power,
-    depth_references,
     horizon_metrics,
     plan_horizon,
     replay_horizon,
-    replay_plan,
-    segment_cycles,
-    segment_intervals,
 )
 from .allocator import (
     PsoParams,

@@ -275,10 +275,12 @@ def parse_config(doc: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("config", "invalid JSON: nested too deeply")
     return parse_config(doc)

@@ -3,11 +3,10 @@ law, reference correction (per-cycle improved method and the day-level
 symmetric baseline) and the peak-shaving performance metrics.
 
 Planning works on the forecast load with perfect foresight (the forecast
-equals the actual load). Each day is planned on its own, but plan_horizon
-segments and corrects all of a profile's days at once, their bisections
-in lockstep, and replay_horizon and horizon_metrics replay and score them
-at once. The one-day functions run the same code on the whole profile
-they are given as one day.
+equals the actual load). A horizon's days are its profile's own
+(_day_lengths). Each day is planned on its own, but plan_horizon segments
+and corrects all of them at once, their bisections in lockstep, and
+replay_horizon and horizon_metrics replay and score them at once.
 """
 
 from __future__ import annotations
@@ -272,31 +271,19 @@ def _bisect(lanes: _Lanes, lo: np.ndarray, hi: np.ndarray,
     return ref, ok, energy
 
 
-def segment_cycles(profile: LoadProfile, p_chr_ref_w: float,
-                   p_dis_ref_w: float) -> list[ShavingCycle]:
-    """Split the profile into alternating intervals and pair them into
-    overlapping cycles (interval n with interval n+1).
-
-    Dead-band samples (load between the references) attach to the preceding
-    interval; leading dead samples attach to the first interval found.
-    """
-    intervals = segment_intervals(profile, p_chr_ref_w, p_dis_ref_w)
-    return _pair_cycles(intervals, p_chr_ref_w, p_dis_ref_w)
-
-
-def segment_intervals(profile: LoadProfile, p_chr_ref_w: float,
-                      p_dis_ref_w: float) -> list[Interval]:
-    """The profile's maximal runs of charge-eligible (load below
-    p_chr_ref_w) and discharge-eligible (load above p_dis_ref_w) samples,
-    in order, each with its reference; dead-band samples attach to the
-    preceding interval, leading ones to the first interval found. The
-    one-day case of _segment_horizon."""
-    intervals, error = _segment_horizon(profile.values_w,
-                                        np.array([profile.n_samples]),
-                                        [p_chr_ref_w], [p_dis_ref_w])
-    if error is not None:
-        raise error
-    return intervals[0]
+def _day_lengths(profile: LoadProfile,
+                 plans: list[ShavingPlan] | None = None) -> np.ndarray:
+    """The sample count of each of the profile's days: its full days of
+    samples_per_day samples, then a short last day if there is one. plans,
+    when given, must be the plans of those days, one a day in order, each
+    ending at its day's end."""
+    per_day = profile.samples_per_day()
+    full, rest = divmod(profile.n_samples, per_day)
+    lengths = [per_day] * full + [rest] * (rest > 0)
+    if plans is not None and [plan.intervals[-1].stop
+                              for plan in plans] != lengths:
+        raise DomainError("the plans' days must make up the profile")
+    return np.array(lengths)
 
 
 def _day_runs(lengths: np.ndarray) -> list[tuple[int, int, int]]:
@@ -322,9 +309,13 @@ def _day_rows(x: np.ndarray, runs, extra: int = 0):
 def _segment_horizon(load: np.ndarray, lengths: np.ndarray, p_chr_ref_w,
                      p_dis_ref_w) -> tuple[list[list[Interval]],
                                            BessimError | None]:
-    """segment_intervals of each day of load (days of the given lengths
-    end to end) at its references (sequences, one per day), all days at
-    once. Returns the intervals of each day up to the first day whose
+    """The intervals of each day of load (days of the given lengths end to
+    end) at its references (sequences, one per day), all days at once: the
+    day's maximal runs of charge-eligible (load below the charge
+    reference) and discharge-eligible (above the discharge reference)
+    samples, in order, each with its reference. Dead-band samples attach
+    to the preceding interval, leading ones to the first interval found.
+    Returns the intervals of each day up to the first day whose
     segmentation raises, and that day's error (None when none does).
 
     A sample is labelled charge (load below its day's charge reference) or
@@ -403,111 +394,90 @@ def _pair_cycles(intervals: list[Interval], p_chr_ref_w: float,
 
 
 class _Horizon:
-    """Days end to end: their load, and each day's first sample in it,
-    sample count, load minimum and load maximum (arrays)."""
+    """The first days of a profile: its load, and each day's first sample
+    in it, sample count, load minimum and load maximum (arrays)."""
 
     def __init__(self, load: np.ndarray, starts: np.ndarray,
                  lengths: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.load, self.starts, self.lengths = load, starts, lengths
         self.lo, self.hi = lo, hi
 
-    @classmethod
-    def of(cls, load: np.ndarray, lengths: np.ndarray) -> "_Horizon":
-        """The days of the given lengths that make up load."""
-        starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-        return cls(load, starts, lengths, np.minimum.reduceat(load, starts),
-                   np.maximum.reduceat(load, starts))
-
-    def head(self, n: int) -> "_Horizon":
-        """The first n days."""
-        return _Horizon(self.load[:int(self.lengths[:n].sum())],
-                        self.starts[:n], self.lengths[:n], self.lo[:n],
-                        self.hi[:n])
-
 
 def plan_horizon(profile: LoadProfile, power_depth_w: float,
                  rated_energy_wh: float, method: str,
                  initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
-    """Independent day-ahead plan of each of the profile's days (its full
-    days of samples_per_day samples, then a short last day if there is
-    one), in order, all planned at once by method: 'improved'
-    (correct_references_improved) or 'original'
-    (correct_references_original), bit for bit as one day at a time.
+    """Independent day-ahead plan of each of the profile's days
+    (_day_lengths), in order, all planned at once and bit for bit as one
+    day at a time. Each plan's rated power is power_depth_w, and its store
+    of rated_energy_wh holds initial_energy_wh at the day's start.
 
-    Each day starts from its depth_references at power_depth_w, taken from
-    the day's load minimum and maximum. A day whose load range is at most
-    twice power_depth_w raises DomainError on power_depth_w naming the
-    day, after the days before it are planned and their plans built, so
-    that an error of theirs comes first; the same holds for the first day
-    whose segmentation fails.
+    Each day starts from its depth references: its load minimum plus
+    power_depth_w (charge) and its load maximum minus power_depth_w
+    (discharge). method then corrects them: 'improved' per cycle, each
+    interval's reference against the store and the next interval
+    (_correct_improved), or 'original', the baseline of one symmetric
+    reference pair a day (_correct_original). Each correction is a
+    bisection, and a cycle whose correction fails is flagged infeasible,
+    not raised.
+
+    A day whose load range is at most twice power_depth_w cannot bracket
+    its references and raises DomainError on power_depth_w naming the day,
+    after the days before it are planned and their plans built, so that
+    an error of theirs comes first; the same holds for the first day whose
+    segmentation fails.
     """
     if method not in ("improved", "original"):
         raise DomainError(f"unknown scheduling method {method!r}")
-    per_day = profile.samples_per_day()
-    full, rest = divmod(profile.n_samples, per_day)
-    h = _Horizon.of(profile.values_w,
-                    np.array([per_day] * full + [rest] * (rest > 0)))
-    chr0, dis0, shallow = _depth_references(h.lo, h.hi, power_depth_w)
-    n = len(h.lengths) if shallow is None else shallow
-    plans = _plan(h.head(n), chr0[:n].tolist(), dis0[:n].tolist(),
-                  power_depth_w, rated_energy_wh, method, initial_energy_wh,
-                  profile.dt_s) if n else []
-    if shallow is not None:
-        raise _shallow_day(shallow)
-    return plans
-
-
-def _plan(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
-          method: str, initial_energy_wh: float,
-          dt: float) -> list[ShavingPlan]:
-    """The plan of each day of h by method, from its initial references
-    chr0 and dis0 (sequences, one per day). The first day whose
-    segmentation fails raises, once the days before it are planned."""
-    if method == "improved":
+    load, lengths = profile.values_w, _day_lengths(profile)
+    starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
+    lo = np.minimum.reduceat(load, starts)
+    hi = np.maximum.reduceat(load, starts)
+    shallow = np.flatnonzero(hi - lo <= 2.0 * power_depth_w)
+    n = int(shallow[0]) if shallow.size else lengths.size
+    h = _Horizon(load[:lengths[:n].sum()], starts[:n], lengths[:n], lo[:n],
+                 hi[:n])
+    chr0 = (h.lo + power_depth_w).tolist()
+    dis0 = (h.hi - power_depth_w).tolist()
+    args = (power_depth_w, rated_energy_wh, initial_energy_wh, profile.dt_s)
+    if not n:
+        plans, error = [], None
+    elif method == "improved":
         intervals, error = _segment_horizon(h.load, h.lengths, chr0, dis0)
-        plans = _correct_improved(
-            h.head(len(intervals)), chr0, dis0, intervals, p_r_w, e_r_wh,
-            initial_energy_wh, dt) if intervals else []
+        plans = _correct_improved(h, chr0, dis0, intervals,
+                                  *args) if intervals else []
     else:
-        plans, error = _correct_original(h, chr0, dis0, p_r_w, e_r_wh,
-                                         initial_energy_wh, dt)
+        plans, error = _correct_original(h, chr0, dis0, *args)
+    if error is None and shallow.size:
+        error = DomainError(
+            f"day {n}: daily load range must exceed twice the power depth "
+            "for the references to bracket the load", field="power_depth_w")
     if error is not None:
         raise error
     return plans
 
 
-def correct_references_improved(profile: LoadProfile, p_r_w: float,
-                                e_r_wh: float, p_chr_ref0_w: float,
-                                p_dis_ref0_w: float,
-                                initial_energy_wh: float = 0.0) -> ShavingPlan:
-    """Per-cycle reference correction.
-
-    Walks the day's intervals in order, tracking planned stored energy E in
-    [0, e_r]. Each interval's reference is corrected against the next
-    interval of its cycle: overcharge lowers the charge reference,
-    undercharge (room left and the paired discharge wants more) raises it;
-    over-discharge raises the discharge reference, under-discharge (the
-    paired charge would overflow) lowers it. Each correction is a bisection
-    capped at CORRECTION_MAX_ITERATIONS; a cycle that cannot be brought
-    inside [0, e_r] within tolerance is flagged infeasible, not raised.
-    The whole profile is one day, whatever its length; plan_horizon walks
-    every day's intervals at once by these rules.
-    """
-    return _plan(_Horizon.of(profile.values_w, np.array([profile.n_samples])),
-                 [p_chr_ref0_w], [p_dis_ref0_w], p_r_w, e_r_wh, "improved",
-                 initial_energy_wh, profile.dt_s)[0]
-
-
 def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
                       p_r_w: float, e_r_wh: float, initial_energy_wh: float,
                       dt: float) -> list[ShavingPlan]:
-    """correct_references_improved for each day of h, at the initial
-    references chr0 and dis0, from its intervals day_ivs, walking interval
-    position j over all days together. Every interval's energy at its
-    initial reference is taken once, in one pass: it is E_now at j and
-    E_next at j - 1. The bisections of j run in lockstep, and an
-    interval's energy at its final reference is the bisection's, or E_now
-    when it kept its reference."""
+    """Per-cycle reference correction of the first days of h, one for each
+    day's intervals in day_ivs, from their initial references chr0 and
+    dis0.
+
+    Each day's intervals are walked in order, tracking the planned stored
+    energy E in [0, e_r]. Each interval's reference is corrected against
+    the next interval of its cycle: overcharge lowers the charge
+    reference, undercharge (room left and the paired discharge wants more)
+    raises it; over-discharge raises the discharge reference,
+    under-discharge (the paired charge would overflow) lowers it. Each
+    correction is a bisection capped at CORRECTION_MAX_ITERATIONS; a cycle
+    that cannot be brought inside [0, e_r] within tolerance is flagged
+    infeasible, not raised.
+
+    Interval position j is walked over all days together. Every interval's
+    energy at its initial reference is taken once, in one pass: it is
+    E_now at j and E_next at j - 1. The bisections of j run in lockstep,
+    and an interval's energy at its final reference is the bisection's,
+    or E_now when it kept its reference."""
     load, starts, lo, hi = h.load, h.starts, h.lo, h.hi
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     flat = [iv for ivs in day_ivs for iv in ivs]
@@ -595,8 +565,7 @@ def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
     for intervals, c0, d0, day_flags in zip(day_ivs, chr0, dis0, flags):
         cycles = _pair_cycles(intervals, c0, d0)
         for n, cyc in enumerate(cycles):
-            cyc.feasible = all(day_flags[n:n + 2] if len(intervals) > 1
-                               else day_flags)
+            cyc.feasible = all(day_flags[n:n + 2])
         plans.append(ShavingPlan(
             cycles=cycles, intervals=intervals,
             rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
@@ -605,34 +574,23 @@ def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
     return plans
 
 
-def correct_references_original(profile: LoadProfile, p_r_w: float,
-                                e_r_wh: float, p_chr_ref0_w: float,
-                                p_dis_ref0_w: float,
-                                initial_energy_wh: float = 0.0) -> ShavingPlan:
-    """Day-granularity baseline: one symmetric reference pair per day.
+def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
+                      initial_energy_wh: float, dt: float):
+    """Day-granularity baseline for each day of h, from its initial
+    references chr0 and dis0: one symmetric reference pair per day.
 
     The references are corrected so daily charge energy equals daily
     discharge energy at the largest symmetric target the day allows:
     min(maximum capturable valley energy, maximum releasable peak energy,
     e_r), with each reference allowed to advance into the load up to the
     daily mid-level. Over-adjustment relative to the depth-defined
-    references is characteristic of this baseline. The whole profile is
-    one day, whatever its length; plan_horizon bisects every day's two
-    references at once.
-    """
-    return _plan(_Horizon.of(profile.values_w, np.array([profile.n_samples])),
-                 [p_chr_ref0_w], [p_dis_ref0_w], p_r_w, e_r_wh, "original",
-                 initial_energy_wh, profile.dt_s)[0]
+    references is characteristic of this baseline.
 
-
-def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
-                      initial_energy_wh: float, dt: float):
-    """correct_references_original for each day of h at the initial
-    references chr0 and dis0: every day's charge and discharge reference
-    is one lane of one lockstep bisection (a charge lane i and a discharge
-    lane n + i per day i). Returns the plans of the days up to the first
-    whose segmentation at its corrected references raises, and that error
-    (None when none does)."""
+    Every day's charge and discharge reference is one lane of one lockstep
+    bisection (a charge lane i and a discharge lane n + i per day i).
+    Returns the plans of the days up to the first whose segmentation at
+    its corrected references raises, and that error (None when none
+    does)."""
     n = len(h.lengths)
     load, lengths, lo, hi = h.load, h.lengths, h.lo, h.hi
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
@@ -673,68 +631,22 @@ def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
     return plans, error
 
 
-def depth_references(profile: LoadProfile,
-                     power_depth_w: float) -> tuple[float, float]:
-    """Depth-defined initial references: min + depth and max - depth. The
-    one-day case of _depth_references."""
-    v = profile.values_w
-    (chr0,), (dis0,), shallow = _depth_references(
-        v.min(keepdims=True), v.max(keepdims=True), power_depth_w)
-    if shallow is not None:
-        raise _shallow_day()
-    return float(chr0), float(dis0)
-
-
-def _depth_references(lo: np.ndarray, hi: np.ndarray, power_depth_w: float):
-    """Each day's depth references from its load minimum lo and maximum hi
-    (arrays), and the first day whose load range is at most twice the
-    depth, which the references cannot bracket (None when there is none)."""
-    shallow = np.flatnonzero(hi - lo <= 2.0 * power_depth_w)
-    return (lo + power_depth_w, hi - power_depth_w,
-            int(shallow[0]) if shallow.size else None)
-
-
-def _shallow_day(day: int | None = None) -> DomainError:
-    """The error of a day whose load range the depth references cannot
-    bracket, naming the day when one is given."""
-    reason = ("daily load range must exceed twice the power depth for the "
-              "references to bracket the load")
-    return DomainError(reason if day is None else f"day {day}: {reason}",
-                       field="power_depth_w")
-
-
-def replay_plan(plan: ShavingPlan, profile: LoadProfile,
-                gated: bool = True) -> dict:
-    """Execute a plan against the load with an ideal plant.
-
-    Returns the demand series (W, signed) and the planned stored-energy
-    trace. With gated=True the store e stays inside [0, e_r], e_r =
-    rated_energy_wh, mirroring the SoC gate of the power law at plan level:
-    of the sample energies d = demand * step_h, a charging one (d > 0) with
-    e + d > e_r takes d = e_r - e and leaves e = e_r, any other with
-    e + d < 0 takes d = -e and leaves e = 0.0, and the rest add d. Each
-    demand comes back as d / step_h, and the unclamped demand (demand_w of
-    gated=False) as demanded_w. The one-day case of replay_horizon.
-    """
-    return replay_horizon([plan], profile, gated)
-
-
-def _day_lengths(plans: list[ShavingPlan], profile: LoadProfile) -> np.ndarray:
-    """The sample count of each plan's day (its last interval's stop),
-    which must make up the profile end to end."""
-    lengths = np.array([plan.intervals[-1].stop for plan in plans])
-    if lengths.sum() != profile.n_samples:
-        raise DomainError("the plans' days must make up the profile")
-    return lengths
-
-
 def replay_horizon(plans: list[ShavingPlan], profile: LoadProfile,
                    gated: bool = True) -> dict:
-    """replay_plan of every plan on its day of profile, all days at once,
-    bit for bit as one day at a time: profile holds the plans' days end to
-    end, each as long as its plan's intervals. demand_w (and demanded_w)
-    run over the profile; energy_wh holds each day's trace, n + 1 entries
-    for a day of n samples, end to end.
+    """Execute every plan on its day of profile against the load with an
+    ideal plant, all days at once and bit for bit as one day at a time.
+
+    Returns the demand series (W, signed) over the profile as demand_w,
+    and the planned stored-energy trace of each day, n + 1 entries for a
+    day of n samples, end to end, as energy_wh. With gated=True each day's
+    store e stays inside [0, e_r], e_r = rated_energy_wh, mirroring the
+    SoC gate of the power law at plan level: of the sample energies
+    d = demand * step_h, a charging one (d > 0) with e + d > e_r takes
+    d = e_r - e and leaves e = e_r, any other with e + d < 0 takes d = -e
+    and leaves e = 0.0, and the rest add d. Each demand comes back as
+    d / step_h, and the unclamped demand (demand_w of gated=False) as
+    demanded_w. The plans must be those of the profile's days
+    (_day_lengths).
 
     The demand is _interval_demand of each sample's interval kind at its
     reference. Each day's trace is one np.add.accumulate of
@@ -748,7 +660,7 @@ def replay_horizon(plans: list[ShavingPlan], profile: LoadProfile,
     bound, the store is pinned to the bound through the interval's end,
     and the day is accumulated again from there.
     """
-    lengths = _day_lengths(plans, profile)
+    lengths = _day_lengths(profile, plans)
     runs = _day_runs(lengths)
     load = profile.values_w
     intervals = [iv for plan in plans for iv in plan.intervals]
@@ -843,30 +755,20 @@ def _gate(d: np.ndarray, e: np.ndarray, e_r: np.ndarray, starts: np.ndarray,
         trace = again
 
 
-def compute_metrics(profile: LoadProfile, plan: ShavingPlan,
+def horizon_metrics(profile: LoadProfile, plans: list[ShavingPlan],
                     executed_w: np.ndarray, e_rate_wh: float,
-                    demanded_w: np.ndarray | None = None) -> ShavingMetrics:
-    """Peak-shaving metrics for one horizon.
+                    demanded_w: np.ndarray | None = None
+                    ) -> list[ShavingMetrics]:
+    """Peak-shaving metrics of every plan's day of profile, with executed_w
+    and demanded_w over the whole profile, all days at once and bit for bit
+    as one day at a time. The plans must be those of the profile's days
+    (_day_lengths).
 
     E_val / E_pek are the load energies below/above the depth-defined
     initial references; CR, RR, CUR follow their ratio definitions.
     Equivalent cycles use the total-throughput convention
     (E_chr + E_dis) / (2 * E_rate). Zero valley or peak energy yields NaN
-    for the corresponding rate instead of an error. The one-day case of
-    horizon_metrics.
-    """
-    return horizon_metrics(profile, [plan], executed_w, e_rate_wh,
-                           demanded_w)[0]
-
-
-def horizon_metrics(profile: LoadProfile, plans: list[ShavingPlan],
-                    executed_w: np.ndarray, e_rate_wh: float,
-                    demanded_w: np.ndarray | None = None
-                    ) -> list[ShavingMetrics]:
-    """compute_metrics of every plan's day of profile (the days end to
-    end, as replay_horizon reads them), with executed_w and demanded_w
-    over the whole profile, all days at once and bit for bit as one day at
-    a time.
+    for the corresponding rate instead of an error.
 
     E_val and E_pek are row sums of a (days, n) matrix, which numpy sums
     by each row's own pairwise tree. E_chr, E_dis and the power
@@ -874,7 +776,7 @@ def horizon_metrics(profile: LoadProfile, plans: list[ShavingPlan],
     day's contiguous slice of that is exactly the day's own compressed
     array, and is summed alone.
     """
-    runs = _day_runs(_day_lengths(plans, profile))
+    runs = _day_runs(_day_lengths(profile, plans))
     executed_w = np.asarray(executed_w, dtype=float)
     if demanded_w is not None:
         demanded_w = np.asarray(demanded_w, dtype=float)

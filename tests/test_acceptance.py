@@ -37,14 +37,7 @@ from bessim.losses import (
 )
 from bessim.plant import Plant, uniform_plant_config
 from bessim.profiles import SynthLoadSpec, synth_load
-from bessim.scheduler import (
-    correct_references_improved,
-    demand_power,
-    depth_references,
-    horizon_metrics,
-    replay_horizon,
-    replay_plan,
-)
+from bessim.scheduler import demand_power, horizon_metrics, replay_horizon
 from bessim.simulate import plan_horizon, run_simulation
 
 
@@ -153,10 +146,9 @@ def test_criterion_05_scheduler_contract():
     # planned state of charge stays inside [0, E_r] for feasible cycles
     for seed in range(5):
         day = synth_load(spec, seed)
-        r_chr, r_dis = depth_references(day, p_d)
-        plan = correct_references_improved(day, p_d, e_r, r_chr, r_dis)
+        plan, = plan_horizon(day, p_d, e_r, "improved")
         assert all(c.feasible for c in plan.cycles)
-        trace = replay_plan(plan, day, gated=False)["energy_wh"]
+        trace = replay_horizon([plan], day, gated=False)["energy_wh"]
         assert trace.max() <= e_r * 1.001
         assert trace.min() >= -e_r * 0.001
 

@@ -10,7 +10,7 @@ from bessim.cli import main
 from bessim.config import load_config, parse_config
 from bessim.errors import ConfigError
 from bessim.profiles import load_profile_to_csv, synth_load
-from bessim.scheduler import LoadProfile, compute_metrics, replay_plan
+from bessim.scheduler import LoadProfile, horizon_metrics, replay_horizon
 from bessim.simulate import plan_horizon
 from test_analysis import metrics_row_by_fstring
 from test_scheduler import days_of
@@ -243,6 +243,19 @@ class TestValidateConfigCommand:
 
 
 class TestErrorContract:
+    # bytes that are not UTF-8, and nesting deeper than the parser goes
+    @pytest.mark.parametrize("text", [
+        b'{"plant": {"dt_s": 300\xff}}', b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not utf-8", "nested 100000 deep"])
+    def test_unparsable_config_exits_2_naming_config(self, tmp_path, capsys,
+                                                     text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "config"
+
     def test_string_float_field_exits_2_with_json_error(self, tmp_path,
                                                          capsys):
         doc = base_doc()
@@ -578,9 +591,11 @@ class TestCompareCommand:
         for method in ("improved", "original"):
             plans = plan_horizon(profile, 200e3, 100e3, method)
             for d, (plan, day) in enumerate(zip(plans, days_of(profile))):
-                metrics = compute_metrics(
-                    day, plan, replay_plan(plan, day, gated=True)["demand_w"],
-                    100e3, replay_plan(plan, day, gated=False)["demand_w"])
+                metrics, = horizon_metrics(
+                    day, [plan],
+                    replay_horizon([plan], day, gated=True)["demand_w"],
+                    100e3,
+                    replay_horizon([plan], day, gated=False)["demand_w"])
                 rows.append(metrics_row_by_fstring(d, method, metrics))
                 utilization.append(metrics.power_utilization)
         assert min(utilization) < 1.0

@@ -49,9 +49,8 @@ from bessim.plant import (
     replay_steps,
 )
 from bessim.profiles import SynthLoadSpec, synth_load
-from bessim.scheduler import LoadProfile, replay_plan
+from bessim.scheduler import LoadProfile, replay_horizon
 from bessim.simulate import _Steps, _run_general, _run_uniform, run_simulation
-from test_scheduler import days_of
 
 
 class TestClusterAggregates:
@@ -524,9 +523,7 @@ class TestTransformerSplitOncePerStep:
               mock.patch.object(bessim.plant, "transformer_loss",
                                 wraps=bessim.plant.transformer_loss) as tf):
             r = run_simulation(plant, profile, 200e3, 800e3)
-        planned = np.concatenate([
-            replay_plan(plan, day, gated=False)["demand_w"]
-            for plan, day in zip(r.plans, days_of(profile))])
+        planned = replay_horizon(r.plans, profile, gated=False)["demand_w"]
         capped = (r.demand_w < 0.0) & (r.demand_w > planned)
         assert capped.any()
         assert tf.call_count == (np.count_nonzero(r.demand_w)
@@ -1157,9 +1154,8 @@ class TestBook:
         with loop():
             whole = run_simulation(Plant(cfg), profile, 200e3, 800e3,
                                    record_alloc=True)
-        planned = np.concatenate([
-            replay_plan(plan, day, gated=False)["demand_w"]
-            for plan, day in zip(whole.plans, days_of(profile))])
+        planned = replay_horizon(whole.plans, profile,
+                                 gated=False)["demand_w"]
         powered = np.flatnonzero(whole.demand_w)
         k = int(powered[2])
         dropped = (planned[:k] != 0.0) & (whole.demand_w[:k] == 0.0)
@@ -1291,9 +1287,8 @@ class TestRunSimulationReplay:
     def test_single_steps_reproduce_the_run(self, alloc_mode):
         result = run_simulation(self._fresh(), self.PROFILE, 150e3, 600e3,
                                 alloc_mode=alloc_mode, record_alloc=True)
-        planned = np.concatenate([
-            replay_plan(plan, day, gated=False)["demand_w"]
-            for plan, day in zip(result.plans, days_of(self.PROFILE))])
+        planned = replay_horizon(result.plans, self.PROFILE,
+                                 gated=False)["demand_w"]
         # the plan holds runs of zero demand, some of them -0.0
         assert np.count_nonzero(planned == 0.0) > 100
         assert np.signbit(planned[planned == 0.0]).any()
