@@ -152,7 +152,9 @@ class _Samples(NamedTuple):
 def load_profile_from_csv(path: str, expected_dt_s: float | None = None) -> LoadProfile:
     """Read and validate a `timestamp,load_w` CSV.
 
-    Timestamps mean what datetime.fromisoformat makes of them; spacing is
+    The file is UTF-8; a leading byte-order mark is skipped, and a row
+    holding a byte that is not UTF-8 is an error on that row. Timestamps
+    mean what datetime.fromisoformat makes of them; spacing is
     measured between them as datetime subtraction does, so offsets count
     (a +01:00 -> +02:00 change spaces evenly) and naive and offset-aware
     timestamps cannot be mixed. Rows must be uniformly spaced; gaps of up
@@ -162,19 +164,28 @@ def load_profile_from_csv(path: str, expected_dt_s: float | None = None) -> Load
     (column count, then timestamp, then load) come first, in file order,
     then spacing errors.
 
-    The file is read CSV_CHUNK_LINES lines at a time and each chunk is
-    turned into arrays; chunks of plain `YYYY-MM-DD[T ]HH:MM:SS[.ffffff],load`
-    lines are converted column-wise, any other chunk row by row.
+    The body is read as bytes, CSV_CHUNK_LINES lines at a time, and each
+    block is turned into arrays; blocks of plain
+    `YYYY-MM-DD[T ]HH:MM:SS[.ffffff],load` lines are converted column-wise,
+    any other block row by row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    with open(path, "rb") as fh:
+        head = fh.readline().removeprefix(_BOM)
+        lines = _text_lines(head)
+        blocks = _blocks(fh)
+        records = csv.reader(
+            chain(lines, chain.from_iterable(map(_text_lines, blocks))))
+        header = next(records, None)
+        if header is None:
             raise IngestionError("empty file", row=1)
+        _check_utf8(header, 1)
         if [h.strip().lower() for h in header] != ["timestamp", "load_w"]:
             raise IngestionError("header must be exactly 'timestamp,load_w'", row=1)
-        first, us, aware, values, rows = _joined(_sample_chunks(fh))
+        # a quoted header field may run past its line, and a lone CR ends
+        # the header inside it: csv then reads the whole file
+        whole = b'"' in head or len(lines) > 1
+        first, us, aware, values, rows = _joined(
+            _record_chunks(records, 2) if whole else _sample_chunks(blocks))
     # spacing is checked up to the first sample that cannot be subtracted
     # from the ones before it, which is rejected after that check
     differs = np.flatnonzero(aware != aware[0])
@@ -235,8 +246,9 @@ def _check_spacing(us: np.ndarray, rows: np.ndarray,
         steps = np.array([s / 10**6 for s in np.diff(us).tolist()])
     steps /= dt
     missing = np.round(steps)
-    uneven = np.abs(steps - missing) > 1e-6
-    uneven |= steps < 1
+    uneven = steps < 1
+    steps -= missing            # in place: these columns are file-sized
+    uneven |= np.abs(steps, out=steps) > 1e-6
     missing -= 1
     failed = np.flatnonzero(uneven | (missing > MAX_INTERPOLATED_GAP))
     stop = int(failed[0]) if failed.size else steps.size
@@ -255,21 +267,71 @@ def _check_spacing(us: np.ndarray, rows: np.ndarray,
     return gaps
 
 
-def _sample_chunks(fh):
-    """Samples of the lines left in fh, CSV_CHUNK_LINES lines at a time,
-    starting at file row 2; row errors are raised in file order."""
+_BOM = b"\xef\xbb\xbf"
+
+
+def _blocks(fh):
+    """The rest of fh in blocks of CSV_CHUNK_LINES lines, as bytes; the
+    file's last line may lack its newline. Each read asks for the last
+    block's length, or for as much as is held until a block is whole."""
+    data, size = b"", CSV_CHUNK_LINES
+    while more := fh.read(max(size, len(data))):
+        data += more
+        eol = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        start = 0
+        for end in (eol[CSV_CHUNK_LINES - 1::CSV_CHUNK_LINES] + 1).tolist():
+            yield data[start:end]
+            start, size = end, end - start
+        data = data[start:]
+    if data:
+        yield data
+
+
+def _text_lines(data: bytes) -> list[str]:
+    """The lines of data as a file opened in text mode with newline=""
+    reads them (ended by \\n, \\r\\n or a lone \\r), decoded as UTF-8 with
+    each byte that is not UTF-8 kept as a lone surrogate U+DC80-U+DCFF."""
+    return [line.decode("utf-8", "surrogateescape")
+            for line in data.splitlines(keepends=True)]
+
+
+def _check_utf8(record: list[str], row: int) -> None:
+    """Reject a csv record that holds a byte that is not UTF-8."""
+    for field in record:
+        if not field.isascii():
+            for c in field:
+                if "\udc80" <= c <= "\udcff":
+                    raise IngestionError(
+                        f"not UTF-8 at byte {ord(c) - 0xdc00:#04x}", row=row)
+
+
+def _sample_chunks(blocks):
+    """Samples of the body's blocks, the first line at file row 2; row
+    errors are raised in file order."""
     row = 2
-    while lines := list(islice(fh, CSV_CHUNK_LINES)):
-        text = "".join(lines)
-        if '"' in text:
+    for data in blocks:
+        if b'"' in data:
             # a quoted field may hold line breaks: csv reads the rest
-            records = csv.reader(chain(lines, fh))
-            while block := list(islice(records, CSV_CHUNK_LINES)):
-                yield _parse_rows(block, row)
-                row += len(block)
+            lines = chain(_text_lines(data),
+                          chain.from_iterable(map(_text_lines, blocks)))
+            yield from _record_chunks(csv.reader(lines), row)
             return
-        yield _parse_plain(text, row) or _parse_rows(csv.reader(lines), row)
-        row += len(lines)
+        samples = _parse_plain(data, row)
+        if samples is None:
+            lines = _text_lines(data)
+            samples = _parse_rows(csv.reader(lines), row)
+            row += len(lines)
+        else:
+            row += samples.rows.size
+        yield samples
+
+
+def _record_chunks(records, row: int):
+    """Samples of csv records, CSV_CHUNK_LINES at a time, the first at
+    file row `row`."""
+    while block := list(islice(records, CSV_CHUNK_LINES)):
+        yield _parse_rows(block, row)
+        row += len(block)
 
 
 def _parse_rows(records, row: int) -> _Samples:
@@ -277,6 +339,7 @@ def _parse_rows(records, row: int) -> _Samples:
     records with only blank fields are skipped."""
     first, us, aware, values, rows = None, [], [], [], []
     for rownum, rec in enumerate(records, start=row):
+        _check_utf8(rec, rownum)
         if not rec or all(not c.strip() for c in rec):
             continue
         if len(rec) != 2:
@@ -310,61 +373,123 @@ def _parse_rows(records, row: int) -> _Samples:
 # Byte positions of the digits of `YYYY-MM-DDTHH:MM:SS`, and its separators.
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _DASHES, _COLONS = [4, 7], [13, 16]
+# Widest load field the exact path takes: 15 digits and a point.
+_EXACT_WIDTH = 16
 
 
-def _parse_plain(text: str, row: int) -> _Samples | None:
+def _window(b: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """b[s:s + width] for each s in starts, one column per start."""
+    rows = np.lib.stride_tricks.sliding_window_view(b, width)[starts]
+    return np.ascontiguousarray(rows.T)
+
+
+def _parse_plain(data: bytes, row: int) -> _Samples | None:
     """Samples of lines that each read `<naive timestamp>,<load>`, the
     timestamp exactly `YYYY-MM-DD[T ]HH:MM:SS[.ffffff]`, converted
     column-wise; None unless every line does and passes every row check,
-    which leaves blank lines, offsets, other timestamp forms and all row
-    errors (and the csv module's own, such as a NUL) to _parse_rows. The
-    text holds no quote."""
-    if text.count("\r") != text.count("\r\n"):
+    which leaves blank lines, offsets, other timestamp forms, bytes that
+    are not ASCII and all row errors (and the csv module's own, such as a
+    field over its size limit) to _parse_rows. The data holds no quote."""
+    if not data.isascii() or (b"\r" in data and
+                              data.count(b"\r") != data.count(b"\r\n")):
         return None           # a lone CR ends a line
-    text = text.replace("\r\n", "\n")
-    if not text.endswith("\n"):
-        text += "\n"
-    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    b = np.frombuffer(data, dtype=np.uint8)
     eol = np.flatnonzero(b == ord("\n"))
     comma = np.flatnonzero(b == ord(","))
     if comma.size != eol.size:
         return None
     bol = np.concatenate(([0], eol[:-1] + 1))
+    end = eol - (b[eol - 1] == ord("\r"))     # the load field's end
     width = comma - bol
     fraction = width == 26
     if (not np.all(fraction | (width == 19))
-            or np.any(eol - comma > csv.field_size_limit())):
+            or np.any(end - comma > csv.field_size_limit())):
         return None
     # the timestamp template leaves no room for a line break, so with as
     # many commas as lines each line holds exactly one
-    iso = b[bol[:, None] + np.arange(19)]
-    digits = iso[:, _DIGITS] - ord("0")     # uint8: below '0' wraps high
-    sep = iso[:, 10]
-    if (digits.max() > 9 or np.any(iso[:, _DASHES] != ord("-"))
-            or np.any(iso[:, _COLONS] != ord(":"))
+    iso = _window(b, bol, 19)
+    digits = iso[_DIGITS] - ord("0")     # uint8: below '0' wraps high
+    sep = iso[10]
+    if (digits.max() > 9 or np.any(iso[_DASHES] != ord("-"))
+            or np.any(iso[_COLONS] != ord(":"))
             or not np.all((sep == ord("T")) | (sep == ord(" ")))):
         return None
-    us = np.zeros(eol.size, dtype=np.int64)
+    us = _wall_us(digits)
+    if us is None:
+        return None
     if fraction.any():
-        frac = b[bol[fraction, None] + np.arange(19, 26)]
-        frac_digits = frac[:, 1:] - ord("0")
-        if np.any(frac[:, 0] != ord(".")) or frac_digits.max() > 9:
+        frac = _window(b, bol[fraction] + 19, 7)
+        frac_digits = frac[1:] - ord("0")
+        if np.any(frac[0] != ord(".")) or frac_digits.max() > 9:
             return None
-        us[fraction] = frac_digits @ 10 ** np.arange(5, -1, -1)
-    if not digits[:, :4].any(axis=1).all():
-        return None           # year 0000: numpy parses it, datetime does not
-    try:      # rejects the dates and times datetime rejects, such as hour 24
-        us += iso.view("S19")[:, 0].astype("datetime64[us]").astype(np.int64)
-    except ValueError:
+        us[fraction] += 10 ** np.arange(5, -1, -1) @ frac_digits
+    values = _parse_loads(data, b, comma + 1, end)
+    if values is None:
         return None
-    fields = text.replace(",", "\n").split("\n")
-    try:
-        values = np.fromiter(map(float, fields[1::2]), dtype=float,
-                             count=eol.size)
-    except ValueError:
-        return None
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        return None
-    return _Samples(datetime.fromisoformat(fields[0]), us,
+    return _Samples(datetime.fromisoformat(data[:comma[0]].decode()), us,
                     np.zeros(eol.size, dtype=bool), values,
                     np.arange(row, row + eol.size))
+
+
+def _wall_us(digits: np.ndarray) -> np.ndarray | None:
+    """µs since 1970-01-01 of `YYYY-MM-DD?HH:MM:SS` from its 14 digits (one
+    row each), or None if any is not a date and time datetime accepts:
+    year 0000, month 13, February 30, hour 24, second 60 and the like."""
+    pairs = (digits[0::2] * 10 + digits[1::2]).astype(np.int64)
+    year = pairs[0] * 100 + pairs[1]
+    month, day, hour, minute, second = pairs[2:]
+    if (not year.all() or month.min() < 1 or month.max() > 12
+            or day.min() < 1 or hour.max() > 23 or minute.max() > 59
+            or second.max() > 59):
+        return None
+    month_start = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    first_day = month_start.astype("datetime64[D]").astype(np.int64)
+    days_in_month = ((month_start + 1).astype("datetime64[D]").astype(np.int64)
+                     - first_day)
+    if np.any(day > days_in_month):
+        return None
+    days = first_day + day - 1
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 10**6
+
+
+def _parse_loads(data: bytes, b: np.ndarray, start: np.ndarray,
+                 end: np.ndarray) -> np.ndarray | None:
+    """The load fields data[start:end], each exactly float(field), or None
+    if any is not a finite non-negative number.
+
+    A field of digits with at most one point and at most 15 digits is
+    N / 10**f, N its digits as an integer and f the digits after the
+    point; N < 2**53 and 10**f are exact doubles, so one division rounds
+    as float() does (Clinger's fast path). Any other field is read by
+    float()."""
+    width = end - start
+    # the last _EXACT_WIDTH bytes of each field, one column per field; the
+    # top rows of a shorter field's column hold bytes before it
+    field = _window(b, end - _EXACT_WIDTH, _EXACT_WIDTH)
+    out = (np.arange(_EXACT_WIDTH, dtype=np.uint8)[:, None]
+           < np.clip(_EXACT_WIDTH - width, 0, _EXACT_WIDTH).astype(np.uint8))
+    code = field - ord("0")            # uint8: below '0' wraps high
+    digit = (code <= 9) & ~out
+    point = (field == ord(".")) & ~out
+    n_points = point.sum(axis=0, dtype=np.uint8)
+    n_digits = width - n_points
+    exact = (np.all(digit | point | out, axis=0) & (n_points <= 1)
+             & (n_digits >= 1) & (n_digits <= 15))
+    n = np.zeros(end.size, dtype=np.int64)
+    for is_digit, value in zip(digit, code):
+        np.multiply(n, 10, out=n, where=is_digit)
+        np.add(n, value, out=n, where=is_digit)
+    # digits after the point: the point's place counted from the right
+    f = (point * np.arange(_EXACT_WIDTH - 1, -1, -1, dtype=np.uint8)[:, None]
+         ).sum(axis=0, dtype=np.uint8)
+    values = n / 10 ** np.where(exact, f, 0).astype(np.int64)  # one rounding
+    for i in np.flatnonzero(~exact).tolist():
+        try:
+            values[i] = float(data[start[i]:end[i]].decode())
+        except ValueError:
+            return None
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        return None
+    return values

@@ -2,10 +2,13 @@ import csv
 import io
 import logging
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bessim import profiles
 from bessim.errors import DomainError, IngestionError
@@ -184,6 +187,24 @@ class TestCsvValidation:
             load_profile_from_csv(str(path), expected_dt)
         assert e.value.row == row
 
+    def test_invalid_utf8_rejected_on_its_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(_csv(["2024-01-01T00:00:00,1",
+                               "2024-01-01T00:01:00,1"]).encode()
+                         .replace(b"00:01:00", b"00:01:\xff0"))
+        with pytest.raises(IngestionError) as e:
+            load_profile_from_csv(str(path))
+        assert e.value.row == 3
+        assert str(e.value) == "row 3: not UTF-8 at byte 0xff"
+
+    def test_leading_bom_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + _csv(["2024-01-01T00:00:00,1",
+                                                 "2024-01-01T00:01:00,2"]).encode())
+        p = load_profile_from_csv(str(path))
+        assert p.start_time == datetime(2024, 1, 1)
+        assert p.values_w.tolist() == [1.0, 2.0]
+
     def test_interpolation_warning_names_file_row(self, tmp_path, caplog):
         path = tmp_path / "blank.csv"
         path.write_text(_csv(["2024-01-01T00:00:00,1", "",
@@ -195,19 +216,32 @@ class TestCsvValidation:
             "interpolating 1 missing sample(s) before row 5"]
 
 
+def _check_utf8(record, rownum):
+    """The row error of a record holding a byte that is not UTF-8, which
+    the surrogateescape handler reads as a lone surrogate U+DC80-U+DCFF."""
+    for c in "".join(record):
+        if "\udc80" <= c <= "\udcff":
+            raise IngestionError(f"not UTF-8 at byte {ord(c) - 0xdc00:#04x}",
+                                 row=rownum)
+
+
 def _csv_rows_reference(path, expected_dt_s=None):
     """load_profile_from_csv as a row loop over datetime objects: the oracle
-    of the chunked, column-wise reader. Returns (start_time, dt_s, values)."""
-    with open(path, newline="") as fh:
+    of the chunked, column-wise reader. Returns (start_time, dt_s, values).
+    The file is UTF-8, a leading byte-order mark skipped."""
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestionError("empty file", row=1)
+        _check_utf8(header, 1)
         if [h.strip().lower() for h in header] != ["timestamp", "load_w"]:
             raise IngestionError("header must be exactly 'timestamp,load_w'", row=1)
         times, values, rows = [], [], []
         for rownum, row in enumerate(reader, start=2):
+            _check_utf8(row, rownum)
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 2:
@@ -228,6 +262,16 @@ def _csv_rows_reference(path, expected_dt_s=None):
             rows.append(rownum)
     if len(times) < 2:
         raise IngestionError("need at least two samples")
+    aware = [t.utcoffset() is not None for t in times]
+
+    def check_kind(i):
+        if aware[i] != aware[0]:
+            kinds = {False: "naive", True: "offset-aware"}
+            raise IngestionError(
+                f"timestamp is {kinds[aware[i]]} but the first sample's "
+                f"(row {rows[0]}) is {kinds[aware[0]]}", row=rows[i])
+
+    check_kind(1)
     dt = (times[1] - times[0]).total_seconds()
     if dt <= 0:
         raise IngestionError("timestamps must be strictly increasing", row=rows[1])
@@ -237,6 +281,7 @@ def _csv_rows_reference(path, expected_dt_s=None):
             row=rows[1])
     out_vals = [values[0]]
     for i in range(1, len(times)):
+        check_kind(i)
         span = (times[i] - times[i - 1]).total_seconds()
         steps = span / dt
         if abs(steps - round(steps)) > 1e-6 or steps < 1:
@@ -264,7 +309,8 @@ def _outcome(read, path, expected_dt_s, caplog):
     caplog.clear()
     try:
         start, dt, values = read(path, expected_dt_s)
-        result = ("ok", start, start.tzinfo, dt, values.tobytes())
+        result = ("ok", start, start.tzinfo, dt,
+                  [v.hex() for v in values.tolist()])
     except (IngestionError, csv.Error) as e:
         result = ("error", type(e), str(e), getattr(e, "row", None))
     return result, [r.getMessage() for r in caplog.records]
@@ -278,7 +324,8 @@ def _new_reader(path, expected_dt_s):
 _T = "2024-01-01T00:{:02d}:00"
 _SYNTH = load_profile_to_csv(synth_load(SynthLoadSpec(days=2, dt_s=300.0), 3))
 
-# name: (file text, expected dt_s). The file text is written as is.
+# name: (file text, expected dt_s). The file text is written as UTF-8, a
+# lone surrogate U+DC80-U+DCFF as the byte 0x80-0xff it stands for.
 INGEST_CASES = {
     "synthetic": (_SYNTH, 300.0),
     "quoted": ('"timestamp","load_w"\n"2024-01-01T00:00:00","1.5"\n'
@@ -326,6 +373,16 @@ INGEST_CASES = {
     "day_0": (_csv([_T.format(0) + ",1", "2024-01-00T00:00:00,1"]), None),
     # numpy parses year 0000; datetime, and so the reader, does not
     "year_0": (_csv(["0000-12-31T23:59:00,1", "0001-01-01T00:00:00,1"]), None),
+    "year_2000_leap_day": (_csv(["2000-02-28T00:00:00,1", "2000-02-29T00:00:00,1",
+                                 "2000-03-01T00:00:00,1"]), None),
+    "year_1900_not_a_leap_day": (_csv(["1900-02-28T00:00:00,1",
+                                       "1900-02-29T00:00:00,1"]), None),
+    "year_9999": (_csv(["9999-12-31T23:58:00,1", "9999-12-31T23:59:00.999999,1"]),
+                  None),
+    # a bad time in a plain block of hundreds of lines, which numpy 2.4's
+    # cast from bytes to datetime64 cannot reject without crashing
+    "synthetic_hour_24": (_SYNTH.replace("2024-01-02T05:00:00",
+                                         "2024-01-02T24:00:00"), 300.0),
     "nul": ("timestamp,load_w\n2024-01-01T00:00:00,1\0\n"
             "2024-01-01T00:01:00,2\n", None),
     "cr_blank_line": ("timestamp,load_w\n2024-01-01T00:00:00,1\r\r\n"
@@ -358,6 +415,18 @@ INGEST_CASES = {
                                    _T.format(3) + ",1", _T.format(4) + ",1",
                                    _T.format(5) + ",1", "2024-01-01T00:05:30,1"]),
                              None),
+    "invalid_utf8": (_csv([_T.format(0) + ",1", _T.format(1) + ",2\udcff",
+                           _T.format(2) + ",3"]), None),
+    "invalid_utf8_after_row_error": (_csv([_T.format(0) + ",x",
+                                           _T.format(1) + ",\udce2"]), None),
+    "invalid_utf8_in_header": ("timestamp,load_w\udcc3\n" + _T.format(0)
+                               + ",1\n", None),
+    "bom": ("\ufeff" + _SYNTH, 300.0),
+    "bom_only": ("\ufeff", None),
+    "bom_in_a_row": (_csv([_T.format(0) + ",1", "\ufeff" + _T.format(1) + ",1"]),
+                     None),
+    "non_ascii_load": (_csv([_T.format(0) + ",1", _T.format(1) + ",1\u00e9"]),
+                       None),
 }
 
 
@@ -373,7 +442,7 @@ class TestIngestEquivalence:
                               chunk_lines):
         text, expected_dt = INGEST_CASES[name]
         path = tmp_path / "load.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         monkeypatch.setattr(profiles, "CSV_CHUNK_LINES", chunk_lines)
         with caplog.at_level(logging.WARNING, logger="bessim.profiles"):
             want = _outcome(_csv_rows_reference, str(path), expected_dt, caplog)
@@ -404,6 +473,125 @@ class TestIngestEquivalence:
         with pytest.raises(IngestionError, match="non-uniform") as e:
             load_profile_from_csv(str(path))
         assert e.value.row == 4
+
+
+# Byte strings the mutation property inserts or writes over a valid file:
+# the csv module's own bytes (quote, comma, line ends), a NUL, bytes that
+# are not UTF-8 or not ASCII, a byte-order mark, and pieces of other
+# timestamp and number forms.
+_MUTATIONS = [b"\x00", b"\xff", b"\x80", b"\xc3\xa9", b"\xef\xbb\xbf", b"\r",
+              b"\n", b"\r\n", b'"', b",", b".", b"-", b"+", b"e", b"e1", b"_",
+              b" ", b"0", b"7", b"inf", b":", b"T"]
+
+
+@st.composite
+def _mutated_csvs(draw):
+    """A valid 2-day file with one to three byte strings inserted, deleted
+    or written over."""
+    data = bytearray(_SYNTH.encode())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if how == "delete":
+            del data[at:at + draw(st.integers(1, 3))]
+            continue
+        piece = draw(st.sampled_from(_MUTATIONS))
+        data[at:at + (len(piece) if how == "replace" else 0)] = piece
+    return bytes(data)
+
+
+@st.composite
+def _decimals(draw, max_digits=17):
+    """Decimal fields `[0-9]*(.[0-9]*)?` of 1 to max_digits digits, leading
+    zeros included, with the point anywhere (also `.5` and `5.`) or none."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=max_digits))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    return digits if point is None else digits[:point] + "." + digits[point:]
+
+
+# Other forms float() reads, and forms the row loop rejects.
+_READ_FORMS = ["+{}", "{}e3", "{}E-2", " {} ", "{}\t", "1_{}", "-0", "1e300"]
+_REJECTED_FORMS = ["-{}1", "inf", "nan", "-inf", "Infinity", "{}e", "{}..5",
+                   "1__0", "", ".", "0x1p3", "{}W"]
+
+
+class TestIngestBytes:
+    """Whatever bytes a file holds, the reader gives the row loop's
+    outcome: the profile (values by float.hex) or the error (message and
+    row), and the same warnings, with blocks of 2, 7 and CSV_CHUNK_LINES
+    lines."""
+
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_mutated_csvs(),
+           chunk_lines=st.sampled_from([2, 7, profiles.CSV_CHUNK_LINES]))
+    def test_mutated_file_matches_row_loop(self, tmp_path, caplog, data,
+                                           chunk_lines):
+        path = tmp_path / "load.csv"
+        path.write_bytes(data)
+        with (pytest.MonkeyPatch.context() as mp,
+              caplog.at_level(logging.WARNING, logger="bessim.profiles")):
+            mp.setattr(profiles, "CSV_CHUNK_LINES", chunk_lines)
+            want = _outcome(_csv_rows_reference, str(path), None, caplog)
+            got = _outcome(_new_reader, str(path), None, caplog)
+        assert got == want
+
+
+class TestExactDecimals:
+    """Every load field reads as float(field), bit for bit, or is rejected
+    with the row loop's error: decimals of up to 15 digits by the exact
+    integer path, longer ones and every other form float() reads by
+    float(), in one block."""
+
+    @settings(max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.lists(_decimals() | st.sampled_from(_READ_FORMS).flatmap(
+               lambda form: _decimals().map(form.format)), min_size=2,
+               max_size=40),
+           rejected=st.none() | st.tuples(
+               st.integers(0, 39), st.sampled_from(_REJECTED_FORMS),
+               _decimals()))
+    def test_fields_read_as_float(self, tmp_path, caplog, fields, rejected):
+        if rejected is not None:
+            at, form, digits = rejected
+            fields.insert(at % len(fields), form.format(digits))
+        path = tmp_path / "load.csv"
+        path.write_text(_csv([f"2024-01-01T{i // 60:02d}:{i % 60:02d}:00,{f}"
+                              for i, f in enumerate(fields)]))
+        with caplog.at_level(logging.WARNING, logger="bessim.profiles"):
+            want = _outcome(_csv_rows_reference, str(path), 60.0, caplog)
+            got = _outcome(_new_reader, str(path), 60.0, caplog)
+        assert got == want
+        if got[0][0] == "ok":
+            assert got[0][4] == [float(f).hex() for f in fields]
+
+    @pytest.mark.parametrize("field", [
+        "0", "00", "0.0", ".5", "5.", "999999999999999", "99999999999999.9",
+        ".999999999999999", "000000000000001", "9007199254740993",
+        "0.1", "0.3", "123456789.123456", "29535718.290880",
+        "1234567890123456", "0.30000000000000004"])
+    def test_edge_decimals(self, tmp_path, field):
+        path = tmp_path / "load.csv"
+        path.write_text(_csv([_T.format(0) + ",1", _T.format(1) + "," + field]))
+        assert load_profile_from_csv(str(path)).values_w[1].hex() == \
+            float(field).hex()
+
+
+class TestIngestMemory:
+    def test_two_years_at_300_s_peak_below_10_mib(self, tmp_path):
+        """A 730-day 300 s file as gen-load writes it (210,240 rows) is read
+        holding one block of lines beside the columns it returns."""
+        path = tmp_path / "load.csv"
+        path.write_text(load_profile_to_csv(
+            synth_load(SynthLoadSpec(days=730, dt_s=300.0), 1)))
+        tracemalloc.start()
+        try:
+            profile = load_profile_from_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.n_samples == 730 * 288
+        assert peak < 10 * 2**20
 
 
 def _csv_text_reference(profile):
