@@ -106,9 +106,22 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _resolve_outdir(args, cfg: RunConfig) -> str:
+    """The output directory from --output, $BESSIM_OUTPUT_DIR or output.dir,
+    in that order; it, or its first existing ancestor, must be a directory,
+    so that a path the writes cannot use fails before the run."""
     if args.output:
-        return args.output
-    return os.environ.get(OUTPUT_DIR_ENV, cfg.output.dir)
+        source, outdir = "argv", args.output
+    elif OUTPUT_DIR_ENV in os.environ:
+        source, outdir = OUTPUT_DIR_ENV, os.environ[OUTPUT_DIR_ENV]
+    else:
+        source, outdir = "output.dir", cfg.output.dir
+    path = os.path.abspath(outdir or ".")
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(source, f"cannot write to {outdir}: {path} is not "
+                          "a directory")
+    return outdir
 
 
 def _load_profile(cfg: RunConfig, days: int | None,

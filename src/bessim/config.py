@@ -74,6 +74,9 @@ class LoadConfig:
             if not os.path.exists(self.csv_path):
                 raise ConfigError("load.csv_path",
                                   f"file not found: {self.csv_path}")
+            if os.path.isdir(self.csv_path):
+                raise ConfigError("load.csv_path",
+                                  f"is a directory: {self.csv_path}")
 
 
 @dataclass(frozen=True)

@@ -73,28 +73,27 @@ def synth_load(spec: SynthLoadSpec, seed: int) -> LoadProfile:
     rng = np.random.default_rng(seed)
     per_day = steps_per_day(spec.dt_s)
     hours = (np.arange(per_day) * spec.dt_s) / 3600.0
+    # the three bumps, the same every day
+    valley = _gauss(hours, spec.valley_hour, spec.valley_sigma_h)
+    morning = _gauss(hours, spec.morning_hour, spec.morning_sigma_h)
+    evening = _gauss(hours, spec.evening_hour, spec.evening_sigma_h)
     chunks = []
-    ar = 0.0
+    ar, phi = 0.0, spec.noise_ar1
     innov_scale = math.sqrt(max(1.0 - spec.noise_ar1 ** 2, 1e-12))
     for d in range(spec.days):
         jit = 1.0 + spec.day_jitter * rng.uniform(-1.0, 1.0, size=3)
-        shape = (spec.base_w
-                 - jit[0] * spec.valley_depth_w
-                 * _gauss(hours, spec.valley_hour, spec.valley_sigma_h)
-                 + jit[1] * spec.morning_peak_w
-                 * _gauss(hours, spec.morning_hour, spec.morning_sigma_h)
-                 + jit[2] * spec.evening_peak_w
-                 * _gauss(hours, spec.evening_hour, spec.evening_sigma_h))
+        shape = (spec.base_w - jit[0] * spec.valley_depth_w * valley
+                 + jit[1] * spec.morning_peak_w * morning
+                 + jit[2] * spec.evening_peak_w * evening)
         seasonal = 1.0 + spec.seasonal_amplitude * math.sin(2.0 * math.pi * d / 365.0)
         weekly = spec.weekend_factor if d % 7 >= 5 else 1.0
         day = shape * seasonal * weekly
         if spec.noise_rel > 0.0:
-            eps = rng.standard_normal(per_day) * innov_scale
-            noise = np.empty(per_day)
-            for i in range(per_day):
-                ar = spec.noise_ar1 * ar + eps[i]
-                noise[i] = ar
-            day = day * (1.0 + spec.noise_rel * noise)
+            noise = []
+            for e in (rng.standard_normal(per_day) * innov_scale).tolist():
+                ar = phi * ar + e
+                noise.append(ar)
+            day = day * (1.0 + spec.noise_rel * np.array(noise))
         chunks.append(day)
     values = np.maximum(np.concatenate(chunks), 0.0)
     return LoadProfile(start_time=datetime(2024, 1, 1), dt_s=spec.dt_s,

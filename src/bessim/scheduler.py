@@ -3,9 +3,10 @@ law, reference correction (per-cycle improved method and the day-level
 symmetric baseline) and the peak-shaving performance metrics.
 
 Planning works on the forecast load with perfect foresight (the forecast
-equals the actual load). A horizon's days are its profile's own
-(_day_lengths). Each day is planned on its own, but plan_horizon segments
-and corrects all of them at once, their bisections in lockstep, and
+equals the actual load). A horizon's days are its profile's own: its full
+days, read as one (days, n) matrix, then a short last day as a second
+(_parts). Each day is planned on its own, but plan_horizon segments and
+corrects all days of a matrix at once, their bisections in lockstep, and
 replay_horizon and horizon_metrics replay and score them at once.
 """
 
@@ -170,10 +171,14 @@ class _Lanes:
         self._dt_s = dt_s
 
     @classmethod
-    def of(cls, load: np.ndarray, charge: np.ndarray, starts: np.ndarray,
-           lengths: np.ndarray, p_r_w: float, dt_s: float) -> "_Lanes":
-        """The segments load[starts[i]:starts[i] + lengths[i]], a charge
-        interval's where charge[i] and else a discharge interval's."""
+    def of(cls, load: np.ndarray, rows, ivs: list[Interval], p_r_w: float,
+           dt_s: float) -> "_Lanes":
+        """The intervals ivs, interval i on row rows[i] of the (days, n)
+        matrix load."""
+        charge = np.array([iv.kind == "charge" for iv in ivs])
+        starts = np.array([iv.start for iv in ivs])
+        lengths = np.array([iv.stop - iv.start for iv in ivs])
+        rows = np.asarray(rows)
         key = 2 * lengths + ~charge
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -183,7 +188,8 @@ class _Lanes:
             idx = order[s:e]
             groups.append((
                 "charge" if charge[idx[0]] else "discharge",
-                load[starts[idx, None] + np.arange(lengths[idx[0]])]))
+                load[rows[idx, None],
+                     starts[idx, None] + np.arange(lengths[idx[0]])]))
         return cls(charge, order, groups, p_r_w, dt_s)
 
     def take(self, keep: np.ndarray) -> "_Lanes":
@@ -271,52 +277,37 @@ def _bisect(lanes: _Lanes, lo: np.ndarray, hi: np.ndarray,
     return ref, ok, energy
 
 
-def _day_lengths(profile: LoadProfile,
-                 plans: list[ShavingPlan] | None = None) -> np.ndarray:
-    """The sample count of each of the profile's days: its full days of
-    samples_per_day samples, then a short last day if there is one. plans,
-    when given, must be the plans of those days, one a day in order, each
-    ending at its day's end."""
-    per_day = profile.samples_per_day()
-    full, rest = divmod(profile.n_samples, per_day)
-    lengths = [per_day] * full + [rest] * (rest > 0)
-    if plans is not None and [plan.intervals[-1].stop
-                              for plan in plans] != lengths:
+def _parts(profile: LoadProfile, plans: list[ShavingPlan] | None = None,
+           *series: np.ndarray) -> list[tuple]:
+    """The profile's days in at most two parts, its full days of
+    samples_per_day samples, then a short last day if there is one: a
+    (first day, (days, n) view of the load, and of each of series) per
+    part. plans, when given, must be the plans of those days, one a day in
+    order, each ending at its day's end; each of series must cover the
+    profile."""
+    load, per_day = profile.values_w, profile.samples_per_day()
+    full, rest = divmod(load.size, per_day)
+    if plans is not None and [plan.intervals[-1].stop for plan in plans
+                              ] != [per_day] * full + [rest] * (rest > 0):
         raise DomainError("the plans' days must make up the profile")
-    return np.array(lengths)
+    if any(x.shape != load.shape for x in series):
+        raise DomainError("a power series must cover the profile")
+    return [(a, *(x[a * per_day:][:c * n].reshape(c, n)
+                  for x in (load, *series)))
+            for a, c, n in [(0, full, per_day)] * (full > 0)
+            + [(full, 1, rest)] * (rest > 0)]
 
 
-def _day_runs(lengths: np.ndarray) -> list[tuple[int, int, int]]:
-    """(first day, day count, samples a day) of each run of consecutive
-    days of one length: one run for the full days of a profile, or two
-    when the last day is cut short."""
-    cut = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(),
-           lengths.size]
-    return [(a, b - a, int(lengths[a])) for a, b in zip(cut, cut[1:])]
-
-
-def _day_rows(x: np.ndarray, runs, extra: int = 0):
-    """x, the 1-D array of days of the runs (_day_runs) end to end, n +
-    extra entries for a day of n samples, as a (first day, (days, n +
-    extra) view) per run."""
-    rows, pos = [], 0
-    for a, c, n in runs:
-        rows.append((a, x[pos:pos + c * (n + extra)].reshape(c, n + extra)))
-        pos += c * (n + extra)
-    return rows
-
-
-def _segment_horizon(load: np.ndarray, lengths: np.ndarray, p_chr_ref_w,
-                     p_dis_ref_w) -> tuple[list[list[Interval]],
-                                           BessimError | None]:
-    """The intervals of each day of load (days of the given lengths end to
-    end) at its references (sequences, one per day), all days at once: the
-    day's maximal runs of charge-eligible (load below the charge
-    reference) and discharge-eligible (above the discharge reference)
-    samples, in order, each with its reference. Dead-band samples attach
-    to the preceding interval, leading ones to the first interval found.
-    Returns the intervals of each day up to the first day whose
-    segmentation raises, and that day's error (None when none does).
+def _segment_horizon(load: np.ndarray, p_chr_ref_w, p_dis_ref_w
+                     ) -> tuple[list[list[Interval]], BessimError | None]:
+    """The intervals of each day of load, a (days, n) matrix, at its
+    references (sequences, one per day), all days at once: the day's
+    maximal runs of charge-eligible (load below the charge reference) and
+    discharge-eligible (above the discharge reference) samples, in order,
+    each with its reference. Dead-band samples attach to the preceding
+    interval, leading ones to the first interval found. Returns the
+    intervals of each day up to the first day whose segmentation raises,
+    and that day's error (None when none does).
 
     A sample is labelled charge (load below its day's charge reference) or
     discharge (above the discharge reference). The forward fill codes
@@ -328,43 +319,40 @@ def _segment_horizon(load: np.ndarray, lengths: np.ndarray, p_chr_ref_w,
     """
     chr_ref = np.array(p_chr_ref_w, dtype=float)
     dis_ref = np.array(p_dis_ref_w, dtype=float)
+    c, n = load.shape
+    charge = load < chr_ref[:, None]
+    labelled = load > dis_ref[:, None]
+    labelled |= charge
+    first = labelled.argmax(axis=1)
+    bad = (chr_ref >= dis_ref) | ~labelled[np.arange(c), first]
+    code = np.where(labelled, np.arange(0, 2 * n, 2, dtype=np.int32),
+                    np.int32(-1))
+    code += charge
+    code[:, 0] = code[np.arange(c), first]
+    np.maximum.accumulate(code, axis=1, out=code)
+    kind = np.bitwise_and(code, 1, out=code)
+    rows, cols = np.nonzero(kind[:, 1:] != kind[:, :-1])
+    counts = np.bincount(rows, minlength=c).tolist()
+    bounds = (cols + 1).tolist()
     days: list[list[Interval]] = []
-    for a, mat in _day_rows(load, _day_runs(lengths)):
-        c, n = mat.shape
-        charge = mat < chr_ref[a:a + c, None]
-        labelled = mat > dis_ref[a:a + c, None]
-        labelled |= charge
-        first = labelled.argmax(axis=1)
-        bad = (chr_ref[a:a + c] >= dis_ref[a:a + c]) | ~labelled[
-            np.arange(c), first]
-        code = np.where(labelled, np.arange(0, 2 * n, 2, dtype=np.int32),
-                        np.int32(-1))
-        code += charge
-        code[:, 0] = code[np.arange(c), first]
-        np.maximum.accumulate(code, axis=1, out=code)
-        kind = np.bitwise_and(code, 1, out=code)
-        rows, cols = np.nonzero(kind[:, 1:] != kind[:, :-1])
-        counts = np.bincount(rows, minlength=c).tolist()
-        bounds = (cols + 1).tolist()
-        pos = 0
-        for r, (k, is_charge, is_bad) in enumerate(zip(
-                counts, kind[:, 0].tolist(), bad.tolist())):
-            d = a + r
-            if is_bad:
-                return days, (
-                    DomainError("p_chr_ref must be below p_dis_ref")
-                    if chr_ref[d] >= dis_ref[d] else
-                    EmptyPlanError("references produce no eligible interval"))
-            cuts = [0, *bounds[pos:pos + k], n]
-            pos += k
-            intervals = []
-            for start, stop in zip(cuts, cuts[1:]):
-                intervals.append(
-                    Interval("charge", start, stop, p_chr_ref_w[d])
-                    if is_charge else
-                    Interval("discharge", start, stop, p_dis_ref_w[d]))
-                is_charge = not is_charge
-            days.append(intervals)
+    pos = 0
+    for d, (k, is_charge, is_bad) in enumerate(zip(
+            counts, kind[:, 0].tolist(), bad.tolist())):
+        if is_bad:
+            return days, (
+                DomainError("p_chr_ref must be below p_dis_ref")
+                if chr_ref[d] >= dis_ref[d] else
+                EmptyPlanError("references produce no eligible interval"))
+        cuts = [0, *bounds[pos:pos + k], n]
+        pos += k
+        intervals = []
+        for start, stop in zip(cuts, cuts[1:]):
+            intervals.append(
+                Interval("charge", start, stop, p_chr_ref_w[d])
+                if is_charge else
+                Interval("discharge", start, stop, p_dis_ref_w[d]))
+            is_charge = not is_charge
+        days.append(intervals)
     return days, None
 
 
@@ -393,21 +381,11 @@ def _pair_cycles(intervals: list[Interval], p_chr_ref_w: float,
     return cycles
 
 
-class _Horizon:
-    """The first days of a profile: its load, and each day's first sample
-    in it, sample count, load minimum and load maximum (arrays)."""
-
-    def __init__(self, load: np.ndarray, starts: np.ndarray,
-                 lengths: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.load, self.starts, self.lengths = load, starts, lengths
-        self.lo, self.hi = lo, hi
-
-
 def plan_horizon(profile: LoadProfile, power_depth_w: float,
                  rated_energy_wh: float, method: str,
                  initial_energy_wh: float = 0.0) -> list[ShavingPlan]:
-    """Independent day-ahead plan of each of the profile's days
-    (_day_lengths), in order, all planned at once and bit for bit as one
+    """Independent day-ahead plan of each of the profile's days (_parts),
+    in order, the days of each part planned at once and bit for bit as one
     day at a time. Each plan's rated power is power_depth_w, and its store
     of rated_energy_wh holds initial_energy_wh at the day's start.
 
@@ -428,38 +406,40 @@ def plan_horizon(profile: LoadProfile, power_depth_w: float,
     """
     if method not in ("improved", "original"):
         raise DomainError(f"unknown scheduling method {method!r}")
-    load, lengths = profile.values_w, _day_lengths(profile)
-    starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-    lo = np.minimum.reduceat(load, starts)
-    hi = np.maximum.reduceat(load, starts)
-    shallow = np.flatnonzero(hi - lo <= 2.0 * power_depth_w)
-    n = int(shallow[0]) if shallow.size else lengths.size
-    h = _Horizon(load[:lengths[:n].sum()], starts[:n], lengths[:n], lo[:n],
-                 hi[:n])
-    chr0 = (h.lo + power_depth_w).tolist()
-    dis0 = (h.hi - power_depth_w).tolist()
     args = (power_depth_w, rated_energy_wh, initial_energy_wh, profile.dt_s)
-    if not n:
-        plans, error = [], None
-    elif method == "improved":
-        intervals, error = _segment_horizon(h.load, h.lengths, chr0, dis0)
-        plans = _correct_improved(h, chr0, dis0, intervals,
-                                  *args) if intervals else []
-    else:
-        plans, error = _correct_original(h, chr0, dis0, *args)
-    if error is None and shallow.size:
-        error = DomainError(
-            f"day {n}: daily load range must exceed twice the power depth "
-            "for the references to bracket the load", field="power_depth_w")
-    if error is not None:
-        raise error
+    plans: list[ShavingPlan] = []
+    for _, load in _parts(profile):
+        lo, hi = load.min(axis=1), load.max(axis=1)
+        shallow = np.flatnonzero(hi - lo <= 2.0 * power_depth_w)
+        n = int(shallow[0]) if shallow.size else len(load)
+        load, lo, hi = load[:n], lo[:n], hi[:n]
+        chr0 = (lo + power_depth_w).tolist()
+        dis0 = (hi - power_depth_w).tolist()
+        if not n:
+            part, error = [], None
+        elif method == "original":
+            part, error = _correct_original(load, lo, hi, chr0, dis0, *args)
+        else:
+            intervals, error = _segment_horizon(load, chr0, dis0)
+            part = _correct_improved(load, lo, hi, chr0, dis0, intervals,
+                                     *args) if intervals else []
+        plans += part
+        if error is None and shallow.size:
+            error = DomainError(
+                f"day {len(plans)}: daily load range must exceed twice the "
+                "power depth for the references to bracket the load",
+                field="power_depth_w")
+        if error is not None:
+            raise error
     return plans
 
 
-def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
-                      p_r_w: float, e_r_wh: float, initial_energy_wh: float,
+def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      chr0, dis0, day_ivs: list[list[Interval]], p_r_w: float,
+                      e_r_wh: float, initial_energy_wh: float,
                       dt: float) -> list[ShavingPlan]:
-    """Per-cycle reference correction of the first days of h, one for each
+    """Per-cycle reference correction of the first days of load, a (days,
+    n) matrix with each day's load minimum lo and maximum hi, one for each
     day's intervals in day_ivs, from their initial references chr0 and
     dis0.
 
@@ -478,15 +458,12 @@ def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
     E_now at j and E_next at j - 1. The bisections of j run in lockstep,
     and an interval's energy at its final reference is the bisection's,
     or E_now when it kept its reference."""
-    load, starts, lo, hi = h.load, h.starts, h.lo, h.hi
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     flat = [iv for ivs in day_ivs for iv in ivs]
     first = np.cumsum([0, *map(len, day_ivs)]).tolist()
     e_init = _Lanes.of(
-        load, np.array([iv.kind == "charge" for iv in flat]),
-        np.array([int(s) + iv.start for s, ivs in zip(starts, day_ivs)
-                  for iv in ivs]),
-        np.array([iv.stop - iv.start for iv in flat]), p_r_w, dt,
+        load, np.repeat(np.arange(len(day_ivs)), list(map(len, day_ivs))),
+        flat, p_r_w, dt,
     ).energy_wh(np.array([iv.ref_w for iv in flat])).tolist()
     lo_bound, hi_bound = lo.tolist(), hi.tolist()
     energy = [float(initial_energy_wh)] * len(day_ivs)
@@ -547,10 +524,7 @@ def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
             continue
         ds, w_ivs, *columns, room = zip(*wait)
         lo_j, hi_j, known, at_lo, targets = map(np.array, columns)
-        lanes = _Lanes.of(
-            load, np.array([iv.kind == "charge" for iv in w_ivs]),
-            np.array([int(starts[d]) + iv.start for d, iv in zip(ds, w_ivs)]),
-            np.array([iv.stop - iv.start for iv in w_ivs]), p_r_w, dt)
+        lanes = _Lanes.of(load, ds, w_ivs, p_r_w, dt)
         e_other = lanes.energy_wh(np.where(at_lo, hi_j, lo_j))
         ref, ok, e_ref = (x.tolist() for x in _bisect(
             lanes, lo_j, hi_j, np.where(at_lo, known, e_other),
@@ -574,9 +548,11 @@ def _correct_improved(h: _Horizon, chr0, dis0, day_ivs: list[list[Interval]],
     return plans
 
 
-def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
+def _correct_original(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      chr0, dis0, p_r_w: float, e_r_wh: float,
                       initial_energy_wh: float, dt: float):
-    """Day-granularity baseline for each day of h, from its initial
+    """Day-granularity baseline for each day of load, a (days, n) matrix
+    with each day's load minimum lo and maximum hi, from its initial
     references chr0 and dis0: one symmetric reference pair per day.
 
     The references are corrected so daily charge energy equals daily
@@ -591,8 +567,7 @@ def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
     Returns the plans of the days up to the first whose segmentation at
     its corrected references raises, and that error (None when none
     does)."""
-    n = len(h.lengths)
-    load, lengths, lo, hi = h.load, h.lengths, h.lo, h.hi
+    n = len(load)
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     mid = 0.5 * (lo + hi)
     gap = 0.005 * (hi - lo)
@@ -602,12 +577,10 @@ def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
                             np.minimum(mid + gap, dis0)])
     outer = np.concatenate([lo, hi])
     charge = np.arange(2 * n) < n
-    # the lanes are views of the days' rows of load: every day's charge
-    # lane, then every day's discharge lane, already in lane order
-    rows = [mat for _, mat in _day_rows(load, _day_runs(lengths))]
+    # the lanes are the rows of load: every day's charge lane, then every
+    # day's discharge lane, already in lane order
     lanes = _Lanes(charge, np.arange(2 * n),
-                   [("charge", mat) for mat in rows]
-                   + [("discharge", mat) for mat in rows], p_r_w, dt)
+                   [("charge", load), ("discharge", load)], p_r_w, dt)
     e_inner = lanes.energy_wh(inner)
     e_outer = lanes.energy_wh(outer)
     target = np.minimum(np.minimum(e_inner[:n], e_inner[n:]), e_r_wh)
@@ -615,7 +588,7 @@ def _correct_original(h: _Horizon, chr0, dis0, p_r_w: float, e_r_wh: float,
         lanes, np.where(charge, outer, inner), np.where(charge, inner, outer),
         np.where(charge, e_outer, e_inner), np.where(charge, e_inner, e_outer),
         np.tile(target, 2), tol))
-    day_ivs, error = _segment_horizon(load, lengths, ref[:n], ref[n:])
+    day_ivs, error = _segment_horizon(load, ref[:n], ref[n:])
 
     plans = []
     for i, intervals in enumerate(day_ivs):
@@ -645,8 +618,9 @@ def replay_horizon(plans: list[ShavingPlan], profile: LoadProfile,
     d = e_r - e and leaves e = e_r, any other with e + d < 0 takes d = -e
     and leaves e = 0.0, and the rest add d. Each demand comes back as
     d / step_h, and the unclamped demand (demand_w of gated=False) as
-    demanded_w. The plans must be those of the profile's days
-    (_day_lengths).
+    demanded_w. The plans must be those of the profile's days (_parts),
+    and each part's series are made on its (days, n) matrix and joined
+    only when there are two.
 
     The demand is _interval_demand of each sample's interval kind at its
     reference. Each day's trace is one np.add.accumulate of
@@ -660,57 +634,53 @@ def replay_horizon(plans: list[ShavingPlan], profile: LoadProfile,
     bound, the store is pinned to the bound through the interval's end,
     and the day is accumulated again from there.
     """
-    lengths = _day_lengths(profile, plans)
-    runs = _day_runs(lengths)
-    load = profile.values_w
-    intervals = [iv for plan in plans for iv in plan.intervals]
-    iv_lengths = np.array([iv.stop - iv.start for iv in intervals])
-    # each sample's ungated demand at its interval's reference: the
-    # discharge law, and the charge law where the interval charges
-    ref = np.repeat(np.array([iv.ref_w for iv in intervals]), iv_lengths)
-    demand = np.empty(ref.size)
-    p_r = np.array([plan.rated_power_w for plan in plans])[:, None]
-    for (a, r), (_, x), (_, d) in zip(_day_rows(ref, runs),
-                                      _day_rows(load, runs),
-                                      _day_rows(demand, runs)):
-        _interval_demand(x, "discharge", r, p_r[a:a + len(r)], out=d)
-        _interval_demand(x, "charge", r, p_r[a:a + len(r)], out=r)
-    np.copyto(demand, ref, where=np.repeat(
-        np.array([iv.kind == "charge" for iv in intervals]), iv_lengths))
-    del ref
-
     step_wh = profile.dt_s / 3600.0
-    e0 = np.array([plan.initial_energy_wh for plan in plans])
-    energy = np.empty(lengths.sum() + lengths.size)
-    if not gated:
-        for (a, e), (_, d) in zip(_day_rows(energy, runs, 1),
-                                  _day_rows(demand, runs)):
-            np.cumsum(d, axis=1, out=e[:, 1:])
-            e[:, 1:] *= step_wh
-            e[:, 1:] += e0[a:a + len(e), None]
-            e[:, 0] = e0[a:a + len(e)]
-        return {"demand_w": demand, "energy_wh": energy}
-    e_r = np.array([plan.rated_energy_wh for plan in plans])
-    # the interval ends of the whole profile, in order
-    stops = np.cumsum(iv_lengths)
-    starts = np.concatenate([[0], np.cumsum(lengths[:-1])])
-    d_wh = demand * step_wh
-    for (a, e), (_, d) in zip(_day_rows(energy, runs, 1),
-                              _day_rows(d_wh, runs)):
-        e[:, 0] = e0[a:a + len(e)]
-        e[:, 1:] = d
-        np.add.accumulate(e, axis=1, out=e)
-        _gate(d, e, e_r[a:a + len(e)], starts[a:a + len(e)], stops)
-    return {"demand_w": np.divide(d_wh, step_wh, out=d_wh),
-            "energy_wh": energy, "demanded_w": demand}
+    out = []
+    for a, load in _parts(profile, plans):
+        day_plans = plans[a:a + len(load)]
+        intervals = [iv for plan in day_plans for iv in plan.intervals]
+        iv_lengths = np.array([iv.stop - iv.start for iv in intervals])
+        # each sample's ungated demand at its interval's reference: the
+        # discharge law, and the charge law where the interval charges
+        ref = np.repeat(np.array([iv.ref_w for iv in intervals]),
+                        iv_lengths).reshape(load.shape)
+        p_r = np.array([plan.rated_power_w for plan in day_plans])[:, None]
+        demand = _interval_demand(load, "discharge", ref, p_r,
+                                  out=np.empty(load.shape))
+        _interval_demand(load, "charge", ref, p_r, out=ref)
+        np.copyto(demand, ref, where=np.repeat(
+            np.array([iv.kind == "charge" for iv in intervals]),
+            iv_lengths).reshape(load.shape))
+        del ref
+        e0 = np.array([plan.initial_energy_wh for plan in day_plans])[:, None]
+        energy = np.empty((len(load), load.shape[1] + 1))
+        if not gated:
+            np.cumsum(demand, axis=1, out=energy[:, 1:])
+            energy[:, 1:] *= step_wh
+            energy[:, 1:] += e0
+            energy[:, :1] = e0
+            out.append({"demand_w": demand, "energy_wh": energy})
+            continue
+        d_wh = demand * step_wh
+        energy[:, :1] = e0
+        energy[:, 1:] = d_wh
+        np.add.accumulate(energy, axis=1, out=energy)
+        _gate(d_wh, energy, np.array([plan.rated_energy_wh for plan in day_plans]),
+              np.cumsum(iv_lengths))
+        out.append({"demand_w": np.divide(d_wh, step_wh, out=d_wh),
+                    "energy_wh": energy, "demanded_w": demand})
+    if len(out) == 1:
+        return {key: x.ravel() for key, x in out[0].items()}
+    return {key: np.concatenate([part[key].ravel() for part in out])
+            for key in out[0]}
 
 
-def _gate(d: np.ndarray, e: np.ndarray, e_r: np.ndarray, starts: np.ndarray,
+def _gate(d: np.ndarray, e: np.ndarray, e_r: np.ndarray,
           stops: np.ndarray) -> None:
-    """The clamp rounds of replay_horizon on days of one length, in place:
-    d (days, n) the sample energies, e (days, n + 1) their accumulated
-    traces, e_r and starts (days,) each day's store size and first sample
-    in the profile, stops the profile's interval ends."""
+    """The clamp rounds of replay_horizon on one part, in place: d (days,
+    n) the sample energies, e (days, n + 1) their accumulated traces, e_r
+    (days,) each day's store size, stops the part's interval ends, its
+    samples counted row after row."""
     cols = np.arange(e.shape[1])    # trace positions: sample i ends at i + 1
     rows = np.arange(len(e))
     trace = e                       # the trace searched for each of rows
@@ -726,9 +696,10 @@ def _gate(d: np.ndarray, e: np.ndarray, e_r: np.ndarray, starts: np.ndarray,
         store = trace[at, j - 1][hit]
         charge = (trace[at, j] > er[:, 0])[hit]
         rows, k, er, at = rows[hit], j[hit] - 1, er[hit], at[:hit.sum()]
-        # the end of the interval of sample k, in the day
-        end = stops[np.searchsorted(stops, starts[rows] + k, side="right")]
-        end -= starts[rows]
+        # the end of the interval of sample k, in the day; first is each
+        # row's first sample in the part
+        first = rows * d.shape[1]
+        end = stops[np.searchsorted(stops, first + k, side="right")] - first
         bound = np.where(charge, er[:, 0], 0.0)[:, None]
         dr = d[rows]
         dr[at, k] = np.where(charge, er[:, 0] - store, -store)
@@ -762,7 +733,7 @@ def horizon_metrics(profile: LoadProfile, plans: list[ShavingPlan],
     """Peak-shaving metrics of every plan's day of profile, with executed_w
     and demanded_w over the whole profile, all days at once and bit for bit
     as one day at a time. The plans must be those of the profile's days
-    (_day_lengths).
+    (_parts).
 
     E_val / E_pek are the load energies below/above the depth-defined
     initial references; CR, RR, CUR follow their ratio definitions.
@@ -770,62 +741,55 @@ def horizon_metrics(profile: LoadProfile, plans: list[ShavingPlan],
     (E_chr + E_dis) / (2 * E_rate). Zero valley or peak energy yields NaN
     for the corresponding rate instead of an error.
 
-    E_val and E_pek are row sums of a (days, n) matrix, which numpy sums
-    by each row's own pairwise tree. E_chr, E_dis and the power
-    utilization compress the whole profile once (x[x > 0], ...); each
-    day's contiguous slice of that is exactly the day's own compressed
-    array, and is summed alone.
+    E_val and E_pek are row sums of a part's (days, n) matrix, which numpy
+    sums by each row's own pairwise tree. E_chr, E_dis and the power
+    utilization compress a part's matrix once (x[x > 0], ...); each day's
+    contiguous slice of that is exactly the day's own compressed array,
+    and is summed alone.
     """
-    runs = _day_runs(_day_lengths(profile, plans))
-    executed_w = np.asarray(executed_w, dtype=float)
+    series = [np.asarray(executed_w, dtype=float)]
     if demanded_w is not None:
-        demanded_w = np.asarray(demanded_w, dtype=float)
-    for series in (executed_w, demanded_w):
-        if series is not None and series.shape != profile.values_w.shape:
-            raise DomainError("a power series must cover the profile")
+        series.append(np.asarray(demanded_w, dtype=float))
     step_wh = profile.dt_s / 3600.0
-    p_r = np.array([plan.rated_power_w for plan in plans])[:, None]
-    chr0 = np.array([plan.p_chr_ref0_w for plan in plans])[:, None]
-    dis0 = np.array([plan.p_dis_ref0_w for plan in plans])[:, None]
-    e_val, e_pek = np.empty((2, len(plans)))
-    for a, load in _day_rows(profile.values_w, runs):
-        b = a + len(load)
-        # the demand magnitudes at the initial references; abs rather than
-        # negating the sum keeps a zero E_pek +0.0
-        v = _interval_demand(load, "charge", chr0[a:b], p_r[a:b])
-        e_val[a:b] = v.sum(axis=1)
-        _interval_demand(load, "discharge", dis0[a:b], p_r[a:b], out=v)
-        e_pek[a:b] = np.abs(v, out=v).sum(axis=1)
-    e_val = (e_val * step_wh).tolist()
-    e_pek = (e_pek * step_wh).tolist()
 
-    def by_day(series, mask):
-        """series where mask holds, compressed once and cut into days."""
-        kept = series[mask]
-        at = np.cumsum([0, *(n for _, m in _day_rows(mask, runs)
-                             for n in np.count_nonzero(m, axis=1).tolist())])
-        return [kept[i:j] for i, j in zip(at.tolist(), at[1:].tolist())]
-
-    charged = by_day(executed_w, executed_w > 0)
-    discharged = by_day(executed_w, executed_w < 0)
-    if demanded_w is None:
-        utils = [1.0] * len(plans)
-    else:
-        active = demanded_w != 0
-        ratio = np.abs(executed_w)
-        np.divide(ratio, np.abs(demanded_w), out=ratio, where=active)
-        utils = [float(r.sum() / r.size) if r.size else math.nan
-                 for r in by_day(ratio, active)]
+    def by_day(x, mask):
+        """x where mask holds, compressed once and cut into days."""
+        kept = x[mask]
+        at = [0, *np.cumsum(np.count_nonzero(mask, axis=1)).tolist()]
+        return [kept[i:j] for i, j in zip(at, at[1:])]
 
     metrics = []
-    for val, pek, chg, dis, util in zip(e_val, e_pek, charged, discharged,
-                                        utils):
-        e_chr = float(chg.sum() * step_wh)
-        e_dis = float(-dis.sum() * step_wh)
-        metrics.append(ShavingMetrics(
-            cr=e_chr / val if val > 0 else math.nan,
-            rr=e_dis / pek if pek > 0 else math.nan,
-            cur=e_chr / e_rate_wh, power_utilization=util,
-            equivalent_cycles=(e_chr + e_dis) / (2.0 * e_rate_wh),
-            e_chr_wh=e_chr, e_dis_wh=e_dis, e_val_wh=val, e_pek_wh=pek))
+    for a, load, executed, *demanded in _parts(profile, plans, *series):
+        day_plans = plans[a:a + len(load)]
+        p_r = np.array([plan.rated_power_w for plan in day_plans])[:, None]
+        # the demand magnitudes at the initial references; abs rather than
+        # negating the sum keeps a zero E_pek +0.0
+        v = _interval_demand(load, "charge", np.array(
+            [plan.p_chr_ref0_w for plan in day_plans])[:, None], p_r)
+        e_val = (v.sum(axis=1) * step_wh).tolist()
+        _interval_demand(load, "discharge", np.array(
+            [plan.p_dis_ref0_w for plan in day_plans])[:, None], p_r, out=v)
+        e_pek = (np.abs(v, out=v).sum(axis=1) * step_wh).tolist()
+
+        charged = by_day(executed, executed > 0)
+        discharged = by_day(executed, executed < 0)
+        if not demanded:
+            utils = [1.0] * len(day_plans)
+        else:
+            active = demanded[0] != 0
+            ratio = np.abs(executed)
+            np.divide(ratio, np.abs(demanded[0]), out=ratio, where=active)
+            utils = [float(r.sum() / r.size) if r.size else math.nan
+                     for r in by_day(ratio, active)]
+
+        for val, pek, chg, dis, util in zip(e_val, e_pek, charged,
+                                            discharged, utils):
+            e_chr = float(chg.sum() * step_wh)
+            e_dis = float(-dis.sum() * step_wh)
+            metrics.append(ShavingMetrics(
+                cr=e_chr / val if val > 0 else math.nan,
+                rr=e_dis / pek if pek > 0 else math.nan,
+                cur=e_chr / e_rate_wh, power_utilization=util,
+                equivalent_cycles=(e_chr + e_dis) / (2.0 * e_rate_wh),
+                e_chr_wh=e_chr, e_dis_wh=e_dis, e_val_wh=val, e_pek_wh=pek))
     return metrics

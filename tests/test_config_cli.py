@@ -407,6 +407,52 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "RuntimeError", "message": "synthetic failure"}
 
+    @pytest.mark.parametrize("command", ["validate-config", "compare"])
+    def test_directory_as_csv_path_exits_2_naming_it(self, tmp_path, capsys,
+                                                     command):
+        doc = base_doc()
+        doc["load"].update(source="csv", csv_path=str(tmp_path))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main([command, "--config", str(path),
+                     "--output", str(outdir)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "load.csv_path"
+        assert not outdir.exists()
+
+    # an output path that is a file, or lies under one, is refused before
+    # the command runs, naming where the path came from
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["the file", "a path under it"])
+    @pytest.mark.parametrize("source", ["argv", "BESSIM_OUTPUT_DIR",
+                                        "output.dir"])
+    def test_output_path_through_a_file_exits_2_naming_its_source(
+            self, tmp_path, capsys, monkeypatch, source, under):
+        def run(*args, **kwargs):
+            raise RuntimeError("the simulation ran")
+        monkeypatch.setattr("bessim.cli.run_simulation", run)
+        monkeypatch.delenv("BESSIM_OUTPUT_DIR", raising=False)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        outdir = str(taken / "out" if under else taken)
+        doc = base_doc()
+        argv = []
+        if source == "argv":
+            argv = ["--output", outdir]
+        elif source == "output.dir":
+            doc["output"] = {"dir": outdir}
+        else:
+            monkeypatch.setenv(source, outdir)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(path), *argv]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == source
+        assert taken.read_text() == "kept\n"
+
 
 class TestGenLoadCommand:
     def test_writes_csv_and_manifest(self, cfg_path, tmp_path, capsys):
@@ -625,6 +671,35 @@ class TestCompareCommand:
         assert err["field"] == "power_depth_w"
         assert err["message"].startswith("day 1: daily load range")
         assert not outdir.exists()
+
+    def test_end_inclusive_csv_names_its_one_sample_day(self, tmp_path,
+                                                        capsys):
+        # a two-day CSV whose last row is the midnight that closes day 1:
+        # that row is day 2, one sample, which cannot be planned; --days 2
+        # cuts it
+        doc = base_doc(days=2)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gen-load", "--config", str(path),
+                     "--output", str(tmp_path)]) == 0
+        csv_path = tmp_path / "load.csv"
+        with open(csv_path, "a") as fh:
+            fh.write("2024-01-03T00:00:00,1200000.000000\n")
+        doc["load"].update(source="csv", csv_path=str(csv_path))
+        path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["compare", "--config", str(path),
+                     "--output", str(outdir)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DomainError"
+        assert err["field"] == "power_depth_w"
+        assert err["message"].startswith("day 2: daily load range")
+        assert not outdir.exists()
+        assert main(["compare", "--config", str(path), "--days", "2",
+                     "--output", str(outdir)]) == 0
+        rows = (outdir / "compare.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * 2
 
     # more energy than the store holds, or less than none
     @pytest.mark.parametrize("value", [-5e6, -1.0, 800e3 + 1.0])

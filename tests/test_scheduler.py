@@ -100,13 +100,14 @@ class TestDemandPower:
 
 
 class TestSegmentation:
-    """_segment_horizon of one hourly day (or less) at chosen references."""
+    """_segment_horizon of one hourly day (or less), a matrix of one row,
+    at chosen references."""
 
     def test_two_valley_two_peak_day_pairs_three_cycles(self):
         # charge, discharge, charge, discharge -> overlapping pairs
         load = np.array([10, 10, 25, 40, 40, 25, 10, 10, 25, 40, 40, 25]) * 1e6
-        (intervals,), _ = scheduler._segment_horizon(load, np.array([12]),
-                                                     [15e6], [35e6])
+        (intervals,), _ = scheduler._segment_horizon(load[None], [15e6],
+                                                     [35e6])
         assert len(intervals) == 4
         cycles = scheduler._pair_cycles(intervals, 15e6, 35e6)
         assert len(cycles) == 3
@@ -118,25 +119,25 @@ class TestSegmentation:
 
     def test_monotone_crossing_gives_one_cycle(self):
         load = np.linspace(10e6, 40e6, 24)
-        (intervals,), _ = scheduler._segment_horizon(load, np.array([24]),
-                                                     [15e6], [35e6])
+        (intervals,), _ = scheduler._segment_horizon(load[None], [15e6],
+                                                     [35e6])
         assert len(scheduler._pair_cycles(intervals, 15e6, 35e6)) == 1
 
     def test_flat_load_in_dead_band_rejected(self):
         days, error = scheduler._segment_horizon(
-            np.full(24, 25e6), np.array([24]), [15e6], [35e6])
+            np.full((1, 24), 25e6), [15e6], [35e6])
         assert days == [] and type(error) is EmptyPlanError
 
     def test_dead_band_samples_attach_to_preceding_interval(self):
         load = np.array([10e6, 25e6, 25e6, 40e6])
-        (intervals,), _ = scheduler._segment_horizon(load, np.array([4]),
-                                                     [15e6], [35e6])
+        (intervals,), _ = scheduler._segment_horizon(load[None], [15e6],
+                                                     [35e6])
         assert [iv.kind for iv in intervals] == ["charge", "discharge"]
         assert intervals[0].stop == 3
 
     def test_inverted_references_rejected(self):
         days, error = scheduler._segment_horizon(
-            np.array([10e6, 40e6]), np.array([2]), [35e6], [15e6])
+            np.array([[10e6, 40e6]]), [35e6], [15e6])
         assert days == [] and type(error) is DomainError
 
 
@@ -144,8 +145,7 @@ def fixed_reference_plan(profile, p_chr_ref_w, p_dis_ref_w, p_r_w, e_r_wh):
     """The plan of a profile of one day (or less) that keeps the
     references on its intervals."""
     (intervals,), error = scheduler._segment_horizon(
-        profile.values_w, np.array([profile.n_samples]), [p_chr_ref_w],
-        [p_dis_ref_w])
+        profile.values_w[None], [p_chr_ref_w], [p_dis_ref_w])
     assert error is None
     return ShavingPlan(
         cycles=scheduler._pair_cycles(intervals, p_chr_ref_w, p_dis_ref_w),
@@ -842,18 +842,17 @@ class TestFlatDay:
         segmented = []
         segment = scheduler._segment_horizon
 
-        def spy(load, lengths, *refs):
-            segmented.append((load.tolist(), lengths.tolist()))
-            return segment(load, lengths, *refs)
+        def spy(load, *refs):
+            segmented.append(load.tolist())
+            return segment(load, *refs)
         monkeypatch.setattr(scheduler, "_segment_horizon", spy)
         with pytest.raises(DomainError) as e:
             plan_horizon(profile, 5e6, 10e6, method)
         assert e.value.field == "power_depth_w"
         assert str(e.value).startswith(f"day {flat_day}: daily load range")
         # the days before it are planned, no day after it
-        before = profile.values_w[:24 * flat_day]
-        assert segmented == ([(before.tolist(), [24] * flat_day)]
-                             if flat_day else [])
+        before = profile.values_w[:24 * flat_day].reshape(flat_day, 24)
+        assert segmented == ([before.tolist()] if flat_day else [])
 
     @pytest.mark.parametrize("method", ["improved", "original"])
     @pytest.mark.parametrize("flat_day", [0, 2])
@@ -990,9 +989,13 @@ class TestHorizonOracle:
                                * (hi - lo) for _ in range(2))[::data.draw(
                                    st.sampled_from([1, 1, 1, -1]))])
         chr0, dis0 = (list(r) for r in zip(*refs))
-        got, error = scheduler._segment_horizon(
-            profile.values_w, np.array([d.n_samples for d in days]), chr0,
-            dis0)
+        got, error = [], None
+        for a, load in scheduler._parts(profile):
+            part, error = scheduler._segment_horizon(
+                load, chr0[a:a + len(load)], dis0[a:a + len(load)])
+            got += part
+            if error is not None:
+                break
         want = []
         for day, (c, d) in zip(days, refs):
             try:
@@ -1078,6 +1081,45 @@ class TestPlansMakeUpTheProfile:
         with pytest.raises(DomainError):
             horizon_metrics(self.PROFILE, self.PLANS, e_rate_wh=10e6,
                             **kwargs)
+
+
+class TestLayouts:
+    """The three layouts of a horizon's days that _parts tells apart, each
+    through plan_horizon, replay_horizon and horizon_metrics, bit for bit
+    as the per-day procedures: a short day only, full days, and full days
+    then a short day."""
+
+    LOAD = synth_load(SynthLoadSpec(days=4, dt_s=900.0), 2).values_w
+
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    @pytest.mark.parametrize("n,parts", [
+        (80, [(0, (1, 80))]),
+        (3 * 96, [(0, (3, 96))]),
+        (3 * 96 + 80, [(0, (3, 96)), (3, (1, 80))]),
+    ], ids=["a short day only", "full days", "full days and a short day"])
+    def test_layout_is_the_oracle(self, method, n, parts):
+        profile = LoadProfile(START, 900.0, self.LOAD[:n])
+        assert [(a, load.shape)
+                for a, load in scheduler._parts(profile)] == parts
+        # a store of a few full-power samples, so that the gate binds
+        plans = plan_horizon(profile, 2e6, 1e6, method, 0.5e6)
+        want = _oracle_plan_horizon(profile, 2e6, 1e6, method, 0.5e6)
+        assert [_plan_bits(p) for p in plans] == [_plan_bits(p) for p in want]
+        days = days_of(profile)
+        for gated in (False, True):
+            got = replay_horizon(plans, profile, gated)
+            per_day = [_oracle_replay(p, d, gated) for p, d in zip(plans, days)]
+            assert set(got) == set(per_day[0])
+            for key in got:
+                assert (_float_bits(got[key]) == _float_bits(
+                    np.concatenate([w[key] for w in per_day])))
+        assert np.any(got["demand_w"] != got["demanded_w"])
+        metrics = horizon_metrics(profile, plans, got["demand_w"], 1e6,
+                                  got["demanded_w"])
+        assert len(metrics) == len(days)
+        for m, plan, day, w in zip(metrics, plans, days, per_day):
+            assert _metrics_bits(m) == _metrics_bits(_oracle_metrics(
+                day, plan, w["demand_w"], 1e6, w["demanded_w"]))
 
 
 @st.composite
