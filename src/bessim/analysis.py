@@ -114,11 +114,11 @@ def depth_sweep(profile: LoadProfile, depths_w: list[float],
     Cluster count scales with depth so the per-cluster power share stays
     constant; reports therefore reflect load-shape changes, not plant size.
     The transformer is rated at 1.26 x depth, its losses those of
-    TransformerParams() scaled by depth / 5 MW (at least 0.2).
+    TransformerParams() scaled by depth / 5 MW (at least 0.2). Every depth
+    is checked before any runs.
     """
     cluster = cluster or ClusterParams()
     tf_base = TransformerParams()
-    reports = []
     for depth in depths_w:
         if depth <= 0:
             raise ConfigError("depths", "depths must be positive")
@@ -128,7 +128,9 @@ def depth_sweep(profile: LoadProfile, depths_w: list[float],
                 "depths",
                 f"depth {depth:.0f} W is not a multiple of the "
                 f"{cluster.rated_power_w:.0f} W cluster rating")
-        m = int(round(ratio))
+    reports = []
+    for depth in depths_w:
+        m = int(round(depth / cluster.rated_power_w))
         scale = max(depth / 5e6, 0.2)
         tf = TransformerParams(
             no_load_loss_w=tf_base.no_load_loss_w * scale,

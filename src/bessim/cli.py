@@ -252,10 +252,16 @@ def cmd_sweep(args) -> int:
     # without --depths: 1/5 ... 5/5 of the plant's clusters, rounded up
     depths = args.depths or sorted(
         {(j * m + 4) // 5 * cluster.rated_power_w for j in range(1, 6)})
-    reports = depth_sweep(profile, depths, cluster=cluster,
-                          soc_min=cfg.plant.soc_min, soc_max=cfg.plant.soc_max,
-                          initial_soc=cfg.plant.initial_soc,
-                          method=cfg.schedule.method)
+    try:
+        reports = depth_sweep(
+            profile, depths, cluster=cluster, soc_min=cfg.plant.soc_min,
+            soc_max=cfg.plant.soc_max, initial_soc=cfg.plant.initial_soc,
+            method=cfg.schedule.method)
+    except ConfigError as exc:
+        # a depth the plant's clusters cannot make is a bad --depths value
+        if exc.field != "depths":
+            raise
+        raise ConfigError("argv", f"argument --depths: {exc.reason}") from None
     files = {"sweep.csv": sweep_csv(reports)}
     if "json" in cfg.output.formats:
         files["sweep.json"] = sweep_reports_json(reports)

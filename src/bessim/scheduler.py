@@ -19,7 +19,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import BessimError, DomainError, EmptyPlanError
-from .plant import PlantConfig, steps_per_day
+from .plant import SOC_GATE_TOL, PlantConfig, steps_per_day
 
 # Bisection convergence tolerance as a fraction of rated energy, and the
 # iteration cap of the correction procedures.
@@ -113,18 +113,20 @@ def demand_power(load_w: float, p_chr_ref_w: float, p_dis_ref_w: float,
                  soc_max: float = PlantConfig.soc_max) -> float:
     """Signed storage power demand (W) for one sample.
 
-    Charging (positive, gated by soc < soc_max): full p_r below the taper
-    band, p_chr_ref - load inside it, zero above the reference.
-    Discharging (negative, gated by soc > soc_min): mirrored around
-    p_dis_ref. Output always lies in [-p_r, +p_r]. The law is
-    _interval_demand's, the one the plans and the run use.
+    Charging (positive): full p_r below the taper band, p_chr_ref - load
+    inside it, zero above the reference. Discharging (negative): mirrored
+    around p_dis_ref. Output always lies in [-p_r, +p_r]. The law is
+    _interval_demand's, the one the plans and the run use, and it is zero
+    where the run's SoC gate, Plant.blocked_mask, blocks its direction.
     """
     if not (load_w >= 0):
         raise DomainError("load_w must be non-negative")
     if load_w < p_chr_ref_w:
-        kind, ref_w, gated = "charge", p_chr_ref_w, soc >= soc_max
+        kind, ref_w = "charge", p_chr_ref_w
+        gated = soc >= soc_max - SOC_GATE_TOL
     elif load_w > p_dis_ref_w:
-        kind, ref_w, gated = "discharge", p_dis_ref_w, soc <= soc_min
+        kind, ref_w = "discharge", p_dis_ref_w
+        gated = soc <= soc_min + SOC_GATE_TOL
     else:
         return 0.0
     if gated:
@@ -226,35 +228,39 @@ class _Lanes:
         return energy
 
 
-def _bisect(lanes: _Lanes, lo: np.ndarray, hi: np.ndarray,
-            e_lo: np.ndarray, e_hi: np.ndarray, target_wh: np.ndarray,
-            tol_wh: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bisect(lanes: _Lanes, ref: np.ndarray, e_ref: np.ndarray,
+            end: np.ndarray, target_wh: np.ndarray, tol_wh: float
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bisection of each lane's monotone interval energy (rising with the
     reference on a charge lane, falling on a discharge lane) between its
-    references lo and hi, with the energies e_lo and e_hi there, toward
-    its target, every lane's steps in lockstep.
+    reference ref, with the energy e_ref there, and end, on either side of
+    ref, toward its target, every lane's steps in lockstep.
 
     Returns each lane's (reference, converged, energy at the reference).
     A target within tol of the most the lane can reach, or above it, takes
     that end, converged only if the end comes within tol; one within tol
     of the least takes the other end, converged. The rest bisect: each
-    step takes the midpoint 0.5 * (a + b), stops there if its energy is
-    within tol of the target, and else keeps the half toward the target.
-    After CORRECTION_MAX_ITERATIONS steps a lane takes the last interval's
-    midpoint, not converged.
+    step takes the midpoint 0.5 * (a + b) of the bracket a < b, stops
+    there if its energy is within tol of the target, and else keeps the
+    half toward the target. After CORRECTION_MAX_ITERATIONS steps a lane
+    takes the last bracket's midpoint, not converged.
     """
+    e_end = lanes.energy_wh(end)
     rising = lanes.charge
-    up_ref, up_e = np.where(rising, hi, lo), np.where(rising, e_hi, e_lo)
-    down_ref, down_e = np.where(rising, lo, hi), np.where(rising, e_lo, e_hi)
+    # whether the lane's energy is greater at end than at ref
+    up = np.where(rising, end > ref, end < ref)
+    up_ref, up_e = np.where(up, end, ref), np.where(up, e_end, e_ref)
+    down_ref, down_e = np.where(up, ref, end), np.where(up, e_ref, e_end)
     top = target_wh >= up_e - tol_wh
     bottom = ~top & (target_wh <= down_e + tol_wh)
-    ref = np.where(top, up_ref, down_ref)
-    energy = np.where(top, up_e, down_e)
-    ok = ~top | (up_e >= target_wh - tol_wh)
     keep = ~(top | bottom)
     run = np.flatnonzero(keep)
     lanes = lanes.take(keep)
-    a, b, t, rising = lo[run], hi[run], target_wh[run], rising[run]
+    a, b = np.minimum(ref, end)[run], np.maximum(ref, end)[run]
+    t, rising = target_wh[run], rising[run]
+    ref = np.where(top, up_ref, down_ref)
+    energy = np.where(top, up_e, down_e)
+    ok = ~top | (up_e >= target_wh - tol_wh)
     for _ in range(CORRECTION_MAX_ITERATIONS):
         if not run.size:
             break
@@ -396,7 +402,9 @@ def plan_horizon(profile: LoadProfile, power_depth_w: float,
     (_correct_improved), or 'original', the baseline of one symmetric
     reference pair a day (_correct_original). Each correction is a
     bisection, and a cycle whose correction fails is flagged infeasible,
-    not raised.
+    not raised. The corrections only correct; this function segments each
+    day (_segment_horizon), at its depth references before 'improved' and
+    at its corrected pair after 'original', and builds every plan.
 
     A day whose load range is at most twice power_depth_w cannot bracket
     its references and raises DomainError on power_depth_w naming the day,
@@ -406,24 +414,36 @@ def plan_horizon(profile: LoadProfile, power_depth_w: float,
     """
     if method not in ("improved", "original"):
         raise DomainError(f"unknown scheduling method {method!r}")
-    args = (power_depth_w, rated_energy_wh, initial_energy_wh, profile.dt_s)
+    args = (power_depth_w, rated_energy_wh, profile.dt_s)
     plans: list[ShavingPlan] = []
     for _, load in _parts(profile):
         lo, hi = load.min(axis=1), load.max(axis=1)
         shallow = np.flatnonzero(hi - lo <= 2.0 * power_depth_w)
         n = int(shallow[0]) if shallow.size else len(load)
         load, lo, hi = load[:n], lo[:n], hi[:n]
-        chr0 = (lo + power_depth_w).tolist()
-        dis0 = (hi - power_depth_w).tolist()
-        if not n:
-            part, error = [], None
-        elif method == "original":
-            part, error = _correct_original(load, lo, hi, chr0, dis0, *args)
-        else:
-            intervals, error = _segment_horizon(load, chr0, dis0)
-            part = _correct_improved(load, lo, hi, chr0, dis0, intervals,
-                                     *args) if intervals else []
-        plans += part
+        chr_ref = chr0 = (lo + power_depth_w).tolist()
+        dis_ref = dis0 = (hi - power_depth_w).tolist()
+        day_ivs, error = [], None
+        if n and method == "original":
+            chr_ref, dis_ref, ok = _correct_original(load, lo, hi, chr0,
+                                                     dis0, *args)
+            day_ivs, error = _segment_horizon(load, chr_ref, dis_ref)
+            # one flag a day, the same for each of its intervals
+            flags = [[k] * len(ivs) for k, ivs in zip(ok, day_ivs)]
+        elif n:
+            day_ivs, error = _segment_horizon(load, chr0, dis0)
+            flags = _correct_improved(load, lo, hi, chr0, dis0, day_ivs,
+                                      *args, initial_energy_wh
+                                      ) if day_ivs else []
+        for d, ivs in enumerate(day_ivs):
+            cycles = _pair_cycles(ivs, chr_ref[d], dis_ref[d])
+            for k, cyc in enumerate(cycles):
+                cyc.feasible = all(flags[d][k:k + 2])
+            plans.append(ShavingPlan(
+                cycles=cycles, intervals=ivs,
+                rated_power_w=power_depth_w, rated_energy_wh=rated_energy_wh,
+                p_chr_ref0_w=chr0[d], p_dis_ref0_w=dis0[d],
+                initial_energy_wh=initial_energy_wh))
         if error is None and shallow.size:
             error = DomainError(
                 f"day {len(plans)}: daily load range must exceed twice the "
@@ -436,12 +456,13 @@ def plan_horizon(profile: LoadProfile, power_depth_w: float,
 
 def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                       chr0, dis0, day_ivs: list[list[Interval]], p_r_w: float,
-                      e_r_wh: float, initial_energy_wh: float,
-                      dt: float) -> list[ShavingPlan]:
+                      e_r_wh: float, dt: float,
+                      initial_energy_wh: float) -> list[list[bool]]:
     """Per-cycle reference correction of the first days of load, a (days,
     n) matrix with each day's load minimum lo and maximum hi, one for each
-    day's intervals in day_ivs, from their initial references chr0 and
-    dis0.
+    day's intervals in day_ivs, segmented at their initial references chr0
+    and dis0. Corrects each interval's ref_w in place and returns each
+    day's flags, one an interval, False where its cycle is infeasible.
 
     Each day's intervals are walked in order, tracking the planned stored
     energy E in [0, e_r]. Each interval's reference is corrected against
@@ -449,15 +470,16 @@ def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     reference, undercharge (room left and the paired discharge wants more)
     raises it; over-discharge raises the discharge reference,
     under-discharge (the paired charge would overflow) lowers it. Each
-    correction is a bisection capped at CORRECTION_MAX_ITERATIONS; a cycle
-    that cannot be brought inside [0, e_r] within tolerance is flagged
-    infeasible, not raised.
+    correction is a bisection capped at CORRECTION_MAX_ITERATIONS; an
+    interval whose cycle cannot be brought inside [0, e_r] within
+    tolerance is flagged False, not raised.
 
     Interval position j is walked over all days together. Every interval's
     energy at its initial reference is taken once, in one pass: it is
-    E_now at j and E_next at j - 1. The bisections of j run in lockstep,
-    and an interval's energy at its final reference is the bisection's,
-    or E_now when it kept its reference."""
+    E_now at j and E_next at j - 1. The bisections of j run in lockstep
+    from the interval's reference toward an end, and an interval's energy
+    at its final reference is the bisection's, or E_now when it kept its
+    reference."""
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     flat = [iv for ivs in day_ivs for iv in ivs]
     first = np.cumsum([0, *map(len, day_ivs)]).tolist()
@@ -470,10 +492,10 @@ def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     flags: list[list[bool]] = [[] for _ in day_ivs]
 
     for j in range(max(map(len, day_ivs))):
-        # (day, interval, lo, hi, energy at iv.ref_w, whether that is lo,
-        #  target, room) of each bisection: room says whether the store
-        #  leaves room for the cycle, None where the bisection's
-        #  convergence does not count toward feasibility
+        # (day, interval, energy at iv.ref_w, end, target, room) of each
+        #  bisection: room says whether the store leaves room for the
+        #  cycle, None where the bisection's convergence does not count
+        #  toward feasibility
         wait = []
         for d, ivs in enumerate(day_ivs):
             if j >= len(ivs):
@@ -488,8 +510,8 @@ def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 if e + e_now > e_r_wh + tol:
                     # overcharge: reduce the charge reference; no room at
                     # all means the cycle cannot be honored
-                    wait.append((d, iv, lo_bound[d], iv.ref_w, e_now, False,
-                                 e_r_wh - e, e_r_wh - e > tol))
+                    wait.append((d, iv, e_now, lo_bound[d], e_r_wh - e,
+                                 e_r_wh - e > tol))
                     continue
                 if e + e_now < e_next and e + e_now < e_r_wh - tol:
                     # undercharge: raise the charge reference toward the
@@ -498,7 +520,7 @@ def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     top = (nxt.ref_w if nxt is not None
                            else dis0[d]) - gap
                     if top > iv.ref_w:
-                        wait.append((d, iv, iv.ref_w, top, e_now, True,
+                        wait.append((d, iv, e_now, top,
                                      min(e_next, e_r_wh) - e, None))
                         continue
                 energy[d] = min(e + e_now, e_r_wh)
@@ -506,8 +528,7 @@ def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 if e_now > e + tol:
                     # over-discharge: raise the discharge reference; an
                     # empty store means the cycle cannot be honored
-                    wait.append((d, iv, iv.ref_w, hi_bound[d], e_now, True,
-                                 e, e > tol))
+                    wait.append((d, iv, e_now, hi_bound[d], e, e > tol))
                     continue
                 if e - e_now + e_next > e_r_wh + tol and e - e_now > tol:
                     # under-discharge: lower the discharge reference so the
@@ -515,42 +536,29 @@ def _correct_improved(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     bottom = (nxt.ref_w if nxt is not None
                               else chr0[d]) + gap
                     if bottom < iv.ref_w:
-                        wait.append((d, iv, bottom, iv.ref_w, e_now, False,
+                        wait.append((d, iv, e_now, bottom,
                                      e + e_next - e_r_wh, None))
                         continue
                 energy[d] = max(e - e_now, 0.0)
             flags[d].append(True)
         if not wait:
             continue
-        ds, w_ivs, *columns, room = zip(*wait)
-        lo_j, hi_j, known, at_lo, targets = map(np.array, columns)
+        ds, w_ivs, known, ends, targets, room = zip(*wait)
         lanes = _Lanes.of(load, ds, w_ivs, p_r_w, dt)
-        e_other = lanes.energy_wh(np.where(at_lo, hi_j, lo_j))
         ref, ok, e_ref = (x.tolist() for x in _bisect(
-            lanes, lo_j, hi_j, np.where(at_lo, known, e_other),
-            np.where(at_lo, e_other, known), targets, tol))
+            lanes, np.array([iv.ref_w for iv in w_ivs]), np.array(known),
+            np.array(ends), np.array(targets), tol))
         for d, iv, r, k, e_iv, fits in zip(ds, w_ivs, ref, ok, e_ref, room):
             iv.ref_w = r
             flags[d].append(True if fits is None else k and fits)
             energy[d] = (min(energy[d] + e_iv, e_r_wh) if iv.kind == "charge"
                          else max(energy[d] - e_iv, 0.0))
-
-    plans = []
-    for intervals, c0, d0, day_flags in zip(day_ivs, chr0, dis0, flags):
-        cycles = _pair_cycles(intervals, c0, d0)
-        for n, cyc in enumerate(cycles):
-            cyc.feasible = all(day_flags[n:n + 2])
-        plans.append(ShavingPlan(
-            cycles=cycles, intervals=intervals,
-            rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
-            p_chr_ref0_w=c0, p_dis_ref0_w=d0,
-            initial_energy_wh=initial_energy_wh))
-    return plans
+    return flags
 
 
 def _correct_original(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                      chr0, dis0, p_r_w: float, e_r_wh: float,
-                      initial_energy_wh: float, dt: float):
+                      chr0, dis0, p_r_w: float, e_r_wh: float, dt: float
+                      ) -> tuple[list[float], list[float], list[bool]]:
     """Day-granularity baseline for each day of load, a (days, n) matrix
     with each day's load minimum lo and maximum hi, from its initial
     references chr0 and dis0: one symmetric reference pair per day.
@@ -563,45 +571,25 @@ def _correct_original(load: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     references is characteristic of this baseline.
 
     Every day's charge and discharge reference is one lane of one lockstep
-    bisection (a charge lane i and a discharge lane n + i per day i).
-    Returns the plans of the days up to the first whose segmentation at
-    its corrected references raises, and that error (None when none
-    does)."""
+    bisection (a charge lane i and a discharge lane n + i per day i), from
+    its inner end (up to the mid-level) toward its outer end (the day's
+    load minimum or maximum). Returns each day's corrected charge and
+    discharge references, and whether both converged."""
     n = len(load)
     tol = CORRECTION_TOLERANCE_FRAC * e_r_wh
     mid = 0.5 * (lo + hi)
     gap = 0.005 * (hi - lo)
-    # each lane's bisection runs from its outer end (the day's load minimum
-    # or maximum) to its inner end (up to the mid-level)
     inner = np.concatenate([np.maximum(mid - gap, chr0),
                             np.minimum(mid + gap, dis0)])
-    outer = np.concatenate([lo, hi])
-    charge = np.arange(2 * n) < n
     # the lanes are the rows of load: every day's charge lane, then every
     # day's discharge lane, already in lane order
-    lanes = _Lanes(charge, np.arange(2 * n),
+    lanes = _Lanes(np.arange(2 * n) < n, np.arange(2 * n),
                    [("charge", load), ("discharge", load)], p_r_w, dt)
     e_inner = lanes.energy_wh(inner)
-    e_outer = lanes.energy_wh(outer)
     target = np.minimum(np.minimum(e_inner[:n], e_inner[n:]), e_r_wh)
-    ref, ok, _ = (x.tolist() for x in _bisect(
-        lanes, np.where(charge, outer, inner), np.where(charge, inner, outer),
-        np.where(charge, e_outer, e_inner), np.where(charge, e_inner, e_outer),
-        np.tile(target, 2), tol))
-    day_ivs, error = _segment_horizon(load, ref[:n], ref[n:])
-
-    plans = []
-    for i, intervals in enumerate(day_ivs):
-        r_chr, r_dis = ref[i], ref[n + i]
-        cycles = _pair_cycles(intervals, r_chr, r_dis)
-        for cyc in cycles:
-            cyc.feasible = ok[i] and ok[n + i]
-        plans.append(ShavingPlan(
-            cycles=cycles, intervals=intervals,
-            rated_power_w=p_r_w, rated_energy_wh=e_r_wh,
-            p_chr_ref0_w=chr0[i], p_dis_ref0_w=dis0[i],
-            initial_energy_wh=initial_energy_wh))
-    return plans, error
+    ref, ok, _ = _bisect(lanes, inner, e_inner, np.concatenate([lo, hi]),
+                         np.tile(target, 2), tol)
+    return ref[:n].tolist(), ref[n:].tolist(), (ok[:n] & ok[n:]).tolist()
 
 
 def replay_horizon(plans: list[ShavingPlan], profile: LoadProfile,

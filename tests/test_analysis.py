@@ -76,6 +76,17 @@ class TestDepthSweep:
             depth_sweep(profile, [75e3])
         assert e.value.field == "depths"
 
+    def test_every_depth_checked_before_any_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(bessim.analysis, "run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        profile = synth_load(SynthLoadSpec(days=1, dt_s=300.0), 1)
+        for depths in ([5e6, 75e3], [5e6, -5e6]):
+            with pytest.raises(ConfigError) as e:
+                depth_sweep(profile, depths)
+            assert e.value.field == "depths"
+        assert runs == []
+
     def test_csv_row_matches_header_width(self):
         profile = synth_load(SynthLoadSpec(days=1, dt_s=300.0,
                                            noise_rel=0.0, day_jitter=0.0), 1)

@@ -1,14 +1,16 @@
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
 import pytest
 
+from bessim import errors
 from bessim.allocator import PsoParams
 from bessim.cli import main
 from bessim.config import load_config, parse_config
-from bessim.errors import ConfigError
+from bessim.errors import BessimError, ConfigError
 from bessim.profiles import load_profile_to_csv, synth_load
 from bessim.scheduler import LoadProfile, horizon_metrics, replay_horizon
 from bessim.simulate import plan_horizon
@@ -453,6 +455,18 @@ class TestErrorContract:
         assert err["field"] == source
         assert taken.read_text() == "kept\n"
 
+    def test_readme_lists_every_error_type(self):
+        # the paragraph of README's CLI section on the package's errors
+        # names exactly the subclasses of BessimError
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+        (listing,) = [p for p in section.split("\n\n") if "`BessimError`" in p]
+        listed = set(re.findall(r"`(\w+Error)`", listing)) - {"BessimError"}
+        types = {name for name, obj in vars(errors).items()
+                 if isinstance(obj, type) and issubclass(obj, BessimError)
+                 and obj is not BessimError}
+        assert listed == types
+
 
 class TestGenLoadCommand:
     def test_writes_csv_and_manifest(self, cfg_path, tmp_path, capsys):
@@ -761,6 +775,20 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert rows[1].startswith("100000,")
         assert rows[2].startswith("200000,")
+
+    def test_depth_the_clusters_cannot_make_exits_2_before_any_run(
+            self, cfg_path, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr("bessim.analysis.run_simulation",
+                            lambda *args, **kwargs: runs.append(args))
+        outdir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg_path, "--output", str(outdir),
+                     "--depths", "100000,70000"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["field"] == "argv"
+        assert "--depths" in err["message"] and "70000 W" in err["message"]
+        assert runs == [] and not outdir.exists()
 
     def test_default_depths_follow_the_plant(self, cfg_path, tmp_path,
                                              capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bessim import scheduler
 from bessim.errors import BessimError, DomainError, EmptyPlanError
+from bessim.plant import SOC_GATE_TOL, Plant, uniform_plant_config
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import (
     Interval,
@@ -65,6 +66,23 @@ class TestDemandPower:
     def test_soc_gates(self):
         assert demand_power(10e6, 20e6, 30e6, 0.97, self.P_R) == 0.0
         assert demand_power(40e6, 20e6, 30e6, 0.03, self.P_R) == 0.0
+
+    def test_gates_where_the_plant_blocks(self):
+        # SoCs on both sides of each bound, and of SOC_GATE_TOL inside it,
+        # down to the neighbouring floats
+        plant = Plant(uniform_plant_config(1))
+        soc = []
+        for bound in (plant.cfg.soc_min, plant.cfg.soc_max):
+            for edge in (bound - SOC_GATE_TOL, bound, bound + SOC_GATE_TOL):
+                soc += [edge + k * 1e-13 for k in range(-3, 4)]
+                soc += [np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+        plant.soc = np.array(soc)
+        for load, p_sys in ((10e6, 1.0), (40e6, -1.0)):
+            gated = [demand_power(load, 20e6, 30e6, x, self.P_R) == 0.0
+                     for x in soc]
+            blocked = plant.blocked_mask(p_sys).tolist()
+            assert gated == blocked
+            assert any(blocked) and not all(blocked)
 
     def test_never_exceeds_rated_power(self):
         rng = np.random.default_rng(1)
@@ -853,6 +871,20 @@ class TestFlatDay:
         # the days before it are planned, no day after it
         before = profile.values_w[:24 * flat_day].reshape(flat_day, 24)
         assert segmented == ([before.tolist()] if flat_day else [])
+
+    @pytest.mark.parametrize("method", ["improved", "original"])
+    @pytest.mark.parametrize("last_day", [[25.0] * 5, [25.0]],
+                             ids=["flat short", "one sample"])
+    def test_short_last_day_named_after_the_full_days(self, method,
+                                                      last_day):
+        # the shallow day is the second part's only row: it is named by
+        # the days before it, not by its row in its part
+        profile = profile_from_hours([10.0] * 12 + [40.0] * 12
+                                     + [12.0] * 12 + [38.0] * 12 + last_day)
+        with pytest.raises(DomainError) as e:
+            plan_horizon(profile, 5e6, 10e6, method)
+        assert e.value.field == "power_depth_w"
+        assert str(e.value).startswith("day 2: daily load range")
 
     @pytest.mark.parametrize("method", ["improved", "original"])
     @pytest.mark.parametrize("flat_day", [0, 2])
