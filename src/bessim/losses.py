@@ -22,6 +22,8 @@ from .errors import DomainError
 # Floor applied to the converter efficiency polynomial; the quartic fit is
 # only trusted on the sampled load range and must never reach zero.
 PCS_EFFICIENCY_FLOOR = 1e-3
+# Highest transformer load factor (an overload) that transformer_loss takes
+TRANSFORMER_OVERLOAD = 1.2
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -140,16 +142,22 @@ class RcState:
             raise DomainError("i_pol must be finite")
 
 
-def transformer_loss(load_factor: float, p: TransformerParams) -> float:
-    """Transformer loss power (W) at load factor lam: P_fe + lam^2 * P_k.
+def transformer_loss(load_factor, p: TransformerParams):
+    """Transformer loss power (W) at load factors lam: P_fe + lam^2 * P_k.
 
-    Accepts a modest overload up to lam = 1.2.
+    Takes an array of load factors, or a float as its one-element case
+    (and returns a float). Accepts a modest overload up to lam =
+    TRANSFORMER_OVERLOAD, and raises if any load factor is outside
+    [0, TRANSFORMER_OVERLOAD].
     """
-    if not (load_factor >= 0):
+    lam = np.asarray(load_factor, dtype=float)
+    if not (lam >= 0).all():
         raise DomainError("load_factor must be non-negative")
-    if not (load_factor <= 1.2):
-        raise DomainError("load_factor above the 1.2 overload tolerance")
-    return p.no_load_loss_w + load_factor * load_factor * p.rated_load_loss_w
+    if not (lam <= TRANSFORMER_OVERLOAD).all():
+        raise DomainError(f"load_factor above the {TRANSFORMER_OVERLOAD} "
+                          "overload tolerance")
+    loss = p.no_load_loss_w + lam * lam * p.rated_load_loss_w
+    return loss if loss.ndim else float(loss)
 
 
 def pcs_efficiency(load_factor, c: PcsEfficiencyCoeffs):

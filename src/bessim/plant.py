@@ -25,7 +25,6 @@ from .losses import (
     PcsEfficiencyCoeffs,
     TransformerParams,
     transformer_loss,
-    PCS_EFFICIENCY_FLOOR,
     _efficiency,
     _horner,
     _rc_decay,
@@ -234,14 +233,10 @@ def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
     return v
 
 
-def _advance(soc, ipol, p_ac, pp: _ParamArrays):
-    """The state half of _step_arrays: efficiency, current solve and SoC
-    clamp, then the next state. p_ac has the full broadcast shape of the
-    inputs, and intermediates are written into buffers of that shape that
-    earlier ones are done with. Returns (soc, ipol, current, truncated,
-    eta_ac, eta_dc), the last two for the energy half."""
-    decay, coulomb = pp.step_consts[:2]
-
+def _command(p_ac, pp: _ParamArrays):
+    """The command half of _advance, which depends on the AC commands p_ac
+    alone: load factor, converter efficiencies and the commanded DC power.
+    Returns (eta_ac, eta_dc, p_dc), each of p_ac's shape."""
     charging = p_ac >= 0.0
     lam = np.abs(p_ac)
     lam /= pp.rated
@@ -254,13 +249,25 @@ def _advance(soc, ipol, p_ac, pp: _ParamArrays):
     # charging and are supplied by the battery when discharging.
     p_dc = p_ac / eta2
     np.multiply(p_ac, eta2, out=p_dc, where=charging)
+    return eta_ac, eta_dc, p_dc
+
+
+def _advance(soc, ipol, p_ac, pp: _ParamArrays):
+    """The state half of _step_arrays: the command half (_command), then
+    current solve and SoC clamp, then the next state. p_ac has the full
+    broadcast shape of the inputs, and intermediates are written into
+    buffers of that shape that earlier ones are done with. Returns (soc,
+    ipol, current, truncated, eta_ac, eta_dc), the last two for the
+    energy half."""
+    decay, coulomb = pp.step_consts[:2]
+    eta_ac, eta_dc, p_dc = _command(p_ac, pp)
 
     # Terminal current from the battery-side power balance
     #   r_ohm * I^2 + (V_oc + r_pol * i_pol) * I = P_dc
     # smaller-magnitude root, sign matching P_dc (stable quadratic form).
     v_oc = pp.n_series * _horner(pp.ocv_b, soc)
     b = v_oc + pp.r_pol * ipol
-    disc = np.multiply(pp.r_ohm4, p_dc, out=eta2)
+    disc = np.multiply(pp.r_ohm4, p_dc)
     disc += b * b
     if disc.min() < 0.0:
         raise InfeasiblePowerError(
@@ -379,40 +386,29 @@ def _step_arrays(soc, ipol, p_ac, pp: _ParamArrays):
 
 
 def _scalar_kernel(pp: _ParamArrays):
-    """The scalar twin of _advance: one cluster on Python floats, for a
-    plant whose clusters all share their constants (pp.identical, or one
-    cluster): efficiency, current solve and SoC clamp, then the next
-    state. The energies come from _step_arrays alone (see replay_steps).
+    """The scalar twin of _advance's state half: one cluster on Python
+    floats, for a plant whose clusters all share their constants
+    (pp.identical, or one cluster). It takes the commanded DC power from
+    _command, so the efficiencies have one formula, and does the current
+    solve and SoC clamp, then the next state. The energies come from
+    _step_arrays alone (see replay_steps).
 
-    An operation-for-operation transcription of _advance on the same
-    constants, np.minimum(x, y) / np.maximum(x, y) written as x if x < y /
-    x > y else y. numpy leaves open which operand a tie returns; only -0.0
-    against +0.0 (a -0.0 current at a SoC bound) ties with different bits.
+    An operation-for-operation transcription of that half of _advance on
+    the same constants, np.minimum(x, y) / np.maximum(x, y) written as
+    x if x < y / x > y else y. numpy leaves open which operand a tie
+    returns; only -0.0 against +0.0 (a -0.0 current at a SoC bound) ties
+    with different bits.
     Bit equality with the array kernel is what test_matches_scalar_twin and
     TestUniformFastPathProperty check on the numpy build the tests run on.
-    Returns step(soc, ipol, p_ac) -> (soc', ipol').
+    Returns step(soc, ipol, p_dc) -> (soc', ipol').
     """
-    a0, a1, a2, a3, a4 = pp.acdc_a
-    c0, c1, c2, c3, c4 = pp.dcdc_a
     b0, b1, b2, b3 = pp.ocv_b
     decay, coulomb = map(float, pp.step_consts[:2])
-    rated, n_series, r_pol, r_ohm4 = pp.rated, pp.n_series, pp.r_pol, pp.r_ohm4
+    n_series, r_pol, r_ohm4 = pp.n_series, pp.r_pol, pp.r_ohm4
     soc_min, soc_max = pp.soc_min, pp.soc_max
-    floor = PCS_EFFICIENCY_FLOOR
     sqrt = math.sqrt
 
-    def step(soc: float, ipol: float, p_ac: float) -> tuple[float, float]:
-        lam = abs(p_ac) / rated
-        lam = lam if lam < 1.0 else 1.0
-        eta_ac = (((lam * a4 + a3) * lam + a2) * lam + a1) * lam + a0
-        eta_ac = eta_ac if eta_ac > floor else floor
-        eta_ac = eta_ac if eta_ac < 1.0 else 1.0
-        eta_dc = (((lam * c4 + c3) * lam + c2) * lam + c1) * lam + c0
-        eta_dc = eta_dc if eta_dc > floor else floor
-        eta_dc = eta_dc if eta_dc < 1.0 else 1.0
-        eta2 = eta_ac * eta_dc
-        p_dc = p_ac * eta2 if p_ac >= 0.0 else p_ac / eta2
-
+    def step(soc: float, ipol: float, p_dc: float) -> tuple[float, float]:
         v_oc = n_series * (((soc * b3 + b2) * soc + b1) * soc + b0)
         b = v_oc + r_pol * ipol
         disc = r_ohm4 * p_dc + b * b
@@ -487,21 +483,22 @@ class Plant:
             return self.soc <= self.cfg.soc_min + SOC_GATE_TOL
         return np.zeros(self.params.m, dtype=bool)
 
-    def transformer_split(self, p_sys_w: float) -> tuple[float, float]:
-        """(p_net, tf_w): the total power the clusters exchange for a
-        system-level command, and the transformer loss it carries.
+    def transformer_split(self, p_sys_w):
+        """(p_net, tf_w): the total power the clusters exchange for
+        system-level commands p_sys_w, and the transformer loss each
+        carries. Takes an array, or a float as its one-element case (and
+        returns floats).
 
-        p_net is less than p_sys when charging and more in magnitude when
-        discharging (the clusters also feed the loss).
+        p_net is less than p_sys when charging (never below 0) and more in
+        magnitude when discharging (the clusters also feed the loss); a
+        command of 0 W, either sign, gives +0.0.
         """
-        tf_w = transformer_loss(
-            abs(p_sys_w) / self.cfg.transformer.rated_power_w,
-            self.cfg.transformer)
-        if p_sys_w > 0:
-            return max(p_sys_w - tf_w, 0.0), tf_w
-        if p_sys_w < 0:
-            return p_sys_w - tf_w, tf_w
-        return 0.0, tf_w
+        p = np.asarray(p_sys_w, dtype=float)
+        tf_w = transformer_loss(np.abs(p) / self.cfg.transformer.rated_power_w,
+                                self.cfg.transformer)
+        p_net = p - tf_w
+        p_net = np.where(p < 0.0, p_net, np.maximum(p_net, 0.0))
+        return (p_net if p_net.ndim else float(p_net)), tf_w
 
     def net_cluster_power(self, p_sys_w: float) -> float:
         """Total power the clusters exchange for a system-level command."""

@@ -16,6 +16,7 @@ from .allocator import PsoParams, balanced_allocation, pso_allocate, repair
 from .config import AllocatorConfig, ScheduleConfig
 from .errors import DomainError
 from . import plant as plant_module
+from .losses import TRANSFORMER_OVERLOAD
 from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
@@ -106,10 +107,13 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     can exchange. alloc_mode is 'balanced' or 'pso'; with 'pso' the
     allocation is re-optimized every realloc_cadence_s of simulated time
     and repaired against the current blocked mask in between. A zero step
-    records the unblocked balanced allocation. Both loops advance the
+    records the unblocked balanced allocation. Both loops split every
+    planned sample in one array pass first (_split_columns), advance the
     state alone and take every step's energies from replay_steps, on its
-    recorded start state and command. The steps completed are booked
-    (Plant.book) when the run ends or raises.
+    recorded start state and command. A sample's error (a transformer
+    overload, a rating breach, an infeasible power) is raised by the step
+    that executes it, and the steps completed are booked (Plant.book)
+    when the run ends or raises.
     """
     if alloc_mode not in ("balanced", "pso"):
         raise DomainError(f"unknown allocation mode {alloc_mode!r}")
@@ -153,21 +157,36 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         alloc_matrix=steps.alloc, plant=plant)
 
 
-def _cap_to_plant(p: float, avail_w: float,
-                  split) -> tuple[float, float, float]:
-    """System power p capped to what the available clusters can exchange,
-    with its split (p, p_net, tf_w) by split (Plant.transformer_split).
-    When discharging they must also cover the transformer loss, so p is
-    split first and split again only when the cap binds."""
-    if p < 0.0:
+def _cap_to_plant(p, avail_w: float, split):
+    """System powers p (an array, or a float as its one-element case)
+    capped to what the available clusters can exchange, with their split
+    (p, p_net, tf_w) by split (Plant.transformer_split). A charge is
+    capped at avail_w. A discharge must also cover the transformer loss,
+    so p is split first, and split again only where the cap binds: the
+    cap -max(avail_w - tf_w, 0) replaces p where it is above p (as
+    max(p, cap), which keeps p on a tie)."""
+    p = np.minimum(p, avail_w)
+    p_net, tf_w = split(p)
+    cap = -np.maximum(avail_w - tf_w, 0.0)
+    capped = cap > p
+    if capped.any():
+        p = np.where(capped, cap, p)
         p_net, tf_w = split(p)
-        cap = -max(avail_w - tf_w, 0.0)
-        if cap <= p:    # as max(p, cap), which keeps p on a tie
-            return p, p_net, tf_w
-        p = cap
-    elif p > 0.0:
-        p = min(p, avail_w)
-    return (p, *split(p))
+    return (p if p.ndim else float(p)), p_net, tf_w
+
+
+def _split_columns(plant: Plant, demand: np.ndarray):
+    """_cap_to_plant of every sample of demand at the whole plant's rating,
+    in one array pass: (p, p_net, tf_w, ok). The pass raises nothing: where
+    ok is false the sample's split is outside the transformer's domain (an
+    overload), its columns hold a split of 0 W, and a loop that executes
+    the sample splits it again on its own, which raises there."""
+    p_tot = float(np.sum(plant.params.rated_w))
+    tf = plant.cfg.transformer
+    ok = np.abs(np.minimum(demand, p_tot)) / tf.rated_power_w <= (
+        TRANSFORMER_OVERLOAD)
+    return (*_cap_to_plant(np.where(ok, demand, 0.0), p_tot,
+                           plant.transformer_split), ok)
 
 
 def _balanced_share(rows: dict[bytes, np.ndarray], blocked: np.ndarray,
@@ -194,11 +213,16 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                  cadence_steps: int) -> None:
     """The per-cluster loop: Plant.step advances the state and gives the
     cluster commands; at 0 W, or with every cluster blocked, ipol only
-    decays (the kernel's own operations at zero current). With 'pso' the
-    allocation is re-optimized every cadence_steps steps. A record of
-    REPLAY_CLUSTER_STEPS // m steps' start states and commands is replayed
-    (replay_steps) whenever it is full and when the loop ends or raises."""
+    decays (the kernel's own operations at zero current). A step with no
+    cluster blocked reads its split from _split_columns, taken before the
+    loop; only a step with a blocked cluster, or one whose split raises,
+    is split on its own. With 'pso' the allocation is re-optimized every
+    cadence_steps steps. A record of REPLAY_CLUSTER_STEPS // m steps'
+    start states and commands is replayed (replay_steps) whenever it is
+    full and when the loop ends or raises."""
     demand = steps.demand_w
+    split = plant.transformer_split
+    capv, netv, tfv, okv = map(memoryview, _split_columns(plant, demand))
     decay = plant.params.step_consts[0]
     m = plant.n_clusters
     rows = max(plant_module.REPLAY_CLUSTER_STEPS // m, 1)
@@ -228,8 +252,11 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                 cmd_at[row] = 0.0
                 plant.ipol = plant.ipol * decay + 0.0
                 continue
-            avail = float(plant.params.rated_w[~blocked].sum())
-            p, p_net, tf_w = _cap_to_plant(p, avail, plant.transformer_split)
+            if okv[i] and not blocked.any():
+                p, p_net, tf_w = capv[i], netv[i], tfv[i]
+            else:
+                avail = float(plant.params.rated_w[~blocked].sum())
+                p, p_net, tf_w = _cap_to_plant(p, avail, split)
             max_share = (plant.params.rated_w / abs(p_net)
                          if p_net != 0.0 else None)
             if p == 0.0:
@@ -255,31 +282,36 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     """Balanced run of a uniform plant (see Plant.is_uniform).
 
     A balanced split over identical clusters keeps every cluster in the
-    same state, so one call of plant.params.scalar_step (the scalar twin
-    of _advance) per step advances all of them, each
-    commanded share * p_net as on the general loop; a zero or gate-dropped
-    step only decays ipol, by the kernel's own operations at zero current.
-    The loop records each step's start state (the command is share *
-    target_w), and when it ends or raises one replay_steps call gives the
-    completed steps' energies, the cluster sums m times one cluster's.
-    State stays in Python floats, the arrays are read and written through
-    memoryviews, and the plant gets its state back when the loop ends or
-    raises.
+    same state, so one state is stepped, each cluster commanded share *
+    p_net as on the general loop. One array pass before the loop takes
+    what the state does not decide: each sample's split (_split_columns),
+    its rating check and the command half of the kernel down to p_dc
+    (plant._command). A step that passes the SoC gate calls
+    plant.params.scalar_step, the scalar twin of _advance's state half,
+    on its p_dc, or, for a sample that fails its split or rating check,
+    raises by the scalar code; a zero or gate-dropped step only decays
+    ipol, by the kernel's own operations at zero current. When the loop
+    ends or raises, the completed steps take p_net and tf_w from the
+    columns, and one replay_steps call on their recorded start states
+    gives their energies, the cluster sums m times one cluster's. State
+    stays in Python floats, the arrays are read and written through
+    memoryviews, and the plant gets its state back at the end.
     """
     kernel = plant.params.scalar_step
-    split = plant.transformer_split
-    m = float(plant.n_clusters)
-    decay = float(plant.params.step_consts[0])
+    m = plant.n_clusters
     p_tot = float(np.sum(plant.params.rated_w))
-    rated = plant.params.rated
-    rated_tol = plant.params.rated_tol_w
+    decay = float(plant.params.step_consts[0])
     # the blocked mask of the one shared state
     soc_hi = plant.cfg.soc_max - SOC_GATE_TOL
     soc_lo = plant.cfg.soc_min + SOC_GATE_TOL
+    p_cap, p_net, tf_w, ok = _split_columns(plant, steps.demand_w)
+    p_dc = share * p_net
+    ok &= np.abs(p_dc) <= plant.params.rated_tol_w
+    p_dc = plant_module._command(p_dc, plant.params)[2]
     # each step's start state, for the replay
     soc_at, ipol_at = np.empty((2, steps.demand_w.size))
-    dv, tgv, tfv, sv, iv = (memoryview(a) for a in (
-        steps.demand_w, steps.target_w, steps.tf_w, soc_at, ipol_at))
+    dv, capv, dcv, okv, sv, iv = map(memoryview, (
+        steps.demand_w, p_cap, p_dc, ok, soc_at, ipol_at))
 
     soc, ipol = float(plant.soc[0]), float(plant.ipol[0])
     done = 0
@@ -288,28 +320,25 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
             sv[i] = soc
             iv[i] = ipol
             if (p > 0.0 and soc < soc_hi) or (p < 0.0 and soc > soc_lo):
-                p, p_net, tf_w = _cap_to_plant(p, p_tot, split)
+                if not okv[i]:  # the scalar code raises its error here
+                    net = _cap_to_plant(p, p_tot, plant.transformer_split)[1]
+                    plant._cluster_targets(net, np.full(m, share))
+                dv[i] = capv[i]
+                soc, ipol = kernel(soc, ipol, dcv[i])
             else:
-                p = 0.0     # zero, or dropped by the SoC gate
-            dv[i] = p
-            if p == 0.0:
+                dv[i] = 0.0     # zero, or dropped by the SoC gate
                 ipol = ipol * decay + 0.0   # target_w, tf_w keep theirs
-            else:
-                p_clu = share * p_net
-                if abs(p_clu) > rated_tol:
-                    raise DomainError(
-                        f"allocation infeasible: cluster 0 commanded "
-                        f"{p_clu:.1f} W above its {rated:.0f} W rating")
-                soc, ipol = kernel(soc, ipol, p_clu)
-                tgv[i] = p_net
-                tfv[i] = tf_w
             done = i + 1
     finally:
         plant.soc.fill(soc)
         plant.ipol.fill(ipol)
         steps.done = done
+        ran = steps.demand_w[:done] != 0.0
+        np.copyto(steps.target_w[:done], p_net[:done], where=ran)
+        np.copyto(steps.tf_w[:done], tf_w[:done], where=ran)
         totals = steps.totals[:, :done]
         replay_steps(soc_at[:done, None], ipol_at[:done, None],
                      (share * steps.target_w[:done])[:, None], plant.params,
                      totals, steps.e_dc0[:done], steps.truncated[:done])
         totals *= m
+

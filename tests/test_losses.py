@@ -50,6 +50,23 @@ class TestTransformerLoss:
         with pytest.raises(DomainError):
             transformer_loss(math.nan, TransformerParams())
 
+    def test_array_is_the_scalar_calls(self):
+        # a float is the one-element case: a float back, and an array of
+        # load factors gives each one's scalar loss, bit for bit
+        p = TransformerParams()
+        lam = [0.0, 0.1, 0.5, 1.0, 1.2, 0.3333333333333333]
+        got = transformer_loss(np.array(lam), p)
+        assert [v.hex() for v in got.tolist()] == [
+            transformer_loss(x, p).hex() for x in lam]
+        assert type(transformer_loss(0.5, p)) is float
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.21, "above the 1.2 overload tolerance"),
+        (math.nan, "must be non-negative")])
+    def test_array_with_one_bad_load_factor_rejected(self, bad, message):
+        with pytest.raises(DomainError, match=message):
+            transformer_loss(np.array([0.5, bad, 1.0]), TransformerParams())
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             TransformerParams(no_load_loss_w=0.0)

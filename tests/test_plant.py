@@ -44,13 +44,23 @@ from bessim.plant import (
     PlantConfig,
     uniform_plant_config,
     _ParamArrays,
+    _advance,
+    _command,
     _mean_ocv,
     _step_arrays,
     replay_steps,
 )
 from bessim.profiles import SynthLoadSpec, synth_load
 from bessim.scheduler import LoadProfile, replay_horizon
-from bessim.simulate import _Steps, _run_general, _run_uniform, run_simulation
+from bessim.allocator import balanced_allocation, repair
+from bessim.simulate import (
+    _Steps,
+    _cap_to_plant,
+    _run_general,
+    _run_uniform,
+    _split_columns,
+    run_simulation,
+)
 
 
 class TestClusterAggregates:
@@ -383,7 +393,8 @@ class TestPlant:
         soc, ipol = cfg.initial_soc, 0.0
         for p in (120_000.0, -80_000.0, 0.0, 30_000.0):
             _book_step(plant, p, k)
-            out = kernel(soc, ipol, k[0] * plant.net_cluster_power(p))
+            p_ac = np.array([k[0] * plant.net_cluster_power(p)])
+            out = kernel(soc, ipol, float(_command(p_ac, plant.params)[2][0]))
             assert len(out) == 2
             soc, ipol = out
             assert plant.soc.tobytes() == np.full(m, soc).tobytes()
@@ -508,26 +519,71 @@ class TestGeneralPathMatchesFastPath:
         self._assert_same_state(fast, general)
 
 
-class TestTransformerSplitOncePerStep:
-    """Both loops take a commanded step's transformer split once, and a
-    discharge step's again only when the plant cap binds. The one other
-    transformer_loss call is the split of 0 W that a run's zero steps
-    share, on either loop."""
+class TestTransformerSplitPerRun:
+    """Before either loop runs, one array pass splits every planned
+    sample (simulate._split_columns), so transformer_loss is entered with
+    arrays there, once more where the discharge cap binds. The uniform
+    loop then splits nothing per step. The general loop splits a step on
+    its own (one-element calls) only when a cluster is blocked for it,
+    once more where the cap binds. The one other one-element call is the
+    split of 0 W that a run's zero steps share, on either loop."""
 
-    @pytest.mark.parametrize("general", [False, True])
-    def test_transformer_loss_calls(self, general):
+    @staticmethod
+    def _calls(plant: Plant):
+        """run_simulation of the default profile on plant, and the calls
+        it makes in order: ("tf", ndim of the load factors) for each
+        transformer_loss call, ("mask", a cluster is blocked, every
+        cluster is) for each Plant.blocked_mask call."""
+        events = []
+        tf_loss = bessim.plant.transformer_loss
+        blocked_mask = Plant.blocked_mask
+
+        def tf_spy(load_factor, params):
+            events.append(("tf", np.ndim(load_factor)))
+            return tf_loss(load_factor, params)
+
+        def mask_spy(self, p_sys_w):
+            mask = blocked_mask(self, p_sys_w)
+            events.append(("mask", bool(mask.any()), bool(mask.all())))
+            return mask
+
         profile = TestGeneralPathMatchesFastPath.PROFILE
-        plant = Plant(PlantConfig(clusters=(ClusterParams(),) * 4,
-                                  dt_s=300.0))
-        with (_general_loop() if general else contextlib.nullcontext(),
-              mock.patch.object(bessim.plant, "transformer_loss",
-                                wraps=bessim.plant.transformer_loss) as tf):
+        with (mock.patch.object(bessim.plant, "transformer_loss", tf_spy),
+              mock.patch.object(Plant, "blocked_mask", mask_spy)):
             r = run_simulation(plant, profile, 200e3, 800e3)
         planned = replay_horizon(r.plans, profile, gated=False)["demand_w"]
-        capped = (r.demand_w < 0.0) & (r.demand_w > planned)
-        assert capped.any()
-        assert tf.call_count == (np.count_nonzero(r.demand_w)
-                                 + np.count_nonzero(capped) + 1)
+        # the cap binds on some discharge
+        assert ((r.demand_w < 0.0) & (r.demand_w > planned)).any()
+        return events
+
+    @staticmethod
+    def _before_loop(events):
+        """The calls before the loop's first blocked_mask call: the split
+        of 0 W, then the array pass (two calls: the cap binds)."""
+        loop = next((i for i, e in enumerate(events) if e[0] == "mask"),
+                    len(events))
+        assert events[:loop] == [("tf", 0), ("tf", 1), ("tf", 1)]
+        return events[loop:]
+
+    def test_uniform_loop_splits_no_step(self):
+        plant = Plant(PlantConfig(clusters=(ClusterParams(),) * 4,
+                                  dt_s=300.0))
+        assert self._before_loop(self._calls(plant)) == []
+
+    def test_general_loop_splits_only_steps_with_a_blocked_cluster(self):
+        plant = Plant(PlantConfig(clusters=(ClusterParams(),) * 4,
+                                  dt_s=300.0))
+        plant.soc = np.array([PlantConfig.soc_min, 0.2, 0.5,
+                              PlantConfig.soc_max])
+        # (some but not all clusters blocked, one-element splits) per step
+        steps = []
+        for event in self._before_loop(self._calls(plant)):
+            if event[0] == "mask":
+                steps.append([event[1] and not event[2], 0])
+            else:
+                assert event == ("tf", 0)
+                steps[-1][1] += 1
+        assert {tuple(s) for s in steps} == {(False, 0), (True, 1), (True, 2)}
 
 
 SOC_MIN, SOC_MAX = 0.03, 0.97
@@ -661,8 +717,10 @@ class TestStepArraysProperties:
         soc_new, ipol_new = _step_arrays(soc, ipol, p_ac, pp)[:2]
         kernels = [_ParamArrays((k,), SOC_MIN, SOC_MAX, dt).scalar_step
                    for k in kinds]
+        # the twin's DC power from the command half the array kernel runs
+        p_dc = _command(p_ac, pp)[2]
         for (r, j), s0 in np.ndenumerate(soc):
-            want = kernels[j](float(s0), float(ipol[r, j]), float(p_ac[r, j]))
+            want = kernels[j](float(s0), float(ipol[r, j]), float(p_dc[r, j]))
             # the state half of one formula: the next state bit for bit,
             # signed zeros included
             assert len(want) == 2
@@ -859,6 +917,146 @@ class TestUniformFastPathProperty:
             assert np.all(diff <= tol_wh), name
         diff = np.abs(rf.delivered_w - rg.delivered_w) * (cfg.dt_s / 3600.0)
         assert np.all(diff <= tol_wh)
+
+
+def _hex(*values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def demand_columns(draw):
+    """(plant, demand): a plant of 1 to 6 clusters of one kind from
+    CLUSTER_KINDS behind a drawn transformer, and a demand column of both
+    signs with 0.0, -0.0, the plant's rating p_tot and the load factors
+    1.2 and the next float above it among the draws. The transformer is
+    the default one, one rated below p_tot (so a charge capped at p_tot
+    can overload it), or one whose no-load loss is above p_tot (so the
+    discharge cap is -0.0)."""
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(CLUSTER_KINDS))
+    p_tot = m * kind.rated_power_w
+    tf = draw(st.sampled_from([
+        TransformerParams(),
+        TransformerParams(rated_power_w=p_tot / 1.5,
+                          rated_load_loss_w=p_tot / 100),
+        TransformerParams(no_load_loss_w=2.0 * p_tot)]))
+    plant = Plant(PlantConfig(clusters=(kind,) * m, transformer=tf,
+                              dt_s=300.0, soc_min=SOC_MIN, soc_max=SOC_MAX))
+    at_limit = 1.2 * tf.rated_power_w
+    edges = [0.0, -0.0, p_tot, at_limit, np.nextafter(at_limit, math.inf),
+             tf.no_load_loss_w]
+    edges += [-e for e in edges]
+    top = 1.5 * max(p_tot, at_limit)
+    demand = draw(st.lists(st.sampled_from(edges) | st.floats(-top, top),
+                           min_size=1, max_size=40))
+    return plant, np.array(demand)
+
+
+def _balanced_share(m: int) -> float:
+    """The share run_simulation gives each cluster of a uniform plant."""
+    blocked = np.zeros(m, dtype=bool)
+    return float(repair(balanced_allocation(blocked), blocked)[0])
+
+
+class TestUniformArrayPass:
+    """The array pass of simulate._run_uniform, its two calls on whole
+    columns (_split_columns, then plant._command on share * p_net),
+    against the scalar code per sample, bit for bit: the split equals a
+    one-element _cap_to_plant, or is marked not ok where that raises, and
+    the command half equals what _advance computes for the same command."""
+
+    @staticmethod
+    def _assert_matches_scalar_code(plant: Plant, demand: np.ndarray):
+        p_tot = float(np.sum(plant.params.rated_w))
+        share = _balanced_share(plant.n_clusters)
+        p, p_net, tf_w, ok = _split_columns(plant, demand)
+        command = _command(share * p_net, plant.params)
+        for i, d in enumerate(demand.tolist()):
+            try:
+                want = _cap_to_plant(d, p_tot, plant.transformer_split)
+            except DomainError as e:
+                assert "overload" in str(e) and not ok[i]
+                continue
+            assert ok[i]
+            assert _hex(p[i], p_net[i], tf_w[i]) == _hex(*want)
+            # the command half inside _advance (copied: _advance reuses
+            # its buffers), whatever follows it
+            inside = []
+
+            def command_spy(*args):
+                out = _command(*args)
+                inside.append([c.copy() for c in out])
+                return out
+
+            with (mock.patch.object(bessim.plant, "_command", command_spy),
+                  contextlib.suppress(InfeasiblePowerError)):
+                _advance(np.array([0.5]), np.array([0.0]),
+                         np.array([share * want[1]]), plant.params)
+            assert len(inside) == 1
+            assert (_hex(*(c[i] for c in command))
+                    == _hex(*(c[0] for c in inside[0])))
+        return p, p_net, tf_w
+
+    @settings(max_examples=150)
+    @given(demand_columns())
+    def test_matches_the_scalar_code(self, case):
+        self._assert_matches_scalar_code(*case)
+
+    def test_edge_cases(self):
+        tf = TransformerParams()
+        plant = Plant(uniform_plant_config(4, dt_s=300.0))
+        p_tot = 200e3
+        # a charge at or below the no-load loss leaves the clusters +0.0
+        # (max(p - tf, 0.0)); a discharge beyond p_tot is capped
+        demand = np.array([tf.no_load_loss_w, 1000.0, -0.0, -250e3])
+        p, p_net, tf_w = self._assert_matches_scalar_code(plant, demand)
+        assert _hex(*p_net[:3]) == _hex(0.0, 0.0, 0.0)
+        assert p[3] == -(p_tot - plant.transformer_split(-250e3)[1])
+
+        # the tie rule: a discharge equal to its own cap keeps p
+        d = -p_tot
+        for _ in range(50):
+            d = -max(p_tot - plant.transformer_split(d)[1], 0.0)
+        tie = -max(p_tot - plant.transformer_split(d)[1], 0.0)
+        assert tie == d
+        p = self._assert_matches_scalar_code(plant, np.array([d]))[0]
+        assert _hex(p[0]) == _hex(d)
+
+        # p_tot below the transformer's no-load loss: every discharge is
+        # capped to -0.0, and split as 0 W
+        small = Plant(uniform_plant_config(
+            1, transformer=TransformerParams(no_load_loss_w=60e3),
+            dt_s=300.0))
+        p, p_net, tf_w = self._assert_matches_scalar_code(
+            small, np.array([-1000.0, -60e3, -1e6]))
+        assert _hex(*p) == _hex(-0.0, -0.0, -0.0)
+        assert _hex(*p_net) == _hex(0.0, 0.0, 0.0)
+        assert _hex(*tf_w) == _hex(60e3, 60e3, 60e3)
+
+    def test_plant_below_the_no_load_loss_runs_alike_on_both_loops(self):
+        # every discharge is capped to -0.0 and every charge leaves the
+        # clusters 0 W: the uniform loop steps its kernel at p_dc = 0.0
+        # where the general loop steps Plant.step at p_net = 0.0
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
+                          transformer=TransformerParams(no_load_loss_w=300e3))
+        demand = np.array([-50e3, 0.0, 150e3, -0.0, -200e3, 30e3, -10e3])
+        n = demand.size
+        fast, general = Plant(cfg), Plant(cfg)
+        fast.ipol[:] = general.ipol[:] = -40.0
+        tf_idle = fast.transformer_split(0.0)[1]
+        runs = [_Steps(demand_w=demand.copy(), target_w=np.zeros(n),
+                       tf_w=np.full(n, tf_idle), totals=np.zeros((E_DC, n)),
+                       e_dc0=np.zeros(n), truncated=np.zeros(n, dtype=bool),
+                       alloc=None) for _ in range(2)]
+        _run_uniform(fast, runs[0], 0.25)
+        _run_general(general, runs[1], np.full(4, 0.25), "balanced", None, 1)
+        assert _hex(*runs[0].demand_w) == _hex(-0.0, 0.0, 150e3, 0.0, -0.0,
+                                               30e3, -0.0)
+        for name in ("demand_w", "target_w", "tf_w", "totals", "e_dc0",
+                     "truncated"):
+            assert (getattr(runs[0], name).tobytes()
+                    == getattr(runs[1], name).tobytes()), name
+        _assert_same_plant(fast, general)
 
 
 class TestMeanOcv:
@@ -1176,6 +1374,82 @@ class TestBook:
             _book_step(single, p, alloc)
         assert plant.t_elapsed == HISTORY[0] + k * cfg.dt_s
         _assert_same_plant(plant, single)
+
+    @staticmethod
+    def _planned_with(k: int, p: float):
+        """Patch run_simulation's planned demand: sample k is p."""
+        def replay(*args, **kwargs):
+            out = replay_horizon(*args, **kwargs)
+            out["demand_w"][k] = p
+            return out
+        return mock.patch.object(bessim.simulate, "replay_horizon", replay)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_transformer_overload_raises_at_its_step(self, uniform):
+        # the third powered step of the run from soc_max becomes a
+        # discharge at load factor 1.3: the array pass takes it without
+        # raising, and the step that executes it raises today's error
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
+                          initial_soc=PlantConfig.soc_max)
+        loop = contextlib.nullcontext if uniform else _general_loop
+        with loop():
+            whole = run_simulation(Plant(cfg), profile, 200e3, 800e3,
+                                   record_alloc=True)
+        k = int(np.flatnonzero(whole.demand_w)[2])
+        overload = -1.3 * cfg.transformer.rated_power_w
+
+        plant, single = _twins(cfg, HISTORY)
+        with self._planned_with(k, overload), loop():
+            with pytest.raises(DomainError) as e:
+                run_simulation(plant, profile, 200e3, 800e3)
+        assert str(e.value) == "load_factor above the 1.2 overload tolerance"
+        for p, alloc in zip(whole.demand_w[:k].tolist(), whole.alloc_matrix):
+            _book_step(single, p, alloc)
+        assert plant.t_elapsed == HISTORY[0] + k * cfg.dt_s
+        _assert_same_plant(plant, single)
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_transformer_overload_dropped_by_the_gate_is_harmless(
+            self, uniform):
+        # from soc_min the SoC gate drops a discharge in the first sample,
+        # an overload as much as 1 W
+        profile = TestGeneralPathMatchesFastPath.PROFILE
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0,
+                          initial_soc=PlantConfig.soc_min)
+        runs = []
+        for p in (-1.3 * cfg.transformer.rated_power_w, -1.0):
+            plant = Plant(cfg)
+            loop = contextlib.nullcontext() if uniform else _general_loop()
+            with self._planned_with(0, p), loop:
+                runs.append((plant, run_simulation(plant, profile, 200e3,
+                                                   800e3)))
+        (plant, result), (plant_1w, result_1w) = runs
+        assert result.demand_w[0] == 0.0
+        for name in ("demand_w", "cluster_target_w") + (
+                TestGeneralPathMatchesFastPath.TRACES_WH):
+            assert (getattr(result, name).tobytes()
+                    == getattr(result_1w, name).tobytes()), name
+        _assert_same_plant(plant, plant_1w)
+
+    def test_uniform_rating_breach_raises_plant_steps_error(self):
+        # at share 0.5 of four clusters, the second step commands each
+        # cluster about 72 kW of its 50 kW: the uniform loop raises there
+        # with the error Plant.step raises for that command
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0)
+        plant = Plant(cfg)
+        demand = np.array([50e3, 150e3, 50e3])
+        steps = _Steps(demand_w=demand.copy(), target_w=np.zeros(3),
+                       tf_w=np.zeros(3), totals=np.zeros((E_DC, 3)),
+                       e_dc0=np.zeros(3), truncated=np.zeros(3, dtype=bool),
+                       alloc=None)
+        with pytest.raises(DomainError) as e:
+            _run_uniform(plant, steps, 0.5)
+        assert steps.done == 1
+        with pytest.raises(DomainError) as want:
+            Plant(cfg).step(plant.net_cluster_power(150e3), np.full(4, 0.5))
+        assert str(e.value) == str(want.value)
+        assert "cluster 0 commanded 72" in str(e.value)
 
 
 def _raising_at(fn, n: int, message: str):
