@@ -23,7 +23,7 @@ from .errors import DomainError
 # only trusted on the sampled load range and must never reach zero.
 PCS_EFFICIENCY_FLOOR = 1e-3
 # Highest transformer load factor (an overload) that transformer_loss takes
-TRANSFORMER_OVERLOAD = 1.2
+_TRANSFORMER_OVERLOAD = 1.2
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -142,21 +142,26 @@ class RcState:
             raise DomainError("i_pol must be finite")
 
 
-def transformer_loss(load_factor, p: TransformerParams):
+def transformer_loss(load_factor, p: TransformerParams, *,
+                     masked: bool = False):
     """Transformer loss power (W) at load factors lam: P_fe + lam^2 * P_k.
 
     Takes an array of load factors, or a float as its one-element case
-    (and returns a float). Accepts a modest overload up to lam =
-    TRANSFORMER_OVERLOAD, and raises if any load factor is outside
-    [0, TRANSFORMER_OVERLOAD].
+    (and returns a float). Accepts a modest overload up to lam = 1.2, and
+    raises if any load factor is outside [0, 1.2]. With masked=True it
+    raises nothing and returns (loss, ok), ok false where lam is outside
+    that domain and the loss means nothing.
     """
     lam = np.asarray(load_factor, dtype=float)
-    if not (lam >= 0).all():
-        raise DomainError("load_factor must be non-negative")
-    if not (lam <= TRANSFORMER_OVERLOAD).all():
-        raise DomainError(f"load_factor above the {TRANSFORMER_OVERLOAD} "
-                          "overload tolerance")
     loss = p.no_load_loss_w + lam * lam * p.rated_load_loss_w
+    ok = (lam >= 0.0) & (lam <= _TRANSFORMER_OVERLOAD)
+    if masked:
+        return loss, ok
+    if not ok.all():
+        if not (lam >= 0.0).all():
+            raise DomainError("load_factor must be non-negative")
+        raise DomainError(f"load_factor above the {_TRANSFORMER_OVERLOAD} "
+                          "overload tolerance")
     return loss if loss.ndim else float(loss)
 
 

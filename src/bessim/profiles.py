@@ -165,8 +165,8 @@ def load_profile_from_csv(path: str, expected_dt_s: float | None = None) -> Load
 
     The body is read as bytes, CSV_CHUNK_LINES lines at a time, and each
     block is turned into arrays; blocks of plain
-    `YYYY-MM-DD[T ]HH:MM:SS[.ffffff][Z|+HH:MM|-HH:MM],load` lines are
-    converted column-wise, any other block row by row.
+    `YYYY-MM-DD[T ]HH:MM:SS[.ffffff],load` lines are converted column-wise,
+    any other block row by row.
     """
     with open(path, "rb") as fh:
         head = fh.readline().removeprefix(_BOM)
@@ -383,13 +383,12 @@ def _window(b: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 
 
 def _parse_plain(data: bytes, row: int) -> _Samples | None:
-    """Samples of lines that each read `<timestamp>,<load>`, the timestamp
-    exactly `YYYY-MM-DD[T ]HH:MM:SS[.ffffff]`, naive or followed by `Z` or
-    `+HH:MM`/`-HH:MM` (hours to 23, minutes to 59), converted column-wise;
-    None unless every line does and passes every row check, which leaves
-    blank lines, other timestamp and offset forms, bytes that are not
-    ASCII and all row errors (and the csv module's own, such as a field
-    over its size limit) to _parse_rows. The data holds no quote."""
+    """Samples of lines that each read `<naive timestamp>,<load>`, the
+    timestamp exactly `YYYY-MM-DD[T ]HH:MM:SS[.ffffff]`, converted
+    column-wise; None unless every line does and passes every row check,
+    which leaves blank lines, offsets, other timestamp forms, bytes that
+    are not ASCII and all row errors (and the csv module's own, such as a
+    field over its size limit) to _parse_rows. The data holds no quote."""
     if not data.isascii() or (b"\r" in data and
                               data.count(b"\r") != data.count(b"\r\n")):
         return None           # a lone CR ends a line
@@ -402,12 +401,9 @@ def _parse_plain(data: bytes, row: int) -> _Samples | None:
         return None
     bol = np.concatenate(([0], eol[:-1] + 1))
     end = eol - (b[eol - 1] == ord("\r"))     # the load field's end
-    # a timestamp is 19 bytes, 7 more with a fraction, and 1 more with Z
-    # or 6 with +HH:MM; these widths tell each form from the others
     width = comma - bol
-    fraction = width >= 26
-    zone = width - np.where(fraction, 26, 19)
-    if (not np.all((zone == 0) | (zone == 1) | (zone == 6))
+    fraction = width == 26
+    if (not np.all(fraction | (width == 19))
             or np.any(end - comma > csv.field_size_limit())):
         return None
     # the timestamp template leaves no room for a line break, so with as
@@ -428,39 +424,12 @@ def _parse_plain(data: bytes, row: int) -> _Samples | None:
         if np.any(frac[0] != ord(".")) or frac_digits.max() > 9:
             return None
         us[fraction] += 10 ** np.arange(5, -1, -1) @ frac_digits
-    if zone.any() and not _to_utc(b, comma, zone, us):
-        return None
     values = _parse_loads(data, b, comma + 1, end)
     if values is None:
         return None
     return _Samples(datetime.fromisoformat(data[:comma[0]].decode()), us,
-                    zone > 0, values, np.arange(row, row + eol.size))
-
-
-def _to_utc(b: np.ndarray, comma: np.ndarray, zone: np.ndarray,
-            us: np.ndarray) -> bool:
-    """Take each timestamp's offset off its wall-clock µs us, in place:
-    zone is the offset's width before the comma, 0 (naive), 1 (`Z`) or 6
-    (`+HH:MM` or `-HH:MM`). False if an offset is not one of those forms
-    with hours to 23 and minutes to 59."""
-    utc = zone == 1
-    if np.any(b[comma[utc] - 1] != ord("Z")):
-        return False
-    hhmm = zone == 6
-    if not hhmm.any():
-        return True
-    off = _window(b, comma[hhmm] - 6, 6)
-    digits = off[[1, 2, 4, 5]] - ord("0")    # uint8: below '0' wraps high
-    sign = off[0]
-    if (digits.max() > 9 or np.any(off[3] != ord(":"))
-            or not np.all((sign == ord("+")) | (sign == ord("-")))):
-        return False
-    hours, minutes = (digits[0::2] * 10 + digits[1::2]).astype(np.int64)
-    if hours.max() > 23 or minutes.max() > 59:
-        return False
-    offset = (hours * 60 + minutes) * 60_000_000
-    us[hhmm] -= np.where(sign == ord("-"), -offset, offset)
-    return True
+                    np.zeros(eol.size, dtype=bool), values,
+                    np.arange(row, row + eol.size))
 
 
 def _wall_us(digits: np.ndarray) -> np.ndarray | None:

@@ -16,7 +16,6 @@ from .allocator import PsoParams, balanced_allocation, pso_allocate, repair
 from .config import AllocatorConfig, ScheduleConfig
 from .errors import DomainError
 from . import plant as plant_module
-from .losses import TRANSFORMER_OVERLOAD
 from .plant import E_AC, E_DC, SOC_GATE_TOL, SS, TS, Plant, replay_steps
 from .scheduler import (
     LoadProfile,
@@ -107,13 +106,13 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     can exchange. alloc_mode is 'balanced' or 'pso'; with 'pso' the
     allocation is re-optimized every realloc_cadence_s of simulated time
     and repaired against the current blocked mask in between. A zero step
-    records the unblocked balanced allocation. Both loops split every
-    planned sample in one array pass first (_split_columns), advance the
-    state alone and take every step's energies from replay_steps, on its
-    recorded start state and command. A sample's error (a transformer
-    overload, a rating breach, an infeasible power) is raised by the step
-    that executes it, and the steps completed are booked (Plant.book)
-    when the run ends or raises.
+    records the unblocked balanced allocation. Both loops cap and split
+    every planned sample in one array pass first (_cap_to_plant at the
+    whole plant's rating), advance the state alone and take every step's
+    energies from replay_steps, on its recorded start state and command.
+    A sample's error (a transformer overload, a rating breach, an
+    infeasible power) is raised by the step that executes it, and the
+    steps completed are booked (Plant.book) when the run ends or raises.
     """
     if alloc_mode not in ("balanced", "pso"):
         raise DomainError(f"unknown allocation mode {alloc_mode!r}")
@@ -157,36 +156,35 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         alloc_matrix=steps.alloc, plant=plant)
 
 
-def _cap_to_plant(p, avail_w: float, split):
-    """System powers p (an array, or a float as its one-element case)
-    capped to what the available clusters can exchange, with their split
-    (p, p_net, tf_w) by split (Plant.transformer_split). A charge is
-    capped at avail_w. A discharge must also cover the transformer loss,
-    so p is split first, and split again only where the cap binds: the
-    cap -max(avail_w - tf_w, 0) replaces p where it is above p (as
-    max(p, cap), which keeps p on a tie)."""
+def _cap_to_plant(p, avail_w: float, plant: Plant):
+    """System powers p (an array, or a float as a 0-d one) capped to what
+    the available clusters can exchange, with their split by the plant
+    (Plant.transformer_split): (p, p_net, tf_w, ok), raising nothing. A
+    charge is capped at avail_w. A discharge must also cover the
+    transformer loss, so p is split first, and split again only where the
+    cap binds: the cap -max(avail_w - tf_w, 0) replaces p where it is
+    above p (as max(p, cap), which keeps p on a tie). ok is false where
+    the first split is outside the transformer's domain (an overload; a
+    capped command is smaller, so inside it): there p is only capped at
+    avail_w, and p_net and tf_w mean nothing."""
     p = np.minimum(p, avail_w)
-    p_net, tf_w = split(p)
+    p_net, tf_w, ok = plant._split(p)
     cap = -np.maximum(avail_w - tf_w, 0.0)
-    capped = cap > p
+    capped = ok & (cap > p)
     if capped.any():
         p = np.where(capped, cap, p)
-        p_net, tf_w = split(p)
-    return (p if p.ndim else float(p)), p_net, tf_w
+        p_net, tf_w, _ = plant._split(p)
+    return p, p_net, tf_w, ok
 
 
-def _split_columns(plant: Plant, demand: np.ndarray):
-    """_cap_to_plant of every sample of demand at the whole plant's rating,
-    in one array pass: (p, p_net, tf_w, ok). The pass raises nothing: where
-    ok is false the sample's split is outside the transformer's domain (an
-    overload), its columns hold a split of 0 W, and a loop that executes
-    the sample splits it again on its own, which raises there."""
-    p_tot = float(np.sum(plant.params.rated_w))
-    tf = plant.cfg.transformer
-    ok = np.abs(np.minimum(demand, p_tot)) / tf.rated_power_w <= (
-        TRANSFORMER_OVERLOAD)
-    return (*_cap_to_plant(np.where(ok, demand, 0.0), p_tot,
-                           plant.transformer_split), ok)
+def _cap_one(p: float, avail_w: float,
+             plant: Plant) -> tuple[float, float, float]:
+    """_cap_to_plant of one sample: (p, p_net, tf_w). An overload raises
+    transformer_split's DomainError."""
+    p, p_net, tf_w, ok = _cap_to_plant(p, avail_w, plant)
+    if not ok:
+        plant.transformer_split(p)
+    return float(p), float(p_net), float(tf_w)
 
 
 def _balanced_share(rows: dict[bytes, np.ndarray], blocked: np.ndarray,
@@ -214,15 +212,17 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
     """The per-cluster loop: Plant.step advances the state and gives the
     cluster commands; at 0 W, or with every cluster blocked, ipol only
     decays (the kernel's own operations at zero current). A step with no
-    cluster blocked reads its split from _split_columns, taken before the
-    loop; only a step with a blocked cluster, or one whose split raises,
-    is split on its own. With 'pso' the allocation is re-optimized every
+    cluster blocked reads its cap and split from one array pass taken
+    before the loop (_cap_to_plant at the plant's rating); only a step
+    with a blocked cluster, or an overload that raises, is split on its
+    own (_cap_one). With 'pso' the allocation is re-optimized every
     cadence_steps steps. A record of REPLAY_CLUSTER_STEPS // m steps'
     start states and commands is replayed (replay_steps) whenever it is
     full and when the loop ends or raises."""
     demand = steps.demand_w
-    split = plant.transformer_split
-    capv, netv, tfv, okv = map(memoryview, _split_columns(plant, demand))
+    p_tot = float(np.sum(plant.params.rated_w))
+    capv, netv, tfv, okv = map(memoryview,
+                               _cap_to_plant(demand, p_tot, plant))
     decay = plant.params.step_consts[0]
     m = plant.n_clusters
     rows = max(plant_module.REPLAY_CLUSTER_STEPS // m, 1)
@@ -256,7 +256,7 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                 p, p_net, tf_w = capv[i], netv[i], tfv[i]
             else:
                 avail = float(plant.params.rated_w[~blocked].sum())
-                p, p_net, tf_w = _cap_to_plant(p, avail, split)
+                p, p_net, tf_w = _cap_one(p, avail, plant)
             max_share = (plant.params.rated_w / abs(p_net)
                          if p_net != 0.0 else None)
             if p == 0.0:
@@ -284,12 +284,13 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     A balanced split over identical clusters keeps every cluster in the
     same state, so one state is stepped, each cluster commanded share *
     p_net as on the general loop. One array pass before the loop takes
-    what the state does not decide: each sample's split (_split_columns),
-    its rating check and the command half of the kernel down to p_dc
-    (plant._command). A step that passes the SoC gate calls
-    plant.params.scalar_step, the scalar twin of _advance's state half,
-    on its p_dc, or, for a sample that fails its split or rating check,
-    raises by the scalar code; a zero or gate-dropped step only decays
+    what the state does not decide: each sample's cap and split
+    (_cap_to_plant at the plant's rating), its rating check and the
+    command half of the kernel down to p_dc (plant._command). A step that
+    passes the SoC gate calls plant.params.scalar_step, the scalar twin of
+    _advance's state half, on its p_dc, or, for a sample that fails its
+    split or rating check, raises by the scalar code (_cap_one, then
+    Plant._cluster_targets); a zero or gate-dropped step only decays
     ipol, by the kernel's own operations at zero current. When the loop
     ends or raises, the completed steps take p_net and tf_w from the
     columns, and one replay_steps call on their recorded start states
@@ -304,7 +305,7 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
     # the blocked mask of the one shared state
     soc_hi = plant.cfg.soc_max - SOC_GATE_TOL
     soc_lo = plant.cfg.soc_min + SOC_GATE_TOL
-    p_cap, p_net, tf_w, ok = _split_columns(plant, steps.demand_w)
+    p_cap, p_net, tf_w, ok = _cap_to_plant(steps.demand_w, p_tot, plant)
     p_dc = share * p_net
     ok &= np.abs(p_dc) <= plant.params.rated_tol_w
     p_dc = plant_module._command(p_dc, plant.params)[2]
@@ -321,8 +322,11 @@ def _run_uniform(plant: Plant, steps: _Steps, share: float) -> None:
             iv[i] = ipol
             if (p > 0.0 and soc < soc_hi) or (p < 0.0 and soc > soc_lo):
                 if not okv[i]:  # the scalar code raises its error here
-                    net = _cap_to_plant(p, p_tot, plant.transformer_split)[1]
+                    net = _cap_one(p, p_tot, plant)[1]
                     plant._cluster_targets(net, np.full(m, share))
+                    raise AssertionError(
+                        f"step {i}: the array pass and the scalar split "
+                        "disagree")
                 dv[i] = capv[i]
                 soc, ipol = kernel(soc, ipol, dcv[i])
             else:

@@ -67,6 +67,19 @@ class TestTransformerLoss:
         with pytest.raises(DomainError, match=message):
             transformer_loss(np.array([0.5, bad, 1.0]), TransformerParams())
 
+    def test_mask_is_the_domain_of_transformer_loss(self):
+        # masked, it raises nothing: ok is false exactly where it raises
+        # unmasked, and elsewhere the loss is its loss
+        p = TransformerParams()
+        lam = [0.0, 0.5, 1.2, np.nextafter(1.2, 2.0), 7.0, -0.1, math.nan]
+        loss, ok = transformer_loss(np.array(lam), p, masked=True)
+        assert ok.tolist() == [True] * 3 + [False] * 4
+        for x, got in zip(lam[:3], loss.tolist()):
+            assert got.hex() == transformer_loss(x, p).hex()
+        for x in lam[3:]:
+            with pytest.raises(DomainError):
+                transformer_loss(x, p)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(DomainError):
             TransformerParams(no_load_loss_w=0.0)

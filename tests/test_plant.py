@@ -55,10 +55,10 @@ from bessim.scheduler import LoadProfile, replay_horizon
 from bessim.allocator import balanced_allocation, repair
 from bessim.simulate import (
     _Steps,
+    _cap_one,
     _cap_to_plant,
     _run_general,
     _run_uniform,
-    _split_columns,
     run_simulation,
 )
 
@@ -521,7 +521,7 @@ class TestGeneralPathMatchesFastPath:
 
 class TestTransformerSplitPerRun:
     """Before either loop runs, one array pass splits every planned
-    sample (simulate._split_columns), so transformer_loss is entered with
+    sample (simulate._cap_to_plant), so transformer_loss is entered with
     arrays there, once more where the discharge cap binds. The uniform
     loop then splits nothing per step. The general loop splits a step on
     its own (one-element calls) only when a cluster is blocked for it,
@@ -538,9 +538,9 @@ class TestTransformerSplitPerRun:
         tf_loss = bessim.plant.transformer_loss
         blocked_mask = Plant.blocked_mask
 
-        def tf_spy(load_factor, params):
+        def tf_spy(load_factor, params, **kwargs):
             events.append(("tf", np.ndim(load_factor)))
-            return tf_loss(load_factor, params)
+            return tf_loss(load_factor, params, **kwargs)
 
         def mask_spy(self, p_sys_w):
             mask = blocked_mask(self, p_sys_w)
@@ -960,20 +960,21 @@ def _balanced_share(m: int) -> float:
 
 class TestUniformArrayPass:
     """The array pass of simulate._run_uniform, its two calls on whole
-    columns (_split_columns, then plant._command on share * p_net),
-    against the scalar code per sample, bit for bit: the split equals a
-    one-element _cap_to_plant, or is marked not ok where that raises, and
+    columns (_cap_to_plant at the plant's rating, then plant._command on
+    share * p_net), against the scalar code per sample, bit for bit: the
+    split equals _cap_one of the sample, or is marked not ok where that
+    raises, and
     the command half equals what _advance computes for the same command."""
 
     @staticmethod
     def _assert_matches_scalar_code(plant: Plant, demand: np.ndarray):
         p_tot = float(np.sum(plant.params.rated_w))
         share = _balanced_share(plant.n_clusters)
-        p, p_net, tf_w, ok = _split_columns(plant, demand)
+        p, p_net, tf_w, ok = _cap_to_plant(demand, p_tot, plant)
         command = _command(share * p_net, plant.params)
         for i, d in enumerate(demand.tolist()):
             try:
-                want = _cap_to_plant(d, p_tot, plant.transformer_split)
+                want = _cap_one(d, p_tot, plant)
             except DomainError as e:
                 assert "overload" in str(e) and not ok[i]
                 continue
@@ -1450,6 +1451,20 @@ class TestBook:
             Plant(cfg).step(plant.net_cluster_power(150e3), np.full(4, 0.5))
         assert str(e.value) == str(want.value)
         assert "cluster 0 commanded 72" in str(e.value)
+
+    def test_uniform_sample_the_scalar_code_takes_is_not_stepped(self):
+        # a sample the array pass marks not ok is never stepped: were the
+        # scalar code to take it, the loop raises on its own
+        cfg = PlantConfig(clusters=(ClusterParams(),) * 4, dt_s=300.0)
+        plant = Plant(cfg)
+        steps = _Steps(demand_w=np.array([50e3, 150e3, 50e3]),
+                       target_w=np.zeros(3), tf_w=np.zeros(3),
+                       totals=np.zeros((E_DC, 3)), e_dc0=np.zeros(3),
+                       truncated=np.zeros(3, dtype=bool), alloc=None)
+        with (mock.patch.object(Plant, "_cluster_targets"),
+              pytest.raises(AssertionError, match="step 1")):
+            _run_uniform(plant, steps, 0.5)
+        assert steps.done == 1
 
 
 def _raising_at(fn, n: int, message: str):

@@ -323,12 +323,6 @@ def _new_reader(path, expected_dt_s):
 
 _T = "2024-01-01T00:{:02d}:00"
 _SYNTH = load_profile_to_csv(synth_load(SynthLoadSpec(days=2, dt_s=300.0), 3))
-# the same loads stamped at +01:00, and at Z
-_SYNTH_AWARE = load_profile_to_csv(LoadProfile(
-    datetime(2024, 1, 1, tzinfo=timezone(timedelta(hours=1))), 300.0,
-    synth_load(SynthLoadSpec(days=2, dt_s=300.0), 3).values_w))
-_SYNTH_Z = _SYNTH_AWARE.replace("+01:00,", "Z,")
-_DST_START = datetime(2024, 3, 30, 1, tzinfo=timezone.utc)
 
 # name: (file text, expected dt_s). The file text is written as UTF-8, a
 # lone surrogate U+DC80-U+DCFF as the byte 0x80-0xff it stands for.
@@ -428,55 +422,6 @@ INGEST_CASES = {
     "invalid_utf8_in_header": ("timestamp,load_w\udcc3\n" + _T.format(0)
                                + ",1\n", None),
     "bom": ("\ufeff" + _SYNTH, 300.0),
-    # offsets: Z and +HH:MM/-HH:MM (hours to 23, minutes to 59) are
-    # converted column-wise, other offset forms row by row
-    "synthetic_offset": (_SYNTH_AWARE, 300.0),
-    "synthetic_z": (_SYNTH_Z, 300.0),
-    "offsets_with_fractions": (_csv(["2024-01-01T00:00:00.250000-05:00,1",
-                                     "2024-01-01T05:00:30.250000Z,2",
-                                     "2024-01-01T06:01:00.250000+01:00,3",
-                                     "2024-01-01T00:01:30.250000-00:00,4"]),
-                               30.0),
-    "offset_minutes": (_csv(["2024-01-01T00:00:00+05:45,1",
-                             "2023-12-31T14:15:00-04:00,2",
-                             "2023-12-31T23:30:00+05:45,3"]), 900.0),
-    "offset_extremes": (_csv(["2024-01-01T00:00:00+23:59,1",
-                              "2023-12-30T00:02:00-00:00,2",
-                              "2023-12-29T00:05:00-23:59,3"]), None),
-    # a +01:00 -> +02:00 change inside one block of many lines
-    "dst_change_block": (_csv([
-        (_DST_START + k * timedelta(seconds=300)).astimezone(
-            timezone(timedelta(hours=1 if k < 300 else 2))).isoformat()
-        + f",{v:.6f}" for k, v in enumerate(
-            synth_load(SynthLoadSpec(days=2, dt_s=300.0), 3).values_w)]),
-        300.0),
-    "dst_spring_forward": (_csv([f"2024-03-31T01:{m:02d}:00+01:00,1"
-                                 for m in range(0, 60, 5)]
-                                + [f"2024-03-31T03:{m:02d}:00+02:00,1"
-                                   for m in range(0, 60, 5)]), 300.0),
-    "mixed_in_one_block": (_csv(["2024-01-01T00:00:00,1",
-                                 "2024-01-01T00:01:00,2",
-                                 "2024-01-01T00:02:00+00:00,3",
-                                 "2024-01-01T00:03:00Z,4"]), None),
-    "aware_then_naive": (_csv(["2024-01-01T00:00:00Z,1",
-                               "2024-01-01T00:01:00Z,2",
-                               "2024-01-01T00:02:00,3"]), None),
-    "offset_compact": (_csv(["2024-01-01T00:00:00-0330,1",
-                             "2024-01-01T00:01:00-0330,2"]), None),
-    "offset_seconds": (_csv(["2024-01-01T00:00:00+01:00:30,1",
-                             "2024-01-01T00:01:00+01:00:30,2"]), None),
-    "offset_hour_24": (_csv(["2024-01-01T00:00:00+01:00,1",
-                             "2024-01-01T00:01:00+24:00,2"]), None),
-    "offset_minute_60": (_csv(["2024-01-01T00:00:00+01:60,1",
-                               "2024-01-01T00:01:00+02:00,2"]), None),
-    "offset_lowercase_z": (_csv(["2024-01-01T00:00:00z,1",
-                                 "2024-01-01T00:01:00z,2"]), None),
-    "offset_bad_sign": (_csv(["2024-01-01T00:00:00*01:00,1",
-                              "2024-01-01T00:01:00*01:00,2"]), None),
-    "offset_year_1": (_csv(["0001-01-01T00:00:00+01:00,1",
-                            "0001-01-01T00:01:00+01:00,2"]), None),
-    "offset_year_9999": (_csv(["9999-12-31T23:58:00-01:00,1",
-                               "9999-12-31T23:59:00-01:00,2"]), None),
     "bom_only": ("\ufeff", None),
     "bom_in_a_row": (_csv([_T.format(0) + ",1", "\ufeff" + _T.format(1) + ",1"]),
                      None),
@@ -536,16 +481,14 @@ class TestIngestEquivalence:
 # timestamp and number forms.
 _MUTATIONS = [b"\x00", b"\xff", b"\x80", b"\xc3\xa9", b"\xef\xbb\xbf", b"\r",
               b"\n", b"\r\n", b'"', b",", b".", b"-", b"+", b"e", b"e1", b"_",
-              b" ", b"0", b"7", b"inf", b":", b"T", b"Z", b"z", b"+01:00",
-              b"-0330", b"+24:00", b"+05:45", b":30"]
+              b" ", b"0", b"7", b"inf", b":", b"T"]
 
 
 @st.composite
 def _mutated_csvs(draw):
-    """A valid 2-day file, naive, at +01:00 or at Z, with one to three
-    byte strings inserted, deleted or written over."""
-    data = bytearray(draw(st.sampled_from([_SYNTH, _SYNTH_AWARE,
-                                           _SYNTH_Z])).encode())
+    """A valid 2-day file with one to three byte strings inserted, deleted
+    or written over."""
+    data = bytearray(_SYNTH.encode())
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(data) - 1))
         how = draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -592,75 +535,6 @@ class TestIngestBytes:
             want = _outcome(_csv_rows_reference, str(path), None, caplog)
             got = _outcome(_new_reader, str(path), None, caplog)
         assert got == want
-
-
-@st.composite
-def _stamped_lines(draw):
-    """Lines `<timestamp>,<load>` of drawn instants, each naive or with an
-    offset: Z, +HH:MM or -HH:MM with hours to 25 and minutes to 61, or a
-    form the column-wise path does not take (-HHMM, seconds in the
-    offset, a lowercase z). Returns (lines, every offset is one the
-    column-wise path takes)."""
-    lines, plain = [], True
-    for _ in range(draw(st.integers(1, 12))):
-        wall = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)))
-        stamp = wall.isoformat(draw(st.sampled_from("T ")), draw(
-            st.sampled_from(["seconds", "microseconds"])))
-        form = draw(st.sampled_from(["", "Z", "hh:mm", "hhmm", "hh:mm:ss",
-                                     "z"]))
-        hours, minutes = draw(st.integers(0, 25)), draw(st.integers(0, 61))
-        sign = draw(st.sampled_from("+-"))
-        stamp += {"": "", "Z": "Z", "z": "z",
-                  "hh:mm": f"{sign}{hours:02d}:{minutes:02d}",
-                  "hhmm": f"{sign}{hours:02d}{minutes:02d}",
-                  "hh:mm:ss": f"{sign}{hours:02d}:{minutes:02d}:30"}[form]
-        plain &= form in ("", "Z") or (form == "hh:mm" and hours <= 23
-                                       and minutes <= 59)
-        lines.append(f"{stamp},{draw(st.sampled_from(['1', '2.5', '7e3']))}")
-    return lines, plain
-
-
-class TestParsePlain:
-    """profiles._parse_plain, the column-wise path, gives _parse_rows'
-    samples (first timestamp with its tzinfo, µs, awareness, loads, rows)
-    for a block it takes, and takes every block of naive, Z and
-    +HH:MM/-HH:MM timestamps that datetime accepts; it leaves every other
-    block, and so every row error, to _parse_rows."""
-
-    @staticmethod
-    def _parse_both(lines):
-        data = ("\n".join(lines) + "\n").encode()
-        try:
-            want = profiles._parse_rows(
-                csv.reader(profiles._text_lines(data)), 5)
-        except IngestionError as e:
-            want = (str(e), e.row)
-        return profiles._parse_plain(data, 5), want
-
-    @settings(max_examples=300)
-    @given(_stamped_lines())
-    def test_matches_the_row_loop(self, case):
-        lines, plain = case
-        got, want = self._parse_both(lines)
-        if got is None:
-            assert not plain or isinstance(want, tuple)
-            return
-        assert plain
-        assert (got.first, got.first.tzinfo) == (want.first,
-                                                 want.first.tzinfo)
-        for name in ("us", "aware", "values", "rows"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-
-    def test_offset_blocks_are_column_wise(self):
-        for text in (_SYNTH_AWARE, _SYNTH_Z,
-                     INGEST_CASES["dst_change_block"][0],
-                     INGEST_CASES["mixed_in_one_block"][0],
-                     INGEST_CASES["offsets_with_fractions"][0]):
-            got, want = self._parse_both(text.splitlines()[1:])
-            assert got is not None
-            assert got.us.tobytes() == want.us.tobytes()
-            assert got.aware.tobytes() == want.aware.tobytes()
 
 
 class TestExactDecimals:
