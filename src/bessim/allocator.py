@@ -121,9 +121,12 @@ def pso_allocate(p_sys_w: float, plant: Plant,
     balanced, the rest are seeded perturbations of it), velocities are
     clamped to +-velocity_bound, and the whole swarm is repaired to the
     feasible set and scored (Plant.evaluate_allocations) in one batched
-    call each per iteration. Each iteration draws both random factors in
-    one rng.random call, the stream of two uniform draws, and updates the
-    velocities in place. Returns (k, trace):
+    call each per iteration. The swarm is scored on state terms taken once
+    per call: one Plant.scorer serves all max_iterations + 1 swarms, and
+    each distinct converter fit is evaluated once per swarm. Each
+    iteration draws both random factors in one rng.random call, the
+    stream of two uniform draws, and updates the velocities in place.
+    Returns (k, trace):
     the global best allocation, shape (m,), and the per-iteration
     best-fitness trace (non-decreasing).
     """
@@ -149,7 +152,8 @@ def pso_allocate(p_sys_w: float, plant: Plant,
     pos[1:] = repair(base + rng.uniform(-s, s, (n - 1, m)), blocked, max_share)
     vel = np.zeros((n, m))
 
-    fit = plant.evaluate_allocations(p_net, pos)
+    score = plant.scorer(p_net)
+    fit = score(pos)
     pbest = pos.copy()
     pbest_fit = fit.copy()
     g = int(np.argmax(fit))
@@ -173,7 +177,7 @@ def pso_allocate(p_sys_w: float, plant: Plant,
         vel += r2
         np.clip(vel, -vb, vb, out=vel)
         pos = repair(pos + vel, blocked, max_share)
-        fit = plant.evaluate_allocations(p_net, pos)
+        fit = score(pos)
         better = fit > pbest_fit
         pbest[better] = pos[better]
         pbest_fit[better] = fit[better]
@@ -210,11 +214,11 @@ def grid_search_allocation(p_sys_w: float, plant: Plant,
         k = np.concatenate(pts)
     blocked = plant.blocked_mask(p_sys_w)
     k = k[~np.any(k[:, blocked] > 0, axis=1)] if np.any(blocked) else k
-    p_net = plant.net_cluster_power(p_sys_w)
+    score = plant.scorer(plant.net_cluster_power(p_sys_w))
     fits = np.empty(k.shape[0])
     chunk = 200_000
     for i in range(0, k.shape[0], chunk):
-        fits[i:i + chunk] = plant.evaluate_allocations(p_net, k[i:i + chunk])
+        fits[i:i + chunk] = score(k[i:i + chunk])
     best = int(np.argmax(fits))
     return k[best], float(fits[best])
 

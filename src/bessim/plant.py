@@ -175,7 +175,9 @@ class _ParamArrays:
     reads are shared scalars where every cluster agrees (see _shared).
     Also holds the plant's step length dt and the constants that depend on
     it: step_consts for _step_arrays and, for a plant of identical
-    clusters, the scalar kernel scalar_step (None otherwise).
+    clusters, the scalar kernel scalar_step (None otherwise). same_pcs
+    records that every cluster's AC/DC and DC/DC efficiency tables are
+    equal, so that _command evaluates each distinct converter fit once.
     """
 
     def __init__(self, clusters: tuple[ClusterParams, ...],
@@ -200,6 +202,7 @@ class _ParamArrays:
         self.ocv_anti = _shared(ocv_b / np.arange(1.0, 1.0 + len(ocv_b))[:, None])
         self.acdc_a = _shared(np.array([c.acdc_coeffs.a for c in clusters]).T)
         self.dcdc_a = _shared(np.array([c.dcdc_coeffs.a for c in clusters]).T)
+        self.same_pcs = all(c.acdc_coeffs == c.dcdc_coeffs for c in clusters)
         self.r_ohm4 = 4.0 * r_ohm
         self.rated_tol_w = self.rated * (1.0 + 1e-9)
         # decay = exp(-dt/tau), coulomb (SoC change per ampere), tau (1 - decay),
@@ -211,38 +214,50 @@ class _ParamArrays:
         self.scalar_step = _scalar_kernel(self) if self.identical else None
 
 
-def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray) -> np.ndarray:
+def _mean_ocv(anti, soc_c: np.ndarray, soc_n: np.ndarray,
+              c_pow=None) -> np.ndarray:
     """Mean of the cubic OCV fit over [soc_c, soc_n] per series cell: the
     divided difference of its antiderivative sum_j f_j s^(j+1), anti = f
     as _ParamArrays.ocv_anti, summed as sum_j f_j h_j with h_j = sum_i
     soc_n^i soc_c^(j-i) = h_(j-1) soc_n + soc_c^j. No difference quotient,
-    so no cancellation when a cluster barely moves."""
+    so no cancellation when a cluster barely moves. c_pow is (soc_c^2,
+    soc_c^3) as _soc_start gives them, or None to take them here (soc_c
+    lies in [0, 1], which _soc_start's clamp leaves as it is)."""
     f0, f1, f2, f3 = anti
-    c_pow = soc_c * soc_c
+    c2, c3 = c_pow or _soc_start(soc_c)[1:]
     h = soc_n + soc_c
     v = h * f1
     v += f0
     h *= soc_n
-    h += c_pow
+    h += c2
     v += h * f2
-    c_pow *= soc_c
     h *= soc_n
-    h += c_pow
+    h += c3
     h *= f3
     v += h
     return v
 
 
+def _soc_start(soc):
+    """What _battery_energies reads of a step's start SoC: soc_c, the SoC
+    clamped to [0, 1], and its square and cube."""
+    soc_c = np.minimum(np.maximum(soc, 0.0), 1.0)
+    c2 = soc_c * soc_c
+    return soc_c, c2, c2 * soc_c
+
+
 def _command(p_ac, pp: _ParamArrays):
     """The command half of _advance, which depends on the AC commands p_ac
     alone: load factor, converter efficiencies and the commanded DC power.
+    Each distinct converter fit is evaluated once: on a plant whose AC/DC
+    and DC/DC tables are equal (pp.same_pcs), eta_dc is eta_ac itself.
     Returns (eta_ac, eta_dc, p_dc), each of p_ac's shape."""
     charging = p_ac >= 0.0
     lam = np.abs(p_ac)
     lam /= pp.rated
     np.minimum(lam, 1.0, out=lam)
     eta_ac = _efficiency(pp.acdc_a, lam)
-    eta_dc = _efficiency(pp.dcdc_a, lam)
+    eta_dc = eta_ac if pp.same_pcs else _efficiency(pp.dcdc_a, lam)
     eta2 = np.multiply(eta_ac, eta_dc, out=lam)
 
     # Commanded DC power: conversion losses come off the grid side when
@@ -252,51 +267,75 @@ def _command(p_ac, pp: _ParamArrays):
     return eta_ac, eta_dc, p_dc
 
 
-def _advance(soc, ipol, p_ac, pp: _ParamArrays):
-    """The state half of _step_arrays: the command half (_command), then
-    current solve and SoC clamp, then the next state. p_ac has the full
-    broadcast shape of the inputs, and intermediates are written into
-    buffers of that shape that earlier ones are done with. Returns (soc,
-    ipol, current, truncated, eta_ac, eta_dc), the last two for the
-    energy half."""
-    decay, coulomb = pp.step_consts[:2]
-    eta_ac, eta_dc, p_dc = _command(p_ac, pp)
+def _current_terms(soc, ipol, pp: _ParamArrays):
+    """What _battery_step reads of a step's start state: b = V_oc + r_pol
+    i_pol, b * b, and the SoC current bounds (i_lo, i_hi), the largest
+    constant currents that keep the SoC inside [soc_min, soc_max] for the
+    full dt."""
+    coulomb = pp.step_consts[1]
+    v_oc = pp.n_series * _horner(pp.ocv_b, soc)
+    b = v_oc + pp.r_pol * ipol
+    i_lo = np.minimum((pp.soc_min - soc) / coulomb, 0.0)
+    i_hi = np.maximum((pp.soc_max - soc) / coulomb, 0.0)
+    return b, b * b, i_lo, i_hi
 
+
+def _state_terms(soc, ipol, pp: _ParamArrays):
+    """Every term of a step that its start state alone decides:
+    (_current_terms, _soc_start). The terms are only read, so one set
+    serves any number of commands from that state."""
+    return _current_terms(soc, ipol, pp), _soc_start(soc)
+
+
+def _battery_step(soc, terms, p_dc, pp: _ParamArrays):
+    """Current solve and SoC clamp for the commanded DC power p_dc, whose
+    buffer it takes over, from the start SoC and its _current_terms.
+    Returns (soc_new, current, unclamped): the next SoC, the clamped
+    terminal current and the current before the clamp."""
+    b, b2, i_lo, i_hi = terms
     # Terminal current from the battery-side power balance
     #   r_ohm * I^2 + (V_oc + r_pol * i_pol) * I = P_dc
     # smaller-magnitude root, sign matching P_dc (stable quadratic form).
-    v_oc = pp.n_series * _horner(pp.ocv_b, soc)
-    b = v_oc + pp.r_pol * ipol
     disc = np.multiply(pp.r_ohm4, p_dc)
-    disc += b * b
+    disc += b2
     if disc.min() < 0.0:
         raise InfeasiblePowerError(
             "demanded power exceeds maximum deliverable battery power")
     np.sqrt(disc, out=disc)
     disc += b
     p_dc *= 2.0
-    current = np.divide(p_dc, disc, out=disc)
+    unclamped = np.divide(p_dc, disc, out=disc)
 
     # SoC bound truncation: largest feasible constant current for the full dt.
-    i_lo = np.minimum((pp.soc_min - soc) / coulomb, 0.0)
-    i_hi = np.maximum((pp.soc_max - soc) / coulomb, 0.0)
-    i_clamped = np.maximum(current, i_lo, out=p_dc)
-    np.minimum(i_clamped, i_hi, out=i_clamped)
-    truncated = i_clamped != current
-    current = i_clamped
-
-    soc_new = current * coulomb
+    current = np.maximum(unclamped, i_lo, out=p_dc)
+    np.minimum(current, i_hi, out=current)
+    soc_new = current * pp.step_consts[1]
     soc_new += soc
+    return soc_new, current, unclamped
+
+
+def _advance(soc, ipol, p_ac, pp: _ParamArrays):
+    """The state half of _step_arrays: the command half (_command), then
+    current solve and SoC clamp (_battery_step), then the next
+    polarization current. p_ac has the full broadcast shape of the inputs,
+    and intermediates are written into buffers of that shape that earlier
+    ones are done with. Returns (soc, ipol, current, truncated, eta_ac,
+    eta_dc), the last two for the energy half."""
+    eta_ac, eta_dc, p_dc = _command(p_ac, pp)
+    soc_new, current, unclamped = _battery_step(
+        soc, _current_terms(soc, ipol, pp), p_dc, pp)
+    truncated = current != unclamped
     ipol_new = ipol - current
-    ipol_new *= decay
+    ipol_new *= pp.step_consts[0]
     ipol_new += current
     return soc_new, ipol_new, current, truncated, eta_ac, eta_dc
 
 
-def _battery_energies(soc, ipol, soc_new, current, pp: _ParamArrays):
+def _battery_energies(start, ipol, soc_new, current, pp: _ParamArrays):
     """The battery part of a step's energies (J), from the step's start
-    state and _advance's next SoC and current: (cur2, e_ohm, e_pol, e_dc,
-    stored), cur2 the squared current the steady/transient split reads.
+    state (the _soc_start of its SoC, and ipol) and _advance's next SoC
+    and current: (cur2, e_ohm, e_pol, e_dc, stored), cur2 the squared
+    current the steady/transient split reads.
 
     The polarization branch and the OCV integral are closed-form for a
     constant current over the step. stored is defined as the residual of
@@ -322,10 +361,10 @@ def _battery_energies(soc, ipol, soc_new, current, pp: _ParamArrays):
     j2 += np.multiply(cur2, dt, out=d0_tau)                      # int i_pol^2
 
     # Mean OCV over the traversed SoC interval (exact for the cubic fit).
-    soc_c = np.minimum(np.maximum(soc, 0.0), 1.0)
+    soc_c, *c_pow = start
     soc_n = np.maximum(soc_new, 0.0)
     np.minimum(soc_n, 1.0, out=soc_n)
-    v_mean = _mean_ocv(pp.ocv_anti, soc_c, soc_n)
+    v_mean = _mean_ocv(pp.ocv_anti, soc_c, soc_n, c_pow)
     v_mean *= pp.n_series
 
     e_ohm = cur2 * r_ohm_dt
@@ -377,7 +416,7 @@ def _step_arrays(soc, ipol, p_ac, pp: _ParamArrays):
         soc, ipol, p_ac, pp)
     r_pol_dt, r_sum_dt = pp.step_consts[5:]
     cur2, e_ohm, e_pol, e_dc, stored = _battery_energies(
-        soc, ipol, soc_new, current, pp)
+        _soc_start(soc), ipol, soc_new, current, pp)
     e_mid, e_ac = _converter_energies(e_dc, p_ac, eta_ac, eta_dc)
     E = np.stack((e_ac, stored, e_ac - e_mid, e_mid - e_dc, e_ohm, e_pol,
                   cur2 * r_sum_dt, e_pol - cur2 * r_pol_dt, e_dc))
@@ -585,7 +624,19 @@ class Plant:
                 and bool(np.all(self.soc == self.soc[0]))
                 and bool(np.all(self.ipol == self.ipol[0])))
 
-    def evaluate_allocations(self, p_net_w: float, K: np.ndarray) -> np.ndarray:
+    def scorer(self, p_net_w: float):
+        """evaluate_allocations(p_net_w, K) as a function of K alone, for
+        a caller that scores many swarms on one state and one p_net_w
+        (pso_allocate, grid_search_allocation). The swarm is scored on
+        state terms taken once per call: the kernel terms that the
+        plant's state alone decides (_state_terms) are taken here, and
+        each swarm is one evaluate_allocations call on them. A scorer
+        holds until the plant is stepped or its state is set."""
+        terms = _state_terms(self.soc, self.ipol, self.params)
+        return lambda K: self.evaluate_allocations(p_net_w, K, terms)
+
+    def evaluate_allocations(self, p_net_w: float, K: np.ndarray,
+                             terms=None) -> np.ndarray:
         """Fitness of candidate allocations without mutating plant state.
 
         K has shape (n_candidates, m), or (m,) for one candidate; a width
@@ -599,22 +650,29 @@ class Plant:
         shared transformer term is constant across candidates and omitted.
 
         The rows are scored on _step_arrays' own formulas, taking only what
-        the fitness reads: _advance, the battery part of the energies and,
-        when discharging, the converter part; each energy row is scaled to
-        Wh before its sum over clusters, as in the energy stack, so a score
-        is bit for bit the one the stack's STORED and E_AC rows give.
+        the fitness reads: the command half (each distinct converter fit
+        evaluated once, see _command), the current solve and next SoC, the
+        battery part of the energies and, when discharging, the converter
+        part; not the next ipol nor the truncation flag. Each
+        energy row is scaled to Wh before its sum over clusters, as in the
+        energy stack, so a score is bit for bit the one the stack's STORED
+        and E_AC rows give. terms are the plant state's _state_terms as
+        scorer takes them; without them the call takes its own, so that
+        it is one use of scorer(p_net_w).
         """
         K = np.atleast_2d(self._shares(K))
         targets = K * p_net_w
-        rated = self.params.rated
-        infeasible = (np.abs(targets) > self.params.rated_tol_w).any(axis=-1)
+        pp = self.params
+        rated = pp.rated
+        infeasible = (np.abs(targets) > pp.rated_tol_w).any(axis=-1)
         # clamp to the rating so infeasible rows still step (scored -inf)
         safe_targets = np.minimum(targets, rated, out=targets)
         np.maximum(safe_targets, -rated, out=safe_targets)
-        soc_new, _, current, _, eta_ac, eta_dc = _advance(
-            self.soc, self.ipol, safe_targets, self.params)
-        *_, e_dc, stored = _battery_energies(self.soc, self.ipol, soc_new,
-                                             current, self.params)
+        current_terms, start = terms or _state_terms(self.soc, self.ipol, pp)
+        eta_ac, eta_dc, p_dc = _command(safe_targets, pp)
+        soc_new, current, _ = _battery_step(self.soc, current_terms, p_dc, pp)
+        *_, e_dc, stored = _battery_energies(start, self.ipol, soc_new,
+                                             current, pp)
         stored *= WH_PER_J
         if p_net_w >= 0:
             fitness = stored.sum(axis=-1)

@@ -347,6 +347,10 @@ def _parse_rows(records, row: int) -> _Samples:
             ts = datetime.fromisoformat(rec[0].strip())
         except ValueError:
             raise IngestionError(f"unparseable timestamp {rec[0]!r}", row=rownum)
+        offset = ts.utcoffset()
+        if offset is not None and _offset_carries(rec[0].strip()):
+            raise IngestionError(f"timestamp {rec[0]!r} has an offset with "
+                                 "minutes or seconds of 60 or more", row=rownum)
         try:
             v = float(rec[1])
         except ValueError:
@@ -354,7 +358,6 @@ def _parse_rows(records, row: int) -> _Samples:
         if not math.isfinite(v) or v < 0:
             raise IngestionError("load must be finite and non-negative",
                                  row=rownum)
-        offset = ts.utcoffset()
         t_us = (ts.replace(tzinfo=None) - _EPOCH) // _MICROSECOND
         if offset is not None:
             t_us -= offset // _MICROSECOND
@@ -367,6 +370,17 @@ def _parse_rows(records, row: int) -> _Samples:
     return _Samples(first, np.array(us, dtype=np.int64),
                     np.array(aware, dtype=bool), np.array(values, dtype=float),
                     np.array(rows, dtype=np.int64))
+
+
+def _offset_carries(text: str) -> bool:
+    """Whether the UTC offset of an ISO timestamp, +-HH[[:]MM[[:]SS[.f]]]
+    after its last sign, has minutes or seconds of 60 or more, which
+    datetime.fromisoformat carries over (+01:60 reads as +02:00). A Z
+    offset has neither."""
+    sign = max(text.rfind("+"), text.rfind("-"))
+    digits = text[sign + 1:].split(".")[0].split(",")[0].replace(":", "")
+    # two-digit fields, so the string order is the numeric order
+    return digits.isdigit() and max(digits[2:4], digits[4:6]) >= "60"
 
 
 # Byte positions of the digits of `YYYY-MM-DDTHH:MM:SS`, and its separators.

@@ -794,6 +794,29 @@ def _stack_fitness(plant: Plant, p_net_w: float, K: np.ndarray) -> np.ndarray:
     return fitness
 
 
+class TestConverterFits:
+    """The kernel evaluates each distinct converter fit once: a Plant.step
+    calls _efficiency once where every cluster's AC/DC and DC/DC tables
+    are equal, and twice where any cluster's differ (the third kind's own
+    DC/DC fit). TestReferenceKernel and TestEvaluateAllocationsProperty,
+    whose oracle evaluates both fits, check that the scores stay bit for
+    bit."""
+
+    @pytest.mark.parametrize("kinds, calls", [
+        ((CLUSTER_KINDS[0],) * 3, 1),
+        (CLUSTER_KINDS[:2], 1),
+        ((CLUSTER_KINDS[2],) * 3, 2),
+        (CLUSTER_KINDS, 2)], ids=["default", "mixed_same_fits", "own_dcdc",
+                                  "mixed_own_dcdc"])
+    def test_efficiency_calls_per_step(self, kinds, calls):
+        plant = Plant(PlantConfig(clusters=kinds))
+        share = np.full(len(kinds), 1.0 / len(kinds))
+        with mock.patch.object(bessim.plant, "_efficiency",
+                               wraps=bessim.plant._efficiency) as efficiency:
+            plant.step(30_000.0, share)
+        assert efficiency.call_count == calls
+
+
 class TestReferenceKernel:
     @settings(max_examples=200)
     @given(step_batches())
@@ -847,6 +870,16 @@ class TestEvaluateAllocationsProperty:
         assert got.tobytes() == _stack_fitness(plant, p_net, K).tobytes()
         assert plant.soc.tobytes() == soc.tobytes()
         assert plant.ipol.tobytes() == ipol.tobytes()
+
+    @settings(max_examples=100)
+    @given(candidate_batches())
+    def test_scorer_reuses_its_state_terms(self, case):
+        # one scorer, several swarms: the state terms it took are only read
+        plant, p_net, K = case
+        score = plant.scorer(p_net)
+        for swarm in (K, K[::-1] * 0.5, K):
+            want = _stack_fitness(plant, p_net, swarm)
+            assert score(swarm).tobytes() == want.tobytes()
 
     def test_cases_reach_every_branch(self):
         # the draws above cover -0.0 targets on the charging branch,

@@ -151,6 +151,29 @@ class TestCsvValidation:
             load_profile_from_csv(str(path))
         assert e.value.row == 2
 
+    @pytest.mark.parametrize("offset", ["+01:60", "+01:99", "+0160",
+                                        "-01:60", "+01:00:60"])
+    def test_offset_field_of_60_or_more_rejected(self, tmp_path, offset):
+        # datetime.fromisoformat reads +01:60 as +02:00
+        path = tmp_path / "ts.csv"
+        path.write_text(_csv(["2024-01-01T00:00:00+01:00,1.0",
+                              f"2024-01-01T00:01:00{offset},1.0"]))
+        with pytest.raises(IngestionError) as e:
+            load_profile_from_csv(str(path))
+        assert e.value.row == 3
+        assert "60 or more" in str(e.value)
+
+    @pytest.mark.parametrize("offset", ["+01:59", "-01:59", "+0159",
+                                        "+01:59:59", "Z"])
+    def test_offset_fields_below_60_load(self, tmp_path, offset):
+        path = tmp_path / "ts.csv"
+        path.write_text(_csv([f"2024-01-01T00:00:00{offset},1.0",
+                              f"2024-01-01T00:01:00{offset},2.0"]))
+        p = load_profile_from_csv(str(path))
+        assert p.dt_s == 60.0 and p.values_w.tolist() == [1.0, 2.0]
+        assert p.start_time == datetime.fromisoformat(
+            f"2024-01-01T00:00:00{offset}")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
