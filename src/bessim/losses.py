@@ -146,23 +146,24 @@ def transformer_loss(load_factor, p: TransformerParams, *,
                      masked: bool = False):
     """Transformer loss power (W) at load factors lam: P_fe + lam^2 * P_k.
 
-    Takes an array of load factors, or a float as its one-element case
-    (and returns a float). Accepts a modest overload up to lam = 1.2, and
+    Takes an array of load factors, or a float or int, computed on Python
+    floats (ok a bool). Accepts a modest overload up to lam = 1.2, and
     raises if any load factor is outside [0, 1.2]. With masked=True it
     raises nothing and returns (loss, ok), ok false where lam is outside
     that domain and the loss means nothing.
     """
-    lam = np.asarray(load_factor, dtype=float)
+    one = isinstance(load_factor, (float, int))
+    lam = load_factor if one else np.asarray(load_factor, dtype=float)
     loss = p.no_load_loss_w + lam * lam * p.rated_load_loss_w
     ok = (lam >= 0.0) & (lam <= _TRANSFORMER_OVERLOAD)
     if masked:
         return loss, ok
-    if not ok.all():
-        if not (lam >= 0.0).all():
+    if not (ok if one else ok.all()):
+        if not (lam >= 0.0 if one else (lam >= 0.0).all()):
             raise DomainError("load_factor must be non-negative")
         raise DomainError(f"load_factor above the {_TRANSFORMER_OVERLOAD} "
                           "overload tolerance")
-    return loss if loss.ndim else float(loss)
+    return loss
 
 
 def pcs_efficiency(load_factor, c: PcsEfficiencyCoeffs):

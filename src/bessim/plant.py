@@ -525,33 +525,30 @@ class Plant:
     def transformer_split(self, p_sys_w):
         """(p_net, tf_w): the total power the clusters exchange for
         system-level commands p_sys_w, and the transformer loss each
-        carries. Takes an array, or a float as its one-element case (and
-        returns floats). Raises transformer_loss's DomainError if a
-        command overloads the transformer.
+        carries. Takes an array, or a float or int split on Python floats
+        (_split). Raises transformer_loss's DomainError if a command
+        overloads the transformer.
 
         p_net is less than p_sys when charging (never below 0) and more in
         magnitude when discharging (the clusters also feed the loss); a
         command of 0 W, either sign, gives +0.0.
         """
-        p_net, tf_w, ok = self._split(p_sys_w)
-        if not ok.all():    # transformer_loss raises the overload's error
-            transformer_loss(self._load_factor(p_sys_w),
-                             self.cfg.transformer)
-        if p_net.ndim:
-            return p_net, tf_w
-        return float(p_net), float(tf_w)
+        return self._split(p_sys_w, masked=False)[:2]
 
-    def _load_factor(self, p_sys_w) -> np.ndarray:
-        return np.abs(p_sys_w) / self.cfg.transformer.rated_power_w
-
-    def _split(self, p_sys_w):
-        """transformer_split of arrays, raising nothing: (p_net, tf_w, ok),
-        ok false where a command overloads the transformer, p_net and
-        tf_w meaning nothing there (transformer_loss, masked)."""
-        p = np.asarray(p_sys_w, dtype=float)
-        tf_w, ok = transformer_loss(self._load_factor(p),
-                                    self.cfg.transformer, masked=True)
+    def _split(self, p_sys_w, masked: bool = True):
+        """transformer_split, raising nothing unless masked is false: (p_net,
+        tf_w, ok), ok false where a command overloads the transformer,
+        p_net and tf_w meaning nothing there (transformer_loss, masked). A
+        float takes the same operations on Python floats, max for
+        np.maximum."""
+        one = isinstance(p_sys_w, (float, int))
+        p = p_sys_w if one else np.asarray(p_sys_w, dtype=float)
+        tf = transformer_loss(abs(p) / self.cfg.transformer.rated_power_w,
+                              self.cfg.transformer, masked=masked)
+        tf_w, ok = tf if masked else (tf, True)
         p_net = p - tf_w
+        if one:
+            return (p_net if p < 0.0 else max(p_net, 0.0)), tf_w, ok
         return np.where(p < 0.0, p_net, np.maximum(p_net, 0.0)), tf_w, ok
 
     def net_cluster_power(self, p_sys_w: float) -> float:

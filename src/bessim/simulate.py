@@ -106,10 +106,11 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
     can exchange. alloc_mode is 'balanced' or 'pso'; with 'pso' the
     allocation is re-optimized every realloc_cadence_s of simulated time
     and repaired against the current blocked mask in between. A zero step
-    records the unblocked balanced allocation. Both loops cap and split
-    every planned sample in one array pass first (_cap_to_plant at the
-    whole plant's rating), advance the state alone and take every step's
-    energies from replay_steps, on its recorded start state and command.
+    records the unblocked balanced allocation. The uniform loop caps and
+    splits every planned sample in one array pass (_cap_to_plant), the
+    general loop each step (_cap_one). Both advance the state alone and
+    take every step's energies from replay_steps, on its recorded start
+    state and command.
     A sample's error (a transformer overload, a rating breach, an
     infeasible power) is raised by the step that executes it, and the
     steps completed are booked (Plant.book) when the run ends or raises.
@@ -156,17 +157,17 @@ def run_simulation(plant: Plant, profile: LoadProfile, power_depth_w: float,
         alloc_matrix=steps.alloc, plant=plant)
 
 
-def _cap_to_plant(p, avail_w: float, plant: Plant):
-    """System powers p (an array, or a float as a 0-d one) capped to what
-    the available clusters can exchange, with their split by the plant
-    (Plant.transformer_split): (p, p_net, tf_w, ok), raising nothing. A
-    charge is capped at avail_w. A discharge must also cover the
-    transformer loss, so p is split first, and split again only where the
-    cap binds: the cap -max(avail_w - tf_w, 0) replaces p where it is
-    above p (as max(p, cap), which keeps p on a tie). ok is false where
-    the first split is outside the transformer's domain (an overload; a
-    capped command is smaller, so inside it): there p is only capped at
-    avail_w, and p_net and tf_w mean nothing."""
+def _cap_to_plant(p: np.ndarray, avail_w: float, plant: Plant):
+    """System powers p (an array) capped to what the available clusters
+    can exchange, with their split by the plant (Plant._split): (p,
+    p_net, tf_w, ok), raising nothing. A charge is capped at avail_w. A
+    discharge must also cover the transformer loss, so p is split first,
+    and split again only where the cap binds: the cap -max(avail_w -
+    tf_w, 0) replaces p where it is above p (keeping p on a tie). ok is
+    false where the first split is outside the transformer's domain (an
+    overload; a capped command is smaller, so inside it): there p is only
+    capped at avail_w, and p_net and tf_w mean nothing. _cap_one is the
+    float form."""
     p = np.minimum(p, avail_w)
     p_net, tf_w, ok = plant._split(p)
     cap = -np.maximum(avail_w - tf_w, 0.0)
@@ -179,12 +180,15 @@ def _cap_to_plant(p, avail_w: float, plant: Plant):
 
 def _cap_one(p: float, avail_w: float,
              plant: Plant) -> tuple[float, float, float]:
-    """_cap_to_plant of one sample: (p, p_net, tf_w). An overload raises
+    """_cap_to_plant of one sample on Python floats (min and max for
+    np.minimum and np.maximum): (p, p_net, tf_w). An overload raises
     transformer_split's DomainError."""
-    p, p_net, tf_w, ok = _cap_to_plant(p, avail_w, plant)
-    if not ok:
-        plant.transformer_split(p)
-    return float(p), float(p_net), float(tf_w)
+    p = min(p, avail_w)
+    p_net, tf_w = plant.transformer_split(p)
+    cap = -max(avail_w - tf_w, 0.0)
+    if cap > p:
+        return (cap, *plant.transformer_split(cap))
+    return p, p_net, tf_w
 
 
 def _balanced_share(rows: dict[bytes, np.ndarray], blocked: np.ndarray,
@@ -211,18 +215,15 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
                  cadence_steps: int) -> None:
     """The per-cluster loop: Plant.step advances the state and gives the
     cluster commands; at 0 W, or with every cluster blocked, ipol only
-    decays (the kernel's own operations at zero current). A step with no
-    cluster blocked reads its cap and split from one array pass taken
-    before the loop (_cap_to_plant at the plant's rating); only a step
-    with a blocked cluster, or an overload that raises, is split on its
-    own (_cap_one). With 'pso' the allocation is re-optimized every
+    decays (the kernel's own operations at zero current). Every other
+    step is capped to its free clusters' rating and split on Python
+    floats (_cap_one). With 'pso' the allocation is re-optimized every
     cadence_steps steps. A record of REPLAY_CLUSTER_STEPS // m steps'
     start states and commands is replayed (replay_steps) whenever it is
     full and when the loop ends or raises."""
     demand = steps.demand_w
-    p_tot = float(np.sum(plant.params.rated_w))
-    capv, netv, tfv, okv = map(memoryview,
-                               _cap_to_plant(demand, p_tot, plant))
+    rated_w = plant.params.rated_w
+    p_tot = float(np.sum(rated_w))
     decay = plant.params.step_consts[0]
     m = plant.n_clusters
     rows = max(plant_module.REPLAY_CLUSTER_STEPS // m, 1)
@@ -247,18 +248,15 @@ def _run_general(plant: Plant, steps: _Steps, balanced: np.ndarray,
             soc_at[row], ipol_at[row] = plant.soc, plant.ipol
             p = float(demand[i])
             blocked = plant.blocked_mask(p)
-            if p == 0.0 or blocked.all():
+            n_blocked = np.count_nonzero(blocked)
+            if p == 0.0 or n_blocked == m:
                 demand[i] = 0.0     # as the cap writes it, not -0.0
                 cmd_at[row] = 0.0
                 plant.ipol = plant.ipol * decay + 0.0
                 continue
-            if okv[i] and not blocked.any():
-                p, p_net, tf_w = capv[i], netv[i], tfv[i]
-            else:
-                avail = float(plant.params.rated_w[~blocked].sum())
-                p, p_net, tf_w = _cap_one(p, avail, plant)
-            max_share = (plant.params.rated_w / abs(p_net)
-                         if p_net != 0.0 else None)
+            avail = float(rated_w[~blocked].sum()) if n_blocked else p_tot
+            p, p_net, tf_w = _cap_one(p, avail, plant)
+            max_share = rated_w / abs(p_net) if p_net != 0.0 else None
             if p == 0.0:
                 k = balanced
             elif alloc_mode == "balanced":

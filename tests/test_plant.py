@@ -23,6 +23,7 @@ from bessim.losses import (
     pcs_efficiency,
     steady_state_loss,
     step_polarization,
+    transformer_loss,
     transient_loss,
     _efficiency,
     _horner,
@@ -520,20 +521,21 @@ class TestGeneralPathMatchesFastPath:
 
 
 class TestTransformerSplitPerRun:
-    """Before either loop runs, one array pass splits every planned
-    sample (simulate._cap_to_plant), so transformer_loss is entered with
-    arrays there, once more where the discharge cap binds. The uniform
-    loop then splits nothing per step. The general loop splits a step on
-    its own (one-element calls) only when a cluster is blocked for it,
-    once more where the cap binds. The one other one-element call is the
-    split of 0 W that a run's zero steps share, on either loop."""
+    """How each loop reaches transformer_loss. Both first split the 0 W
+    that a run's zero steps share (one float call). The uniform loop then
+    splits every planned sample in one array pass (simulate._cap_to_plant:
+    two array calls where the discharge cap binds) and nothing per step.
+    The general loop makes no array pass: each step that is not 0 W and
+    has a free cluster is split on its own (simulate._cap_one), one float
+    call, and a second where the discharge cap binds."""
 
     @staticmethod
     def _calls(plant: Plant):
-        """run_simulation of the default profile on plant, and the calls
-        it makes in order: ("tf", ndim of the load factors) for each
-        transformer_loss call, ("mask", a cluster is blocked, every
-        cluster is) for each Plant.blocked_mask call."""
+        """run_simulation of the default profile on plant: the calls it
+        makes in order, ("tf", ndim of the load factors) for each
+        transformer_loss call and ("mask", p_sys_w, a cluster is blocked,
+        every cluster is) for each Plant.blocked_mask call, and the
+        executed and planned demand."""
         events = []
         tf_loss = bessim.plant.transformer_loss
         blocked_mask = Plant.blocked_mask
@@ -544,7 +546,8 @@ class TestTransformerSplitPerRun:
 
         def mask_spy(self, p_sys_w):
             mask = blocked_mask(self, p_sys_w)
-            events.append(("mask", bool(mask.any()), bool(mask.all())))
+            events.append(("mask", p_sys_w, bool(mask.any()),
+                           bool(mask.all())))
             return mask
 
         profile = TestGeneralPathMatchesFastPath.PROFILE
@@ -554,36 +557,46 @@ class TestTransformerSplitPerRun:
         planned = replay_horizon(r.plans, profile, gated=False)["demand_w"]
         # the cap binds on some discharge
         assert ((r.demand_w < 0.0) & (r.demand_w > planned)).any()
-        return events
+        return events, r.demand_w, planned
 
     @staticmethod
-    def _before_loop(events):
-        """The calls before the loop's first blocked_mask call: the split
-        of 0 W, then the array pass (two calls: the cap binds)."""
+    def _split_loop(events, before):
+        """The calls before the loop's first blocked_mask call, checked
+        against before, and the loop's calls."""
         loop = next((i for i, e in enumerate(events) if e[0] == "mask"),
                     len(events))
-        assert events[:loop] == [("tf", 0), ("tf", 1), ("tf", 1)]
+        assert events[:loop] == before
         return events[loop:]
 
     def test_uniform_loop_splits_no_step(self):
         plant = Plant(PlantConfig(clusters=(ClusterParams(),) * 4,
                                   dt_s=300.0))
-        assert self._before_loop(self._calls(plant)) == []
+        events = self._calls(plant)[0]
+        assert self._split_loop(
+            events, [("tf", 0), ("tf", 1), ("tf", 1)]) == []
 
-    def test_general_loop_splits_only_steps_with_a_blocked_cluster(self):
+    def test_general_loop_splits_every_powered_step_on_its_own(self):
         plant = Plant(PlantConfig(clusters=(ClusterParams(),) * 4,
                                   dt_s=300.0))
         plant.soc = np.array([PlantConfig.soc_min, 0.2, 0.5,
                               PlantConfig.soc_max])
-        # (some but not all clusters blocked, one-element splits) per step
+        events, executed, planned = self._calls(plant)
+        # [planned power, some but not all clusters blocked, every
+        # cluster blocked, float splits] per step
         steps = []
-        for event in self._before_loop(self._calls(plant)):
+        for event in self._split_loop(events, [("tf", 0)]):
             if event[0] == "mask":
-                steps.append([event[1] and not event[2], 0])
+                steps.append([*event[1:], 0])
             else:
                 assert event == ("tf", 0)
-                steps[-1][1] += 1
-        assert {tuple(s) for s in steps} == {(False, 0), (True, 1), (True, 2)}
+                steps[-1][-1] += 1
+        assert [s[0] for s in steps] == planned.tolist()
+        want = [0 if p == 0.0 or every
+                else 1 + (p < 0.0 and d != p)   # the discharge cap binds
+                for (p, _, every, _), d in zip(steps, executed.tolist())]
+        assert [s[-1] for s in steps] == want
+        assert {0, 1, 2} <= set(want)
+        assert any(some and not every for _, some, every, _ in steps)
 
 
 SOC_MIN, SOC_MAX = 0.03, 0.97
@@ -957,23 +970,25 @@ def _hex(*values) -> list[str]:
 
 
 @st.composite
-def demand_columns(draw):
+def demand_columns(draw, mixed: bool = False):
     """(plant, demand): a plant of 1 to 6 clusters of one kind from
-    CLUSTER_KINDS behind a drawn transformer, and a demand column of both
-    signs with 0.0, -0.0, the plant's rating p_tot and the load factors
-    1.2 and the next float above it among the draws. The transformer is
-    the default one, one rated below p_tot (so a charge capped at p_tot
-    can overload it), or one whose no-load loss is above p_tot (so the
-    discharge cap is -0.0)."""
+    CLUSTER_KINDS (of any kinds if mixed) behind a drawn transformer, and
+    a demand column of both signs with 0.0, -0.0, the plant's rating
+    p_tot and the load factors 1.2 and the next float above it among the
+    draws. The transformer is the default one, one rated below p_tot (so
+    a charge capped at p_tot can overload it), or one whose no-load loss
+    is above p_tot (so the discharge cap is -0.0)."""
     m = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(CLUSTER_KINDS))
-    p_tot = m * kind.rated_power_w
+    kind = st.sampled_from(CLUSTER_KINDS)
+    kinds = (draw(st.lists(kind, min_size=m, max_size=m)) if mixed
+             else (draw(kind),) * m)
+    p_tot = sum(kind.rated_power_w for kind in kinds)
     tf = draw(st.sampled_from([
         TransformerParams(),
         TransformerParams(rated_power_w=p_tot / 1.5,
                           rated_load_loss_w=p_tot / 100),
         TransformerParams(no_load_loss_w=2.0 * p_tot)]))
-    plant = Plant(PlantConfig(clusters=(kind,) * m, transformer=tf,
+    plant = Plant(PlantConfig(clusters=tuple(kinds), transformer=tf,
                               dt_s=300.0, soc_min=SOC_MIN, soc_max=SOC_MAX))
     at_limit = 1.2 * tf.rated_power_w
     edges = [0.0, -0.0, p_tot, at_limit, np.nextafter(at_limit, math.inf),
@@ -996,8 +1011,11 @@ class TestUniformArrayPass:
     columns (_cap_to_plant at the plant's rating, then plant._command on
     share * p_net), against the scalar code per sample, bit for bit: the
     split equals _cap_one of the sample, or is marked not ok where that
-    raises, and
-    the command half equals what _advance computes for the same command."""
+    raises, and the command half equals what _advance computes for the
+    same command. The split's float form (_cap_one, Plant._split,
+    transformer_loss) is the array form's formula at any rating below
+    the plant's too, as the general loop caps a step to its free
+    clusters, and on the transformer's domain edges."""
 
     @staticmethod
     def _assert_matches_scalar_code(plant: Plant, demand: np.ndarray):
@@ -1066,6 +1084,78 @@ class TestUniformArrayPass:
         assert _hex(*p) == _hex(-0.0, -0.0, -0.0)
         assert _hex(*p_net) == _hex(0.0, 0.0, 0.0)
         assert _hex(*tf_w) == _hex(60e3, 60e3, 60e3)
+
+    @settings(max_examples=150)
+    @given(demand_columns(mixed=True), st.data())
+    def test_cap_below_the_rating_is_the_float_cap(self, case, data):
+        # the general loop's cap: _cap_one at the free clusters' rating,
+        # summed as _run_general sums it, is the column pass's cap there
+        plant, demand = case
+        rated_w = plant.params.rated_w
+        blocked = np.array(data.draw(st.lists(
+            st.booleans(), min_size=rated_w.size, max_size=rated_w.size)))
+        assume(not blocked.all())
+        avail = float(rated_w[~blocked].sum())
+        demand = np.append(demand, [avail, -avail])
+        p, p_net, tf_w, ok = _cap_to_plant(demand, avail, plant)
+        for i, d in enumerate(demand.tolist()):
+            try:
+                want = _cap_one(d, avail, plant)
+            except DomainError as e:
+                assert "overload" in str(e) and not ok[i]
+                continue
+            assert ok[i]
+            assert [type(v) for v in want] == [float] * 3
+            assert _hex(p[i], p_net[i], tf_w[i]) == _hex(*want)
+
+    def test_float_split_is_the_one_element_array_split(self):
+        # same values, same ok and same error, in transformer_loss and in
+        # the plant's split, on the domain's edges and outside it
+        plant = Plant(uniform_plant_config(4, dt_s=300.0))
+        tf = plant.cfg.transformer
+        at_limit = 1.2 * tf.rated_power_w
+        powers = [0.0, -0.0, tf.no_load_loss_w, at_limit,
+                  math.nextafter(at_limit, math.inf), -1000.0, math.nan]
+        powers += [-x for x in powers[2:5]]
+        factors = [0.0, -0.0, tf.no_load_loss_w / tf.rated_power_w, 1.2,
+                   math.nextafter(1.2, math.inf), -0.1, math.nan]
+
+        def outcome(fn, x):
+            try:
+                return fn(x)
+            except DomainError as e:
+                return type(e), str(e)
+
+        for x in factors:
+            loss, ok = transformer_loss(x, tf, masked=True)
+            loss_a, ok_a = transformer_loss(np.array([x]), tf, masked=True)
+            assert (type(loss), type(ok)) == (float, bool)
+            assert (_hex(loss), ok) == (_hex(loss_a[0]), ok_a[0])
+            got = outcome(lambda v: transformer_loss(v, tf), x)
+            want = outcome(lambda v: transformer_loss(np.array([v]), tf), x)
+            if ok:
+                assert _hex(got) == _hex(want[0])
+            else:
+                assert got == want
+        for x in powers:
+            *split, ok = plant._split(x)
+            *split_a, ok_a = plant._split(np.array([x]))
+            assert [type(v) for v in (*split, ok)] == [float, float, bool]
+            assert (_hex(*split), ok) == (_hex(*(v[0] for v in split_a)),
+                                          ok_a[0])
+            got = outcome(plant.transformer_split, x)
+            want = outcome(plant.transformer_split, np.array([x]))
+            if ok:
+                assert [type(v) for v in got] == [float, float]
+                assert _hex(*got) == _hex(*(v[0] for v in want))
+            else:
+                assert got == want
+        # a Python int takes the float form, and returns floats
+        for x in (-1000, 150_000):
+            got = plant.transformer_split(x)
+            assert [type(v) for v in got] == [float, float]
+            assert _hex(*got) == _hex(*plant.transformer_split(float(x)))
+        assert type(transformer_loss(1, tf)) is float
 
     def test_plant_below_the_no_load_loss_runs_alike_on_both_loops(self):
         # every discharge is capped to -0.0 and every charge leaves the
