@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from itertools import chain, islice
@@ -30,6 +31,14 @@ CSV_CHUNK_LINES = 8192    # CSV lines read and turned into arrays at a time
 
 _EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
+
+# A load CSV's timestamp, as README states it: YYYY-MM-DD, T or a space,
+# HH:MM[:SS[.f]], then optionally Z, ±HH:MM[:SS[.f]] or ±HHMM[SS[.f]]; f is
+# 1 to 6 digits, offset hours run to 23, offset minutes and seconds to 59.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{1,6})?)?"
+    r"(Z|[+-]([01][0-9]|2[0-3])(:[0-5][0-9](:[0-5][0-9](\.[0-9]{1,6})?)?"
+    r"|[0-5][0-9]([0-5][0-9](\.[0-9]{1,6})?)?))?")
 
 
 @dataclass(frozen=True)
@@ -152,16 +161,16 @@ def load_profile_from_csv(path: str, expected_dt_s: float | None = None) -> Load
     """Read and validate a `timestamp,load_w` CSV.
 
     The file is UTF-8; a leading byte-order mark is skipped, and a row
-    holding a byte that is not UTF-8 is an error on that row. Timestamps
-    mean what datetime.fromisoformat makes of them; spacing is
-    measured between them as datetime subtraction does, so offsets count
-    (a +01:00 -> +02:00 change spaces evenly) and naive and offset-aware
-    timestamps cannot be mixed. Rows must be uniformly spaced; gaps of up
-    to MAX_INTERPOLATED_GAP missing samples are linearly interpolated with
-    a logged warning, longer gaps are rejected. Errors carry the offending
-    row number (1-based, counting the header and blank lines): row errors
-    (column count, then timestamp, then load) come first, in file order,
-    then spacing errors.
+    holding a byte that is not UTF-8 is an error on that row. Timestamps,
+    spaces stripped, match _TIMESTAMP and name times that exist; spacing
+    is measured between them as datetime subtraction does, so offsets
+    count (a +01:00 -> +02:00 change spaces evenly) and naive and
+    offset-aware timestamps cannot be mixed. Rows must be uniformly spaced;
+    gaps of up to MAX_INTERPOLATED_GAP missing samples are linearly
+    interpolated with a logged warning, longer gaps are rejected. Errors
+    carry the offending row number (1-based, counting the header and blank
+    lines): row errors (column count, then timestamp, then load) come
+    first, in file order, then spacing errors.
 
     The body is read as bytes, CSV_CHUNK_LINES lines at a time, and each
     block is turned into arrays; blocks of plain
@@ -335,7 +344,8 @@ def _record_chunks(records, row: int):
 
 def _parse_rows(records, row: int) -> _Samples:
     """Check csv records one at a time, the first at file row `row`;
-    records with only blank fields are skipped."""
+    records with only blank fields are skipped. A timestamp outside
+    _TIMESTAMP or naming no real time (February 30) is unparseable."""
     first, us, aware, values, rows = None, [], [], [], []
     for rownum, rec in enumerate(records, start=row):
         _check_utf8(rec, rownum)
@@ -343,14 +353,14 @@ def _parse_rows(records, row: int) -> _Samples:
             continue
         if len(rec) != 2:
             raise IngestionError("expected two columns", row=rownum)
+        stamp = rec[0].strip()
         try:
-            ts = datetime.fromisoformat(rec[0].strip())
+            if not _TIMESTAMP.fullmatch(stamp):
+                raise ValueError
+            ts = datetime.fromisoformat(stamp)
         except ValueError:
             raise IngestionError(f"unparseable timestamp {rec[0]!r}", row=rownum)
         offset = ts.utcoffset()
-        if offset is not None and _offset_carries(rec[0].strip()):
-            raise IngestionError(f"timestamp {rec[0]!r} has an offset with "
-                                 "minutes or seconds of 60 or more", row=rownum)
         try:
             v = float(rec[1])
         except ValueError:
@@ -370,17 +380,6 @@ def _parse_rows(records, row: int) -> _Samples:
     return _Samples(first, np.array(us, dtype=np.int64),
                     np.array(aware, dtype=bool), np.array(values, dtype=float),
                     np.array(rows, dtype=np.int64))
-
-
-def _offset_carries(text: str) -> bool:
-    """Whether the UTC offset of an ISO timestamp, +-HH[[:]MM[[:]SS[.f]]]
-    after its last sign, has minutes or seconds of 60 or more, which
-    datetime.fromisoformat carries over (+01:60 reads as +02:00). A Z
-    offset has neither."""
-    sign = max(text.rfind("+"), text.rfind("-"))
-    digits = text[sign + 1:].split(".")[0].split(",")[0].replace(":", "")
-    # two-digit fields, so the string order is the numeric order
-    return digits.isdigit() and max(digits[2:4], digits[4:6]) >= "60"
 
 
 # Byte positions of the digits of `YYYY-MM-DDTHH:MM:SS`, and its separators.

@@ -154,14 +154,15 @@ class TestCsvValidation:
     @pytest.mark.parametrize("offset", ["+01:60", "+01:99", "+0160",
                                         "-01:60", "+01:00:60"])
     def test_offset_field_of_60_or_more_rejected(self, tmp_path, offset):
-        # datetime.fromisoformat reads +01:60 as +02:00
+        # outside the grammar; datetime.fromisoformat reads +01:60 as +02:00
         path = tmp_path / "ts.csv"
         path.write_text(_csv(["2024-01-01T00:00:00+01:00,1.0",
                               f"2024-01-01T00:01:00{offset},1.0"]))
         with pytest.raises(IngestionError) as e:
             load_profile_from_csv(str(path))
         assert e.value.row == 3
-        assert "60 or more" in str(e.value)
+        assert str(e.value) == ("row 3: unparseable timestamp "
+                                f"'2024-01-01T00:01:00{offset}'")
 
     @pytest.mark.parametrize("offset", ["+01:59", "-01:59", "+0159",
                                         "+01:59:59", "Z"])
@@ -251,7 +252,8 @@ def _check_utf8(record, rownum):
 def _csv_rows_reference(path, expected_dt_s=None):
     """load_profile_from_csv as a row loop over datetime objects: the oracle
     of the chunked, column-wise reader. Returns (start_time, dt_s, values).
-    The file is UTF-8, a leading byte-order mark skipped."""
+    The file is UTF-8, a leading byte-order mark skipped; a timestamp
+    outside the grammar is unparseable."""
     with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -269,8 +271,11 @@ def _csv_rows_reference(path, expected_dt_s=None):
                 continue
             if len(row) != 2:
                 raise IngestionError("expected two columns", row=rownum)
+            stamp = row[0].strip()
             try:
-                ts = datetime.fromisoformat(row[0].strip())
+                if not profiles._TIMESTAMP.fullmatch(stamp):
+                    raise ValueError
+                ts = datetime.fromisoformat(stamp)
             except ValueError:
                 raise IngestionError(f"unparseable timestamp {row[0]!r}", row=rownum)
             try:
@@ -376,8 +381,10 @@ INGEST_CASES = {
                                          " , ", "2024-01-01T00:01:00,2", "",
                                          "2024-01-01T00:03:00, 4 "]), None),
     "padded_and_other_forms": (_csv([" 2024-01-01T00:00:00 ,1",
-                                     "2024-01-01T00:01,2", "20240101T000200,3",
+                                     "2024-01-01T00:01,2", "2024-01-01 00:02,3",
                                      "2024-01-01T00:03:00.000,1_000"]), 60.0),
+    # outside the grammar, though datetime.fromisoformat reads it
+    "basic_format": (_csv([_T.format(0) + ",1", "20240101T000200,2"]), None),
     "bad_header": ("time,power\n2024-01-01T00:00:00,1\n", None),
     "empty_file": ("", None),
     "header_only": ("timestamp,load_w\n", None),
@@ -504,14 +511,18 @@ class TestIngestEquivalence:
 # timestamp and number forms.
 _MUTATIONS = [b"\x00", b"\xff", b"\x80", b"\xc3\xa9", b"\xef\xbb\xbf", b"\r",
               b"\n", b"\r\n", b'"', b",", b".", b"-", b"+", b"e", b"e1", b"_",
-              b" ", b"0", b"7", b"inf", b":", b"T"]
+              b" ", b"0", b"7", b"inf", b":", b"T", b"Z", b"W"]
+# The synthetic file stamped +01:00, which the row path reads.
+_SYNTH_AWARE = load_profile_to_csv(LoadProfile(
+    datetime(2024, 1, 1, tzinfo=timezone(timedelta(hours=1))), 300.0,
+    synth_load(SynthLoadSpec(days=2, dt_s=300.0), 3).values_w))
 
 
 @st.composite
 def _mutated_csvs(draw):
-    """A valid 2-day file with one to three byte strings inserted, deleted
-    or written over."""
-    data = bytearray(_SYNTH.encode())
+    """A valid 2-day file, naive or stamped +01:00, with one to three byte
+    strings inserted, deleted or written over."""
+    data = bytearray(draw(st.sampled_from([_SYNTH, _SYNTH_AWARE])).encode())
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(data) - 1))
         how = draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -558,6 +569,147 @@ class TestIngestBytes:
             want = _outcome(_csv_rows_reference, str(path), None, caplog)
             got = _outcome(_new_reader, str(path), None, caplog)
         assert got == want
+
+
+_US = timedelta(microseconds=1)
+
+
+@st.composite
+def _seconds(draw, second, us, plain=False):
+    """`:SS[.f]` for second and us (µs), or "" where both are 0; f holds
+    as many of the six digits of us as it needs, or more. A plain one, as
+    the column-wise path takes it, has its seconds and all six digits or
+    none."""
+    if not (plain or second or us) and draw(st.booleans()):
+        return ""
+    digits = f"{us:06d}"
+    if plain:
+        places = 6 if us else draw(st.sampled_from([0, 6]))
+    else:
+        places = draw(st.integers(len(digits.rstrip("0")), 6))
+    return f":{second:02d}" + (f".{digits[:places]}" if places else "")
+
+
+@st.composite
+def _offsets(draw):
+    """A UTC offset under 24 h, often whole minutes, and none under a
+    second but 0: datetime.fromisoformat reads ±00:00:00.f as +00:00."""
+    day = 86_400 * 10**6
+    us = draw(st.integers(-1439, 1439).map(lambda m: m * 60 * 10**6)
+              | st.integers(1 - day, day - 1).filter(
+                  lambda u: u % 10**6 == 0 or abs(u) > 10**6))
+    return timedelta(microseconds=us)
+
+
+@st.composite
+def _offset_text(draw, offset):
+    """offset as Z (if 0), ±HH:MM[:SS[.f]] or ±HHMM[SS[.f]]."""
+    if not offset and draw(st.booleans()):
+        return "Z"
+    hours, us = divmod(abs(offset) // _US, 3600 * 10**6)
+    minutes, us = divmod(us, 60 * 10**6)
+    colon = draw(st.sampled_from([":", ""]))
+    rest = draw(_seconds(us // 10**6, us % 10**6)).replace(":", colon)
+    sign = "-" if offset < timedelta(0) else "+"
+    return f"{sign}{hours:02d}{colon}{minutes:02d}{rest}"
+
+
+# Timestamps just outside the grammar, of a wall time t and an offset z
+# ("" if naive). datetime.fromisoformat reads each of them but the minute
+# of 60, the missing day and, with no offset, the missing seconds. The
+# minute of 60 fits the grammar's shape and names no time.
+_NEAR_MISSES = {
+    "date_alone": lambda t, z: f"{t:%Y-%m-%d}",
+    "hour_alone": lambda t, z: f"{t:%Y-%m-%dT%H}{z}",
+    "basic_format": lambda t, z: f"{t:%Y%m%dT%H%M%S}{z}",
+    "week_date": lambda t, z: "{}-W{:02d}-{}T{:%H:%M}{}".format(
+        *t.isocalendar(), t, z),
+    "separator_X": lambda t, z: f"{t:%Y-%m-%dX%H:%M:%S}{z}",
+    "separator_t": lambda t, z: f"{t:%Y-%m-%dt%H:%M:%S}{z}",
+    "decimal_comma": lambda t, z: f"{t:%Y-%m-%dT%H:%M:%S},5{z}",
+    "seven_digits": lambda t, z: f"{t:%Y-%m-%dT%H:%M:%S.%f}7{z}",
+    "fraction_of_minutes": lambda t, z: f"{t:%Y-%m-%dT%H:%M}.5{z}",
+    "space_before_offset": lambda t, z: f"{t:%Y-%m-%dT%H:%M:%S} {z or 'Z'}",
+    "offset_hours_alone": lambda t, z: f"{t:%Y-%m-%dT%H:%M:%S}+01",
+    "offset_minute_60": lambda t, z: f"{t:%Y-%m-%dT%H:%M:%S}+01:60",
+    "minute_60": lambda t, z: f"{t:%Y-%m-%dT%H}:60{z}",
+    "missing_day": lambda t, z: f"{t:%Y-%m}T{t:%H:%M:%S}{z}",
+    "missing_seconds": lambda t, z: f"{t:%Y-%m-%dT%H:%M}:{z}",
+}
+
+
+@st.composite
+def _stamped_files(draw):
+    """The lines of a uniformly spaced load file, naive or offset-aware:
+    each timestamp in a form of the grammar drawn for its row, with an
+    offset drawn for its row, and at times one row's a near miss instead.
+    Returns (lines, timestamps, each row's µs since 1970-01-01, UTC if
+    aware, the near miss's index or None)."""
+    aware = draw(st.booleans())
+    plain = not aware and draw(st.booleans())
+    start = draw(st.datetimes(datetime(1900, 1, 2), datetime(2100, 1, 1)))
+    step = _US * draw(st.sampled_from([60 * 10**6, 1_500_000])
+                      | st.integers(1, 86_400 * 10**6))
+    n = draw(st.integers(2, 10))
+    bad = draw(st.none() | st.integers(0, n - 1))
+    lines, stamps, us = [], [], []
+    for k in range(n):
+        wall = start + k * step
+        us.append((wall - datetime(1970, 1, 1)) // _US)
+        zone = ""
+        if aware:
+            offset = draw(_offsets())
+            wall += offset
+            zone = draw(_offset_text(offset))
+        if k == bad:
+            stamp = _NEAR_MISSES[draw(st.sampled_from(list(_NEAR_MISSES)))](
+                wall, zone)
+        else:
+            stamp = (f"{wall:%Y-%m-%d}{draw(st.sampled_from('T '))}"
+                     f"{wall:%H:%M}"
+                     + draw(_seconds(wall.second, wall.microsecond, plain))
+                     + zone)
+        stamps.append(stamp)
+        lines.append(f'"{stamp}",{k}.5' if "," in stamp else f"{stamp},{k}.5")
+    return lines, stamps, us, bad
+
+
+class TestTimestampGrammar:
+    """A timestamp in the grammar reads as the instant it names, on the row
+    path and, where it takes the block, the column-wise path; a near miss
+    is an unparseable timestamp on its row. The whole file reads as the
+    row loop reads it, with blocks of 2, 7 and CSV_CHUNK_LINES lines."""
+
+    @settings(max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_stamped_files(),
+           chunk_lines=st.sampled_from([2, 7, profiles.CSV_CHUNK_LINES]))
+    def test_paths_read_grammar_and_reject_near_misses(
+            self, tmp_path, caplog, case, chunk_lines):
+        lines, stamps, us, bad = case
+        assert all(profiles._TIMESTAMP.fullmatch(s)
+                   for k, s in enumerate(stamps) if k != bad)
+        body = "".join(line + "\n" for line in lines)
+        plain = profiles._parse_plain(body.encode(), 2)
+        if bad is None:
+            rows = profiles._parse_rows(csv.reader(io.StringIO(body)), 2)
+            assert rows.us.tolist() == us
+            assert plain is None or plain.us.tolist() == us
+        else:
+            assert plain is None
+            with pytest.raises(IngestionError) as e:
+                profiles._parse_rows(csv.reader(io.StringIO(body)), 2)
+            assert str(e.value) == (f"row {bad + 2}: unparseable timestamp "
+                                    f"{stamps[bad]!r}")
+        path = tmp_path / "load.csv"
+        path.write_text("timestamp,load_w\n" + body)
+        with (pytest.MonkeyPatch.context() as mp,
+              caplog.at_level(logging.WARNING, logger="bessim.profiles")):
+            mp.setattr(profiles, "CSV_CHUNK_LINES", chunk_lines)
+            want = _outcome(_csv_rows_reference, str(path), None, caplog)
+            got = _outcome(_new_reader, str(path), None, caplog)
+        assert got == want
+        assert got[0][0] == ("ok" if bad is None else "error")
 
 
 class TestExactDecimals:
@@ -645,3 +797,23 @@ class TestCsvEmit:
         fractional = {"." in line.split(",")[0]
                       for line in text.splitlines()[1:]}
         assert fractional == ({False, True} if dt_s == 60.5 else {False})
+
+    @pytest.mark.parametrize("start", [
+        datetime(2024, 1, 1),
+        datetime(2024, 1, 1, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+        datetime(2024, 1, 1, tzinfo=timezone(-timedelta(hours=1, seconds=15)))],
+        ids=["naive", "plus_05_30", "offset_seconds"])
+    @pytest.mark.parametrize("dt_s", [60.0, 1.5])
+    def test_stamps_in_grammar_read_back(self, tmp_path, start, dt_s):
+        # values with 6 decimals, which the writer's %.6f keeps exactly
+        values = np.array([float(f"{v:.6f}") for v in synth_load(
+            SynthLoadSpec(days=1, dt_s=300.0), 4).values_w.tolist()])
+        text = load_profile_to_csv(LoadProfile(start, dt_s, values))
+        for line in text.splitlines()[1:]:
+            assert profiles._TIMESTAMP.fullmatch(line.split(",")[0])
+        path = tmp_path / "load.csv"
+        path.write_text(text)
+        back = load_profile_from_csv(str(path))
+        assert (back.start_time, back.start_time.tzinfo, back.dt_s) == \
+            (start, start.tzinfo, dt_s)
+        assert back.values_w.tobytes() == values.tobytes()
