@@ -8,13 +8,12 @@ energy delivered when discharging.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoCapacityError
-from .plant import Plant
+from .plant import Plant, finite_float
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class PsoParams:
         )
         for name, ok, rule in rules:
             value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
+            if not ok or finite_float(value) is None:
                 raise DomainError(f"{name} must {rule} and be finite, got {value!r}",
                                   field=name)
 

@@ -8,9 +8,12 @@ Subcommands:
   gen-load         emit a synthetic load profile CSV
   validate-config  parse and validate a configuration file
 
-Each command builds all of its output files first, then writes each one
-atomically (temp file + rename), followed by a run manifest carrying the
-configuration hash, seed, package version and the data files' names.
+Every command but validate-config runs through _run, in one order: the
+config (with --seed), the output directory, the load, the computation;
+then each of its data files, all built first, is written atomically
+(temp file + rename), then a run manifest carrying the configuration
+hash, seed, package version and the data files' names, then one summary
+line on stdout.
 Every error, whatever its type, is emitted as one JSON object on stderr;
 configuration and usage errors exit with status 2, all others with 1.
 """
@@ -59,13 +62,10 @@ def _write_outputs(outdir: str, cfg: RunConfig, command: str, seed: int,
     listing exactly those names: each to a temp file of mode 0o666 (the
     umask applies, as to a plain open(path, "w")), renamed into place."""
     manifest = _json_text({
-        "command": command,
-        "version": __version__,
-        "config_sha256": cfg.sha256(),
-        "seed": seed,
+        "command": command, "version": __version__,
+        "config_sha256": cfg.sha256(), "seed": seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "files": sorted(files),
-    })
+        "files": sorted(files)})
     os.makedirs(outdir or ".", exist_ok=True)
     for name, text in [*files.items(), ("manifest.json", manifest)]:
         tmp = os.path.join(outdir, f".bessim-{os.urandom(8).hex()}")
@@ -90,19 +90,16 @@ def _emit_error(exc: Exception) -> int:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The --config file's config, or the defaults; --seed replaces
+    load.seed and allocator.pso.rng_seed."""
     cfg = load_config(args.config) if args.config else parse_config({})
-    doc = dict(cfg.raw)
-    if args.seed is not None:
-        load_d = dict(doc.get("load", {}))
-        load_d["seed"] = args.seed
-        alloc_d = dict(doc.get("allocator", {}))
-        pso_d = dict(alloc_d.get("pso", {}))
-        pso_d["rng_seed"] = args.seed
-        alloc_d["pso"] = pso_d
-        doc["load"] = load_d
-        doc["allocator"] = alloc_d
-        cfg = parse_config(doc)
-    return cfg
+    if args.seed is None:
+        return cfg
+    raw, alloc = cfg.raw, cfg.raw.get("allocator", {})
+    return parse_config({
+        **raw, "load": {**raw.get("load", {}), "seed": args.seed},
+        "allocator": {**alloc, "pso": {**alloc.get("pso", {}),
+                                       "rng_seed": args.seed}}})
 
 
 def _resolve_outdir(args, cfg: RunConfig) -> str:
@@ -125,43 +122,56 @@ def _resolve_outdir(args, cfg: RunConfig) -> str:
 
 
 def _load_profile(cfg: RunConfig, days: int | None,
-                  steps_plant: bool = False) -> LoadProfile:
+                  steps_plant: bool) -> LoadProfile:
     """The configured load, cut to days. A CSV load must be at plant.dt_s
     and span days days (a short last day counts, as in plan_horizon); a
     synthetic one must be at plant.dt_s too when the command steps the
     plant (steps_plant)."""
-    if cfg.load.source == "csv":
-        profile = load_profile_from_csv(cfg.load.csv_path, cfg.plant.dt_s)
-    else:
+    if cfg.load.source != "csv":
         spec = cfg.load.synth
         if steps_plant and spec.dt_s != cfg.plant.dt_s:
             raise ConfigError("load.synth.dt_s",
                               "must equal plant.dt_s to step the plant")
-        if days is not None and days != spec.days:
-            spec = replace(spec, days=days)
-        profile = synth_load(spec, cfg.load.seed)
-    if days is not None and cfg.load.source == "csv":
-        per_day = profile.samples_per_day()
-        have = math.ceil(profile.n_samples / per_day)
-        if days > have:
-            raise ConfigError("argv", f"--days {days} exceeds the {have} "
-                              f"days of the CSV load")
-        profile = LoadProfile(profile.start_time, profile.dt_s,
-                              profile.values_w[:days * per_day])
-    return profile
+        return synth_load(replace(spec, days=days or spec.days), cfg.load.seed)
+    profile = load_profile_from_csv(cfg.load.csv_path, cfg.plant.dt_s)
+    if days is None:
+        return profile
+    per_day = profile.samples_per_day()
+    have = math.ceil(profile.n_samples / per_day)
+    if days > have:
+        raise ConfigError("argv", f"--days {days} exceeds the {have} "
+                          f"days of the CSV load")
+    return LoadProfile(profile.start_time, profile.dt_s,
+                       profile.values_w[:days * per_day])
 
 
-def cmd_simulate(args) -> int:
+def _run(args) -> int:
+    """A file-writing command: its config, output directory and load, in
+    that order, so the first of their errors is the one raised; then
+    args.compute(args, cfg, profile) -> (manifest seed, files, line); then
+    the files, the manifest and line(outdir), its one stdout line."""
     cfg = _resolve_config(args)
     outdir = _resolve_outdir(args, cfg)
-    profile = _load_profile(cfg, args.days, steps_plant=True)
-    plant = Plant(cfg.plant)
-    result = run_simulation(
-        plant, profile, cfg.schedule.power_depth_w,
-        cfg.schedule.rated_energy_wh, method=cfg.schedule.method,
-        alloc_mode=cfg.allocator.mode, pso_params=cfg.allocator.pso,
-        realloc_cadence_s=cfg.allocator.cadence_s)
+    profile = _load_profile(cfg, args.days, args.steps_plant)
+    seed, files, line = args.compute(args, cfg, profile)
+    _write_outputs(outdir, cfg, args.command, seed, files)
+    print(f"{args.command}: {line(outdir)}")
+    return 0
 
+
+def _simulate(cfg: RunConfig, profile: LoadProfile, alloc_mode: str,
+              record_alloc: bool = False):
+    """A fresh configured plant run through the horizon by run_simulation,
+    looked up in this module at each call."""
+    return run_simulation(
+        Plant(cfg.plant), profile, cfg.schedule.power_depth_w,
+        cfg.schedule.rated_energy_wh, method=cfg.schedule.method,
+        alloc_mode=alloc_mode, pso_params=cfg.allocator.pso,
+        realloc_cadence_s=cfg.allocator.cadence_s, record_alloc=record_alloc)
+
+
+def cmd_simulate(args, cfg: RunConfig, profile: LoadProfile):
+    result = _simulate(cfg, profile, cfg.allocator.mode)
     metrics = horizon_metrics(profile, result.plans, result.delivered_w,
                               cfg.schedule.rated_energy_wh,
                               demanded_w=result.cluster_target_w)
@@ -173,18 +183,13 @@ def cmd_simulate(args) -> int:
         files["ledger.json"] = _json_text(report)
     for direction, sc in efficiency_scatter(result).items():
         files[f"efficiency_{direction}.csv"] = scatter_csv(sc)
-    files["plant_state.json"] = plant.snapshot_json() + "\n"
-    _write_outputs(outdir, cfg, "simulate", cfg.load.seed, files)
-    print(f"simulate: {profile.n_samples} steps, "
-          f"total loss {result.total_loss_wh:.1f} Wh, outputs in {outdir}")
-    return 0
+    files["plant_state.json"] = result.plant.snapshot_json() + "\n"
+    return cfg.load.seed, files, lambda outdir: (
+        f"{profile.n_samples} steps, total loss {result.total_loss_wh:.1f} "
+        f"Wh, outputs in {outdir}")
 
 
-def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = _resolve_outdir(args, cfg)
-    profile = _load_profile(cfg, args.days)
-
+def cmd_compare(args, cfg: RunConfig, profile: LoadProfile):
     def gated_metrics(method):
         plans = plan_horizon(profile, cfg.schedule.power_depth_w,
                              cfg.schedule.rated_energy_wh, method,
@@ -210,44 +215,28 @@ def cmd_compare(args) -> int:
         **{k: mean(ms, k) for k in ("cr", "rr", "cur", "power_utilization")},
         "equivalent_cycles_total": float(sum(m.equivalent_cycles for m in ms)),
     } for method, ms in summary.items()}
-    _write_outputs(outdir, cfg, "compare", cfg.load.seed, {
-        "compare.csv": metrics_csv(rows),
-        "compare_summary.json": _json_text(agg)})
-    print(f"compare: improved CUR {agg['improved']['cur']:.4f} vs "
-          f"original {agg['original']['cur']:.4f}, outputs in {outdir}")
-    return 0
+    files = {"compare.csv": metrics_csv(rows),
+             "compare_summary.json": _json_text(agg)}
+    return cfg.load.seed, files, lambda outdir: (
+        f"improved CUR {agg['improved']['cur']:.4f} vs "
+        f"original {agg['original']['cur']:.4f}, outputs in {outdir}")
 
 
-def cmd_optimize(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = _resolve_outdir(args, cfg)
-    profile = _load_profile(cfg, args.days, steps_plant=True)
-    results = {}
-    for mode in ("balanced", "pso"):
-        plant = Plant(cfg.plant)
-        results[mode] = run_simulation(
-            plant, profile, cfg.schedule.power_depth_w,
-            cfg.schedule.rated_energy_wh, method=cfg.schedule.method,
-            alloc_mode=mode, pso_params=cfg.allocator.pso,
-            realloc_cadence_s=cfg.allocator.cadence_s,
-            record_alloc=(mode == "pso"))
-    report = component_ledger_report(results["pso"], baseline=results["balanced"])
-    times = np.arange(profile.n_samples) * profile.dt_s
-    _write_outputs(outdir, cfg, "optimize", cfg.allocator.pso.rng_seed, {
-        "optimize_ledger.csv": ledger_report_csv(report),
-        "allocation_matrix.csv": allocation_matrix_csv(
-            times, results["pso"].alloc_matrix)})
-    delta = report["delta_total_loss_wh"]
-    print(f"optimize: total loss delta vs balanced {delta:+.1f} Wh "
-          f"({report['total_loss_wh']:.1f} vs "
-          f"{report['baseline_total_loss_wh']:.1f}), outputs in {outdir}")
-    return 0
+def cmd_optimize(args, cfg: RunConfig, profile: LoadProfile):
+    balanced = _simulate(cfg, profile, "balanced")
+    pso = _simulate(cfg, profile, "pso", record_alloc=True)
+    report = component_ledger_report(pso, baseline=balanced)
+    files = {"optimize_ledger.csv": ledger_report_csv(report),
+             "allocation_matrix.csv": allocation_matrix_csv(
+                 np.arange(profile.n_samples) * profile.dt_s,
+                 pso.alloc_matrix)}
+    return cfg.allocator.pso.rng_seed, files, lambda outdir: (
+        f"total loss delta vs balanced {report['delta_total_loss_wh']:+.1f} "
+        f"Wh ({report['total_loss_wh']:.1f} vs "
+        f"{report['baseline_total_loss_wh']:.1f}), outputs in {outdir}")
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = _resolve_outdir(args, cfg)
-    profile = _load_profile(cfg, args.days)
+def cmd_sweep(args, cfg: RunConfig, profile: LoadProfile):
     cluster, m = cfg.plant.clusters[0], len(cfg.plant.clusters)
     # without --depths: 1/5 ... 5/5 of the plant's clusters, rounded up
     depths = args.depths or sorted(
@@ -265,20 +254,14 @@ def cmd_sweep(args) -> int:
     files = {"sweep.csv": sweep_csv(reports)}
     if "json" in cfg.output.formats:
         files["sweep.json"] = sweep_reports_json(reports)
-    _write_outputs(outdir, cfg, "sweep", cfg.load.seed, files)
-    print(f"sweep: {len(reports)} depths, outputs in {outdir}")
-    return 0
+    return cfg.load.seed, files, lambda outdir: (
+        f"{len(reports)} depths, outputs in {outdir}")
 
 
-def cmd_gen_load(args) -> int:
-    cfg = _resolve_config(args)
-    outdir = _resolve_outdir(args, cfg)
-    profile = _load_profile(cfg, args.days)
-    _write_outputs(outdir, cfg, "gen-load", cfg.load.seed,
-                   {args.name: load_profile_to_csv(profile)})
-    print(f"gen-load: {profile.n_samples} samples written to "
-          f"{os.path.join(outdir, args.name)}")
-    return 0
+def cmd_gen_load(args, cfg: RunConfig, profile: LoadProfile):
+    return cfg.load.seed, {args.name: load_profile_to_csv(profile)}, \
+        lambda outdir: (f"{profile.n_samples} samples written to "
+                        f"{os.path.join(outdir, args.name)}")
 
 
 def cmd_validate_config(args) -> int:
@@ -333,7 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # name, computation, whether it steps the plant (so that a synthetic
+    # load must be at plant.dt_s), help; validate-config, which writes
+    # nothing, reads no load and ignores --seed, runs outside _run
+    for name, compute, steps_plant, doc in (
+        ("simulate", cmd_simulate, True, "closed-loop plant simulation"),
+        ("compare", cmd_compare, False, "improved vs. original scheduling"),
+        ("optimize", cmd_optimize, True, "balanced vs. swarm allocation"),
+        ("sweep", cmd_sweep, False, "power-depth sweep"),
+        ("gen-load", cmd_gen_load, False, "generate a synthetic load CSV"),
+        ("validate-config", None, False, "validate a config file"),
+    ):
+        p = sub.add_parser(name, help=doc)
+        p.set_defaults(fn=_run if compute else cmd_validate_config,
+                       compute=compute, steps_plant=steps_plant)
         p.add_argument("--config", help="path to the JSON configuration file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the load and optimizer seeds")
@@ -341,18 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"and ${OUTPUT_DIR_ENV})")
         p.add_argument("--days", type=_positive_int, default=None,
                        help="limit or extend the horizon to this many days")
-
-    for name, fn, doc in (
-        ("simulate", cmd_simulate, "closed-loop plant simulation"),
-        ("compare", cmd_compare, "improved vs. original scheduling"),
-        ("optimize", cmd_optimize, "balanced vs. swarm allocation"),
-        ("sweep", cmd_sweep, "power-depth sweep"),
-        ("gen-load", cmd_gen_load, "generate a synthetic load CSV"),
-        ("validate-config", cmd_validate_config, "validate a config file"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        common(p)
-        p.set_defaults(fn=fn)
         if name == "sweep":
             p.add_argument("--depths", type=_depths, default=None,
                            help="comma-separated power depths in W "

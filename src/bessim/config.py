@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -20,7 +19,8 @@ from .losses import (
     PcsEfficiencyCoeffs,
     TransformerParams,
 )
-from .plant import ClusterParams, PlantConfig, uniform_plant_config
+from .plant import (ClusterParams, PlantConfig, finite_float,
+                    uniform_plant_config)
 from .profiles import SynthLoadSpec
 
 
@@ -150,14 +150,10 @@ def _finite(raw, name: str) -> float:
     """raw as a float when it is a finite JSON number; otherwise a
     ConfigError naming the dotted field. Strings and booleans are rejected
     rather than coerced, and so are NaN and the infinities."""
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        try:
-            value = float(raw)
-        except OverflowError:           # an integer beyond the float range
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    raise ConfigError(name, f"must be a finite number, got {raw!r}")
+    value = finite_float(raw)
+    if value is None:
+        raise ConfigError(name, f"must be a finite number, got {raw!r}")
+    return value
 
 
 def _string(raw, name: str) -> str:

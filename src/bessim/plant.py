@@ -36,6 +36,7 @@ SOC_GATE_TOL = 1e-12
 # Cluster-steps per _step_arrays call of replay_steps, and of the general
 # run loop's record of steps to replay; bounds the memory of both
 REPLAY_CLUSTER_STEPS = 4096
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)     # the largest finite float
 
 
 # The shortest step (s) a day may be split into
@@ -487,10 +488,14 @@ def replay_steps(soc, ipol, p_ac, pp: _ParamArrays, totals: np.ndarray,
         truncated[rows] = trunc.any(axis=-1)
 
 
-def _finite_number(value) -> bool:
-    """A finite int or float, not a bool: what restore takes as a number."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -math.inf < value < math.inf)
+def finite_float(value) -> float | None:
+    """value as a float if it is an int or float, not a bool, of magnitude
+    at most the largest finite float; otherwise None. The one number rule
+    of config fields, PsoParams and Plant.restore."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= _FLOAT_MAX):    # exact for ints of any size
+        return float(value)
+    return None
 
 
 class Plant:
@@ -721,15 +726,16 @@ class Plant:
         if bad.size:
             raise DomainError("polarization current must be finite",
                               field=f"snapshot.i_pol[{bad[0]}]")
-        t_elapsed = snap["t_elapsed_s"]
-        if not (_finite_number(t_elapsed) and t_elapsed >= 0.0):
+        t_elapsed = finite_float(snap["t_elapsed_s"])
+        if t_elapsed is None or t_elapsed < 0.0:
             raise DomainError("elapsed time must be finite and non-negative",
                               field="snapshot.t_elapsed_s")
         cumulative = snap["cumulative_wh"]
         if not isinstance(cumulative, dict):
             raise DomainError("must be an object", field="snapshot.cumulative_wh")
         keys = [f.name for f in fields(LossBreakdown)]
-        bad = ([k for k in keys if not _finite_number(cumulative.get(k))]
+        ledger = {k: finite_float(cumulative.get(k)) for k in keys}
+        bad = ([k for k in keys if ledger[k] is None]
                + [k for k in cumulative if k not in keys])
         if bad:
             raise DomainError("ledger entries are the LossBreakdown fields, "
@@ -737,8 +743,8 @@ class Plant:
                               field=f"snapshot.cumulative_wh.{bad[0]}")
         self.soc = soc
         self.ipol = ipol
-        self.t_elapsed = float(t_elapsed)
-        self.cumulative = LossBreakdown(**cumulative)
+        self.t_elapsed = t_elapsed
+        self.cumulative = LossBreakdown(**ledger)
 
     def snapshot_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True)

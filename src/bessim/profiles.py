@@ -36,9 +36,20 @@ _MICROSECOND = timedelta(microseconds=1)
 # HH:MM[:SS[.f]], then optionally Z, ±HH:MM[:SS[.f]] or ±HHMM[SS[.f]]; f is
 # 1 to 6 digits, offset hours run to 23, offset minutes and seconds to 59.
 _TIMESTAMP = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}(:[0-9]{2}(\.[0-9]{1,6})?)?"
-    r"(Z|[+-]([01][0-9]|2[0-3])(:[0-5][0-9](:[0-5][0-9](\.[0-9]{1,6})?)?"
+    r"(?P<local>[0-9]{4}-[0-9]{2}-[0-9]{2}[T ][0-9]{2}:[0-9]{2}"
+    r"(:[0-9]{2}(\.[0-9]{1,6})?)?)"
+    r"(?P<zone>Z|[+-]([01][0-9]|2[0-3])(:[0-5][0-9](:[0-5][0-9](\.[0-9]{1,6})?)?"
     r"|[0-5][0-9]([0-5][0-9](\.[0-9]{1,6})?)?))?")
+
+
+def _utc_offset(zone: str) -> timedelta:
+    """The offset a _TIMESTAMP zone (Z or ±HH[:]MM...) names, read field by
+    field: datetime.fromisoformat reads ±00:00:00.f as +00:00."""
+    digits, _, fraction = zone[1:].replace(":", "").partition(".")
+    h, m, s = (int(digits[i:i + 2] or 0) for i in (0, 2, 4))
+    offset = timedelta(hours=h, minutes=m, seconds=s,
+                       microseconds=int(fraction.ljust(6, "0")))
+    return -offset if zone[0] == "-" else offset
 
 
 @dataclass(frozen=True)
@@ -347,20 +358,25 @@ def _parse_rows(records, row: int) -> _Samples:
     records with only blank fields are skipped. A timestamp outside
     _TIMESTAMP or naming no real time (February 30) is unparseable."""
     first, us, aware, values, rows = None, [], [], [], []
+    zones = {None: (None, 0)}           # zone -> (tzinfo, UTC offset in µs)
     for rownum, rec in enumerate(records, start=row):
         _check_utf8(rec, rownum)
         if not rec or all(not c.strip() for c in rec):
             continue
         if len(rec) != 2:
             raise IngestionError("expected two columns", row=rownum)
-        stamp = rec[0].strip()
+        match = _TIMESTAMP.fullmatch(rec[0].strip())
         try:
-            if not _TIMESTAMP.fullmatch(stamp):
+            if not match:
                 raise ValueError
-            ts = datetime.fromisoformat(stamp)
+            ts = datetime.fromisoformat(match["local"])
         except ValueError:
             raise IngestionError(f"unparseable timestamp {rec[0]!r}", row=rownum)
-        offset = ts.utcoffset()
+        zone = match["zone"]
+        if zone not in zones:
+            offset = _utc_offset(zone)
+            zones[zone] = timezone(offset), offset // _MICROSECOND
+        tz, offset_us = zones[zone]
         try:
             v = float(rec[1])
         except ValueError:
@@ -368,13 +384,10 @@ def _parse_rows(records, row: int) -> _Samples:
         if not math.isfinite(v) or v < 0:
             raise IngestionError("load must be finite and non-negative",
                                  row=rownum)
-        t_us = (ts.replace(tzinfo=None) - _EPOCH) // _MICROSECOND
-        if offset is not None:
-            t_us -= offset // _MICROSECOND
         if first is None:
-            first = ts
-        us.append(t_us)
-        aware.append(offset is not None)
+            first = ts.replace(tzinfo=tz)
+        us.append((ts - _EPOCH) // _MICROSECOND - offset_us)
+        aware.append(tz is not None)
         values.append(v)
         rows.append(rownum)
     return _Samples(first, np.array(us, dtype=np.int64),

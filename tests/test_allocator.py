@@ -301,6 +301,8 @@ class TestPsoAllocate:
         ("social", -0.5), ("rng_seed", -1), ("inertia", math.nan),
         ("cognitive", math.inf), ("velocity_bound", math.nan),
         ("init_spread", math.inf),
+        pytest.param("particles", 10**400, id="particles-10**400"),
+        pytest.param("rng_seed", 10**400, id="rng_seed-10**400"),
     ])
     def test_bad_params_name_the_field(self, field, value):
         with pytest.raises(DomainError) as e:

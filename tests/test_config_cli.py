@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bessim import errors
+from bessim import cli, errors
 from bessim.allocator import PsoParams
 from bessim.cli import main
 from bessim.config import load_config, parse_config
@@ -237,6 +237,17 @@ class TestValidateConfigCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "field" in err
+
+    def test_integer_beyond_the_float_range_exits_2_naming_it(self, tmp_path,
+                                                               capsys):
+        doc = base_doc()
+        doc["allocator"]["pso"]["particles"] = 10**400
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("ConfigError",
+                                                "allocator.pso.particles")
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["validate-config", "--config", "/no/such.json"]) == 2
@@ -619,6 +630,33 @@ class TestSimulateCommand:
         main(["simulate", "--config", cfg_path, "--output", str(outdir)])
         leftovers = [p for p in os.listdir(outdir) if p.startswith(".bessim-")]
         assert leftovers == []
+
+
+class TestPlantRunsThroughTheModule:
+    """Each plant run of a command calls cli.run_simulation, looked up on
+    the module at call time, so a caller that swaps that attribute (as the
+    benchmark does, to keep each SimulationResult) sees every run."""
+
+    @pytest.mark.parametrize("command,runs", [
+        ("simulate", [("balanced", False)]),
+        ("optimize", [("balanced", False), ("pso", True)])])
+    def test_each_run_calls_the_module_attribute(self, cfg_path, tmp_path,
+                                                 monkeypatch, command, runs):
+        real, seen = cli.run_simulation, []
+
+        def capture(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen.append((kwargs["alloc_mode"],
+                         kwargs.get("record_alloc", False), result))
+            return result
+
+        monkeypatch.setattr(cli, "run_simulation", capture)
+        assert main([command, "--config", cfg_path,
+                     "--output", str(tmp_path / "out")]) == 0
+        assert [(mode, record) for mode, record, _ in seen] == runs
+        # the recorded run is the one whose allocations were kept
+        assert [r.alloc_matrix is not None for *_, r in seen] == \
+            [record for _, record in runs]
 
 
 class TestCompareCommand:

@@ -311,6 +311,9 @@ class TestPlant:
          "snapshot.cumulative_wh.acdc_wh"),
         (lambda s: s["cumulative_wh"].update(stored_wh=True),
          "snapshot.cumulative_wh.stored_wh"),
+        (lambda s: s.update(t_elapsed_s=10**400), "snapshot.t_elapsed_s"),
+        (lambda s: s["cumulative_wh"].update(grid_wh=10**400),
+         "snapshot.cumulative_wh.grid_wh"),
     ]
 
     @pytest.mark.parametrize("edit, field", BAD_SNAPSHOTS,
@@ -320,7 +323,8 @@ class TestPlant:
                                   "ledger_absent", "soc_not_numbers",
                                   "ipol_not_numbers", "t_string",
                                   "ledger_not_an_object", "ledger_string",
-                                  "ledger_nan", "ledger_inf", "ledger_bool"])
+                                  "ledger_nan", "ledger_inf", "ledger_bool",
+                                  "t_beyond_float", "ledger_beyond_float"])
     def test_restore_rejects_bad_state_by_field(self, edit, field):
         plant = Plant(uniform_plant_config(2))
         _book_step(plant, 50_000.0, np.full(2, 0.5))
@@ -332,6 +336,22 @@ class TestPlant:
             other.restore(snap)
         assert e.value.field == field
         assert other.snapshot() == before
+
+    def test_restore_keeps_numbers_as_floats(self):
+        # integers, as a hand-written snapshot holds them, restore as floats
+        # that the next step books onto
+        plant = Plant(uniform_plant_config(2))
+        snap = plant.snapshot()
+        snap["t_elapsed_s"] = 60
+        snap["cumulative_wh"] = dict.fromkeys(snap["cumulative_wh"], 0)
+        snap["cumulative_wh"]["grid_wh"] = 2**60
+        plant.restore(snap)
+        assert type(plant.t_elapsed) is float and plant.t_elapsed == 60.0
+        ledger = dataclasses.asdict(plant.cumulative)
+        assert {type(v) for v in ledger.values()} == {float}
+        assert ledger["grid_wh"] == 2.0**60
+        _book_step(plant, 50_000.0, np.full(2, 0.5))
+        assert plant.cumulative.grid_wh > 2.0**60
 
     def test_restore_accepts_soc_an_ulp_past_the_bound(self):
         # a step truncated at the bound can land there

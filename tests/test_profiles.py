@@ -175,6 +175,19 @@ class TestCsvValidation:
         assert p.start_time == datetime.fromisoformat(
             f"2024-01-01T00:00:00{offset}")
 
+    @pytest.mark.parametrize("offset,us", [
+        ("+00:00:00.5", 500_000), ("-00:00:00.000001", -1),
+        ("+000000.25", 250_000), ("-01:00:00.5", -3_600_500_000)])
+    def test_offset_with_a_fraction_reads_as_written(self, tmp_path, offset,
+                                                     us):
+        # datetime.fromisoformat reads the zero ones as +00:00
+        path = tmp_path / "ts.csv"
+        path.write_text(_csv([f"2024-01-01T00:00:00{offset},1.0",
+                              f"2024-01-01T00:01:00{offset},2.0"]))
+        p = load_profile_from_csv(str(path))
+        assert p.start_time.utcoffset() == timedelta(microseconds=us)
+        assert p.start_time.replace(tzinfo=None) == datetime(2024, 1, 1)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -249,6 +262,22 @@ def _check_utf8(record, rownum):
                                  row=rownum)
 
 
+def _reference_stamp(stamp):
+    """A timestamp of the grammar as a datetime: its wall time as
+    datetime.fromisoformat reads it, and its offset read here, hours,
+    minutes and seconds apart (fromisoformat reads ±00:00:00.f as
+    +00:00)."""
+    at = next((i for i in range(10, len(stamp)) if stamp[i] in "Z+-"),
+              len(stamp))
+    ts, zone = datetime.fromisoformat(stamp[:at]), stamp[at:]
+    if not zone:
+        return ts
+    hms = zone[1:].replace(":", "") if zone != "Z" else "0000"
+    offset = timedelta(hours=int(hms[:2]), minutes=int(hms[2:4]),
+                       seconds=float(hms[4:] or 0))
+    return ts.replace(tzinfo=timezone(-offset if zone[0] == "-" else offset))
+
+
 def _csv_rows_reference(path, expected_dt_s=None):
     """load_profile_from_csv as a row loop over datetime objects: the oracle
     of the chunked, column-wise reader. Returns (start_time, dt_s, values).
@@ -275,7 +304,7 @@ def _csv_rows_reference(path, expected_dt_s=None):
             try:
                 if not profiles._TIMESTAMP.fullmatch(stamp):
                     raise ValueError
-                ts = datetime.fromisoformat(stamp)
+                ts = _reference_stamp(stamp)
             except ValueError:
                 raise IngestionError(f"unparseable timestamp {row[0]!r}", row=rownum)
             try:
@@ -592,12 +621,11 @@ def _seconds(draw, second, us, plain=False):
 
 @st.composite
 def _offsets(draw):
-    """A UTC offset under 24 h, often whole minutes, and none under a
-    second but 0: datetime.fromisoformat reads ±00:00:00.f as +00:00."""
+    """A UTC offset under 24 h, often whole minutes, at times under a
+    second (which datetime.fromisoformat reads as +00:00)."""
     day = 86_400 * 10**6
     us = draw(st.integers(-1439, 1439).map(lambda m: m * 60 * 10**6)
-              | st.integers(1 - day, day - 1).filter(
-                  lambda u: u % 10**6 == 0 or abs(u) > 10**6))
+              | st.integers(-10**6, 10**6) | st.integers(1 - day, day - 1))
     return timedelta(microseconds=us)
 
 
@@ -801,8 +829,10 @@ class TestCsvEmit:
     @pytest.mark.parametrize("start", [
         datetime(2024, 1, 1),
         datetime(2024, 1, 1, tzinfo=timezone(timedelta(hours=5, minutes=30))),
-        datetime(2024, 1, 1, tzinfo=timezone(-timedelta(hours=1, seconds=15)))],
-        ids=["naive", "plus_05_30", "offset_seconds"])
+        datetime(2024, 1, 1, tzinfo=timezone(-timedelta(hours=1, seconds=15))),
+        datetime(2024, 1, 1,
+                 tzinfo=timezone(timedelta(microseconds=500000)))],
+        ids=["naive", "plus_05_30", "offset_seconds", "offset_half_second"])
     @pytest.mark.parametrize("dt_s", [60.0, 1.5])
     def test_stamps_in_grammar_read_back(self, tmp_path, start, dt_s):
         # values with 6 decimals, which the writer's %.6f keeps exactly
